@@ -12,7 +12,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +37,7 @@ from .kinetic import (
     stationary_scan,
     threshold_b,
 )
-from .operators import (
-    diagonal_part,
-    perturbation_part,
-    rescaled_diagonal,
-    rescaled_perturbation,
-)
+from .operators import OperatorHandle
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
 from .series import apriori_estimate_check, flow_compose_check, ovsyannikov_evolve
 from .states import CorrelationVector, random_correlation
@@ -112,23 +107,23 @@ def write_json(path: Path, doc: dict) -> None:
 
 def _split_operators(bundle: RuntimeBundle):
     """Diagonal and perturbation parts matching the configured epsilon."""
-    eps = bundle.params.epsilon
-    n = bundle.truncation
-    if eps == 1.0:
-        return (
-            diagonal_part(bundle.kernels, bundle.params, n),
-            perturbation_part(bundle.kernels, bundle.params, n),
-        )
-    diag = rescaled_diagonal(bundle.kernels, bundle.params, n) if eps > 0 else None
-    return diag, rescaled_perturbation(bundle.kernels, bundle.params, n)
+    args = (bundle.kernels, bundle.params, bundle.truncation)
+    diag = OperatorHandle("diagonal", *args) if bundle.params.epsilon > 0 else None
+    return diag, OperatorHandle("perturbation", *args)
+
+
+def _product_state(bundle: RuntimeBundle, rho: float) -> CorrelationVector:
+    """Product initial state; a density whose powers overflow is a config error."""
+    try:
+        return CorrelationVector.product_form(bundle.torus, bundle.truncation, rho)
+    except ValueError as err:
+        raise ConfigError(f"product state with density {rho}: {err}") from err
 
 
 def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVector:
     spec = spec or {"kind": "product", "rho": 0.5}
     if spec["kind"] == "product":
-        return CorrelationVector.product_form(
-            bundle.torus, bundle.truncation, spec.get("rho", 0.5)
-        )
+        return _product_state(bundle, spec.get("rho", 0.5))
     return random_correlation(
         bundle.torus, bundle.truncation, bundle.scale.alpha_s, bundle.rng
     )
@@ -233,8 +228,7 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         return [], ["sweep.csv", "plot_eps_gap.csv", "summary.json"]
     if eps_list[-1] != 0.0:
         eps_list.append(0.0)
-    rho0 = exp.get("rho0", 0.5)
-    u0 = CorrelationVector.product_form(bundle.torus, bundle.truncation, rho0)
+    u0 = _product_state(bundle, exp.get("rho0", 0.5))
     sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
     report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
 
@@ -248,20 +242,18 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     )
     sg_gaps = {}
     z_reports = {}
+    z_lim = report.operators[0.0][1]
     for eps in sweep.positive:
         sg_gaps[eps] = semigroup_gap(
             eps, gap_t, samples, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, bundle.rng
         )
         z_reports[eps] = perturbation_gap(
-            eps, samples, bundle.kernels, bundle.params, bundle.truncation, bundle.scale,
-            bundle.rng,
+            report.operators[eps][1], z_lim, samples, bundle.scale, bundle.rng
         )
     sg_zero = semigroup_gap(
         0.0, gap_t, 1, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, bundle.rng
     )
-    z_zero = perturbation_gap(
-        0.0, 2, bundle.kernels, bundle.params, bundle.truncation, bundle.scale, bundle.rng
-    )
+    z_zero = perturbation_gap(z_lim, z_lim, 2, bundle.scale, bundle.rng)
 
     checks = [
         Assertion(
@@ -472,7 +464,9 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
 def run_bounds(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     samples = exp.get("samples", 500)
-    op = perturbation_part(bundle.kernels, bundle.params, bundle.truncation)
+    # the bound is sampled on the unscaled perturbation whatever epsilon is set
+    params = replace(bundle.params, epsilon=1.0)
+    op = OperatorHandle("perturbation", bundle.kernels, params, bundle.truncation)
     report = verify_singular_bound(op, bundle.scale, bundle.bound, samples, bundle.rng)
     checks = [
         Assertion(

@@ -61,51 +61,19 @@ class DensityField:
         object.__setattr__(self, "rho", arr)
 
 
-def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray, method: str = "fft"):
-    """Periodic lattice convolution h^d sum_y kernel(x - y) rho(y).
-
-    "fft" runs through the d-dimensional discrete Fourier transform;
-    "direct" is the quadratic-cost reference sum.  Both implement the same
-    contract and are pitted against each other in the tests.
-    """
+def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Periodic lattice convolution h^d sum_y kernel(x - y) rho(y), by FFT."""
     kernel = np.asarray(kernel, dtype=float)
     rho = np.asarray(rho, dtype=float)
     shape = (torus.sites_per_axis,) * torus.dim
-    if method == "fft":
-        out = np.fft.ifftn(np.fft.fftn(kernel.reshape(shape)) * np.fft.fftn(rho.reshape(shape)))
-        return torus.cell_volume * np.real(out).reshape(-1)
-    if method == "direct":
-        s = torus.site_count
-        out = np.zeros(s)
-        for x in range(s):
-            acc = 0.0
-            for y in range(s):
-                acc += kernel[torus.diff_site(x, y)] * rho[y]
-            out[x] = torus.cell_volume * acc
-        return out
-    raise ValueError(f"unknown convolution method: {method!r}")
+    out = np.fft.ifftn(np.fft.fftn(kernel.reshape(shape)) * np.fft.fftn(rho.reshape(shape)))
+    return torus.cell_volume * np.real(out).reshape(-1)
 
 
-def kinetic_rhs(field: DensityField, kernels: KernelPair, params: ModelParams) -> DensityField:
-    """Right-hand side of the kinetic equation at the given density."""
-    rho = field.rho
-    torus = field.torus
-    comp = circular_convolution(torus, kernels.a_values, rho)
-    attr = circular_convolution(torus, kernels.phi_values, rho)
-    rate = (
-        -rho * comp
-        - params.death_amplitude * rho * np.exp(-attr)
-        + params.birth_intensity
-    )
-    out = object.__new__(DensityField)
-    object.__setattr__(out, "torus", torus)
-    rate = np.ascontiguousarray(rate)
-    rate.setflags(write=False)
-    object.__setattr__(out, "rho", rate)
-    return out
-
-
-def _rhs_array(rho: np.ndarray, torus, kernels, params) -> np.ndarray:
+def kinetic_rhs(
+    rho: np.ndarray, torus: Torus, kernels: KernelPair, params: ModelParams
+) -> np.ndarray:
+    """Right-hand side of the kinetic equation at the density rho."""
     comp = circular_convolution(torus, kernels.a_values, rho)
     attr = circular_convolution(torus, kernels.phi_values, rho)
     return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
@@ -160,10 +128,10 @@ def integrate_kinetic(
             if halvings > max_halvings:
                 raise StepSizeCollapse("stability bound forced too many step halvings")
             continue
-        k1 = _rhs_array(rho, torus, kernels, params)
-        k2 = _rhs_array(rho + 0.5 * step * k1, torus, kernels, params)
-        k3 = _rhs_array(rho + 0.5 * step * k2, torus, kernels, params)
-        k4 = _rhs_array(rho + step * k3, torus, kernels, params)
+        k1 = kinetic_rhs(rho, torus, kernels, params)
+        k2 = kinetic_rhs(rho + 0.5 * step * k1, torus, kernels, params)
+        k3 = kinetic_rhs(rho + 0.5 * step * k2, torus, kernels, params)
+        k4 = kinetic_rhs(rho + step * k3, torus, kernels, params)
         rho_new = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.any(rho_new < 0.0):
             step *= 0.5

@@ -7,8 +7,8 @@ The state space of the whole package is built from finite simple configurations
     the minimal-image metric used to sample kernels from continuum profiles.
   * `KernelPair`: the competition kernel a >= 0 and the attraction potential
     phi >= 0, tabulated over difference vectors, with mean/sup statistics.
-  * `Configuration` / subset enumeration: layers of n-point configurations in
-    canonical (lexicographic) order, shared by states and operators.
+  * Subset enumeration: layers of n-point configurations in canonical
+    (lexicographic) order, shared by states and operators.
   * The Lebesgue-Poisson calculus on the truncated configuration space:
     `lp_integral`, the product exponent `lp_exponential`, the combinatorial
     transform `k_transform` and its Moebius inverse `k_inverse`, and the
@@ -22,14 +22,12 @@ order.  The 1/n! of the ordered-tuple convention cancels against the n!
 orderings of a subset, so no factorial appears here; every other module pairs
 layers with the same weights, which keeps summation by parts exact.
 
-Configurations are plain tuples of strictly increasing site indices in all hot
-paths; `Configuration` is a thin validated wrapper for API boundaries.
+Configurations are plain tuples of strictly increasing site indices.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,8 +40,6 @@ MAX_SUBSET_ORDER = 25  # 2^25 subset sums are the tractability limit
 
 def _as_sites(eta) -> tuple[int, ...]:
     """Normalize a configuration-like argument to a sorted tuple of sites."""
-    if isinstance(eta, Configuration):
-        return eta.sites
     sites = tuple(int(x) for x in eta)
     if any(sites[i] >= sites[i + 1] for i in range(len(sites) - 1)):
         ordered = tuple(sorted(sites))
@@ -53,37 +49,6 @@ def _as_sites(eta) -> tuple[int, ...]:
     if len(set(sites)) != len(sites):
         raise ValueError("configuration has repeated sites")
     return sites
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A finite simple configuration: strictly increasing site indices."""
-
-    sites: tuple[int, ...]
-
-    def __post_init__(self):
-        sites = tuple(int(x) for x in self.sites)
-        if any(s < 0 for s in sites):
-            raise ValueError("site indices must be nonnegative")
-        if any(sites[i] >= sites[i + 1] for i in range(len(sites) - 1)):
-            raise ValueError("sites must be strictly increasing")
-        object.__setattr__(self, "sites", sites)
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
-
-    def union(self, site: int) -> "Configuration":
-        if site in self.sites:
-            raise ValueError("site already occupied")
-        return Configuration(tuple(sorted(self.sites + (site,))))
-
-    def without(self, site: int) -> "Configuration":
-        if site not in self.sites:
-            raise ValueError("site not in configuration")
-        return Configuration(tuple(s for s in self.sites if s != site))
 
 
 @dataclass(frozen=True)
@@ -324,11 +289,6 @@ def load_kernel_pair(doc: dict) -> KernelPair:
         raise ValueError(f"kernel document missing keys: {sorted(missing)}")
     torus = Torus(int(doc["dim"]), int(doc["sites"]), float(doc["spacing"]))
     return kernel_pair_from_spec(torus, doc["a"], doc["phi"])
-
-
-def load_kernel_pair_file(path) -> KernelPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_kernel_pair(json.load(fh))
 
 
 @dataclass(eq=False)

@@ -11,13 +11,15 @@ four term families, enumerated here entry by entry:
   birth      +lambda sum_{x in eta} k(eta - x),
 
 where the Moebius weight w and the attraction damping s depend on the scaling
-regime: the unscaled hierarchy has w = e^{-phi} - 1, s = 1; the rescaled
-family at scaling epsilon > 0 has w = (e^{-eps phi} - 1)/eps, s = eps; the
-scaling limit has w = -phi, s = 0.  Output above the truncation order n_max is
-dropped and reads from above n_max are zero (closed truncation).
+parameter epsilon of `ModelParams`: w = (e^{-eps phi} - 1)/eps and s = eps for
+eps > 0, so eps = 1 (the default) is the unscaled hierarchy with
+w = e^{-phi} - 1, and the scaling limit eps = 0 has w = -phi, s = 0.  The
+diagonal carries the same factor, -eps E^a.  Output above the truncation order
+n_max is dropped and reads from above n_max are zero (closed truncation).
 
-`OperatorHandle` freezes one generator variant and caches a sparse matrix of
-the same enumeration for fast repeated application inside the solvers.  The
+`OperatorHandle` freezes one part of the generator L_eps = A_eps + Z_eps
+("full", "diagonal" A_eps, or "perturbation" Z_eps) and caches a sparse matrix
+of the same enumeration for fast repeated application inside the solvers.  The
 observable-side generator (the pre-dual under the Lebesgue-Poisson pairing) is
 `apply_observable_generator`; the duality tests pit it against the hierarchy
 side with no shared code path.
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionCapError
 from .lattice import (
     KernelPair,
     SupportedFunction,
@@ -46,25 +47,7 @@ from .lattice import (
 )
 from .states import CorrelationVector
 
-DENSE_CAP = 20_000  # largest flat dimension assemble_dense will materialize
-
-KIND_HIERARCHY = "hierarchy"
-KIND_DIAGONAL = "diagonal"
-KIND_PERTURBATION = "perturbation"
-KIND_RESCALED = "rescaled"
-KIND_RESCALED_DIAGONAL = "rescaled_diagonal"
-KIND_RESCALED_PERTURBATION = "rescaled_perturbation"
-KIND_LIMIT_PERTURBATION = "limit_perturbation"
-
-_ALL_KINDS = (
-    KIND_HIERARCHY,
-    KIND_DIAGONAL,
-    KIND_PERTURBATION,
-    KIND_RESCALED,
-    KIND_RESCALED_DIAGONAL,
-    KIND_RESCALED_PERTURBATION,
-    KIND_LIMIT_PERTURBATION,
-)
+KINDS = ("full", "diagonal", "perturbation")
 
 
 @dataclass(frozen=True)
@@ -89,33 +72,25 @@ class ModelParams:
             raise ValueError("epsilon must be >= 0 and finite")
 
 
-def _mobius_table(kernels: KernelPair, eps: float | None) -> np.ndarray | None:
-    """Per-difference Moebius weights w for the death term, or None if unused."""
-    if eps is None:
-        return None
+def _mobius_table(kernels: KernelPair, eps: float) -> np.ndarray:
+    """Per-difference Moebius weights w of the death term at scaling eps."""
     phi = kernels.phi_values
     if eps == 0.0:
         return -phi
     return np.expm1(-eps * phi) / eps
 
 
-def generator_entries(
-    kernels: KernelPair,
-    params: ModelParams,
-    n_max: int,
-    *,
-    diagonal_scale: float = 0.0,
-    mobius_eps: float | None = None,
-    crowding: bool = False,
-    birth: bool = False,
-):
-    """Yield (row, col, value) triplets for the selected generator terms.
+def generator_entries(kind: str, kernels: KernelPair, params: ModelParams, n_max: int):
+    """Yield (row, col, value) triplets of one part of L_eps, eps = params.epsilon.
 
-    diagonal_scale multiplies the -E^a diagonal (0 omits it); mobius_eps
-    selects the death-term regime (None omits it, 0 the scaling limit);
-    crowding/birth toggle the remaining two families.  Rows and columns are
-    flat indices over the layered state.
+    "diagonal" is the -eps E^a multiplication A_eps, "perturbation" the
+    crowding, death and birth families Z_eps, "full" their sum.  Rows and
+    columns are flat indices over the layered state.
     """
+    eps = float(params.epsilon)
+    diagonal_scale = 0.0 if kind == "perturbation" else eps
+    coupled = kind != "diagonal"  # crowding, death and birth
+    mob = _mobius_table(kernels, eps) if coupled else None
     torus = kernels.torus
     s = torus.site_count
     h = torus.cell_volume
@@ -123,10 +98,8 @@ def generator_entries(
     a_vals = kernels.a_values
     phi_vals = kernels.phi_values
     offs = layer_offsets(s, n_max)
-    mob = _mobius_table(kernels, mobius_eps)
     m_rate = params.death_amplitude
     lam = params.birth_intensity
-    damp = 0.0 if mobius_eps is None else float(mobius_eps)
     all_sites = range(s)
 
     for n in range(n_max + 1):
@@ -139,7 +112,7 @@ def generator_entries(
             eta_set = set(eta)
             if diagonal_scale != 0.0 and n >= 2:
                 yield row, row, -diagonal_scale * pair_energy(eta, kernels)
-            if crowding and pos_up is not None:
+            if coupled and pos_up is not None:
                 for x in all_sites:
                     if x in eta_set:
                         continue
@@ -150,13 +123,13 @@ def generator_entries(
                     if coef != 0.0:
                         col = offs[n + 1] + pos_up[tuple(sorted(eta + (x,)))]
                         yield row, col, -h * coef
-            if mob is not None and n >= 1:
+            if coupled and n >= 1:
                 # attraction damping of each removal site against the rest of eta
                 prefac = []
                 for x in eta:
                     drow = diff[x]
                     e_phi = sum(phi_vals[drow[y]] for y in eta if y != x)
-                    prefac.append((x, m_rate * math.exp(-damp * e_phi)))
+                    prefac.append((x, m_rate * math.exp(-eps * e_phi)))
                 complement = [x for x in all_sites if x not in eta_set]
                 for j in range(0, min(n_max - n, len(complement)) + 1):
                     weight = h**j
@@ -173,42 +146,24 @@ def generator_entries(
                         if val != 0.0:
                             col = off_tgt + pos_tgt[tuple(sorted(eta + xi))]
                             yield row, col, -weight * val
-            if birth and pos_down is not None:
+            if coupled and pos_down is not None:
                 off_dn = offs[n - 1]
                 for x in eta:
                     col = off_dn + pos_down[tuple(y for y in eta if y != x)]
                     yield row, col, lam
 
 
-def _term_switches(kind: str, eps: float) -> dict:
-    if kind == KIND_HIERARCHY:
-        return dict(diagonal_scale=1.0, mobius_eps=1.0, crowding=True, birth=True)
-    if kind == KIND_DIAGONAL:
-        return dict(diagonal_scale=1.0, mobius_eps=None, crowding=False, birth=False)
-    if kind == KIND_PERTURBATION:
-        return dict(diagonal_scale=0.0, mobius_eps=1.0, crowding=True, birth=True)
-    if kind == KIND_RESCALED:
-        return dict(diagonal_scale=eps, mobius_eps=eps, crowding=True, birth=True)
-    if kind == KIND_RESCALED_DIAGONAL:
-        return dict(diagonal_scale=eps, mobius_eps=None, crowding=False, birth=False)
-    if kind == KIND_RESCALED_PERTURBATION:
-        return dict(diagonal_scale=0.0, mobius_eps=eps, crowding=True, birth=True)
-    if kind == KIND_LIMIT_PERTURBATION:
-        return dict(diagonal_scale=0.0, mobius_eps=0.0, crowding=True, birth=True)
-    raise ValueError(f"unknown operator kind: {kind!r}")
-
-
 class OperatorHandle:
-    """One frozen generator variant acting on truncated correlation vectors.
+    """One part of the generator L_eps = A_eps + Z_eps on truncated vectors.
 
-    kind, kernels, params, and n_max are fixed at construction; the sparse
-    matrix of the term enumeration is built lazily and cached.  Application
-    is elementwise-exact linear algebra, safe to share across threads once
-    the matrix is built.
+    kind is "full", "diagonal" (A_eps) or "perturbation" (Z_eps); the scaling
+    eps is params.epsilon, 1 for the unscaled hierarchy and 0 for the limit.
+    kind, kernels, params and n_max are fixed at construction; the sparse
+    matrix of the term enumeration is built lazily and cached.
     """
 
     def __init__(self, kind: str, kernels: KernelPair, params: ModelParams, n_max: int):
-        if kind not in _ALL_KINDS:
+        if kind not in KINDS:
             raise ValueError(f"unknown operator kind: {kind!r}")
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
@@ -220,7 +175,10 @@ class OperatorHandle:
         self._energies = None
 
     def __repr__(self):
-        return f"OperatorHandle(kind={self.kind!r}, n_max={self.n_max})"
+        return (
+            f"OperatorHandle(kind={self.kind!r}, epsilon={self.params.epsilon}, "
+            f"n_max={self.n_max})"
+        )
 
     @property
     def torus(self):
@@ -232,18 +190,13 @@ class OperatorHandle:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.kind in (KIND_DIAGONAL, KIND_RESCALED_DIAGONAL)
-
-    def entries(self):
-        return generator_entries(
-            self.kernels, self.params, self.n_max, **_term_switches(self.kind, self.params.epsilon)
-        )
+        return self.kind == "diagonal"
 
     def matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of the generator on the flat layered state."""
+        """Sparse matrix of the operator on the flat layered state."""
         if self._matrix is None:
             rows, cols, vals = [], [], []
-            for r, c, v in self.entries():
+            for r, c, v in generator_entries(self.kind, self.kernels, self.params, self.n_max):
                 rows.append(r)
                 cols.append(c)
                 vals.append(v)
@@ -255,21 +208,17 @@ class OperatorHandle:
         return self._matrix
 
     def semigroup_energies(self) -> np.ndarray:
-        """Flat diagonal energies E with the handle's scaling: apply = mult by -E."""
+        """Flat diagonal energies eps E^a: the diagonal part multiplies by -E."""
         if not self.is_diagonal:
-            raise ValueError("semigroup energies only defined for diagonal kinds")
+            raise ValueError("semigroup energies only defined for the diagonal kind")
         if self._energies is None:
-            scale = 1.0 if self.kind == KIND_DIAGONAL else self.params.epsilon
-            self._energies = scale * interaction_energies(self.kernels, self.n_max)
+            self._energies = self.params.epsilon * interaction_energies(self.kernels, self.n_max)
         return self._energies
-
-    def apply_flat(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix() @ np.asarray(vec, dtype=float)
 
     def apply(self, k: CorrelationVector) -> CorrelationVector:
         if k.torus != self.torus or k.n_max != self.n_max:
             raise ValueError("state does not match operator truncation")
-        return CorrelationVector.from_flat(self.torus, self.n_max, self.apply_flat(k.flat()))
+        return CorrelationVector.from_flat(self.torus, self.n_max, self.matrix() @ k.flat())
 
 
 def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
@@ -280,82 +229,6 @@ def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
         for eta in subsets_of_order(kernels.torus.site_count, n):
             out[pos] = pair_energy(eta, kernels) if n >= 2 else 0.0
             pos += 1
-    return out
-
-
-def hierarchy_generator(kernels, params, n_max) -> OperatorHandle:
-    return OperatorHandle(KIND_HIERARCHY, kernels, params, n_max)
-
-
-def diagonal_part(kernels, params, n_max) -> OperatorHandle:
-    return OperatorHandle(KIND_DIAGONAL, kernels, params, n_max)
-
-
-def perturbation_part(kernels, params, n_max) -> OperatorHandle:
-    return OperatorHandle(KIND_PERTURBATION, kernels, params, n_max)
-
-
-def rescaled_generator(kernels, params, n_max) -> OperatorHandle:
-    return OperatorHandle(KIND_RESCALED, kernels, params, n_max)
-
-
-def rescaled_diagonal(kernels, params, n_max) -> OperatorHandle:
-    return OperatorHandle(KIND_RESCALED_DIAGONAL, kernels, params, n_max)
-
-
-def rescaled_perturbation(kernels, params, n_max) -> OperatorHandle:
-    """Perturbation part of the rescaled family; epsilon = 0 is the limit form."""
-    if params.epsilon == 0.0:
-        return OperatorHandle(KIND_LIMIT_PERTURBATION, kernels, params, n_max)
-    return OperatorHandle(KIND_RESCALED_PERTURBATION, kernels, params, n_max)
-
-
-def limit_perturbation(kernels, params, n_max) -> OperatorHandle:
-    return OperatorHandle(KIND_LIMIT_PERTURBATION, kernels, params, n_max)
-
-
-def apply_hierarchy_generator(k: CorrelationVector, kernels, params) -> CorrelationVector:
-    return hierarchy_generator(kernels, params, k.n_max).apply(k)
-
-
-def apply_diagonal_part(k: CorrelationVector, kernels, params) -> CorrelationVector:
-    return diagonal_part(kernels, params, k.n_max).apply(k)
-
-
-def apply_perturbation_part(k: CorrelationVector, kernels, params) -> CorrelationVector:
-    return perturbation_part(kernels, params, k.n_max).apply(k)
-
-
-def apply_rescaled_generator(k: CorrelationVector, kernels, params) -> CorrelationVector:
-    """Rescaled generator at params.epsilon; at 0 this is the pure limit part."""
-    if params.epsilon == 0.0:
-        return limit_perturbation(kernels, params, k.n_max).apply(k)
-    return rescaled_generator(kernels, params, k.n_max).apply(k)
-
-
-def semigroup_apply(t: float, k: CorrelationVector, kernels, *, epsilon: float = 1.0):
-    """Contraction semigroup of the diagonal part: multiply by e^{-t eps E^a}."""
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    energies = interaction_energies(kernels, k.n_max)
-    return CorrelationVector.from_flat(
-        k.torus, k.n_max, np.exp(-t * epsilon * energies) * k.flat()
-    )
-
-
-def assemble_dense(op: OperatorHandle) -> np.ndarray:
-    """Dense matrix whose column j is the operator applied to basis vector j."""
-    d = op.dimension
-    if d > DENSE_CAP:
-        raise DimensionCapError(f"dense assembly of dimension {d} exceeds cap {DENSE_CAP}")
-    out = np.empty((d, d))
-    basis = np.zeros(d)
-    for j in range(d):
-        basis[j] = 1.0
-        out[:, j] = op.apply_flat(basis)
-        basis[j] = 0.0
     return out
 
 
@@ -373,7 +246,8 @@ def apply_observable_generator(
                  + lambda h^d sum_{x not in eta} G(eta + x),
 
     reading G as zero above its own order or outside its window.  This is the
-    exact adjoint of the hierarchy generator on the truncated space.
+    exact adjoint of the unscaled (eps = 1) full generator on the truncated
+    space; params.epsilon is not read.
     """
     torus = kernels.torus
     s = torus.site_count

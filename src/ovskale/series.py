@@ -18,10 +18,11 @@ majorant
     nu e^{omega t} ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
 
 and the run is re-done at half resolution for a Richardson consistency gate.
-`oracle_evolve` is the independent dense-propagator reference with two
-internal paths (Pade exponential and an adaptive embedded Runge-Kutta pair)
-that must agree; `flow_compose_check` and `apriori_estimate_check` audit the
-two-parameter flow property and the closed-form a-priori bound.
+`oracle_evolve` is the independent sparse-propagator reference with two
+internal routes (the action of the matrix exponential and an adaptive
+Runge-Kutta integration) that must agree; `flow_compose_check` and
+`apriori_estimate_check` audit the two-parameter flow property and the
+closed-form a-priori bound.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConvergenceError, HorizonError, MajorantViolation
-from .operators import OperatorHandle, assemble_dense
+from .operators import OperatorHandle
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat, time_horizon, localization_index
 from .states import CorrelationVector, flat_orders
 
@@ -390,56 +392,6 @@ def ovsyannikov_evolve(
     )
 
 
-# Dormand-Prince 5(4) tableau for the oracle's adaptive path
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def _dormand_prince(mat: np.ndarray, y0: np.ndarray, t_end: float, tol: float) -> np.ndarray:
-    """Adaptive embedded 5(4) propagation of y' = mat y up to t_end."""
-    if t_end == 0.0:
-        return y0.copy()
-    y = y0.copy()
-    t = 0.0
-    mat_scale = 1.0 + float(np.abs(mat).sum(axis=1).max())
-    h = min(t_end, 0.1 / mat_scale)
-    stages = np.empty((7, y0.size))
-    k_first = mat @ y
-    for _ in range(200_000):
-        h = min(h, t_end - t)
-        stages[0] = k_first
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ stages[:i])
-            stages[i] = mat @ yi
-        y5 = y + h * (_DP_B5 @ stages)
-        y4 = y + h * (_DP_B4 @ stages)
-        scale_vec = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale_vec) ** 2)))
-        if err <= 1.0:
-            t += h
-            y = y5
-            if t >= t_end * (1.0 - 1e-15):
-                return y
-            k_first = stages[6]  # first-same-as-last reuse
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h <= 1e-300:
-            break
-    raise ConvergenceError("adaptive oracle path failed to reach the end time")
-
-
 def oracle_evolve(
     u_s: CorrelationVector,
     dt: float,
@@ -448,24 +400,33 @@ def oracle_evolve(
     agreement_tol: float = 1e-9,
     adaptive_tol: float = 1e-12,
 ) -> CorrelationVector:
-    """Dense reference propagator for u' = (A + Z) u over duration dt.
+    """Sparse reference propagator for u' = (A + Z) u over duration dt.
 
-    Two internal routes, a scaling-and-squaring Pade exponential and an
-    adaptive embedded Runge-Kutta pair, must agree to agreement_tol in
-    relative sup norm; the exponential route is returned.
+    Two routes on the operator's sparse matrix, the action of the matrix
+    exponential (Al-Mohy and Higham's truncated Taylor series) and an adaptive
+    DOP853 integration at relative tolerance adaptive_tol, must agree to
+    agreement_tol in relative sup norm; the exponential route is returned.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if full_op.torus != u_s.torus or full_op.n_max != u_s.n_max:
         raise ValueError("operator truncation does not match the state")
-    dense = assemble_dense(full_op)
+    if dt == 0.0:
+        return u_s
+    mat = full_op.matrix()
     u0 = u_s.flat()
-    via_expm = scipy.linalg.expm(dense * dt) @ u0
-    via_rk = _dormand_prince(dense, u0, dt, adaptive_tol)
+    via_expm = expm_multiply(mat * dt, u0)
+    sol = solve_ivp(
+        lambda _t, y: mat @ y, (0.0, dt), u0, method="DOP853",
+        rtol=adaptive_tol, atol=adaptive_tol,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"adaptive oracle route failed: {sol.message}")
+    via_rk = sol.y[:, -1]
     denom = max(float(np.abs(via_expm).max()), 1e-30)
     rel = float(np.abs(via_expm - via_rk).max()) / denom
     if rel > agreement_tol:
-        raise ConvergenceError(f"oracle paths disagree at relative level {rel}")
+        raise ConvergenceError(f"oracle routes disagree at relative level {rel}")
     return CorrelationVector.from_flat(u_s.torus, u_s.n_max, via_expm)
 
 

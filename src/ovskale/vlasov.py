@@ -17,8 +17,6 @@ truncation error, with the field evolving under the kinetic equation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,25 +24,10 @@ import numpy as np
 from .errors import ConfigError
 from .kinetic import DensityField, integrate_kinetic
 from .lattice import KernelPair, subsets_of_order
-from .operators import (
-    ModelParams,
-    interaction_energies,
-    rescaled_diagonal,
-    rescaled_perturbation,
-)
+from .operators import ModelParams, OperatorHandle, interaction_energies
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
 from .states import CorrelationVector, flat_orders, random_correlation
-
-
-def thread_cap(n_jobs: int) -> int:
-    """Worker count for independent runs, capped by OVSKALE_THREADS."""
-    raw = os.environ.get("OVSKALE_THREADS", "")
-    try:
-        cap = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(n_jobs, cap))
 
 
 @dataclass(frozen=True)
@@ -151,17 +134,19 @@ class ZGapReport:
 
 
 def perturbation_gap(
-    epsilon: float,
+    z_eps: OperatorHandle,
+    z_lim: OperatorHandle,
     samples: int,
-    kernels: KernelPair,
-    params: ModelParams,
-    n_max: int,
     scale: ScaleSpec,
     rng,
     *,
     ln_split_floor: float = 0.8,
 ) -> ZGapReport:
     """Measure the operator gap |Z_eps - Z_0| over sampled index pairs.
+
+    z_eps and z_lim are perturbation handles on one truncation, z_lim at the
+    limit eps = 0; the sweep that ran them passes them on, so neither matrix
+    is built twice.
 
     Each sample draws a pair alpha_lo < alpha_hi and computes the exact
     induced norm of the difference between the weighted sup-norm balls,
@@ -178,8 +163,8 @@ def perturbation_gap(
     operator can actually express the two-pole profile; the window must
     satisfy alpha_star > e^{ln_split_floor} for such pairs to exist.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if z_lim.params.epsilon != 0.0:
+        raise ValueError("z_lim must be the perturbation at the limit epsilon = 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ratio_min = math.exp(ln_split_floor)
@@ -189,10 +174,8 @@ def perturbation_gap(
             f"alpha_star {scale.alpha_star} leaves no room for index splits with "
             f"ln(alpha_hi/alpha_lo) >= {ln_split_floor}"
         )
-    z_eps = rescaled_perturbation(kernels, replace(params, epsilon=epsilon), n_max)
-    z_lim = rescaled_perturbation(kernels, replace(params, epsilon=0.0), n_max)
     diff_abs = abs((z_eps.matrix() - z_lim.matrix()).tocsr())
-    orders = flat_orders(kernels.torus, n_max).astype(float)
+    orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
     deltas = np.empty(samples)
     gaps = np.empty(samples)
     for i in range(samples):
@@ -207,12 +190,18 @@ def perturbation_gap(
     pole = float(np.dot(gaps, weights) / wsq) if wsq > 0 else 0.0
     gsq = float(np.dot(gaps, gaps))
     residual = float(np.sqrt(np.sum((gaps - pole * weights) ** 2) / gsq)) if gsq > 0 else 0.0
-    return ZGapReport(epsilon, deltas, gaps, pole, residual, float(gaps.max(initial=0.0)))
+    return ZGapReport(
+        z_eps.params.epsilon, deltas, gaps, pole, residual, float(gaps.max(initial=0.0))
+    )
 
 
 @dataclass
 class VlasovReport:
-    """Sweep outcome: per-epsilon trajectory gaps against the limit run."""
+    """Sweep outcome: per-epsilon trajectory gaps against the limit run.
+
+    operators maps each epsilon to the (diagonal, perturbation) handles its
+    run used, the diagonal None at the limit.
+    """
 
     epsilons: np.ndarray
     sup_gaps: np.ndarray
@@ -221,12 +210,13 @@ class VlasovReport:
     times: np.ndarray
     limit_result: EvolutionResult
     results: dict
+    operators: dict
 
 
 def _sweep_operators(eps: float, kernels, params, n_max):
     p = replace(params, epsilon=eps)
-    diag = rescaled_diagonal(kernels, p, n_max) if eps > 0.0 else None
-    return diag, rescaled_perturbation(kernels, p, n_max)
+    diag = OperatorHandle("diagonal", kernels, p, n_max) if eps > 0.0 else None
+    return diag, OperatorHandle("perturbation", kernels, p, n_max)
 
 
 def vlasov_limit(
@@ -246,21 +236,16 @@ def vlasov_limit(
     u0 = sweep.initial
     n_max = u0.n_max
     t_end = s + sweep.config.upsilon
-    jobs = {}
+    operators = {}
+    results = {}
     for eps in sweep.epsilons:
-        jobs[eps] = _sweep_operators(eps, kernels, params, n_max)
-        jobs[eps][1].matrix()
-
-    def run(eps: float) -> EvolutionResult:
-        diag, pert = jobs[eps]
+        diag, pert = operators[eps] = _sweep_operators(eps, kernels, params, n_max)
         try:
-            return ovsyannikov_evolve(u0, s, t_end, diag, pert, sweep.scale, bound, sweep.config)
+            results[eps] = ovsyannikov_evolve(
+                u0, s, t_end, diag, pert, sweep.scale, bound, sweep.config
+            )
         except Exception as err:
             raise type(err)(f"epsilon={eps}: {err}") from err
-
-    order = list(sweep.epsilons)
-    with ThreadPoolExecutor(max_workers=thread_cap(len(order))) as pool:
-        results = dict(zip(order, pool.map(run, order)))
     limit = results[0.0]
     limit_flats = [st.flat() for st in limit.states]
     orders = flat_orders(u0.torus, n_max)
@@ -278,7 +263,7 @@ def vlasov_limit(
         ratios = sup_gaps[1:] / sup_gaps[:-1]
     strict = bool(np.all(np.diff(sup_gaps) < 0.0))
     return VlasovReport(
-        np.array(sweep.positive), sup_gaps, ratios, strict, limit.times, limit, results
+        np.array(sweep.positive), sup_gaps, ratios, strict, limit.times, limit, results, operators
     )
 
 
@@ -351,13 +336,15 @@ def chaos_check(
     else:
         rho_t = integrate_kinetic(rho0, t, kinetic_dt, kernels, params).final
 
+    limit_params = replace(params, epsilon=0.0)
+
     def run(order: int):
         u0 = CorrelationVector.product_form(rho0.torus, order, rho0.rho)
-        pert = rescaled_perturbation(kernels, replace(params, epsilon=0.0), order)
+        pert = OperatorHandle("perturbation", kernels, limit_params, order)
         return ovsyannikov_evolve(u0, 0.0, t, None, pert, scale, bound, cfg)
 
-    with ThreadPoolExecutor(max_workers=thread_cap(2)) as pool:
-        coarse, refined = pool.map(run, [n_max, refined_n_max])
+    coarse = run(n_max)
+    refined = run(refined_n_max)
     gaps = _product_layer_gaps(coarse.final_state, rho_t, n_probe)
     refined_gaps = _product_layer_gaps(refined.final_state, rho_t, n_probe)
     return ChaosReport(

@@ -20,6 +20,7 @@ from ovskale import (
     DensityField,
     EpsilonSweep,
     ModelParams,
+    OperatorHandle,
     SeriesConfig,
     SupportedFunction,
     Torus,
@@ -27,9 +28,7 @@ from ovskale import (
     apriori_estimate_check,
     chaos_check,
     critical_c_range,
-    diagonal_part,
     flow_compose_check,
-    hierarchy_generator,
     homogeneous_ode,
     integrate_kinetic,
     kernel_pair_from_spec,
@@ -39,7 +38,6 @@ from ovskale import (
     optimal_terminal,
     oracle_evolve,
     ovsyannikov_evolve,
-    perturbation_part,
     semigroup_gap,
     semigroup_gap_bound,
     semigroup_gap_intermediate,
@@ -66,12 +64,13 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def stock_runs():
-    """Two pinned solves of the stock instance plus the dense reference."""
+    """Two pinned solves of the stock instance plus the oracle reference."""
     inst = make_instance()
     u0 = CorrelationVector.product_form(inst.torus, inst.n_max, 0.5)
-    diag = diagonal_part(inst.kernels, inst.params, inst.n_max)
-    pert = perturbation_part(inst.kernels, inst.params, inst.n_max)
-    full = hierarchy_generator(inst.kernels, inst.params, inst.n_max)
+    args = (inst.kernels, inst.params, inst.n_max)
+    diag = OperatorHandle("diagonal", *args)
+    pert = OperatorHandle("perturbation", *args)
+    full = OperatorHandle("full", *args)
     T = inst.horizon
     t = 0.5 * T
     start = time.perf_counter()
@@ -116,7 +115,7 @@ def test_c01_observable_duality():
     # pairing an observable against the evolved state must equal pairing
     # the dually evolved observable against the state, pair by pair
     inst = make_instance(sites=8, n_max=3)
-    L = hierarchy_generator(inst.kernels, inst.params, inst.n_max)
+    L = OperatorHandle("full", inst.kernels, inst.params, inst.n_max)
     rng = np.random.default_rng(20260816)
     s = inst.torus.site_count
     start = time.perf_counter()
@@ -206,7 +205,7 @@ def test_c04_flow_composition(stock_runs):
 
 def test_c05_singular_norm_sampling():
     inst = make_instance(sites=8, n_max=3)
-    op = perturbation_part(inst.kernels, inst.params, inst.n_max)
+    op = OperatorHandle("perturbation", inst.kernels, inst.params, inst.n_max)
     rep = verify_singular_bound(
         op, inst.scale, inst.bound, 500, np.random.default_rng(20260816)
     )

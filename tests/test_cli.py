@@ -181,6 +181,23 @@ def test_exit_2_on_semantic_config_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"name": "evolve", "t": 0.5 * T_SMALL, "initial": {"kind": "product", "rho": 1e200}},
+        {"name": "vlasov", "epsilons": [0.2, 0.1, 0.0], "rho0": 1e200},
+    ],
+    ids=["evolve", "vlasov"],
+)
+def test_exit_2_when_product_density_overflows(tmp_path, capsys, experiment):
+    # schema-valid: rho^2 overflows the order-2 layer of the product state
+    doc = base_doc()
+    doc["experiment"] = experiment
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "1e+200" in capsys.readouterr().err
+
+
 def test_exit_3_on_numerical_failure(tmp_path, capsys):
     doc = base_doc()
     doc["experiment"] = {"name": "kinetic", "t_end": 1e6, "dt": 1e6, "rho0": 0.5}

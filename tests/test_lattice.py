@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ovskale import Torus, kernel_pair_from_spec
 from ovskale.lattice import (
     MAX_SUBSET_ORDER,
-    Configuration,
     SupportedFunction,
     diff_table,
     entry_orders,
@@ -22,7 +21,6 @@ from ovskale.lattice import (
     layer_offsets,
     layer_sizes,
     load_kernel_pair,
-    load_kernel_pair_file,
     lp_exponential,
     lp_integral,
     pair_energy,
@@ -67,18 +65,6 @@ def test_torus_validation():
         Torus(1, 0, 0.5)
     with pytest.raises(ValueError):
         Torus(1, 4, -1.0)
-
-
-def test_configuration_ordering():
-    cfg = Configuration((1, 3, 4))
-    assert len(cfg) == 3
-    assert list(cfg) == [1, 3, 4]
-    assert list(cfg.union(2)) == [1, 2, 3, 4]
-    assert list(cfg.without(3)) == [1, 4]
-    with pytest.raises(ValueError):
-        Configuration((3, 1))
-    with pytest.raises(ValueError):
-        Configuration((1, 1))
 
 
 def test_subset_enumeration_counts():
@@ -148,7 +134,7 @@ def test_kernel_pair_averages():
     assert pair.sup_phi == pytest.approx(pair.phi_values.max())
 
 
-def test_kernel_pair_json_roundtrip(tmp_path):
+def test_kernel_pair_json_roundtrip():
     doc = {
         "dim": 1,
         "sites": 6,
@@ -160,11 +146,9 @@ def test_kernel_pair_json_roundtrip(tmp_path):
     direct = kernel_pair_from_spec(Torus(1, 6, 0.5), doc["a"], doc["phi"])
     assert np.array_equal(pair.a_values, direct.a_values)
     assert np.array_equal(pair.phi_values, direct.phi_values)
-    path = tmp_path / "kernels.json"
-    path.write_text(json.dumps(doc))
-    from_file = load_kernel_pair_file(path)
-    assert np.array_equal(from_file.a_values, pair.a_values)
-    assert from_file.torus == pair.torus
+    from_text = load_kernel_pair(json.loads(json.dumps(doc)))
+    assert np.array_equal(from_text.a_values, pair.a_values)
+    assert from_text.torus == pair.torus
 
 
 def test_supported_function_window_and_order():

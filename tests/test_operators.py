@@ -2,41 +2,38 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovskale import (
-    DimensionCapError,
     ModelParams,
+    OperatorHandle,
     Torus,
-    apply_hierarchy_generator,
     apply_observable_generator,
-    assemble_dense,
-    diagonal_part,
-    hierarchy_generator,
     interaction_energies,
     kernel_pair_from_spec,
-    limit_perturbation,
     lp_pairing,
-    perturbation_part,
-    rescaled_diagonal,
-    rescaled_generator,
-    rescaled_perturbation,
-    semigroup_apply,
 )
 from ovskale.lattice import SupportedFunction, pair_energy, subsets_of_order
-from ovskale.operators import OperatorHandle
+from ovskale.series import _semigroup_profile
 from ovskale.states import CorrelationVector, flat_orders, random_correlation
 
-from conftest import GAUSS_A, GAUSS_PHI, make_instance
+from conftest import GAUSS_A, GAUSS_PHI
+
+
+def dense(kind, kernels, params, n_max) -> np.ndarray:
+    return OperatorHandle(kind, kernels, params, n_max).matrix().toarray()
 
 
 def test_single_site_hand_matrix():
     tor = Torus(1, 1, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     par = ModelParams(death_amplitude=1.3, birth_intensity=0.7)
-    L = assemble_dense(hierarchy_generator(ker, par, 1))
+    L = dense("full", ker, par, 1)
     expected = np.array([[0.0, 0.0], [0.7, -1.3]])
     assert np.allclose(L, expected, rtol=0, atol=1e-15)
 
@@ -59,42 +56,75 @@ def test_two_site_hand_matrix():
             [0.0, lam, lam, -2.0 * a - 2.0 * m * math.exp(-phi)],
         ]
     )
-    L = assemble_dense(hierarchy_generator(ker, par, 2))
+    L = dense("full", ker, par, 2)
     assert np.allclose(L, expected, rtol=1e-15, atol=1e-18)
 
 
 def test_empty_configuration_row_is_zero(stock4):
-    L = hierarchy_generator(stock4.kernels, stock4.params, stock4.n_max).matrix()
+    L = OperatorHandle("full", stock4.kernels, stock4.params, stock4.n_max).matrix()
     row = L.getrow(0)
     assert row.nnz == 0
 
 
 def test_diagonal_plus_perturbation_is_hierarchy(stock4):
-    A = assemble_dense(diagonal_part(stock4.kernels, stock4.params, stock4.n_max))
-    Z = assemble_dense(perturbation_part(stock4.kernels, stock4.params, stock4.n_max))
-    L = assemble_dense(hierarchy_generator(stock4.kernels, stock4.params, stock4.n_max))
+    args = (stock4.kernels, stock4.params, stock4.n_max)
+    A = dense("diagonal", *args)
+    Z = dense("perturbation", *args)
+    L = dense("full", *args)
     assert np.allclose(A + Z, L, rtol=1e-15, atol=1e-18)
     # A is diagonal, Z carries every off-diagonal entry
     assert np.allclose(A, np.diag(np.diag(A)), atol=0)
     assert np.allclose(np.diag(A), -interaction_energies(stock4.kernels, stock4.n_max))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    sites=st.integers(2, 4),
+    n_max=st.integers(0, 3),
+    spacing=st.floats(0.25, 1.0),
+    epsilon=st.floats(0.0, 1.0),
+)
+def test_split_is_entrywise_exact(dim, sites, n_max, spacing, epsilon):
+    tor = Torus(dim, sites, spacing)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    par = ModelParams(death_amplitude=1.3, birth_intensity=0.7, epsilon=epsilon)
+    n_max = min(n_max, tor.site_count)
+    split = dense("diagonal", ker, par, n_max) + dense("perturbation", ker, par, n_max)
+    assert np.array_equal(dense("full", ker, par, n_max), split)
+    energies = OperatorHandle("diagonal", ker, par, n_max).semigroup_energies()
+    assert np.array_equal(energies, epsilon * interaction_energies(ker, n_max))
+
+
 def test_rescaled_family_matches_split(stock4):
     par = ModelParams(death_amplitude=1.0, birth_intensity=1.0, epsilon=0.4)
-    R = assemble_dense(rescaled_generator(stock4.kernels, par, stock4.n_max))
-    Ad = assemble_dense(rescaled_diagonal(stock4.kernels, par, stock4.n_max))
-    Zd = assemble_dense(rescaled_perturbation(stock4.kernels, par, stock4.n_max))
+    R = dense("full", stock4.kernels, par, stock4.n_max)
+    Ad = dense("diagonal", stock4.kernels, par, stock4.n_max)
+    Zd = dense("perturbation", stock4.kernels, par, stock4.n_max)
     assert np.allclose(Ad + Zd, R, rtol=1e-15, atol=1e-18)
     # the scaled diagonal is epsilon times the unscaled one
-    A1 = assemble_dense(diagonal_part(stock4.kernels, stock4.params, stock4.n_max))
+    A1 = dense("diagonal", stock4.kernels, stock4.params, stock4.n_max)
     assert np.allclose(Ad, 0.4 * A1, rtol=1e-15, atol=1e-18)
 
 
-def test_rescaled_at_unit_epsilon_is_hierarchy(stock4):
-    par = ModelParams(death_amplitude=1.0, birth_intensity=1.0, epsilon=1.0)
-    R = assemble_dense(rescaled_generator(stock4.kernels, par, stock4.n_max))
-    L = assemble_dense(hierarchy_generator(stock4.kernels, stock4.params, stock4.n_max))
-    assert np.array_equal(R, L)
+def test_rescaled_at_unit_epsilon_is_hierarchy():
+    # epsilon = 1 is the default, and its death term carries the unscaled
+    # Moebius weight e^{-phi} - 1 with full attraction damping
+    h, m = 0.5, 1.3
+    tor = Torus(1, 3, h)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    default = ModelParams(death_amplitude=m, birth_intensity=0.7)
+    unit = replace(default, epsilon=1.0)
+    for kind in ("full", "diagonal", "perturbation"):
+        assert np.array_equal(dense(kind, ker, default, 3), dense(kind, ker, unit, 3))
+    Z = dense("perturbation", ker, unit, 3)
+    a, phi = ker.a_values[1], ker.phi_values[1]
+    # row (0,), column (0, 1): crowding plus one Moebius factor
+    assert Z[1, 4] == pytest.approx(-h * (a + m * math.expm1(-phi)), rel=1e-15)
+    # row (0, 1), column (0, 1, 2): two removal sites, each damped by its partner
+    w = np.expm1(-ker.phi_values)
+    expected = -h * (ker.a_values[2] + ker.a_values[1] + m * math.exp(-phi) * (w[2] + w[1]))
+    assert Z[4, 7] == pytest.approx(expected, rel=1e-14)
 
 
 def test_limit_perturbation_entry_taylor_bound():
@@ -103,19 +133,16 @@ def test_limit_perturbation_entry_taylor_bound():
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     phi = ker.phi_values[1]
     m = 1.3
-    z0 = assemble_dense(
-        limit_perturbation(ker, ModelParams(death_amplitude=m, birth_intensity=0.7), 2)
-    )
+    z0 = dense("perturbation", ker, ModelParams(m, 0.7, epsilon=0.0), 2)
     assert z0[1, 3] == pytest.approx(-h * (ker.a_values[1] - m * phi), rel=1e-14)
     for eps in (1e-1, 1e-3):
-        par = ModelParams(death_amplitude=m, birth_intensity=0.7, epsilon=eps)
-        ze = assemble_dense(rescaled_perturbation(ker, par, 2))
+        ze = dense("perturbation", ker, ModelParams(m, 0.7, epsilon=eps), 2)
         diff = abs(ze[1, 3] - z0[1, 3])
         assert 0.0 < diff <= h * m * eps * phi * phi / 2.0 * (1 + 1e-12)
 
 
 def test_observable_duality_small(stock4, rng):
-    L = hierarchy_generator(stock4.kernels, stock4.params, stock4.n_max)
+    L = OperatorHandle("full", stock4.kernels, stock4.params, stock4.n_max)
     s = stock4.torus.site_count
     for _ in range(20):
         vals = {(): rng.uniform(-1, 1)}
@@ -139,30 +166,39 @@ def test_lp_pairing_hand_value():
 
 
 def test_semigroup_identity_and_composition(stock4, rng):
-    k = random_correlation(stock4.torus, stock4.n_max, 1.8, rng)
-    same = semigroup_apply(0.0, k, stock4.kernels)
-    assert np.array_equal(same.flat(), k.flat())
-    one = semigroup_apply(0.3, semigroup_apply(0.2, k, stock4.kernels), stock4.kernels)
-    two = semigroup_apply(0.5, k, stock4.kernels)
-    assert np.allclose(one.flat(), two.flat(), rtol=1e-14, atol=1e-16)
+    # the solver's semigroup profile e^{-tau E} u on the diagonal handle
+    k = random_correlation(stock4.torus, stock4.n_max, 1.8, rng).flat()
+    energies = OperatorHandle(
+        "diagonal", stock4.kernels, stock4.params, stock4.n_max
+    ).semigroup_energies()
+    same, two, five = _semigroup_profile(energies, np.array([0.0, 0.2, 0.5]), k)
+    assert np.array_equal(same, k)
+    composed = _semigroup_profile(energies, np.array([0.3]), two)[0]
+    assert np.allclose(composed, five, rtol=1e-14, atol=1e-16)
 
 
 def test_semigroup_profile_matches_energies(stock4, rng):
-    k = random_correlation(stock4.torus, stock4.n_max, 1.8, rng)
+    k = random_correlation(stock4.torus, stock4.n_max, 1.8, rng).flat()
     energies = interaction_energies(stock4.kernels, stock4.n_max)
     t, eps = 0.7, 0.3
-    out = semigroup_apply(t, k, stock4.kernels, epsilon=eps)
-    assert np.allclose(out.flat(), np.exp(-t * eps * energies) * k.flat(), rtol=1e-14)
+    par = ModelParams(death_amplitude=1.0, birth_intensity=1.0, epsilon=eps)
+    diag = OperatorHandle("diagonal", stock4.kernels, par, stock4.n_max)
+    out = _semigroup_profile(diag.semigroup_energies(), np.array([t]), k)[0]
+    assert np.allclose(out, np.exp(-t * eps * energies) * k, rtol=1e-14)
+    # the profile is the flow of the diagonal part's matrix
+    rate = diag.matrix() @ k
+    assert np.allclose(rate, -diag.semigroup_energies() * k, rtol=1e-14, atol=1e-16)
 
 
 def test_semigroup_energies_diagonal_kinds_only(stock4):
-    diag = diagonal_part(stock4.kernels, stock4.params, stock4.n_max)
+    args = (stock4.kernels, stock4.params, stock4.n_max)
+    diag = OperatorHandle("diagonal", *args)
     assert np.array_equal(
         diag.semigroup_energies(), interaction_energies(stock4.kernels, stock4.n_max)
     )
-    pert = perturbation_part(stock4.kernels, stock4.params, stock4.n_max)
-    with pytest.raises(ValueError):
-        pert.semigroup_energies()
+    for kind in ("full", "perturbation"):
+        with pytest.raises(ValueError):
+            OperatorHandle(kind, *args).semigroup_energies()
 
 
 def test_interaction_energies_hand(stock4):
@@ -176,27 +212,20 @@ def test_interaction_energies_hand(stock4):
 
 
 def test_apply_matches_matrix(stock4, rng):
-    op = hierarchy_generator(stock4.kernels, stock4.params, stock4.n_max)
+    op = OperatorHandle("full", stock4.kernels, stock4.params, stock4.n_max)
     k = random_correlation(stock4.torus, stock4.n_max, 1.8, rng)
     assert np.allclose(op.apply(k).flat(), op.matrix() @ k.flat(), rtol=1e-15)
-    assert np.allclose(
-        apply_hierarchy_generator(k, stock4.kernels, stock4.params).flat(),
-        op.apply(k).flat(),
-        rtol=0,
-        atol=0,
-    )
-
-
-def test_dense_assembly_guard():
-    inst = make_instance(sites=25, n_max=5)
-    op = perturbation_part(inst.kernels, inst.params, inst.n_max)
-    with pytest.raises(DimensionCapError):
-        assemble_dense(op)
+    other = random_correlation(stock4.torus, stock4.n_max - 1, 1.8, rng)
+    with pytest.raises(ValueError):
+        op.apply(other)
 
 
 def test_operator_kind_guard(stock4):
+    for kind in ("bogus", "hierarchy", "rescaled"):
+        with pytest.raises(ValueError):
+            OperatorHandle(kind, stock4.kernels, stock4.params, stock4.n_max)
     with pytest.raises(ValueError):
-        OperatorHandle("bogus", stock4.kernels, stock4.params, stock4.n_max)
+        OperatorHandle("full", stock4.kernels, stock4.params, -1)
 
 
 def test_model_params_validation():

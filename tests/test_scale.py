@@ -8,13 +8,13 @@ import pytest
 from ovskale import (
     BoundModel,
     HorizonError,
+    OperatorHandle,
     ScaleSpec,
     Torus,
     localization_index,
     model_bound,
     norm_alpha,
     optimal_terminal,
-    perturbation_part,
     time_horizon,
     verify_singular_bound,
 )
@@ -154,7 +154,7 @@ def test_localization_unreachable_raises(stock6):
 
 def test_singular_bound_sampling(rng):
     inst = make_instance(sites=4, n_max=2)
-    op = perturbation_part(inst.kernels, inst.params, inst.n_max)
+    op = OperatorHandle("perturbation", inst.kernels, inst.params, inst.n_max)
     report = verify_singular_bound(op, inst.scale, inst.bound, 60, rng)
     assert report.ok
     assert not report.violations
@@ -166,6 +166,6 @@ def test_singular_bound_sampling(rng):
 
 
 def test_singular_bound_needs_samples(stock4, rng):
-    op = perturbation_part(stock4.kernels, stock4.params, stock4.n_max)
+    op = OperatorHandle("perturbation", stock4.kernels, stock4.params, stock4.n_max)
     with pytest.raises(ValueError):
         verify_singular_bound(op, stock4.scale, stock4.bound, 1, rng)

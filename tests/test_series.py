@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,29 +12,27 @@ from ovskale import (
     ConvergenceError,
     CorrelationVector,
     HorizonError,
+    ModelParams,
+    OperatorHandle,
     SeriesConfig,
+    Torus,
     apriori_estimate_check,
-    diagonal_part,
     flow_compose_check,
-    hierarchy_generator,
-    limit_perturbation,
+    kernel_pair_from_spec,
     norm_alpha,
     oracle_evolve,
     ovsyannikov_evolve,
-    perturbation_part,
     time_horizon,
 )
 from ovskale.series import default_intermediate_alpha
 from ovskale.states import random_correlation
 
-from conftest import Instance, make_instance
+from conftest import GAUSS_A, GAUSS_PHI, Instance, make_instance
 
 
 def _ops(inst: Instance):
-    diag = diagonal_part(inst.kernels, inst.params, inst.n_max)
-    pert = perturbation_part(inst.kernels, inst.params, inst.n_max)
-    full = hierarchy_generator(inst.kernels, inst.params, inst.n_max)
-    return diag, pert, full
+    args = (inst.kernels, inst.params, inst.n_max)
+    return tuple(OperatorHandle(kind, *args) for kind in ("diagonal", "perturbation", "full"))
 
 
 def _cfg(inst: Instance, frac: float = 0.5, **overrides) -> SeriesConfig:
@@ -81,7 +81,9 @@ def test_series_matches_dense_oracle(small):
 def test_limit_route_matches_oracle(small):
     # diag None runs the identity-semigroup route used by the scaling limit
     u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
-    z0 = limit_perturbation(small.kernels, small.params, small.n_max)
+    z0 = OperatorHandle(
+        "perturbation", small.kernels, replace(small.params, epsilon=0.0), small.n_max
+    )
     t = 0.4 * small.horizon
     res = ovsyannikov_evolve(u0, 0.0, t, None, z0, small.scale, small.bound, _cfg(small))
     ref = oracle_evolve(u0, t, z0)
@@ -171,9 +173,23 @@ def test_oracle_validation(small, rng):
     with pytest.raises(ValueError):
         oracle_evolve(u0, -0.1, full)
     other = make_instance(sites=5, n_max=2)
-    mismatched = hierarchy_generator(other.kernels, other.params, other.n_max)
+    mismatched = OperatorHandle("full", other.kernels, other.params, other.n_max)
     with pytest.raises(ValueError):
         oracle_evolve(u0, 0.1, mismatched)
+
+
+def test_oracle_routes_agree_on_2d_torus():
+    # 2-D 4x4 torus at order 4 (d = 2,517): both sparse routes in well under 0.1 s
+    tor = Torus(2, 4, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    full = OperatorHandle("full", ker, ModelParams(1.0, 1.0), 4)
+    full.matrix()
+    u0 = CorrelationVector.product_form(tor, 4, 0.5)
+    start = time.perf_counter()
+    ref = oracle_evolve(u0, 0.0092, full, agreement_tol=1e-12)
+    assert time.perf_counter() - start < 0.1
+    assert full.dimension == 2517
+    assert np.abs(ref.flat() - u0.flat()).max() > 0.0
 
 
 def test_flow_composition_small(small):

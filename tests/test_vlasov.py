@@ -1,6 +1,7 @@
 """Scaling-limit diagnostics: semigroup gaps, operator gaps, chaos."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ovskale import (
     DensityField,
     EpsilonSweep,
     ModelParams,
+    OperatorHandle,
     SeriesConfig,
     Torus,
     chaos_check,
@@ -22,8 +24,6 @@ from ovskale import (
     semigroup_gap_intermediate,
     vlasov_limit,
 )
-from ovskale.vlasov import thread_cap
-
 from conftest import GAUSS_PHI, Instance, make_instance
 
 
@@ -43,16 +43,6 @@ def _cfg(inst: Instance, **overrides) -> SeriesConfig:
     )
     base.update(overrides)
     return SeriesConfig(**base)
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("OVSKALE_THREADS", "2")
-    assert thread_cap(8) == 2
-    assert thread_cap(1) == 1
-    monkeypatch.setenv("OVSKALE_THREADS", "junk")
-    assert thread_cap(8) == 1
-    monkeypatch.delenv("OVSKALE_THREADS")
-    assert 1 <= thread_cap(4) <= 4
 
 
 def test_epsilon_sweep_validation(small):
@@ -102,14 +92,20 @@ def test_semigroup_gap_bound_validation(small):
         semigroup_gap_bound(0.02, small.kernels, 2.2, 1.5)
 
 
+def _perturbation(inst: Instance, eps: float) -> OperatorHandle:
+    params = replace(inst.params, epsilon=eps)
+    return OperatorHandle("perturbation", inst.kernels, params, inst.n_max)
+
+
 def test_perturbation_gap_two_pole_fit(stock6):
+    z_lim = _perturbation(stock6, 0.0)
     reports = {}
     for eps in (0.4, 0.05):
         reports[eps] = perturbation_gap(
-            eps, 40, stock6.kernels, stock6.params, stock6.n_max, stock6.scale,
-            np.random.default_rng(0),
+            _perturbation(stock6, eps), z_lim, 40, stock6.scale, np.random.default_rng(0)
         )
-    for rep in reports.values():
+    for eps, rep in reports.items():
+        assert rep.epsilon == eps
         assert rep.two_pole_ok
         assert rep.residual < 0.10
         assert rep.fitted_pole > 0
@@ -122,10 +118,13 @@ def test_perturbation_gap_two_pole_fit(stock6):
 
 def test_perturbation_gap_needs_split_room(small, rng):
     narrow = make_instance(sites=4, n_max=2, alpha_star=2.0)
+    z_eps, z_lim = _perturbation(narrow, 0.2), _perturbation(narrow, 0.0)
     with pytest.raises(ValueError):
-        perturbation_gap(
-            0.2, 10, narrow.kernels, narrow.params, narrow.n_max, narrow.scale, rng
-        )
+        perturbation_gap(z_eps, z_lim, 10, narrow.scale, rng)
+    # the second handle must be the limit
+    with pytest.raises(ValueError):
+        perturbation_gap(z_eps, z_eps, 10, small.scale, rng)
+    assert perturbation_gap(z_lim, z_lim, 3, small.scale, rng).max_gap == 0.0
 
 
 def test_vlasov_limit_tiny_sweep(small):
@@ -142,6 +141,14 @@ def test_vlasov_limit_tiny_sweep(small):
     assert 0.0 in rep.results
     assert rep.limit_result.converged
     assert np.array_equal(rep.times, rep.limit_result.times)
+    # the handles each run used, one built matrix per perturbation
+    assert sorted(rep.operators) == [0.0, 0.1, 0.2]
+    assert rep.operators[0.0][0] is None
+    for eps, (diag, pert) in rep.operators.items():
+        assert pert.kind == "perturbation" and pert.params.epsilon == eps
+        assert pert._matrix is not None
+        if eps > 0.0:
+            assert diag.kind == "diagonal" and diag.params.epsilon == eps
 
 
 def test_vlasov_limit_wraps_run_errors(small):
