@@ -71,7 +71,8 @@ def main(argv: list[str] | None = None) -> int:
             status = "PASS" if item["passed"] else "FAIL"
             print(f"[{status}] {item['name']}: {item['detail']}")
         if manifest["error"]:
-            print(f"numerical failure: {manifest['error']}", file=sys.stderr)
+            label = "error" if manifest["exit_code"] == 2 else "numerical failure"
+            print(f"{label}: {manifest['error']}", file=sys.stderr)
     print(
         f"{manifest['experiment']}: exit {manifest['exit_code']}"
         f" ({len(manifest['outputs'])} files, {manifest['wall_time_s']:.2f}s)"

@@ -564,8 +564,9 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     """Run the configured experiment and write its manifest.
 
     Returns the manifest; its exit_code is 0 on success, 1 when assertions
-    failed, 3 on numerical failure.  Config problems raise ConfigError and
-    are the caller's exit 2.
+    failed, 2 when a runner rejects the configuration (ConfigError) and 3 on
+    numerical failure.  A config that does not build raises ConfigError
+    before any manifest is written and is the caller's exit 2.
     """
     bundle = build_runtime(doc)
     out = Path(out_dir if out_dir is not None else (bundle.output or "."))
@@ -578,6 +579,9 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     try:
         checks, outputs = RUNNERS[name](bundle, out)
         exit_code = 0 if all(c.passed for c in checks) else 1
+    except ConfigError as err:
+        error = f"{type(err).__name__}: {err}"
+        exit_code = 2
     except NUMERICAL_ERRORS as err:
         error = f"{type(err).__name__}: {err}"
         exit_code = 3

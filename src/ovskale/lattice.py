@@ -8,7 +8,8 @@ The state space of the whole package is built from finite simple configurations
   * `KernelPair`: the competition kernel a >= 0 and the attraction potential
     phi >= 0, tabulated over difference vectors, with mean/sup statistics.
   * Subset enumeration: layers of n-point configurations in canonical
-    (lexicographic) order, shared by states and operators.
+    (lexicographic) order, shared by states and operators, as tuples or as
+    one integer array per layer, with the vectorised rank `subset_rank`.
   * The Lebesgue-Poisson calculus on the truncated configuration space:
     `lp_integral`, the product exponent `lp_exponential`, the combinatorial
     transform `k_transform` and its Moebius inverse `k_inverse`, and the
@@ -142,6 +143,42 @@ def subsets_of_order(site_count: int, order: int) -> tuple[tuple[int, ...], ...]
 def subset_position(site_count: int, order: int) -> dict:
     """Canonical index of each order-n subset within its layer."""
     return {c: i for i, c in enumerate(subsets_of_order(site_count, order))}
+
+
+@lru_cache(maxsize=None)
+def layer_array(site_count: int, order: int) -> np.ndarray:
+    """Read-only (C(S, n), n) array of the order-n subsets, rows in canonical order."""
+    count = math.comb(site_count, order)
+    sites = itertools.chain.from_iterable(itertools.combinations(range(site_count), order))
+    out = np.fromiter(sites, dtype=np.int64, count=count * order).reshape(count, order)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(site_count: int, order: int) -> np.ndarray:
+    """binom[v, r] = C(v, r) for 0 <= v < site_count and 0 <= r <= order."""
+    out = np.array(
+        [[math.comb(v, r) for r in range(order + 1)] for v in range(site_count)],
+        dtype=np.int64,
+    )
+    out.setflags(write=False)
+    return out
+
+
+def subset_rank(site_count: int, subsets: np.ndarray) -> np.ndarray:
+    """Canonical index within its layer of each row of an (N, n) subset array.
+
+    Rows hold strictly increasing sites.  In the combinatorial number system
+    the lexicographic rank of c_0 < ... < c_{n-1} is
+    C(S, n) - 1 - sum_i C(S - 1 - c_i, n - i).
+    """
+    order = subsets.shape[1]
+    binom = _binomials(site_count, order)
+    rank = np.full(len(subsets), math.comb(site_count, order) - 1, dtype=np.int64)
+    for i in range(order):
+        rank -= binom[site_count - 1 - subsets[:, i], order - i]
+    return rank
 
 
 def layer_sizes(site_count: int, n_max: int) -> tuple[int, ...]:

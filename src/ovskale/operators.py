@@ -1,7 +1,7 @@
 """Generators of the truncated birth-and-death correlation hierarchy.
 
 The evolution of truncated correlation vectors is driven by a generator with
-four term families, enumerated here entry by entry:
+four term families:
 
   diagonal   -E^a(eta) k(eta), the pair-competition multiplication;
   crowding   -sum_{y in eta} h^d sum_{x not in eta} a(x - y) k(eta + x);
@@ -18,11 +18,16 @@ diagonal carries the same factor, -eps E^a.  Output above the truncation order
 n_max is dropped and reads from above n_max are zero (closed truncation).
 
 `OperatorHandle` freezes one part of the generator L_eps = A_eps + Z_eps
-("full", "diagonal" A_eps, or "perturbation" Z_eps) and caches a sparse matrix
-of the same enumeration for fast repeated application inside the solvers.  The
-observable-side generator (the pre-dual under the Lebesgue-Poisson pairing) is
-`apply_observable_generator`; the duality tests pit it against the hierarchy
-side with no shared code path.
+("full", "diagonal" A_eps, or "perturbation" Z_eps) and caches its sparse
+matrix for repeated application inside the solvers.  Each term family is
+built as COO index arrays over whole layers (`lattice.layer_array`): crowding
+and birth pair every (n+1)-subset with its n-subsets one position short,
+death splits every (n+j)-subset into the positions of eta and of xi, and
+`lattice.subset_rank` turns the subsets back into flat indices.  Sums and
+products run over sites in increasing order, as the formulas above read.
+The observable-side generator (the pre-dual under the Lebesgue-Poisson
+pairing) is `apply_observable_generator`, a per-configuration enumeration;
+the duality tests pit it against the hierarchy side with no shared code path.
 """
 
 from __future__ import annotations
@@ -38,10 +43,11 @@ from .lattice import (
     KernelPair,
     SupportedFunction,
     diff_table,
+    layer_array,
     layer_offsets,
     pair_energy,
     point_energy,
-    subset_position,
+    subset_rank,
     subsets_of_order,
     total_dimension,
 )
@@ -80,77 +86,76 @@ def _mobius_table(kernels: KernelPair, eps: float) -> np.ndarray:
     return np.expm1(-eps * phi) / eps
 
 
-def generator_entries(kind: str, kernels: KernelPair, params: ModelParams, n_max: int):
-    """Yield (row, col, value) triplets of one part of L_eps, eps = params.epsilon.
+def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int):
+    """COO blocks of the crowding and birth families.
 
-    "diagonal" is the -eps E^a multiplication A_eps, "perturbation" the
-    crowding, death and birth families Z_eps, "full" their sum.  Rows and
-    columns are flat indices over the layered state.
+    Both come from each m-subset T with one position p removed: birth maps
+    row T to column T - T[p] with rate lambda, crowding maps row T - T[p] to
+    column T with -h^d sum_{y in T - T[p]} a(T[p] - y), summed over y in
+    increasing order.
+    """
+    s = kernels.torus.site_count
+    h = kernels.torus.cell_volume
+    a_pair = kernels.a_values[diff_table(kernels.torus)]
+    offs = layer_offsets(s, n_max)
+    for m in range(1, n_max + 1):
+        upper = layer_array(s, m)
+        top = offs[m] + np.arange(len(upper))
+        for p in range(m):
+            below = offs[m - 1] + subset_rank(s, np.delete(upper, p, axis=1))
+            yield top, below, np.full(len(upper), params.birth_intensity)
+            coef = np.zeros(len(upper))
+            for q in range(m):
+                if q != p:
+                    coef += a_pair[upper[:, p], upper[:, q]]
+            keep = coef != 0.0
+            yield below[keep], top[keep], -h * coef[keep]
+
+
+def _death(kernels: KernelPair, params: ModelParams, n_max: int):
+    """COO blocks of the death family.
+
+    Entry (eta, eta + xi) comes from each (n + j)-subset T split into n
+    positions for eta and j for xi: -h^{d j} sum_{x in eta} m e^{-eps
+    E^phi(x, eta - x)} prod_{y in xi} w(x - y), with the sum over x and the
+    product over y taken in increasing site order.
     """
     eps = float(params.epsilon)
-    diagonal_scale = 0.0 if kind == "perturbation" else eps
-    coupled = kind != "diagonal"  # crowding, death and birth
-    mob = _mobius_table(kernels, eps) if coupled else None
     torus = kernels.torus
     s = torus.site_count
     h = torus.cell_volume
     diff = diff_table(torus)
-    a_vals = kernels.a_values
-    phi_vals = kernels.phi_values
+    phi_pair = kernels.phi_values[diff]
+    mob_pair = _mobius_table(kernels, eps)[diff]
     offs = layer_offsets(s, n_max)
-    m_rate = params.death_amplitude
-    lam = params.birth_intensity
-    all_sites = range(s)
-
-    for n in range(n_max + 1):
-        layer = subsets_of_order(s, n)
-        base = offs[n]
-        pos_up = subset_position(s, n + 1) if n + 1 <= n_max else None
-        pos_down = subset_position(s, n - 1) if n >= 1 else None
-        for idx, eta in enumerate(layer):
-            row = base + idx
-            eta_set = set(eta)
-            if diagonal_scale != 0.0 and n >= 2:
-                yield row, row, -diagonal_scale * pair_energy(eta, kernels)
-            if coupled and pos_up is not None:
-                for x in all_sites:
-                    if x in eta_set:
-                        continue
-                    coef = 0.0
-                    drow = diff[x]
-                    for y in eta:
-                        coef += a_vals[drow[y]]
-                    if coef != 0.0:
-                        col = offs[n + 1] + pos_up[tuple(sorted(eta + (x,)))]
-                        yield row, col, -h * coef
-            if coupled and n >= 1:
-                # attraction damping of each removal site against the rest of eta
-                prefac = []
-                for x in eta:
-                    drow = diff[x]
-                    e_phi = sum(phi_vals[drow[y]] for y in eta if y != x)
-                    prefac.append((x, m_rate * math.exp(-eps * e_phi)))
-                complement = [x for x in all_sites if x not in eta_set]
-                for j in range(0, min(n_max - n, len(complement)) + 1):
-                    weight = h**j
-                    pos_tgt = subset_position(s, n + j)
-                    off_tgt = offs[n + j]
-                    for xi in itertools.combinations(complement, j):
-                        val = 0.0
-                        for x, pre in prefac:
-                            drow = diff[x]
-                            prod = pre
-                            for y in xi:
-                                prod *= mob[drow[y]]
-                            val += prod
-                        if val != 0.0:
-                            col = off_tgt + pos_tgt[tuple(sorted(eta + xi))]
-                            yield row, col, -weight * val
-            if coupled and pos_down is not None:
-                off_dn = offs[n - 1]
-                for x in eta:
-                    col = off_dn + pos_down[tuple(y for y in eta if y != x)]
-                    yield row, col, lam
+    # damping prefactor of each removal position of each eta, layer by layer
+    prefactors = [None]
+    for n in range(1, n_max + 1):
+        eta = layer_array(s, n)
+        e_phi = np.zeros(eta.shape)
+        for i in range(n):
+            for q in range(n):
+                if q != i:
+                    e_phi[:, i] += phi_pair[eta[:, i], eta[:, q]]
+        prefactors.append(params.death_amplitude * np.exp(-eps * e_phi))
+    for t in range(1, n_max + 1):
+        upper = layer_array(s, t)
+        top = offs[t] + np.arange(len(upper))
+        for j in range(t):
+            n = t - j
+            weight = h**j
+            for xi in itertools.combinations(range(t), j):
+                rest = [q for q in range(t) if q not in xi]
+                rank = subset_rank(s, upper[:, rest])
+                pre = prefactors[n][rank]
+                val = np.zeros(len(upper))
+                for i, q in enumerate(rest):
+                    prod = pre[:, i]
+                    for r in xi:
+                        prod = prod * mob_pair[upper[:, q], upper[:, r]]
+                    val += prod
+                keep = val != 0.0
+                yield offs[n] + rank[keep], top[keep], -weight * val[keep]
 
 
 class OperatorHandle:
@@ -193,18 +198,27 @@ class OperatorHandle:
         return self.kind == "diagonal"
 
     def matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of the operator on the flat layered state."""
+        """Sparse matrix of the operator on the flat layered state.
+
+        Each term family contributes COO blocks and coinciding entries are
+        summed; no entry collects more than two terms, so the sum does not
+        depend on their order and full == diagonal + perturbation exactly.
+        """
         if self._matrix is None:
-            rows, cols, vals = [], [], []
-            for r, c, v in generator_entries(self.kind, self.kernels, self.params, self.n_max):
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
+            blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+            eps = float(self.params.epsilon)
+            if self.kind != "perturbation" and eps != 0.0:
+                energies = interaction_energies(self.kernels, self.n_max)
+                offs = layer_offsets(self.torus.site_count, self.n_max)
+                # only entries of order >= 2 carry a pair energy
+                idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
+                blocks.append((idx, idx, -eps * energies[idx]))
+            if self.kind != "diagonal":
+                blocks.extend(_crowding_and_birth(self.kernels, self.params, self.n_max))
+                blocks.extend(_death(self.kernels, self.params, self.n_max))
+            rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
             d = self.dimension
-            self._matrix = sp.coo_matrix(
-                (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
-                shape=(d, d),
-            ).tocsr()
+            self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
         return self._matrix
 
     def semigroup_energies(self) -> np.ndarray:
@@ -222,14 +236,23 @@ class OperatorHandle:
 
 
 def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
-    """Flat vector of pair energies E^a(eta) per configuration entry."""
-    out = np.empty(total_dimension(kernels.torus.site_count, n_max))
-    pos = 0
+    """Flat vector of pair energies E^a(eta) per configuration entry.
+
+    Each entry sums a(x - y) over ordered pairs of distinct sites of eta in
+    the order of `pair_energy`, so the two agree exactly.
+    """
+    s = kernels.torus.site_count
+    a_pair = kernels.a_values[diff_table(kernels.torus)]
+    parts = []
     for n in range(n_max + 1):
-        for eta in subsets_of_order(kernels.torus.site_count, n):
-            out[pos] = pair_energy(eta, kernels) if n >= 2 else 0.0
-            pos += 1
-    return out
+        eta = layer_array(s, n)
+        energy = np.zeros(len(eta))
+        for p in range(n):
+            for q in range(n):
+                if q != p:
+                    energy += a_pair[eta[:, p], eta[:, q]]
+        parts.append(energy)
+    return np.concatenate(parts)
 
 
 def apply_observable_generator(

@@ -236,6 +236,10 @@ def _run_grid(
     history = [np.array([norm_alpha_flat(w[i], orders, alpha) for i in store_idx])]
     level = 0
     while True:
+        if not math.isfinite(final_norms[-1]):
+            raise ConvergenceError(
+                f"Duhamel level {level} has non-finite norm {final_norms[-1]}"
+            )
         if fixed_levels is not None:
             if level >= fixed_levels:
                 break
@@ -273,8 +277,9 @@ def ovsyannikov_evolve(
     semigroup); pert_op is the index-losing perturbation.  Raises
     HorizonError when (t, upsilon, q, alpha) violate the horizon geometry,
     MajorantViolation when a computed term beats its majorant beyond the
-    configured slack, and ConvergenceError when the half-grid Richardson
-    disagreement exceeds the gate.
+    configured slack or is not finite, and ConvergenceError when a Duhamel
+    level has a non-finite norm or the half-grid Richardson disagreement
+    exceeds the gate (or is NaN).
     """
     if t < s:
         raise HorizonError("need t >= s")
@@ -338,7 +343,8 @@ def ovsyannikov_evolve(
         )
         majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
         term = final_norms[n]
-        if term > 0.0 and math.log(term) > log_maj + log_slack:
+        # written so that a NaN or infinite term fails the audit
+        if not (term <= 0.0 or math.log(term) <= log_maj + log_slack):
             raise MajorantViolation(
                 f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
             )
@@ -350,7 +356,7 @@ def ovsyannikov_evolve(
         term_tol=cfg.term_tol, max_levels=cfg.n_max, fixed_levels=n_used,
     )
     disagreement = norm_alpha_flat(total[-1] - total_half[-1], orders, alpha)
-    if disagreement > cfg.richardson_gate:
+    if not (disagreement <= cfg.richardson_gate):
         raise ConvergenceError(
             f"half-grid disagreement {disagreement} exceeds gate {cfg.richardson_gate}"
         )

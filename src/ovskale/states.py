@@ -2,8 +2,8 @@
 
 A `CorrelationVector` stores one real value per configuration of order
 0..n_max, layer by layer, each layer in the canonical subset order shared
-with `lattice.subsets_of_order`.  Vectors are immutable after construction;
-operators and solvers return fresh instances.
+with `lattice.subsets_of_order` and `lattice.layer_array`.  Vectors are
+immutable after construction; operators and solvers return fresh instances.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from .lattice import (
     Torus,
     _as_sites,
     entry_orders,
+    layer_array,
     layer_offsets,
     layer_sizes,
-    lp_exponential,
     subset_position,
-    subsets_of_order,
     total_dimension,
 )
 
@@ -66,19 +65,24 @@ class CorrelationVector:
 
     @classmethod
     def product_form(cls, torus: Torus, n_max: int, rho) -> "CorrelationVector":
-        """Product state: value at eta is the product of rho over its sites."""
+        """Product state: value at eta is the product of rho over its sites.
+
+        Sites multiply in increasing order, as in `lattice.lp_exponential`.  A
+        product that overflows is left to the finiteness check of the layers.
+        """
         rho = np.asarray(rho, dtype=float)
         if rho.shape == ():
             rho = np.full(torus.site_count, float(rho))
         if rho.shape != (torus.site_count,):
             raise ValueError("rho must be scalar or one value per site")
         layers = []
-        for n in range(n_max + 1):
-            layers.append(
-                np.array(
-                    [lp_exponential(rho, eta) for eta in subsets_of_order(torus.site_count, n)]
-                )
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n_max + 1):
+                eta = layer_array(torus.site_count, n)
+                layer = np.ones(len(eta))
+                for i in range(n):
+                    layer = layer * rho[eta[:, i]]
+                layers.append(layer)
         return cls(torus, n_max, tuple(layers))
 
     @property

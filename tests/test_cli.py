@@ -194,8 +194,13 @@ def test_exit_2_when_product_density_overflows(tmp_path, capsys, experiment):
     doc = base_doc()
     doc["experiment"] = experiment
     path = write_doc(tmp_path, doc)
-    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert "1e+200" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1e+200" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert "ConfigError" in manifest["error"]
 
 
 def test_exit_3_on_numerical_failure(tmp_path, capsys):

@@ -18,6 +18,7 @@ from ovskale.lattice import (
     k_inverse,
     k_transform,
     kernel_values,
+    layer_array,
     layer_offsets,
     layer_sizes,
     load_kernel_pair,
@@ -26,6 +27,7 @@ from ovskale.lattice import (
     pair_energy,
     point_energy,
     subset_position,
+    subset_rank,
     subsets_of_order,
     total_dimension,
 )
@@ -81,6 +83,16 @@ def test_subset_enumeration_counts():
     pos = subset_position(s, 2)
     for i, eta in enumerate(subsets_of_order(s, 2)):
         assert pos[eta] == i
+    for n in range(s + 2):
+        layer = layer_array(s, n)
+        assert layer.shape == (math.comb(s, n), n)
+        assert not layer.flags.writeable
+        assert [tuple(row) for row in layer.tolist()] == list(subsets_of_order(s, n))
+        assert np.array_equal(subset_rank(s, layer), np.arange(len(layer)))
+    # ranks of an arbitrary selection of rows, out of order
+    layer = layer_array(s, 3)
+    pick = np.array([19, 0, 7, 7, 12])
+    assert np.array_equal(subset_rank(s, layer[pick]), pick)
 
 
 def test_gaussian_kernel_hand_values():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,16 @@ from ovskale import (
     kernel_pair_from_spec,
     lp_pairing,
 )
-from ovskale.lattice import SupportedFunction, pair_energy, subsets_of_order
+from ovskale.lattice import (
+    SupportedFunction,
+    diff_table,
+    layer_offsets,
+    pair_energy,
+    subset_position,
+    subsets_of_order,
+    total_dimension,
+)
+from ovskale.operators import _mobius_table
 from ovskale.series import _semigroup_profile
 from ovskale.states import CorrelationVector, flat_orders, random_correlation
 
@@ -27,6 +37,129 @@ from conftest import GAUSS_A, GAUSS_PHI
 
 def dense(kind, kernels, params, n_max) -> np.ndarray:
     return OperatorHandle(kind, kernels, params, n_max).matrix().toarray()
+
+
+# reference enumerator: one Python triplet per term, in the paper's notation
+def generator_entries(kind, kernels, params, n_max):
+    """Yield (row, col, value) triplets of one part of L_eps, eps = params.epsilon.
+
+    "diagonal" is the -eps E^a multiplication A_eps, "perturbation" the
+    crowding, death and birth families Z_eps, "full" their sum.  Rows and
+    columns are flat indices over the layered state.
+    """
+    eps = float(params.epsilon)
+    diagonal_scale = 0.0 if kind == "perturbation" else eps
+    coupled = kind != "diagonal"  # crowding, death and birth
+    mob = _mobius_table(kernels, eps) if coupled else None
+    torus = kernels.torus
+    s = torus.site_count
+    h = torus.cell_volume
+    diff = diff_table(torus)
+    a_vals = kernels.a_values
+    phi_vals = kernels.phi_values
+    offs = layer_offsets(s, n_max)
+    m_rate = params.death_amplitude
+    lam = params.birth_intensity
+    all_sites = range(s)
+
+    for n in range(n_max + 1):
+        layer = subsets_of_order(s, n)
+        base = offs[n]
+        pos_up = subset_position(s, n + 1) if n + 1 <= n_max else None
+        pos_down = subset_position(s, n - 1) if n >= 1 else None
+        for idx, eta in enumerate(layer):
+            row = base + idx
+            eta_set = set(eta)
+            if diagonal_scale != 0.0 and n >= 2:
+                yield row, row, -diagonal_scale * pair_energy(eta, kernels)
+            if coupled and pos_up is not None:
+                for x in all_sites:
+                    if x in eta_set:
+                        continue
+                    coef = 0.0
+                    drow = diff[x]
+                    for y in eta:
+                        coef += a_vals[drow[y]]
+                    if coef != 0.0:
+                        col = offs[n + 1] + pos_up[tuple(sorted(eta + (x,)))]
+                        yield row, col, -h * coef
+            if coupled and n >= 1:
+                # attraction damping of each removal site against the rest of eta
+                prefac = []
+                for x in eta:
+                    drow = diff[x]
+                    e_phi = sum(phi_vals[drow[y]] for y in eta if y != x)
+                    prefac.append((x, m_rate * math.exp(-eps * e_phi)))
+                complement = [x for x in all_sites if x not in eta_set]
+                for j in range(0, min(n_max - n, len(complement)) + 1):
+                    weight = h**j
+                    pos_tgt = subset_position(s, n + j)
+                    off_tgt = offs[n + j]
+                    for xi in itertools.combinations(complement, j):
+                        val = 0.0
+                        for x, pre in prefac:
+                            drow = diff[x]
+                            prod = pre
+                            for y in xi:
+                                prod *= mob[drow[y]]
+                            val += prod
+                        if val != 0.0:
+                            col = off_tgt + pos_tgt[tuple(sorted(eta + xi))]
+                            yield row, col, -weight * val
+            if coupled and pos_down is not None:
+                off_dn = offs[n - 1]
+                for x in eta:
+                    col = off_dn + pos_down[tuple(y for y in eta if y != x)]
+                    yield row, col, lam
+
+
+def reference_matrices(kind, kernels, params, n_max):
+    """CSR matrices of the enumerated triplets and of their absolute values."""
+    rows, cols, vals = [], [], []
+    for r, c, v in generator_entries(kind, kernels, params, n_max):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+    d = total_dimension(kernels.torus.site_count, n_max)
+    vals = np.asarray(vals, dtype=float)
+    index = (np.asarray(rows), np.asarray(cols))
+    return tuple(
+        sp.coo_matrix((v, index), shape=(d, d)).tocsr() for v in (vals, np.abs(vals))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    sites=st.integers(2, 4),
+    n_max=st.integers(0, 4),
+    spacing=st.floats(0.25, 1.0),
+    epsilon=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    kind=st.sampled_from(("full", "diagonal", "perturbation")),
+    radius=st.one_of(st.none(), st.floats(0.0, 1.5)),
+)
+def test_assembly_matches_reference(dim, sites, n_max, spacing, epsilon, kind, radius):
+    tor = Torus(dim, sites, spacing)
+    # a tophat competition kernel leaves zero crowding sums, which are skipped
+    a_spec = GAUSS_A if radius is None else {
+        "kind": "tophat", "params": {"amplitude": 1.0, "radius": radius}
+    }
+    ker = kernel_pair_from_spec(tor, a_spec, GAUSS_PHI)
+    par = ModelParams(death_amplitude=1.3, birth_intensity=0.7, epsilon=epsilon)
+    n_max = min(n_max, tor.site_count)
+    fast = OperatorHandle(kind, ker, par, n_max).matrix()
+    ref, magnitude = reference_matrices(kind, ker, par, n_max)
+    assert np.array_equal(fast.indptr, ref.indptr)
+    assert np.array_equal(fast.indices, ref.indices)
+    if epsilon == 0.0:
+        assert np.array_equal(fast.data, ref.data)
+    # np.exp and math.exp may differ in the last place of a damping factor,
+    # and a crowding and a death term of opposite signs can share an entry,
+    # so the tolerance is relative to the magnitude of the entry's terms
+    assert np.all(np.abs(fast.data - ref.data) <= 1e-14 * magnitude.data)
+    s = tor.site_count
+    expected = [pair_energy(eta, ker) for n in range(n_max + 1) for eta in subsets_of_order(s, n)]
+    assert np.array_equal(interaction_energies(ker, n_max), expected)
 
 
 def test_single_site_hand_matrix():

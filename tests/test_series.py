@@ -151,6 +151,18 @@ def test_quadrature_gate_raises(small):
         )
 
 
+def test_nan_in_perturbation_is_a_typed_failure(small):
+    # a NaN must fail the level loop, not slip past the gates as "x > gate"
+    # would let it; ConvergenceError is a numerical failure, exit 3
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    diag, pert, _ = _ops(small)
+    pert.matrix().data[0] = math.nan
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        ovsyannikov_evolve(
+            u0, 0.0, 0.5 * small.horizon, diag, pert, small.scale, small.bound, _cfg(small)
+        )
+
+
 def test_oracle_identity_at_zero(small, rng):
     _, _, full = _ops(small)
     u0 = random_correlation(small.torus, small.n_max, 1.8, rng)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ovskale import CorrelationVector, Torus
-from ovskale.lattice import entry_orders, subsets_of_order, total_dimension
+from ovskale.lattice import entry_orders, lp_exponential, subsets_of_order, total_dimension
 from ovskale.states import flat_orders, random_correlation
 
 
@@ -35,6 +35,11 @@ def test_product_form_site_profile():
     assert k.value((1, 3)) == pytest.approx(0.08)
     for eta in subsets_of_order(4, 2):
         assert k.value(eta) == pytest.approx(rho[eta[0]] * rho[eta[1]], rel=1e-15)
+    # the layer products multiply in the order of the scalar reference
+    k = CorrelationVector.product_form(tor, 4, rho)
+    for n in range(5):
+        for eta in subsets_of_order(4, n):
+            assert k.value(eta) == lp_exponential(rho, eta)
 
 
 def test_value_above_truncation_is_zero():
