@@ -26,4 +26,4 @@ class StepSizeCollapse(OvskaleError):
 
 
 class DimensionCapError(OvskaleError):
-    """Dense assembly was requested above the tractability cap."""
+    """The estimated memory of a run exceeds its share of physical memory."""

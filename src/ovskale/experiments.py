@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import platform
 import time
 from dataclasses import dataclass, replace
@@ -49,6 +51,12 @@ from .vlasov import (
     semigroup_gap_intermediate,
     vlasov_limit,
 )
+
+# share of physical memory a run's hierarchy arrays may be planned to take
+_MEMORY_SHARE = 0.5
+# peak of assembly (COO blocks, their concatenation, the CSR matrix) per
+# nonzero of the bound below: measured 69-70 on 1-D and 2-D tori
+_BYTES_PER_NONZERO = 72
 
 NUMERICAL_ERRORS = (
     HorizonError,
@@ -105,6 +113,30 @@ def write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _check_footprint(bundle: RuntimeBundle, operators: int = 1, solve: bool = True) -> None:
+    """Raise DimensionCapError, before anything is allocated, for too large a run.
+
+    The estimate counts d = sum_{k <= n} C(S, k) entries per state; for each
+    perturbation held at once an upper bound on its nonzeros and, when the run
+    solves, the stored trajectory rows; and one (grid + 1) x d level array.
+    """
+    sites, order = bundle.torus.site_count, bundle.truncation
+    dim = sum(math.comb(sites, k) for k in range(order + 1))
+    # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
+    nnz = sum(math.comb(sites, k) * (2 * k + 2**k - 1) for k in range(1, order + 1))
+    grid = bundle.solver.time_grid_points
+    stored = min(bundle.solver.trajectory_points, grid + 1) if solve else 0
+    need = operators * (_BYTES_PER_NONZERO * nnz + 8 * stored * dim)
+    if solve:
+        need += 8 * (grid + 1) * dim
+    budget = _MEMORY_SHARE * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > budget:
+        raise DimensionCapError(
+            f"estimated {need / 1e9:.3g} GB (d={dim}, nnz<={nnz}, grid={grid}) exceeds "
+            f"{budget / 1e9:.3g} GB, {_MEMORY_SHARE:.0%} of physical memory"
+        )
+
+
 def _split_operators(bundle: RuntimeBundle):
     """Diagonal and perturbation parts matching the configured epsilon."""
     args = (bundle.kernels, bundle.params, bundle.truncation)
@@ -130,6 +162,7 @@ def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVecto
 
 
 def run_evolve(bundle: RuntimeBundle, out: Path):
+    _check_footprint(bundle)
     exp = bundle.experiment
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
@@ -228,6 +261,8 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         return [], ["sweep.csv", "plot_eps_gap.csv", "summary.json"]
     if eps_list[-1] != 0.0:
         eps_list.append(0.0)
+    # the sweep keeps every epsilon's operator and trajectory
+    _check_footprint(bundle, operators=len(eps_list))
     u0 = _product_state(bundle, exp.get("rho0", 0.5))
     sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
     report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
@@ -464,6 +499,7 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
 def run_bounds(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     samples = exp.get("samples", 500)
+    _check_footprint(bundle, solve=False)
     # the bound is sampled on the unscaled perturbation whatever epsilon is set
     params = replace(bundle.params, epsilon=1.0)
     op = OperatorHandle("perturbation", bundle.kernels, params, bundle.truncation)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,33 @@ def test_exit_3_on_numerical_failure(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 3
     assert "StepSizeCollapse" in manifest["error"]
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"name": "evolve", "t": 0.001},
+        {"name": "vlasov", "epsilons": [0.5]},
+        {"name": "bounds", "samples": 2},
+    ],
+    ids=lambda e: e["name"],
+)
+def test_exit_3_when_the_hierarchy_exceeds_memory(tmp_path, capsys, experiment):
+    # d = sum C(200, k), k <= 12, is about 6e18: refused before any allocation
+    doc = base_doc()
+    doc["model"]["torus"]["sites"] = 200
+    doc["model"]["truncation"] = 12
+    doc["experiment"] = experiment
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "big"
+    start = time.perf_counter()
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("DimensionCapError: estimated ")
+    assert "d=" in manifest["error"] and "physical memory" in manifest["error"]
 
 
 def test_vlasov_empty_sweep_writes_headers_only(tmp_path):

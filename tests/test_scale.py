@@ -44,6 +44,12 @@ def test_norm_alpha_flat_agrees(rng):
             norm_alpha(k, alpha), rel=1e-15
         )
     assert norm_alpha_flat(np.array([]), np.array([]), 2.0) == 0.0
+    # a stack of flat states gives one norm per row, equal to the single norms
+    rows = np.stack([k.flat(), -2.0 * k.flat(), np.zeros_like(k.flat())])
+    stacked = norm_alpha_flat(rows, orders, 1.9)
+    assert stacked.shape == (3,)
+    assert list(stacked) == [norm_alpha_flat(row, orders, 1.9) for row in rows]
+    assert norm_alpha_flat(np.zeros((2, 0)), np.array([]), 2.0).shape == (2,)
 
 
 def test_norm_requires_index_above_one(rng):
@@ -163,6 +169,16 @@ def test_singular_bound_sampling(rng):
     assert report.max_ratio > 0
     # the model pole already covers every sample on this instance
     assert report.envelope_regular < DEFAULT_REGULAR_CONSTANT
+
+
+def test_singular_bound_nan_is_a_violation(stock4, rng):
+    # a NaN bound passed "ratio > allowed"; min() and max() hid it in the report
+    op = OperatorHandle("perturbation", stock4.kernels, stock4.params, stock4.n_max)
+    nan_bound = BoundModel(stock4.bound.singular, lambda beta: math.nan)
+    report = verify_singular_bound(op, stock4.scale, nan_bound, 5, rng)
+    assert not report.ok
+    assert len(report.violations) == 5
+    assert math.isnan(report.min_slack)
 
 
 def test_singular_bound_needs_samples(stock4, rng):

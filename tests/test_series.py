@@ -3,10 +3,14 @@
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovskale import (
     ConvergenceError,
@@ -24,8 +28,10 @@ from ovskale import (
     ovsyannikov_evolve,
     time_horizon,
 )
+from ovskale import series
+from ovskale.scale import norm_alpha_flat
 from ovskale.series import default_intermediate_alpha
-from ovskale.states import random_correlation
+from ovskale.states import flat_orders, random_correlation
 
 from conftest import GAUSS_A, GAUSS_PHI, Instance, make_instance
 
@@ -163,6 +169,139 @@ def test_nan_in_perturbation_is_a_typed_failure(small):
         )
 
 
+def _reference_profile(energies, tau, u0):
+    if energies is None:
+        return np.tile(u0, (len(tau), 1))
+    return np.exp(-np.outer(tau, energies)) * u0[None, :]
+
+
+def _reference_run_grid(
+    u0: np.ndarray,
+    energies,
+    zmat,
+    dt: float,
+    grid: int,
+    orders: np.ndarray,
+    alpha: float,
+    store_idx: np.ndarray,
+    *,
+    term_tol: float,
+    max_levels: int,
+    fixed_levels: int | None = None,
+):
+    """The level loop before blocking: four full arrays, totals on every row."""
+    tau = np.linspace(0.0, dt, grid + 1)
+    step = dt / grid
+    half = 0.5 * step
+    decay = None if energies is None else np.exp(-step * energies)
+    w = _reference_profile(energies, tau, u0)
+    total = w.copy()
+    final_norms = [norm_alpha_flat(w[-1], orders, alpha)]
+    history = [np.array([norm_alpha_flat(w[i], orders, alpha) for i in store_idx])]
+    level = 0
+    while True:
+        if not math.isfinite(final_norms[-1]):
+            raise ConvergenceError(
+                f"Duhamel level {level} has non-finite norm {final_norms[-1]}"
+            )
+        if fixed_levels is not None:
+            if level >= fixed_levels:
+                break
+        elif final_norms[-1] < term_tol or level >= max_levels:
+            break
+        y = (zmat @ w.T).T
+        q_acc = np.zeros_like(w)
+        if decay is None:
+            for i in range(grid):
+                q_acc[i + 1] = q_acc[i] + half * (y[i] + y[i + 1])
+        else:
+            for i in range(grid):
+                q_acc[i + 1] = decay * (q_acc[i] + half * y[i]) + half * y[i + 1]
+        w = q_acc
+        total += w
+        level += 1
+        final_norms.append(norm_alpha_flat(w[-1], orders, alpha))
+        history.append(np.array([norm_alpha_flat(w[i], orders, alpha) for i in store_idx]))
+    return total, np.array(final_norms), np.vstack(history), level
+
+
+def _bits(arr) -> bytes:
+    return np.ascontiguousarray(arr, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    sites=st.integers(2, 4),
+    n_max=st.integers(1, 3),
+    limit=st.booleans(),
+    half_grid=st.integers(1, 32),
+    data=st.data(),
+)
+def test_level_loop_matches_reference(dim, sites, n_max, limit, half_grid, data):
+    # blocks of every width from one grid point to past the whole grid, so
+    # that the width does and does not divide grid + 1, and a single block
+    tor = Torus(dim, sites, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    n_max = min(n_max, tor.site_count)
+    eps = 0.0 if limit else data.draw(st.floats(0.05, 1.0))
+    params = ModelParams(1.0, 1.0, eps)
+    zmat = OperatorHandle("perturbation", ker, params, n_max).matrix()
+    energies = None if limit else OperatorHandle("diagonal", ker, params, n_max).semigroup_energies()
+    grid = 2 * half_grid
+    width = data.draw(st.integers(1, grid + 2))
+    store_idx = np.array(sorted(data.draw(st.sets(st.integers(0, grid), min_size=1))))
+    fixed = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    dt = data.draw(st.floats(1e-3, 0.05))
+    alpha = data.draw(st.floats(1.2, 2.5))
+    seed = data.draw(st.integers(0, 2**16))
+    u0 = random_correlation(tor, n_max, 1.5, np.random.default_rng(seed)).flat()
+    orders = flat_orders(tor, n_max)
+    args = (u0, energies, zmat, dt, grid, orders, alpha, store_idx)
+    kwargs = dict(term_tol=1e-12, max_levels=8, fixed_levels=fixed)
+    ref_total, ref_final, ref_hist, ref_levels = _reference_run_grid(*args, **kwargs)
+    with mock.patch.object(series, "_BLOCK_BYTES", 8 * len(u0) * width):
+        total, final, hist, levels = series._run_grid(*args, **kwargs)
+    assert levels == ref_levels
+    assert _bits(total) == _bits(ref_total[store_idx])
+    assert _bits(final) == _bits(ref_final)
+    assert _bits(hist) == _bits(ref_hist)
+
+
+def test_level_loop_holds_one_level_array():
+    # the parent loop held w, total, y and q_acc (four full arrays) plus the
+    # transients of the level-0 profile; one level array and cache-sized
+    # blocks must now stay well below 1.5 of them
+    inst = make_instance(sites=14, n_max=4)
+    diag, pert, _ = _ops(inst)
+    zmat = pert.matrix()
+    diag.semigroup_energies()
+    u0 = CorrelationVector.product_form(inst.torus, inst.n_max, 0.5)
+    grid = 1024
+    cfg = _cfg(inst, frac=0.2, time_grid_points=grid, trajectory_points=9, quad_tol=1e-6)
+    tracemalloc.start()
+    try:
+        res = ovsyannikov_evolve(
+            u0, 0.0, 0.2 * inst.horizon, diag, pert, inst.scale, inst.bound, cfg
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    level_bytes = (grid + 1) * u0.dimension * 8
+    csr_bytes = zmat.data.nbytes + zmat.indices.nbytes + zmat.indptr.nbytes
+    assert peak < 1.5 * level_bytes + csr_bytes
+
+
+def test_oracle_nan_matrix_is_a_typed_failure(small):
+    # expm_multiply would die on the NaN with an untyped ValueError
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    full = OperatorHandle("full", small.kernels, small.params, small.n_max)
+    full.matrix().data[0] = math.nan
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        oracle_evolve(u0, 0.1 * small.horizon, full)
+
+
 def test_oracle_identity_at_zero(small, rng):
     _, _, full = _ops(small)
     u0 = random_correlation(small.torus, small.n_max, 1.8, rng)
@@ -249,6 +388,19 @@ def test_apriori_bound_holds(small):
     assert rep.prefactor == pytest.approx(
         rep.constant / (res.horizon_prime - res.q * res.upsilon), rel=1e-14
     )
+
+
+def test_apriori_nan_is_a_violation(small):
+    # a NaN right-hand side passed "lhs > rhs" and max() hid the NaN ratio
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    diag, pert, _ = _ops(small)
+    res = ovsyannikov_evolve(
+        u0, 0.0, 0.5 * small.horizon, diag, pert, small.scale, small.bound, _cfg(small)
+    )
+    rep = apriori_estimate_check(replace(res, initial_norm=math.nan), small.scale, small.bound)
+    assert not rep.ok
+    assert len(rep.violations) == len(res.times)
+    assert math.isnan(rep.max_ratio)
 
 
 def test_default_intermediate_alpha(small):
