@@ -57,6 +57,12 @@ _MEMORY_SHARE = 0.5
 # peak of assembly (COO blocks, their concatenation, the CSR matrix) per
 # nonzero of the bound below: measured 69-70 on 1-D and 2-D tori
 _BYTES_PER_NONZERO = 72
+# peak of one stationary scan per grid cell: measured 27; per point of the
+# fold curve (arrays, lists of floats, JSON and CSV rows): measured 285
+_BYTES_PER_SCAN_CELL = 32
+_BYTES_PER_FOLD_POINT = 320
+# site-count arrays a kinetic march holds besides its stored rows: measured 4-9
+_KINETIC_WORK_ARRAYS = 16
 
 NUMERICAL_ERRORS = (
     HorizonError,
@@ -113,6 +119,16 @@ def write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _check_budget(need: float, detail: str) -> None:
+    """Raise DimensionCapError when a run plans to hold more than its memory share."""
+    budget = _MEMORY_SHARE * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not (need <= budget):
+        raise DimensionCapError(
+            f"estimated {need / 1e9:.3g} GB ({detail}) exceeds "
+            f"{budget / 1e9:.3g} GB, {_MEMORY_SHARE:.0%} of physical memory"
+        )
+
+
 def _check_footprint(bundle: RuntimeBundle, operators: int = 1, solve: bool = True) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
@@ -129,12 +145,7 @@ def _check_footprint(bundle: RuntimeBundle, operators: int = 1, solve: bool = Tr
     need = operators * (_BYTES_PER_NONZERO * nnz + 8 * stored * dim)
     if solve:
         need += 8 * (grid + 1) * dim
-    budget = _MEMORY_SHARE * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > budget:
-        raise DimensionCapError(
-            f"estimated {need / 1e9:.3g} GB (d={dim}, nnz<={nnz}, grid={grid}) exceeds "
-            f"{budget / 1e9:.3g} GB, {_MEMORY_SHARE:.0%} of physical memory"
-        )
+    _check_budget(need, f"d={dim}, nnz<={nnz}, grid={grid}")
 
 
 def _split_operators(bundle: RuntimeBundle):
@@ -367,21 +378,28 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
 
 def run_kinetic(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
+    sites = bundle.torus.site_count
+    store_every = exp.get("store_every", 1)
+    # ceil(t_end / dt / store_every) + 2 stored rows, held as a list of
+    # copies and then stacked; a float, so a huge count is inf, not an error
+    stored = exp["t_end"] / exp["dt"] / store_every + 3
+    _check_budget(
+        8.0 * sites * (2 * stored + _KINETIC_WORK_ARRAYS),
+        f"sites={sites}, stored rows about {stored:.3g}",
+    )
     rho0 = exp.get("rho0", 0.5)
-    if isinstance(rho0, (int, float)):
-        field0 = DensityField(bundle.torus, np.full(bundle.torus.site_count, float(rho0)))
-        constant_data = True
-    else:
-        arr = np.asarray(rho0, dtype=float)
-        field0 = DensityField(bundle.torus, arr)
-        constant_data = bool(np.all(arr == arr[0]))
+    try:
+        field0 = DensityField(bundle.torus, np.asarray(rho0, dtype=float))
+    except ValueError as err:
+        raise ConfigError(f"kinetic rho0: {err}") from err
+    constant_data = bool(np.all(field0.rho == field0.rho[0]))
     traj = integrate_kinetic(
         field0,
         exp["t_end"],
         exp["dt"],
         bundle.kernels,
         bundle.params,
-        store_every=exp.get("store_every", 1),
+        store_every=store_every,
     )
     checks = [
         Assertion(
@@ -412,12 +430,10 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
     full = bool(exp.get("full_field", False))
     if full:
         header += [f"rho_{i}" for i in range(bundle.torus.site_count)]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t, traj.fields[i].min(), traj.fields[i].max(), traj.fields[i].mean()]
-        if full:
-            row += list(traj.fields[i])
-        rows.append(row)
+    rows = (
+        [t, field.min(), field.max(), field.mean()] + (list(field) if full else [])
+        for t, field in zip(traj.times, traj.fields)
+    )
     write_csv(out / "trajectory.csv", header, rows)
     return checks, ["trajectory.csv"]
 
@@ -435,6 +451,12 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
         }
     except ValueError as err:
         raise ConfigError(f"bifurcation grid invalid: {err}") from err
+    fold_points = exp.get("fold_points", 9)
+    # the scans run one at a time
+    _check_budget(
+        _BYTES_PER_SCAN_CELL * (resolution + 1.0) + _BYTES_PER_FOLD_POINT * fold_points,
+        f"resolution={resolution}, fold_points={fold_points}",
+    )
     rows = []
     consistent = True
     detail = []
@@ -466,7 +488,6 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
         ["b", "c", "root_count", "root_1", "root_2", "root_3"],
         rows,
     )
-    fold_points = exp.get("fold_points", 9)
     b_grid = np.linspace(b_star / 10.0, b_star * 0.99, fold_points)
     c_los, c_his = [], []
     for b in b_grid:

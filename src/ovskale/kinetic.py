@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.integrate import solve_ivp
 
 from .errors import StepSizeCollapse
@@ -61,22 +62,41 @@ class DensityField:
         object.__setattr__(self, "rho", arr)
 
 
-def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Periodic lattice convolution h^d sum_y kernel(x - y) rho(y), by FFT."""
-    kernel = np.asarray(kernel, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+def _kernel_spectra(torus: Torus, *kernels: np.ndarray) -> np.ndarray:
+    """Stacked real transforms of the kernels, scaled by the cell volume h^d."""
     shape = (torus.sites_per_axis,) * torus.dim
-    out = np.fft.ifftn(np.fft.fftn(kernel.reshape(shape)) * np.fft.fftn(rho.reshape(shape)))
-    return torus.cell_volume * np.real(out).reshape(-1)
+    stack = np.stack([np.asarray(k, dtype=float).reshape(shape) for k in kernels])
+    return torus.cell_volume * fft.rfftn(stack, axes=range(1, torus.dim + 1))
+
+
+def _convolve(torus: Torus, spectra: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Periodic convolutions of rho with every kernel of spectra, one row each.
+
+    One real transform of rho and one batched inverse over the kernels; the
+    inverse is given the full shape, so odd site counts per axis round-trip.
+    """
+    shape = (torus.sites_per_axis,) * torus.dim
+    product = spectra * fft.rfftn(np.asarray(rho, dtype=float).reshape(shape))
+    out = fft.irfftn(product, s=shape, axes=range(1, torus.dim + 1), overwrite_x=True)
+    return out.reshape(len(spectra), -1)
+
+
+def _rhs(rho: np.ndarray, torus: Torus, spectra: np.ndarray, params: ModelParams) -> np.ndarray:
+    comp, attr = _convolve(torus, spectra, rho)
+    return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
+
+
+def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Periodic lattice convolution h^d sum_y kernel(x - y) rho(y), by real FFT."""
+    return _convolve(torus, _kernel_spectra(torus, kernel), rho)[0]
 
 
 def kinetic_rhs(
     rho: np.ndarray, torus: Torus, kernels: KernelPair, params: ModelParams
 ) -> np.ndarray:
     """Right-hand side of the kinetic equation at the density rho."""
-    comp = circular_convolution(torus, kernels.a_values, rho)
-    attr = circular_convolution(torus, kernels.phi_values, rho)
-    return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
+    spectra = _kernel_spectra(torus, kernels.a_values, kernels.phi_values)
+    return _rhs(np.asarray(rho, dtype=float), torus, spectra, params)
 
 
 @dataclass
@@ -104,13 +124,16 @@ def integrate_kinetic(
 
     Steps whose stability indicator dt (avg_a max rho + m) reaches 1, and
     steps producing negative entries, are rejected and retried at half the
-    step; more than max_halvings rejections abort the run.
+    step; more than max_halvings rejections abort the run.  The kernel
+    transforms are taken once, so each right-hand side costs one forward and
+    one batched inverse real FFT.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be positive")
     torus = field0.torus
+    spectra = _kernel_spectra(torus, kernels.a_values, kernels.phi_values)
     rho = field0.rho.copy()
     avg_a = kernels.avg_a
     m_rate = params.death_amplitude
@@ -128,10 +151,10 @@ def integrate_kinetic(
             if halvings > max_halvings:
                 raise StepSizeCollapse("stability bound forced too many step halvings")
             continue
-        k1 = kinetic_rhs(rho, torus, kernels, params)
-        k2 = kinetic_rhs(rho + 0.5 * step * k1, torus, kernels, params)
-        k3 = kinetic_rhs(rho + 0.5 * step * k2, torus, kernels, params)
-        k4 = kinetic_rhs(rho + step * k3, torus, kernels, params)
+        k1 = _rhs(rho, torus, spectra, params)
+        k2 = _rhs(rho + 0.5 * step * k1, torus, spectra, params)
+        k3 = _rhs(rho + 0.5 * step * k2, torus, spectra, params)
+        k4 = _rhs(rho + step * k3, torus, spectra, params)
         rho_new = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.any(rho_new < 0.0):
             step *= 0.5
@@ -197,7 +220,10 @@ class BifurcationInput:
             raise ValueError("c must be positive and finite")
         if not (self.x_hi > 0):
             raise ValueError("x_hi must be positive")
-        if not (self.b * self.x_hi**2 > self.c):
+        top = self.b * self.x_hi * self.x_hi
+        if not math.isfinite(top):
+            raise ValueError("x_hi too large: b * x_hi^2 overflows")
+        if not (top > self.c):
             raise ValueError("x_hi too small: need b * x_hi^2 > c for a right bracket")
         if self.resolution < 100:
             raise ValueError("resolution must be >= 100")
@@ -249,24 +275,25 @@ def stationary_scan(inp: BifurcationInput) -> ScanResult:
     grid = np.linspace(0.0, inp.x_hi, inp.resolution + 1)
     vals = stationary_curve(grid, inp.b) - inp.c
     fn = lambda x: float(x * math.exp(-x) + inp.b * x * x - inp.c)
+    lo, hi = vals[:-1], vals[1:]
+    # products as the scalar test forms them: an overflow is inf, an underflow 0
+    with np.errstate(over="ignore", under="ignore"):
+        brackets = np.flatnonzero((lo == 0.0) | (lo * hi < 0.0))
     roots = []
-    for i in range(len(grid) - 1):
-        lo, hi = vals[i], vals[i + 1]
-        if lo == 0.0:
+    for i in brackets:
+        if vals[i] == 0.0:
             if not roots or abs(roots[-1] - grid[i]) > 1e-9:
                 roots.append(float(grid[i]))
-        elif lo * hi < 0.0:
+        else:
             roots.append(_bisect(fn, float(grid[i]), float(grid[i + 1])))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     cell = inp.x_hi / inp.resolution
-    scale0 = max(inp.c, 1.0)
-    tangency = False
-    for i in range(1, len(grid) - 1):
-        if vals[i - 1] > vals[i] < vals[i + 1] and abs(vals[i]) < 1e-9 * scale0 and vals[i] > 0.0:
-            tangency = True
-        if vals[i - 1] < vals[i] > vals[i + 1] and abs(vals[i]) < 1e-9 * scale0 and vals[i] < 0.0:
-            tangency = True
+    left, mid, right = vals[:-2], vals[1:-1], vals[2:]
+    minimum_above = (left > mid) & (mid < right) & (mid > 0.0)
+    maximum_below = (left < mid) & (mid > right) & (mid < 0.0)
+    near = np.abs(mid) < 1e-9 * max(inp.c, 1.0)
+    tangency = bool(np.any(near & (minimum_above | maximum_below)))
     edge = any(r <= cell or r >= inp.x_hi - cell for r in roots)
     if edge:
         warnings.warn("stationary root within one grid cell of the window edge", stacklevel=2)

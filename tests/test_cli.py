@@ -2,13 +2,19 @@
 
 import csv
 import json
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovskale import config_hash, load_config, time_horizon
 from ovskale.cli import main
+from ovskale.config import validate_config
+from ovskale.experiments import run_experiment
 
 from conftest import make_instance
 
@@ -241,6 +247,127 @@ def test_exit_3_when_the_hierarchy_exceeds_memory(tmp_path, capsys, experiment):
     assert manifest["exit_code"] == 3
     assert manifest["error"].startswith("DimensionCapError: estimated ")
     assert "d=" in manifest["error"] and "physical memory" in manifest["error"]
+
+
+def test_exit_2_when_kinetic_rho0_has_the_wrong_length(tmp_path, capsys):
+    # schema-valid: an array rho0, but of 2 entries on a 4-site torus
+    doc = base_doc()
+    doc["experiment"] = {"name": "kinetic", "t_end": 0.01, "dt": 0.001, "rho0": [0.5, 0.2]}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["error"].startswith("ConfigError: kinetic rho0: rho must have shape (4,)")
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"name": "bifurcation", "b_values": [0.02], "c_values": [0.3], "resolution": 10**12},
+        {"name": "kinetic", "t_end": 1e6, "dt": 1e-9, "rho0": 0.5},
+    ],
+    ids=lambda e: e["name"],
+)
+def test_exit_3_when_a_kinetic_run_exceeds_memory(tmp_path, capsys, experiment):
+    # 10^12 scan cells, or 10^15 stored rows: refused before any allocation
+    doc = base_doc()
+    doc["experiment"] = experiment
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "big"
+    start = time.perf_counter()
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("DimensionCapError: estimated ")
+    assert "physical memory" in manifest["error"]
+
+
+_SMALL_KERNEL = st.one_of(
+    st.builds(
+        lambda amp, sigma: {"kind": "gaussian", "params": {"amplitude": amp, "sigma": sigma}},
+        st.floats(0.0, 2.0),
+        st.floats(0.05, 3.0),
+    ),
+    st.builds(
+        lambda amp, radius: {"kind": "tophat", "params": {"amplitude": amp, "radius": radius}},
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 3.0),
+    ),
+)
+# a model that builds: a small torus, bounded kernels and rates
+_MODEL = st.fixed_dictionaries(
+    {
+        "torus": st.fixed_dictionaries(
+            {"dim": st.integers(1, 2), "sites": st.integers(1, 5), "spacing": st.floats(0.1, 2.0)}
+        ),
+        "kernels": st.fixed_dictionaries({"a": _SMALL_KERNEL, "phi": _SMALL_KERNEL}),
+        "m": st.floats(0.01, 5.0),
+        "lambda": st.floats(0.01, 5.0),
+        "truncation": st.integers(1, 3),
+    }
+)
+# densities stay O(1): a large one only forces more halved steps, which is slow
+_DENSITY = st.floats(0.0, 5.0)
+_KINETIC = st.fixed_dictionaries(
+    {
+        "name": st.just("kinetic"),
+        "t_end": st.floats(0.0, 0.05),
+        "dt": st.floats(1e-3, 10.0),
+    },
+    optional={
+        "rho0": st.one_of(_DENSITY, st.lists(_DENSITY, min_size=1, max_size=30)),
+        "store_every": st.integers(1, 10**6),
+        "full_field": st.booleans(),
+    },
+)
+_ANY_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_BIFURCATION = st.fixed_dictionaries(
+    {
+        "name": st.just("bifurcation"),
+        "b_values": st.lists(
+            st.one_of(st.floats(0.0, 0.1), st.floats(0.0, allow_infinity=False)),
+            min_size=1,
+            max_size=3,
+        ),
+        "c_values": st.lists(
+            st.one_of(st.floats(1e-3, 2.0), _ANY_POSITIVE), min_size=1, max_size=3
+        ),
+    },
+    optional={
+        "x_hi": st.one_of(st.floats(1.0, 60.0), _ANY_POSITIVE),
+        "resolution": st.integers(100, 2000),
+        "fold_points": st.integers(2, 12),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=_MODEL,
+    experiment=st.one_of(_KINETIC, _BIFURCATION),
+    seed=st.integers(0, 2**31),
+)
+def test_run_experiment_fuzz_kinetic_and_bifurcation(model, experiment, seed):
+    doc = {
+        "model": model,
+        "scale": {"alpha_s": 1.5, "alpha_star": 2.5},
+        "solver": {"upsilon": 0.01},
+        "experiment": experiment,
+        "seed": seed,
+    }
+    validate_config(doc)
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        # an edge root warns by design; a RuntimeWarning still fails the test
+        warnings.simplefilter("ignore", UserWarning)
+        manifest = run_experiment(doc, out)
+        assert manifest["exit_code"] in {0, 1, 2, 3}
+        written = json.loads((Path(out) / "manifest.json").read_text())
+    assert written["exit_code"] == manifest["exit_code"]
 
 
 def test_vlasov_empty_sweep_writes_headers_only(tmp_path):

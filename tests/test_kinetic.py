@@ -1,13 +1,17 @@
 """Kinetic field integrator and the stationary fold analysis."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovskale import (
     BifurcationInput,
     DensityField,
+    KernelPair,
     ModelParams,
     StepSizeCollapse,
     Torus,
@@ -23,7 +27,7 @@ from ovskale import (
     tangency_point,
     threshold_b,
 )
-from ovskale.kinetic import stationary_curve
+from ovskale.kinetic import ScanResult, _bisect, stationary_curve
 
 from conftest import GAUSS_A, GAUSS_PHI
 
@@ -42,6 +46,49 @@ def direct_convolution(torus, kernel, rho):
         for y in range(torus.site_count):
             out[x] += kernel[torus.diff_site(x, y)] * rho[y]
     return torus.cell_volume * out
+
+
+def fft_convolution(torus, kernel, rho):
+    """The complex-FFT route: h^d Re ifftn(fftn(kernel) fftn(rho))."""
+    shape = (torus.sites_per_axis,) * torus.dim
+    out = np.fft.ifftn(np.fft.fftn(kernel.reshape(shape)) * np.fft.fftn(rho.reshape(shape)))
+    return torus.cell_volume * np.real(out).reshape(-1)
+
+
+def reference_rhs(rho, kernels, params, convolve):
+    """Right-hand side with each convolution taken by the given route."""
+    comp = convolve(kernels.torus, kernels.a_values, rho)
+    attr = convolve(kernels.torus, kernels.phi_values, rho)
+    return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
+
+
+def reference_scan(inp):
+    """The scan as a loop over every grid cell, the reference for stationary_scan."""
+    grid = np.linspace(0.0, inp.x_hi, inp.resolution + 1)
+    vals = stationary_curve(grid, inp.b) - inp.c
+    fn = lambda x: float(x * math.exp(-x) + inp.b * x * x - inp.c)
+    roots = []
+    for i in range(len(grid) - 1):
+        lo, hi = vals[i], vals[i + 1]
+        if lo == 0.0:
+            if not roots or abs(roots[-1] - grid[i]) > 1e-9:
+                roots.append(float(grid[i]))
+        elif lo * hi < 0.0:
+            roots.append(_bisect(fn, float(grid[i]), float(grid[i + 1])))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    cell = inp.x_hi / inp.resolution
+    scale0 = max(inp.c, 1.0)
+    tangency = False
+    for i in range(1, len(grid) - 1):
+        if vals[i - 1] > vals[i] < vals[i + 1] and abs(vals[i]) < 1e-9 * scale0 and vals[i] > 0.0:
+            tangency = True
+        if vals[i - 1] < vals[i] > vals[i + 1] and abs(vals[i]) < 1e-9 * scale0 and vals[i] < 0.0:
+            tangency = True
+    edge = any(r <= cell or r >= inp.x_hi - cell for r in roots)
+    if edge:
+        warnings.warn("stationary root within one grid cell of the window edge", stacklevel=2)
+    return ScanResult(np.array(sorted(roots)), len(roots), edge, tangency)
 
 
 def test_density_field_scalar_broadcast():
@@ -71,6 +118,46 @@ def test_convolution_fft_matches_direct_dim2(rng):
     fast = circular_convolution(ker.torus, ker.phi_values, rho)
     slow = direct_convolution(ker.torus, ker.phi_values, rho)
     assert np.allclose(fast, slow, rtol=1e-12, atol=1e-13)
+
+
+def _even(torus, values):
+    """Symmetrise values under the periodic reflection j -> -j, exactly."""
+    neg = np.array([torus.neg_site(i) for i in range(torus.site_count)])
+    return 0.5 * (values + values[neg])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    sites=st.integers(1, 7),
+    spacing=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_rhs_matches_references(dim, sites, spacing, seed):
+    # odd and even site counts per axis; irfftn needs the full shape for odd ones
+    tor = Torus(dim, sites, spacing)
+    gen = np.random.default_rng(seed)
+    s = tor.site_count
+    ker = KernelPair(tor, _even(tor, gen.uniform(0, 2, s)), _even(tor, gen.uniform(0, 2, s)))
+    par = ModelParams(death_amplitude=gen.uniform(0.1, 2), birth_intensity=gen.uniform(0.1, 2))
+    rho = gen.uniform(0.0, 3.0, s)
+    rho[gen.random(s) < 0.2] = 0.0
+
+    # any real kernel, even or not
+    kernel = gen.uniform(0.0, 2.0, s)
+    fast = circular_convolution(tor, kernel, rho)
+    scale = direct_convolution(tor, kernel, rho).max()
+    for ref in (fft_convolution, direct_convolution):
+        assert np.all(np.abs(fast - ref(tor, kernel, rho)) <= 1e-13 * scale)
+
+    out = kinetic_rhs(rho, tor, ker, par)
+    comp = direct_convolution(tor, ker.a_values, rho)
+    attr = direct_convolution(tor, ker.phi_values, rho)
+    # relative to the size of the three terms, which can cancel
+    size = rho * comp + par.death_amplitude * rho * np.exp(-attr) + par.birth_intensity
+    for route in (fft_convolution, direct_convolution):
+        ref = reference_rhs(rho, ker, par, route)
+        assert np.all(np.abs(out - ref) <= 1e-13 * size)
 
 
 def test_rhs_at_zero_density_is_birth_rate():
@@ -286,3 +373,82 @@ def test_bifurcation_input_validation():
         BifurcationInput(0.05, 0.3, 40.0, 50)
     with pytest.raises(ValueError):
         BifurcationInput(-0.1, 0.3, 40.0, 4000)
+
+
+def _scan_both(inp):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fast = stationary_scan(inp)
+        # the loop's numpy scalar products warn where they overflow
+        with np.errstate(over="ignore"):
+            ref = reference_scan(inp)
+    assert len(caught) == 2 * fast.edge_warning
+    return fast, ref
+
+
+def _assert_same_scan(fast, ref):
+    assert fast.roots.dtype == ref.roots.dtype
+    assert fast.roots.tobytes() == ref.roots.tobytes()
+    assert fast.count == ref.count
+    assert fast.edge_warning == ref.edge_warning
+    assert fast.tangency_flag == ref.tangency_flag
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.floats(1e-4, 0.1),
+    x_hi=st.floats(2.0, 60.0),
+    resolution=st.integers(100, 5000),
+    case=st.sampled_from(("free", "grid", "fold_low", "fold_high", "tangent")),
+    c=st.floats(1e-6, 2.0),
+    index=st.integers(0, 5000),
+    offset=st.sampled_from((-1e-12, 1e-12)),
+)
+def test_vectorised_scan_matches_loop(b, x_hi, resolution, case, c, index, offset):
+    grid = np.linspace(0.0, x_hi, resolution + 1)
+    curve = stationary_curve(grid, b)
+    if case == "grid":
+        # c taken at a grid value: that cell of the scan is exactly zero
+        c = float(curve[index % (resolution + 1)])
+    elif case in ("fold_low", "fold_high"):
+        if not b < threshold_b():
+            b = 0.5 * threshold_b()
+            curve = stationary_curve(grid, b)
+        c = critical_c_range(b)[case == "fold_high"]
+    elif case == "tangent":
+        # just under or over an interior local minimum of the sampled curve
+        inner = curve[1:-1]
+        minima = np.flatnonzero((curve[:-2] > inner) & (inner < curve[2:])) + 1
+        if len(minima):
+            c = float(curve[minima[index % len(minima)]]) + offset
+    if not (c > 0 and b * x_hi * x_hi > c):
+        return
+    inp = BifurcationInput(b, c, x_hi, resolution)
+    if case == "grid":
+        assert np.any(stationary_curve(grid, b) - c == 0.0)
+    _assert_same_scan(*_scan_both(inp))
+
+
+def test_vectorised_scan_fixed_cases():
+    # the tangency case of test_scan_tangency_flag, an edge root, the fold
+    # edges at the stock resolution, an exactly zero interior cell and
+    # overflowing products
+    b, x_hi, res = 0.02, 5.0, 1000
+    curve = stationary_curve(np.linspace(0.0, x_hi, res + 1), b)
+    i = int(np.argmin(curve[res // 2 : res])) + res // 2
+    cases = [
+        BifurcationInput(b, float(curve[i]) - 1e-12, x_hi, res),
+        BifurcationInput(0.05, 1e-6, 40.0, 4000),
+        BifurcationInput(0.02, 0.36, 50.0, 100_000),
+    ]
+    lo, hi = critical_c_range(0.02)
+    cases += [BifurcationInput(0.02, c, 50.0, 100_000) for c in (lo, hi)]
+    cases.append(BifurcationInput(b, float(curve[700]), x_hi, res))
+    # neighbouring values near 1e300, whose products overflow
+    cases.append(BifurcationInput(1e300, 0.5, 1.0, 100))
+    flags = set()
+    for inp in cases:
+        fast, ref = _scan_both(inp)
+        _assert_same_scan(fast, ref)
+        flags.add((fast.edge_warning, fast.tangency_flag))
+    assert (False, True) in flags and (True, False) in flags

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovskale import (
     BoundModel,
@@ -50,6 +52,42 @@ def test_norm_alpha_flat_agrees(rng):
     assert stacked.shape == (3,)
     assert list(stacked) == [norm_alpha_flat(row, orders, 1.9) for row in rows]
     assert norm_alpha_flat(np.zeros((2, 0)), np.array([]), 2.0).shape == (2,)
+
+
+def reference_norm_alpha_flat(vec, orders, alpha):
+    """max |x| alpha^{-|eta|} formed entry by entry over the last axis."""
+    weighted = np.abs(vec)
+    weighted *= alpha ** (-orders.astype(float))
+    return weighted.max(axis=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    rows=st.one_of(st.none(), st.integers(1, 4)),
+    alpha=st.floats(1.0, 8.0, exclude_min=True),
+    data=st.data(),
+)
+def test_norm_alpha_flat_matches_entrywise_formula(sizes, rows, alpha, data):
+    # layer n holds sizes[n] entries; a size of 0 leaves that layer empty
+    orders = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    if len(orders) == 0:
+        return
+    shape = (len(orders),) if rows is None else (rows, len(orders))
+    entries = st.one_of(
+        st.floats(allow_nan=False, width=64),
+        st.sampled_from((0.0, -0.0, 5e-324, -1.5, np.inf, -np.inf)),
+    )
+    size = math.prod(shape)
+    vec = np.array(data.draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+    if data.draw(st.booleans()):
+        vec.flat[data.draw(st.integers(0, vec.size - 1))] = np.nan
+    got = np.asarray(norm_alpha_flat(vec, orders, alpha))
+    want = reference_norm_alpha_flat(vec, orders, alpha)
+    assert got.shape == want.shape
+    # the same bits, NaN included; abs and a positive weight never give -0.0
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.any(np.signbit(got))
 
 
 def test_norm_requires_index_above_one(rng):
