@@ -6,7 +6,7 @@
 
 Exit codes: 0 success, 1 experiment assertions failed, 2 configuration
 error, 3 numerical failure (horizon violation, non-convergence, step-size
-collapse).
+collapse, a run too large for memory).
 """
 
 from __future__ import annotations

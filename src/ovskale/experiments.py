@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from ._version import __version__
-from .config import RuntimeBundle, build_runtime, config_hash
+from .config import RuntimeBundle, build_runtime, config_hash, validate_config
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -41,7 +41,7 @@ from .kinetic import (
 )
 from .operators import OperatorHandle
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
-from .series import apriori_estimate_check, flow_compose_check, ovsyannikov_evolve
+from .series import SeriesConfig, apriori_estimate_check, flow_compose_check, ovsyannikov_evolve
 from .states import CorrelationVector, random_correlation
 from .vlasov import (
     EpsilonSweep,
@@ -63,6 +63,11 @@ _BYTES_PER_SCAN_CELL = 32
 _BYTES_PER_FOLD_POINT = 320
 # site-count arrays a kinetic march holds besides its stored rows: measured 4-9
 _KINETIC_WORK_ARRAYS = 16
+# peak of tabulating the kernel pair per site: measured 40, 56 and 80 on 1-,
+# 2- and 3-D tori
+_BYTES_PER_SITE = 96
+# experiments that assemble a hierarchy operator
+_HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
 
 NUMERICAL_ERRORS = (
     HorizonError,
@@ -123,29 +128,48 @@ def _check_budget(need: float, detail: str) -> None:
     """Raise DimensionCapError when a run plans to hold more than its memory share."""
     budget = _MEMORY_SHARE * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not (need <= budget):
+        # an exact integer estimate may be past the float range
+        shown = float(need) if need < 1e300 else math.inf
         raise DimensionCapError(
-            f"estimated {need / 1e9:.3g} GB ({detail}) exceeds "
+            f"estimated {shown / 1e9:.3g} GB ({detail}) exceeds "
             f"{budget / 1e9:.3g} GB, {_MEMORY_SHARE:.0%} of physical memory"
         )
 
 
-def _check_footprint(bundle: RuntimeBundle, operators: int = 1, solve: bool = True) -> None:
+def _check_footprint(
+    sites: int, order: int, solver: SeriesConfig | None = None, operators: int = 1
+) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
-    The estimate counts d = sum_{k <= n} C(S, k) entries per state; for each
-    perturbation held at once an upper bound on its nonzeros and, when the run
-    solves, the stored trajectory rows; and one (grid + 1) x d level array.
+    The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
+    each perturbation held at once, an upper bound on its nonzeros.  A run
+    that solves (solver given) adds, per perturbation, the stored trajectory
+    rows, and one (grid + 1) x d level array.
     """
-    sites, order = bundle.torus.site_count, bundle.truncation
     dim = sum(math.comb(sites, k) for k in range(order + 1))
     # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
     nnz = sum(math.comb(sites, k) * (2 * k + 2**k - 1) for k in range(1, order + 1))
-    grid = bundle.solver.time_grid_points
-    stored = min(bundle.solver.trajectory_points, grid + 1) if solve else 0
-    need = operators * (_BYTES_PER_NONZERO * nnz + 8 * stored * dim)
-    if solve:
-        need += 8 * (grid + 1) * dim
-    _check_budget(need, f"d={dim}, nnz<={nnz}, grid={grid}")
+    need = operators * _BYTES_PER_NONZERO * nnz
+    detail = f"d={dim}, nnz<={nnz}"
+    if solver is not None:
+        grid = solver.time_grid_points
+        stored = min(solver.trajectory_points, grid + 1)
+        need += operators * 8 * stored * dim + 8 * (grid + 1) * dim
+        detail += f", grid={grid}"
+    _check_budget(need, detail)
+
+
+def _preflight(doc: dict) -> None:
+    """Raise DimensionCapError from the validated config alone, before build_runtime.
+
+    Tabulating the kernels holds a few arrays over the S = sites^dim sites; a
+    hierarchy run also needs at least one perturbation over d entries.
+    """
+    torus = doc["model"]["torus"]
+    sites = torus["sites"] ** torus["dim"]
+    _check_budget(_BYTES_PER_SITE * sites, f"sites={sites}")
+    if doc["experiment"]["name"] in _HIERARCHY_RUNS:
+        _check_footprint(sites, doc["model"]["truncation"])
 
 
 def _split_operators(bundle: RuntimeBundle):
@@ -173,15 +197,20 @@ def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVecto
 
 
 def run_evolve(bundle: RuntimeBundle, out: Path):
-    _check_footprint(bundle)
+    _check_footprint(bundle.torus.site_count, bundle.truncation, bundle.solver)
     exp = bundle.experiment
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
     u0 = _initial_state(bundle, exp.get("initial"))
     diag, pert = _split_operators(bundle)
-    result = ovsyannikov_evolve(
-        u0, s, t_abs, diag, pert, bundle.scale, bundle.bound, bundle.solver
-    )
+    args = (diag, pert, bundle.scale, bundle.bound, bundle.solver)
+    flow = None
+    if "flow_tau" in exp:
+        # the main solve rides on the level loop of the flow check's direct leg
+        flow = flow_compose_check(u0, s, s + exp["flow_tau"], t_abs, *args, solve_main=True)
+        result = flow.main
+    else:
+        result = ovsyannikov_evolve(u0, s, t_abs, *args)
     checks = [
         Assertion(
             "series_converged",
@@ -221,11 +250,7 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
             "max_ratio": apriori.max_ratio,
             "violations": apriori.violations,
         }
-    if "flow_tau" in exp:
-        tau_abs = s + exp["flow_tau"]
-        flow = flow_compose_check(
-            u0, s, tau_abs, t_abs, diag, pert, bundle.scale, bundle.bound, bundle.solver
-        )
+    if flow is not None:
         checks.append(
             Assertion(
                 "flow_property",
@@ -273,7 +298,9 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     if eps_list[-1] != 0.0:
         eps_list.append(0.0)
     # the sweep keeps every epsilon's operator and trajectory
-    _check_footprint(bundle, operators=len(eps_list))
+    _check_footprint(
+        bundle.torus.site_count, bundle.truncation, bundle.solver, operators=len(eps_list)
+    )
     u0 = _product_state(bundle, exp.get("rho0", 0.5))
     sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
     report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
@@ -520,7 +547,6 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
 def run_bounds(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     samples = exp.get("samples", 500)
-    _check_footprint(bundle, solve=False)
     # the bound is sampled on the unscaled perturbation whatever epsilon is set
     params = replace(bundle.params, epsilon=1.0)
     op = OperatorHandle("perturbation", bundle.kernels, params, bundle.truncation)
@@ -621,19 +647,22 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     """Run the configured experiment and write its manifest.
 
     Returns the manifest; its exit_code is 0 on success, 1 when assertions
-    failed, 2 when a runner rejects the configuration (ConfigError) and 3 on
-    numerical failure.  A config that does not build raises ConfigError
+    failed, 2 when the configuration does not build or a runner rejects it
+    (ConfigError) and 3 on numerical failure or a size preflight refusal
+    (DimensionCapError).  A config that fails the schema raises ConfigError
     before any manifest is written and is the caller's exit 2.
     """
-    bundle = build_runtime(doc)
-    out = Path(out_dir if out_dir is not None else (bundle.output or "."))
+    validate_config(doc)
+    out = Path(out_dir if out_dir is not None else (doc.get("output") or "."))
     out.mkdir(parents=True, exist_ok=True)
-    name = bundle.experiment["name"]
+    name = doc["experiment"]["name"]
     started = time.perf_counter()
     error = None
     checks: list[Assertion] = []
     outputs: list[str] = []
     try:
+        _preflight(doc)
+        bundle = build_runtime(doc)
         checks, outputs = RUNNERS[name](bundle, out)
         exit_code = 0 if all(c.passed for c in checks) else 1
     except ConfigError as err:
@@ -645,7 +674,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     manifest = {
         "experiment": name,
         "config_sha256": config_hash(doc),
-        "seed": bundle.seed,
+        "seed": doc["seed"],
         "versions": {
             "ovskale": __version__,
             "python": platform.python_version(),

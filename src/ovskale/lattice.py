@@ -118,6 +118,17 @@ class Torus:
     def min_image_distance(self, site: int) -> float:
         return float(np.linalg.norm(self.min_image_displacement(site)))
 
+    def coord_array(self) -> np.ndarray:
+        """(dim, S) multi-indices of every site, in the row-major order of `coords`."""
+        return np.indices((self.sites_per_axis,) * self.dim).reshape(self.dim, -1)
+
+    def min_image_distances(self) -> np.ndarray:
+        """`min_image_distance` of every difference site, as one array."""
+        m = self.sites_per_axis
+        coords = self.coord_array()
+        comps = np.minimum(coords, m - coords) * self.spacing
+        return np.sqrt(np.einsum("ij,ij->j", comps, comps))
+
 
 @lru_cache(maxsize=None)
 def diff_table(torus: Torus) -> np.ndarray:
@@ -209,21 +220,21 @@ def entry_orders(site_count: int, n_max: int) -> np.ndarray:
     return orders
 
 
-def _profile_gaussian(r: float, params: dict) -> float:
+def _profile_gaussian(r: np.ndarray, params: dict) -> np.ndarray:
     sigma = float(params["sigma"])
     if sigma <= 0:
         raise ValueError("gaussian kernel needs sigma > 0")
-    return float(params["amplitude"]) * math.exp(-(r * r) / (2.0 * sigma * sigma))
+    return float(params["amplitude"]) * np.exp(-(r * r) / (2.0 * sigma * sigma))
 
 
-def _profile_tophat(r: float, params: dict) -> float:
+def _profile_tophat(r: np.ndarray, params: dict) -> np.ndarray:
     radius = float(params["radius"])
     if radius < 0:
         raise ValueError("tophat kernel needs radius >= 0")
-    return float(params["amplitude"]) if r <= radius else 0.0
+    return np.where(r <= radius, float(params["amplitude"]), 0.0)
 
 
-_PROFILES: dict[str, Callable[[float, dict], float]] = {
+_PROFILES: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
     "gaussian": _profile_gaussian,
     "tophat": _profile_tophat,
 }
@@ -247,9 +258,9 @@ def kernel_values(torus: Torus, spec: dict) -> np.ndarray:
     elif kind in _PROFILES:
         profile = _PROFILES[kind]
         origin = params.pop("origin", None)
-        vals = np.array(
-            [profile(torus.min_image_distance(i), params) for i in range(s)], dtype=float
-        )
+        # a degenerate width or amplitude gives a non-finite value, refused below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = profile(torus.min_image_distances(), params)
         if origin is not None:
             vals[0] = float(origin)
     else:
@@ -287,7 +298,8 @@ class KernelPair:
                 raise ValueError(f"{name} must be nonnegative")
             vals.setflags(write=False)
             object.__setattr__(self, name, vals)
-        neg = np.array([self.torus.neg_site(i) for i in range(s)])
+        shape = (self.torus.sites_per_axis,) * self.torus.dim
+        neg = np.ravel_multi_index(-self.torus.coord_array() % shape[0], shape)
         if not np.array_equal(self.a_values[neg], self.a_values):
             raise ValueError("a_values must be symmetric under reflection")
         if not np.array_equal(self.phi_values[neg], self.phi_values):

@@ -109,6 +109,9 @@ class EvolutionResult:
     initial_norm: float
     scale: ScaleSpec
     regular_at_alpha: float
+    # largest accepted time-compression probe estimate of a level, relative to
+    # the level's sketch, over both grids; 0 when every level used the full product
+    compression_residual: float = 0.0
 
     @property
     def final_state(self) -> CorrelationVector:
@@ -136,6 +139,7 @@ class EvolutionResult:
             "n_used": self.n_used,
             "converged": self.converged,
             "initial_norm": self.initial_norm,
+            "compression_residual": self.compression_residual,
             "final_state": self.final_state.to_json_dict(),
         }
 
@@ -207,6 +211,15 @@ def _log_majorant(
 
 # bytes of one time block's state-major operand: small enough to stay in L2
 _BLOCK_BYTES = 3 << 19
+# time compression of a level: a Gaussian sketch of k columns spans it and p
+# more probe the residual (Halko, Martinsson and Tropp, SIAM Review 53(2),
+# 2011, Alg. 4.2); a rank is accepted when 10 sqrt(2/pi) times the largest
+# probe residual is below _SKETCH_TOL times the largest sketch column
+_SKETCH_RANK = 8
+_SKETCH_PROBES = 4
+_SKETCH_TOL = 1e-13
+_PROBE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
+_SKETCH_SEED = 0x0D5CA1E
 
 
 def _semigroup_profile(energies, tau, u0):
@@ -220,6 +233,50 @@ def _semigroup_profile(energies, tau, u0):
     return out
 
 
+class _Sketch:
+    """Fixed Gaussian test vectors over the state; vector j is the same at any count."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows = np.empty((0, dim))
+
+    def columns(self, count: int) -> np.ndarray:
+        if len(self.rows) < count:
+            rng = np.random.default_rng(_SKETCH_SEED)
+            self.rows = rng.standard_normal((count, self.dim))
+        return self.rows[:count].T
+
+
+def _compressed_product(w: np.ndarray, zmat, sketch: _Sketch) -> float | None:
+    """Overwrite w with Z applied to its rows through a rank-k range of its columns.
+
+    w (time-major, grid + 1 rows) is taken as Q C with Q = qr(w Omega) and
+    C = Q^T w, so that Z W = Q (Z C^T)^T needs k sparse columns.  k starts at
+    _SKETCH_RANK and doubles while 4 k <= grid + 2.  Returns the accepted
+    probe estimate relative to the largest sketch column, or None, leaving w
+    untouched, when no such rank passes the probe test.
+    """
+    rank = _SKETCH_RANK
+    while 4 * rank <= len(w) + 1:
+        sample = w @ sketch.columns(rank + _SKETCH_PROBES)
+        basis, _ = np.linalg.qr(sample[:, :rank])
+        probes = sample[:, rank:]
+        # overflow only makes the estimate non-finite, which fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.sqrt((sample * sample).sum(axis=0)).max()
+            probes -= basis @ (basis.T @ probes)
+            estimate = _PROBE_FACTOR * np.sqrt((probes * probes).sum(axis=0)).max()
+        # written so that a NaN estimate or an overflowed sketch fails the test
+        if estimate <= _SKETCH_TOL * size < math.inf:
+            # Q^T W, not W^T Q: BLAS would pack the transposed level into a
+            # buffer as large as the level array, and the process keeps it
+            coeffs = basis.T @ w
+            np.matmul(basis, (zmat @ coeffs.T).T, out=w)
+            return float(estimate / size) if estimate > 0.0 else 0.0
+        rank *= 2
+    return None
+
+
 def _run_grid(
     u0: np.ndarray,
     energies,
@@ -227,46 +284,68 @@ def _run_grid(
     dt: float,
     grid: int,
     orders: np.ndarray,
-    alpha: float,
+    alphas: list[float],
     store_idx: np.ndarray,
     *,
     term_tol: float,
     max_levels: int,
-    fixed_levels: int | None = None,
+    fixed_levels: list[int] | None = None,
 ):
-    """Sum Duhamel levels on a uniform grid; returns stored totals and term records.
+    """Sum Duhamel levels on a uniform grid for one or more norm indices.
 
     One time-major (grid + 1) x d array holds the current level and is
-    overwritten level by level: Y = Z W in blocks of consecutive grid points
-    sized to stay in cache, each written back over its block, then the
-    trapezoid recursion over the block's rows.  Totals and history norms are
-    kept for the store_idx rows only; the returned totals are those rows.
+    overwritten level by level: Y = Z W through a time-compressed level
+    (`_compressed_product`) or, when no small rank passes, in blocks of
+    consecutive grid points sized to stay in cache; then the trapezoid
+    recursion over the rows.  Each alpha in alphas is one leg with its own
+    stopping test (or its entry of fixed_levels); the loop runs until every
+    leg has stopped.  Returns, per leg, the totals of the store_idx rows at
+    the leg's level count, its final-row norms, its stored-row norm history
+    and the count; and the probe estimate of every level (0 where a level
+    used the full product).
     """
     step = dt / grid
     half = 0.5 * step
     decay = None if energies is None else np.exp(-step * energies)
     w = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1), u0)
     width = max(1, _BLOCK_BYTES // (8 * len(u0)))
+    sketch = _Sketch(len(u0))
     # carry: the previous row's Y (times half when decaying); work: scratch
     carry = np.empty(len(u0))
     work = np.empty(len(u0))
     total = w[store_idx]
-    final_norms = [norm_alpha_flat(w[-1], orders, alpha)]
-    history = [norm_alpha_flat(total, orders, alpha)]
+    finals = [[norm_alpha_flat(w[-1], orders, a)] for a in alphas]
+    history = [[norm_alpha_flat(total, orders, a)] for a in alphas]
+    counts = [None] * len(alphas)
+    totals = [None] * len(alphas)
+    residuals = []
     level = 0
     while True:
-        if not math.isfinite(final_norms[-1]):
-            raise ConvergenceError(
-                f"Duhamel level {level} has non-finite norm {final_norms[-1]}"
-            )
-        if fixed_levels is not None:
-            if level >= fixed_levels:
-                break
-        elif final_norms[-1] < term_tol or level >= max_levels:
+        for leg, norms in enumerate(finals):
+            if counts[leg] is not None:
+                continue
+            if not math.isfinite(norms[-1]):
+                raise ConvergenceError(
+                    f"Duhamel level {level} has non-finite norm {norms[-1]}"
+                )
+            if fixed_levels is not None:
+                if level >= fixed_levels[leg]:
+                    counts[leg] = level
+            elif norms[-1] < term_tol or level >= max_levels:
+                counts[leg] = level
+        if None not in counts:
             break
-        for start in range(0, grid + 1, width):
-            stop = min(start + width, grid + 1)
-            w[start:stop] = (zmat @ w[start:stop].T).T
+        # a leg that stops while another runs on keeps a copy of its totals
+        for leg, count in enumerate(counts):
+            if count == level:
+                totals[leg] = total.copy()
+        residual = _compressed_product(w, zmat, sketch)
+        residuals.append(0.0 if residual is None else residual)
+        span = width if residual is None else grid + 1
+        for start in range(0, grid + 1, span):
+            stop = min(start + span, grid + 1)
+            if residual is None:
+                w[start:stop] = (zmat @ w[start:stop].T).T
             if start == 0:
                 if decay is None:
                     carry[:] = w[0]
@@ -288,9 +367,15 @@ def _run_grid(
         rows = w[store_idx]
         total += rows
         level += 1
-        final_norms.append(norm_alpha_flat(w[-1], orders, alpha))
-        history.append(norm_alpha_flat(rows, orders, alpha))
-    return total, np.array(final_norms), np.vstack(history), level
+        for leg, alpha in enumerate(alphas):
+            if counts[leg] is None:
+                finals[leg].append(norm_alpha_flat(w[-1], orders, alpha))
+                history[leg].append(norm_alpha_flat(rows, orders, alpha))
+    legs = [
+        (total if kept is None else kept, np.array(norms), np.vstack(hist), count)
+        for kept, norms, hist, count in zip(totals, finals, history, counts)
+    ]
+    return legs, np.array(residuals)
 
 
 def ovsyannikov_evolve(
@@ -313,6 +398,26 @@ def ovsyannikov_evolve(
     level has a non-finite norm or the half-grid Richardson disagreement
     exceeds the gate (or is NaN).
     """
+    return _evolve_legs(u_s, s, t, diag_op, pert_op, scale, bound, [cfg])[0]
+
+
+def _evolve_legs(
+    u_s: CorrelationVector,
+    s: float,
+    t: float,
+    diag_op: OperatorHandle | None,
+    pert_op: OperatorHandle,
+    scale: ScaleSpec,
+    bound: BoundModel,
+    cfgs: list[SeriesConfig],
+) -> list[EvolutionResult]:
+    """One `ovsyannikov_evolve` result per config, all summed on one level loop.
+
+    The configs must share the grid, the stopping tolerances and the stored
+    rows, as `SeriesConfig.for_horizon` clones do.  The level arrays do not
+    depend on q or alpha, so the legs share the loop and its half-grid
+    Richardson rerun, and each result is bit-identical to its own solve.
+    """
     if t < s:
         raise HorizonError("need t >= s")
     if diag_op is not None and not diag_op.is_diagonal:
@@ -320,114 +425,129 @@ def ovsyannikov_evolve(
     for op in (diag_op, pert_op):
         if op is not None and (op.torus != u_s.torus or op.n_max != u_s.n_max):
             raise ValueError("operator truncation does not match the state")
+    cfg = cfgs[0]
     bound.validate_on(scale.alpha_s, scale.alpha_star)
     dt = t - s
-    horizon, horizon_prime, q, alpha = _resolve_run(scale, bound, cfg, dt)
+    runs = [_resolve_run(scale, bound, c, dt) for c in cfgs]
     orders = flat_orders(u_s.torus, u_s.n_max)
     u0 = u_s.flat()
     initial_norm = norm_alpha_flat(u0, orders, scale.alpha_s)
-    regular_alpha = bound.regular(alpha)
+    regular = [bound.regular(alpha) for _, _, _, alpha in runs]
 
     if dt == 0.0:
-        maj0 = math.exp(_log_majorant(0, 0.0, t, q, horizon_prime, scale.nu, regular_alpha, scale.omega, initial_norm)) if initial_norm else 0.0
-        return EvolutionResult(
-            times=np.array([s]),
-            states=[u_s],
-            term_norms=np.array([initial_norm]),
-            majorant_values=np.array([maj0]),
-            term_norm_history=np.array([[norm_alpha_flat(u0, orders, alpha)]]),
-            majorant_sum_history=np.array([maj0]),
-            horizon=horizon,
-            horizon_prime=horizon_prime,
-            q=q,
-            alpha=alpha,
-            upsilon=cfg.upsilon,
-            quad_disagreement=0.0,
-            quad_error=0.0,
-            n_used=0,
-            converged=True,
-            initial_norm=initial_norm,
-            scale=scale,
-            regular_at_alpha=regular_alpha,
-        )
+        results = []
+        for c, (horizon, horizon_prime, q, alpha), reg in zip(cfgs, runs, regular):
+            log_maj = _log_majorant(
+                0, 0.0, t, q, horizon_prime, scale.nu, reg, scale.omega, initial_norm
+            )
+            maj0 = math.exp(log_maj) if initial_norm else 0.0
+            results.append(EvolutionResult(
+                times=np.array([s]),
+                states=[u_s],
+                term_norms=np.array([initial_norm]),
+                majorant_values=np.array([maj0]),
+                term_norm_history=np.array([[norm_alpha_flat(u0, orders, alpha)]]),
+                majorant_sum_history=np.array([maj0]),
+                horizon=horizon,
+                horizon_prime=horizon_prime,
+                q=q,
+                alpha=alpha,
+                upsilon=c.upsilon,
+                quad_disagreement=0.0,
+                quad_error=0.0,
+                n_used=0,
+                converged=True,
+                initial_norm=initial_norm,
+                scale=scale,
+                regular_at_alpha=reg,
+            ))
+        return results
 
-    if q * dt / horizon_prime >= 1.0:
-        raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
+    for _, horizon_prime, q, _ in runs:
+        if q * dt / horizon_prime >= 1.0:
+            raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
 
     grid = cfg.time_grid_points
     count = min(cfg.trajectory_points, grid + 1)
     store_idx = np.unique(np.round(np.linspace(0, grid, count)).astype(int))
     energies = diag_op.semigroup_energies() if diag_op is not None else None
     zmat = pert_op.matrix()
+    alphas = [alpha for _, _, _, alpha in runs]
 
-    total, final_norms, history, n_used = _run_grid(
-        u0, energies, zmat, dt, grid, orders, alpha, store_idx,
+    legs, residuals = _run_grid(
+        u0, energies, zmat, dt, grid, orders, alphas, store_idx,
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
     )
-    converged = bool(final_norms[-1] < cfg.term_tol) or initial_norm == 0.0
-
-    # majorant audit of every computed term at the final time
-    majorants = np.empty(n_used + 1)
-    log_slack = math.log1p(cfg.majorant_slack)
-    for n in range(n_used + 1):
-        log_maj = _log_majorant(
-            n, dt, t, q, horizon_prime, scale.nu, regular_alpha, scale.omega, initial_norm
-        )
-        majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
-        term = final_norms[n]
-        # written so that a NaN or infinite term fails the audit
-        if not (term <= 0.0 or math.log(term) <= log_maj + log_slack):
-            raise MajorantViolation(
-                f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
-            )
-
-    # Richardson consistency: recompute the same number of levels at half grid
-    half_store = np.array([0, grid // 2])
-    total_half, _, _, _ = _run_grid(
-        u0, energies, zmat, dt, grid // 2, orders, alpha, half_store,
-        term_tol=cfg.term_tol, max_levels=cfg.n_max, fixed_levels=n_used,
+    # Richardson consistency: recompute each leg's number of levels at half grid
+    half_legs, half_residuals = _run_grid(
+        u0, energies, zmat, dt, grid // 2, orders, alphas, np.array([0, grid // 2]),
+        term_tol=cfg.term_tol, max_levels=cfg.n_max,
+        fixed_levels=[leg[3] for leg in legs],
     )
-    disagreement = norm_alpha_flat(total[-1] - total_half[-1], orders, alpha)
-    if not (disagreement <= cfg.richardson_gate):
-        raise ConvergenceError(
-            f"half-grid disagreement {disagreement} exceeds gate {cfg.richardson_gate}"
-        )
-
     times = s + (dt / grid) * store_idx
-    states = [CorrelationVector.from_flat(u_s.torus, u_s.n_max, row) for row in total]
-    maj_sum_hist = np.zeros(len(store_idx))
-    for j, idx in enumerate(store_idx):
-        tau_abs = times[j]
-        tau_rel = tau_abs - s
-        acc = 0.0
-        for n in range(n_used + 1):
-            lm = _log_majorant(
-                n, tau_rel, tau_abs, q, horizon_prime, scale.nu, regular_alpha,
-                scale.omega, initial_norm,
-            )
-            acc += math.exp(lm) if lm > -math.inf else 0.0
-        maj_sum_hist[j] = acc
+    results = []
+    for c, (horizon, horizon_prime, q, alpha), reg, leg, half_leg in zip(
+        cfgs, runs, regular, legs, half_legs
+    ):
+        total, final_norms, history, n_used = leg
+        converged = bool(final_norms[-1] < c.term_tol) or initial_norm == 0.0
 
-    return EvolutionResult(
-        times=times,
-        states=states,
-        term_norms=final_norms,
-        majorant_values=majorants,
-        term_norm_history=history,
-        majorant_sum_history=maj_sum_hist,
-        horizon=horizon,
-        horizon_prime=horizon_prime,
-        q=q,
-        alpha=alpha,
-        upsilon=cfg.upsilon,
-        quad_disagreement=disagreement,
-        quad_error=disagreement / 3.0,
-        n_used=n_used,
-        converged=converged,
-        initial_norm=initial_norm,
-        scale=scale,
-        regular_at_alpha=regular_alpha,
-    )
+        # majorant audit of every computed term at the final time
+        majorants = np.empty(n_used + 1)
+        log_slack = math.log1p(c.majorant_slack)
+        for n in range(n_used + 1):
+            log_maj = _log_majorant(
+                n, dt, t, q, horizon_prime, scale.nu, reg, scale.omega, initial_norm
+            )
+            majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
+            term = final_norms[n]
+            # written so that a NaN or infinite term fails the audit
+            if not (term <= 0.0 or math.log(term) <= log_maj + log_slack):
+                raise MajorantViolation(
+                    f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
+                )
+
+        disagreement = norm_alpha_flat(total[-1] - half_leg[0][-1], orders, alpha)
+        if not (disagreement <= c.richardson_gate):
+            raise ConvergenceError(
+                f"half-grid disagreement {disagreement} exceeds gate {c.richardson_gate}"
+            )
+
+        maj_sum_hist = np.zeros(len(store_idx))
+        for j, tau_abs in enumerate(times):
+            acc = 0.0
+            for n in range(n_used + 1):
+                lm = _log_majorant(
+                    n, tau_abs - s, tau_abs, q, horizon_prime, scale.nu, reg,
+                    scale.omega, initial_norm,
+                )
+                acc += math.exp(lm) if lm > -math.inf else 0.0
+            maj_sum_hist[j] = acc
+
+        results.append(EvolutionResult(
+            times=times,
+            states=[CorrelationVector.from_flat(u_s.torus, u_s.n_max, row) for row in total],
+            term_norms=final_norms,
+            majorant_values=majorants,
+            term_norm_history=history,
+            majorant_sum_history=maj_sum_hist,
+            horizon=horizon,
+            horizon_prime=horizon_prime,
+            q=q,
+            alpha=alpha,
+            upsilon=c.upsilon,
+            quad_disagreement=disagreement,
+            quad_error=disagreement / 3.0,
+            n_used=n_used,
+            converged=converged,
+            initial_norm=initial_norm,
+            scale=scale,
+            regular_at_alpha=reg,
+            compression_residual=float(
+                max(residuals[:n_used].max(initial=0.0), half_residuals[:n_used].max(initial=0.0))
+            ),
+        ))
+    return results
 
 
 def oracle_evolve(
@@ -484,6 +604,7 @@ class FlowReport:
     horizon_second: float
     direct_final: CorrelationVector
     composed_final: CorrelationVector
+    main: EvolutionResult | None = None
 
 
 def flow_compose_check(
@@ -496,12 +617,16 @@ def flow_compose_check(
     scale: ScaleSpec,
     bound: BoundModel,
     cfg: SeriesConfig,
+    *,
+    solve_main: bool = False,
 ) -> FlowReport:
     """Compare evolving s -> t directly against s -> tau -> t composed.
 
     The restart index is the localization index of tau; the flow hypothesis
     t < min(tau + horizon(alpha_tau, alpha_star), s + horizon(alpha_s,
-    alpha_star)) is verified before any solve.
+    alpha_star)) is verified before any solve.  With solve_main the report
+    also carries `main`, the s -> t solve at cfg itself, summed on the direct
+    leg's level loop and equal to `ovsyannikov_evolve` with cfg bit for bit.
     """
     if not (s < tau < t):
         raise HorizonError("need s < tau < t")
@@ -515,7 +640,9 @@ def flow_compose_check(
     if not (t - tau < horizon_second):
         raise HorizonError("flow hypothesis violated: t - tau exceeds the restarted horizon")
 
-    direct = ovsyannikov_evolve(u_s, s, t, diag_op, pert_op, scale, bound, cfg.for_horizon(t - s))
+    direct_cfg = cfg.for_horizon(t - s)
+    legs = [cfg, direct_cfg] if solve_main else [direct_cfg]
+    *main, direct = _evolve_legs(u_s, s, t, diag_op, pert_op, scale, bound, legs)
     leg1 = ovsyannikov_evolve(u_s, s, tau, diag_op, pert_op, scale, bound, cfg.for_horizon(tau - s))
     scale2 = ScaleSpec(alpha_s=alpha_tau, alpha_star=scale.alpha_star, nu=scale.nu, omega=scale.omega)
     leg2 = ovsyannikov_evolve(
@@ -540,6 +667,7 @@ def flow_compose_check(
         horizon_second=horizon_second,
         direct_final=direct.final_state,
         composed_final=leg2.final_state,
+        main=main[0] if main else None,
     )
 
 

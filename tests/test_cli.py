@@ -186,6 +186,9 @@ def test_exit_2_on_semantic_config_error(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     assert main(["run", "--config", path, "--out", str(tmp_path / "x")]) == 2
     assert "error" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["error"].startswith("ConfigError: ")
 
 
 @pytest.mark.parametrize(
@@ -247,6 +250,25 @@ def test_exit_3_when_the_hierarchy_exceeds_memory(tmp_path, capsys, experiment):
     assert manifest["exit_code"] == 3
     assert manifest["error"].startswith("DimensionCapError: estimated ")
     assert "d=" in manifest["error"] and "physical memory" in manifest["error"]
+
+
+@pytest.mark.parametrize("name", ["kinetic", "evolve"])
+def test_exit_3_before_tabulating_a_huge_torus(tmp_path, capsys, name):
+    # 2000^3 = 8e9 sites: refused from the config alone, before the kernels
+    doc = base_doc()
+    doc["model"]["torus"] = {"dim": 3, "sites": 2000, "spacing": 0.5}
+    if name == "kinetic":
+        doc["experiment"] = {"name": "kinetic", "t_end": 0.01, "dt": 0.001, "rho0": 0.5}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "huge"
+    start = time.perf_counter()
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("DimensionCapError: estimated ")
+    assert "sites=8000000000" in manifest["error"]
 
 
 def test_exit_2_when_kinetic_rho0_has_the_wrong_length(tmp_path, capsys):

@@ -103,6 +103,26 @@ def test_gaussian_kernel_hand_values():
         assert vals[k] == pytest.approx(1.0 * math.exp(-r * r / (2 * 0.7**2)), rel=1e-15)
 
 
+@pytest.mark.parametrize("dim,sites,spacing", [(1, 7, 0.5), (2, 9, 0.11), (3, 5, 0.37)])
+def test_kernel_tables_match_per_site_profiles(dim, sites, spacing):
+    # the array tabulation against the profile sampled site by site
+    tor = Torus(dim, sites, spacing)
+    gauss = kernel_values(tor, GAUSS_A)
+    hat = kernel_values(tor, {"kind": "tophat", "params": {"amplitude": 2.0, "radius": 0.6}})
+    for k in range(tor.site_count):
+        r = tor.min_image_distance(k)
+        assert gauss[k] == pytest.approx(math.exp(-r * r / (2 * 0.7**2)), rel=2e-15)
+        if abs(r - 0.6) > 1e-12:
+            assert hat[k] == (2.0 if r <= 0.6 else 0.0)
+
+
+def test_degenerate_kernel_width_is_a_value_error():
+    # sigma^2 underflows to 0: a non-finite table, not a division error
+    spec = {"kind": "gaussian", "params": {"amplitude": 1.0, "sigma": 1e-200}}
+    with pytest.raises(ValueError, match="finite"):
+        kernel_values(Torus(1, 4, 0.5), spec)
+
+
 def test_tophat_kernel():
     tor = Torus(1, 6, 0.5)
     spec = {"kind": "tophat", "params": {"amplitude": 2.0, "radius": 0.6}}

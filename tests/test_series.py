@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,9 @@ from ovskale import (
     ovsyannikov_evolve,
     time_horizon,
 )
-from ovskale import series
+from ovskale import load_config, series
+from ovskale.config import build_runtime
+from ovskale.experiments import run_evolve
 from ovskale.scale import norm_alpha_flat
 from ovskale.series import default_intermediate_alpha
 from ovskale.states import flat_orders, random_correlation
@@ -169,6 +172,19 @@ def test_nan_in_perturbation_is_a_typed_failure(small):
         )
 
 
+def test_state_near_the_float_range_is_a_typed_failure(small):
+    # the sketch of such a level overflows; its probe test must fail, not
+    # accept an infinite bound, and the run ends in the Richardson gate
+    diag, pert, _ = _ops(small)
+    flat = CorrelationVector.product_form(small.torus, small.n_max, 0.5).flat() * 1e300
+    u0 = CorrelationVector.from_flat(small.torus, small.n_max, flat)
+    with pytest.raises(ConvergenceError, match="half-grid"):
+        ovsyannikov_evolve(
+            u0, 0.0, 0.3 * small.horizon, diag, pert, small.scale, small.bound,
+            _cfg(small, time_grid_points=64),
+        )
+
+
 def _reference_profile(energies, tau, u0):
     if energies is None:
         return np.tile(u0, (len(tau), 1))
@@ -229,18 +245,27 @@ def _bits(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype=float).tobytes()
 
 
+def _assert_terms_close(got, ref):
+    # each term norm within 1e-12 of itself plus 1e-15 of the level-0 term
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-15 * ref[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(1, 2),
     sites=st.integers(2, 4),
     n_max=st.integers(1, 3),
     limit=st.booleans(),
-    half_grid=st.integers(1, 32),
+    grid=st.integers(1, 128).map(lambda h: 2 * h),
     data=st.data(),
 )
-def test_level_loop_matches_reference(dim, sites, n_max, limit, half_grid, data):
-    # blocks of every width from one grid point to past the whole grid, so
-    # that the width does and does not divide grid + 1, and a single block
+def test_level_loop_matches_reference(dim, sites, n_max, limit, grid, data):
+    # the time-compressed loop against the plain whole-array loop, with the
+    # level count pinned to the reference's so that a final-row norm sitting
+    # at term_tol cannot flip it; blocks of every width for the levels that
+    # fall back to the full product
     tor = Torus(dim, sites, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     n_max = min(n_max, tor.site_count)
@@ -248,7 +273,6 @@ def test_level_loop_matches_reference(dim, sites, n_max, limit, half_grid, data)
     params = ModelParams(1.0, 1.0, eps)
     zmat = OperatorHandle("perturbation", ker, params, n_max).matrix()
     energies = None if limit else OperatorHandle("diagonal", ker, params, n_max).semigroup_energies()
-    grid = 2 * half_grid
     width = data.draw(st.integers(1, grid + 2))
     store_idx = np.array(sorted(data.draw(st.sets(st.integers(0, grid), min_size=1))))
     fixed = data.draw(st.one_of(st.none(), st.integers(0, 4)))
@@ -257,15 +281,178 @@ def test_level_loop_matches_reference(dim, sites, n_max, limit, half_grid, data)
     seed = data.draw(st.integers(0, 2**16))
     u0 = random_correlation(tor, n_max, 1.5, np.random.default_rng(seed)).flat()
     orders = flat_orders(tor, n_max)
-    args = (u0, energies, zmat, dt, grid, orders, alpha, store_idx)
-    kwargs = dict(term_tol=1e-12, max_levels=8, fixed_levels=fixed)
-    ref_total, ref_final, ref_hist, ref_levels = _reference_run_grid(*args, **kwargs)
+    args = (u0, energies, zmat, dt, grid, orders)
+    ref_total, ref_final, ref_hist, ref_levels = _reference_run_grid(
+        *args, alpha, store_idx, term_tol=1e-12, max_levels=8, fixed_levels=fixed
+    )
     with mock.patch.object(series, "_BLOCK_BYTES", 8 * len(u0) * width):
-        total, final, hist, levels = series._run_grid(*args, **kwargs)
+        [(total, final, hist, levels)], residuals = series._run_grid(
+            *args, [alpha], store_idx, term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels]
+        )
     assert levels == ref_levels
+    assert residuals.shape == (levels,)
+    assert np.all((residuals >= 0.0) & (residuals <= series._SKETCH_TOL))
+    ref_rows = ref_total[store_idx]
+    err = norm_alpha_flat(total - ref_rows, orders, alpha)
+    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_rows, orders, alpha))
+    _assert_terms_close(final, ref_final)
+    for column in range(len(store_idx)):
+        _assert_terms_close(hist[:, column], ref_hist[:, column])
+
+
+def _spread_energy_case():
+    # decay rates over four decades: each level has rank about 20 at 1e-13,
+    # above the (grid + 2) / 4 = 8 columns that grid 30 allows
+    tor = Torus(1, 6, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    zmat = OperatorHandle("perturbation", ker, ModelParams(1.0, 1.0), 3).matrix()
+    dim = zmat.shape[0]
+    energies = np.geomspace(1.0, 1e4, dim)[np.random.default_rng(3).permutation(dim)]
+    u0 = random_correlation(tor, 3, 1.5, np.random.default_rng(1)).flat()
+    return u0, energies, zmat, 0.05, 30, flat_orders(tor, 3)
+
+
+def test_high_rank_levels_fall_back_to_the_full_product():
+    args = _spread_energy_case()
+    store_idx = np.arange(0, 31, 3)
+    ref_total, ref_final, ref_hist, ref_levels = _reference_run_grid(
+        *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
+    )
+    outcomes = []
+    product = series._compressed_product
+
+    def spy(*a):
+        outcomes.append(product(*a))
+        return outcomes[-1]
+
+    with mock.patch.object(series, "_compressed_product", spy):
+        [(total, final, hist, levels)], residuals = series._run_grid(
+            *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
+        )
+    assert levels == ref_levels == 6
+    assert outcomes == [None] * levels
+    assert _bits(residuals) == _bits(np.zeros(levels))
     assert _bits(total) == _bits(ref_total[store_idx])
     assert _bits(final) == _bits(ref_final)
     assert _bits(hist) == _bits(ref_hist)
+
+
+def test_high_rank_levels_double_the_sketch():
+    # grid 126 allows k up to 32: 8 and 16 columns miss the level, 32 pass
+    u0, energies, zmat, dt, _, orders = _spread_energy_case()
+    args = (u0, energies, zmat, dt, 126, orders)
+    store_idx = np.arange(127)
+    ref_total, ref_final, _, ref_levels = _reference_run_grid(
+        *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
+    )
+    counts = []
+    columns = series._Sketch.columns
+
+    def spy(sketch, count):
+        counts.append(count)
+        return columns(sketch, count)
+
+    with mock.patch.object(series._Sketch, "columns", spy):
+        [(total, final, _, levels)], residuals = series._run_grid(
+            *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
+        )
+    probes = series._SKETCH_PROBES
+    assert counts == [8 + probes, 16 + probes, 32 + probes] * levels
+    assert np.all((residuals > 0.0) & (residuals <= series._SKETCH_TOL))
+    err = norm_alpha_flat(total - ref_total, orders, 2.0)
+    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_total, orders, 2.0))
+    _assert_terms_close(final, ref_final)
+
+
+def _assert_same_result(got, want):
+    assert got.n_used == want.n_used
+    for name in (
+        "times", "term_norms", "majorant_values", "term_norm_history", "majorant_sum_history",
+    ):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    for name in (
+        "horizon", "horizon_prime", "q", "alpha", "upsilon", "quad_disagreement",
+        "converged", "initial_norm", "compression_residual",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+    assert _bits([v.flat() for v in got.states]) == _bits([v.flat() for v in want.states])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sites=st.integers(4, 6),
+    n_max=st.integers(2, 3),
+    product=st.booleans(),
+    grid=st.integers(1, 40).map(lambda h: 2 * h),
+    t_frac=st.floats(0.1, 0.45),
+    alpha=st.one_of(st.none(), st.floats(1.7, 2.45)),
+    term_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    seed=st.integers(0, 2**16),
+)
+def test_shared_level_loop_equals_separate_solves(
+    sites, n_max, product, grid, t_frac, alpha, term_tol, seed
+):
+    # the main solve at cfg and the direct leg at cfg.for_horizon(t - s),
+    # Richardson reruns included, are each bit-identical to their own solve
+    inst = make_instance(sites=sites, n_max=n_max)
+    diag, pert, _ = _ops(inst)
+    if product:
+        u0 = CorrelationVector.product_form(inst.torus, n_max, 0.5)
+    else:
+        u0 = random_correlation(inst.torus, n_max, 1.5, np.random.default_rng(seed))
+    t = t_frac * inst.horizon
+    cfg = _cfg(inst, time_grid_points=grid, alpha=alpha, term_tol=term_tol, quad_tol=1e-3)
+    legs = [cfg, cfg.for_horizon(t)]
+    args = (u0, 0.0, t, diag, pert, inst.scale, inst.bound)
+    try:
+        separate = [ovsyannikov_evolve(*args, leg) for leg in legs]
+    except (HorizonError, ConvergenceError) as err:
+        with pytest.raises(type(err)):
+            series._evolve_legs(*args, legs)
+        return
+    for got, want in zip(series._evolve_legs(*args, legs), separate):
+        _assert_same_result(got, want)
+
+
+def test_flow_check_carries_the_main_solve_when_level_counts_differ():
+    # configured alpha 2.4 needs 5 levels, the direct leg's default alpha 6
+    inst = make_instance(sites=6, n_max=3)
+    diag, pert, _ = _ops(inst)
+    u0 = random_correlation(inst.torus, 3, 1.5, np.random.default_rng(5))
+    T = inst.horizon
+    cfg = _cfg(inst, time_grid_points=64, alpha=2.4, quad_tol=1e-6)
+    args = (diag, pert, inst.scale, inst.bound, cfg)
+    shared = flow_compose_check(u0, 0.0, 0.1 * T, 0.2 * T, *args, solve_main=True)
+    alone = flow_compose_check(u0, 0.0, 0.1 * T, 0.2 * T, *args)
+    main = ovsyannikov_evolve(u0, 0.0, 0.2 * T, *args)
+    direct = ovsyannikov_evolve(u0, 0.0, 0.2 * T, *args[:-1], cfg.for_horizon(0.2 * T))
+    assert (main.n_used, direct.n_used) == (5, 6)
+    _assert_same_result(shared.main, main)
+    assert alone.main is None
+    for name in ("difference", "relative", "budget", "alpha_tau"):
+        assert getattr(shared, name) == getattr(alone, name)
+    assert _bits(shared.direct_final.flat()) == _bits(direct.final_state.flat())
+    assert _bits(alone.composed_final.flat()) == _bits(shared.composed_final.flat())
+
+
+def test_solve_draws_nothing_from_shared_random_state(tmp_path):
+    # the sketch has its own generator: the global state and the config's
+    # generator (from which perturbation_gap samples later) stay untouched
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
+    outputs = []
+    for global_seed in (1, 2):
+        bundle = build_runtime(doc)
+        before = bundle.rng.bit_generator.state
+        np.random.seed(global_seed)
+        state = np.random.get_state()
+        out = tmp_path / str(global_seed)
+        out.mkdir()
+        run_evolve(bundle, out)
+        assert bundle.rng.bit_generator.state == before
+        assert all(np.array_equal(a, b) for a, b in zip(np.random.get_state(), state))
+        outputs.append((out / "result.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["compression_residual"] > 0.0
 
 
 def test_level_loop_holds_one_level_array():
