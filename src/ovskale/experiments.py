@@ -41,7 +41,13 @@ from .kinetic import (
 )
 from .operators import OperatorHandle
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
-from .series import SeriesConfig, apriori_estimate_check, flow_compose_check, ovsyannikov_evolve
+from .series import (
+    SKETCH_STATE_COLUMNS,
+    SeriesConfig,
+    apriori_estimate_check,
+    flow_compose_check,
+    ovsyannikov_evolve,
+)
 from .states import CorrelationVector, random_correlation
 from .vlasov import (
     EpsilonSweep,
@@ -144,7 +150,8 @@ def _check_footprint(
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
     that solves (solver given) adds, per perturbation, the stored trajectory
-    rows, and one (grid + 1) x d level array.
+    rows, one (grid + 1) x d level array and the time compression's
+    SKETCH_STATE_COLUMNS columns over d.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
     # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
@@ -155,6 +162,7 @@ def _check_footprint(
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
         need += operators * 8 * stored * dim + 8 * (grid + 1) * dim
+        need += 8 * dim * SKETCH_STATE_COLUMNS
         detail += f", grid={grid}"
     _check_budget(need, detail)
 

@@ -302,7 +302,7 @@ def test_level_loop_matches_reference(dim, sites, n_max, limit, grid, data):
 
 def _spread_energy_case():
     # decay rates over four decades: each level has rank about 20 at 1e-13,
-    # above the (grid + 2) / 4 = 8 columns that grid 30 allows
+    # above the sketch's 8 columns; grid 30 is the smallest that tries them
     tor = Torus(1, 6, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     zmat = OperatorHandle("perturbation", ker, ModelParams(1.0, 1.0), 3).matrix()
@@ -335,33 +335,6 @@ def test_high_rank_levels_fall_back_to_the_full_product():
     assert _bits(total) == _bits(ref_total[store_idx])
     assert _bits(final) == _bits(ref_final)
     assert _bits(hist) == _bits(ref_hist)
-
-
-def test_high_rank_levels_double_the_sketch():
-    # grid 126 allows k up to 32: 8 and 16 columns miss the level, 32 pass
-    u0, energies, zmat, dt, _, orders = _spread_energy_case()
-    args = (u0, energies, zmat, dt, 126, orders)
-    store_idx = np.arange(127)
-    ref_total, ref_final, _, ref_levels = _reference_run_grid(
-        *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
-    )
-    counts = []
-    columns = series._Sketch.columns
-
-    def spy(sketch, count):
-        counts.append(count)
-        return columns(sketch, count)
-
-    with mock.patch.object(series._Sketch, "columns", spy):
-        [(total, final, _, levels)], residuals = series._run_grid(
-            *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
-        )
-    probes = series._SKETCH_PROBES
-    assert counts == [8 + probes, 16 + probes, 32 + probes] * levels
-    assert np.all((residuals > 0.0) & (residuals <= series._SKETCH_TOL))
-    err = norm_alpha_flat(total - ref_total, orders, 2.0)
-    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_total, orders, 2.0))
-    _assert_terms_close(final, ref_final)
 
 
 def _assert_same_result(got, want):
