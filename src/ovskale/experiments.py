@@ -187,12 +187,20 @@ def _split_operators(bundle: RuntimeBundle):
     return diag, OperatorHandle("perturbation", *args)
 
 
+def _config_checked(what: str, fn, *args):
+    """fn(*args), with a ValueError it raises reported as a ConfigError about what."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from err
+
+
 def _product_state(bundle: RuntimeBundle, rho: float) -> CorrelationVector:
     """Product initial state; a density whose powers overflow is a config error."""
-    try:
-        return CorrelationVector.product_form(bundle.torus, bundle.truncation, rho)
-    except ValueError as err:
-        raise ConfigError(f"product state with density {rho}: {err}") from err
+    return _config_checked(
+        f"product state with density {rho}",
+        CorrelationVector.product_form, bundle.torus, bundle.truncation, rho,
+    )
 
 
 def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVector:
@@ -273,12 +281,11 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
             "alpha_tau": flow.alpha_tau,
         }
 
-    norms_star = result.norms_at(bundle.scale.alpha_star)
-    norms_mid = result.norms_at(result.alpha)
+    doc = result.to_json_dict()
     write_csv(
         out / "trajectory.csv",
         ["t", "norm_alpha_star", "norm_alpha", "majorant_sum"],
-        zip(result.times, norms_star, norms_mid, result.majorant_sum_history),
+        zip(result.times, doc["norm_alpha_star"], doc["norm_alpha"], result.majorant_sum_history),
     )
     write_csv(
         out / "series_terms.csv",
@@ -288,7 +295,6 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
     plot_rows = [("term_norm", n, result.term_norms[n]) for n in range(1, result.n_used + 1)]
     plot_rows += [("majorant", n, result.majorant_values[n]) for n in range(1, result.n_used + 1)]
     write_csv(out / "plot_series_majorant.csv", ["series", "x", "y"], plot_rows)
-    doc = result.to_json_dict()
     doc.update(extras)
     write_json(out / "result.json", doc)
     return checks, ["trajectory.csv", "series_terms.csv", "plot_series_majorant.csv", "result.json"]
@@ -317,7 +323,9 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     gap_t = exp.get("gap_time", bundle.solver.upsilon)
     alpha_lo = exp.get("gap_alpha_lo", bundle.scale.alpha_s)
     alpha_hi = exp.get("gap_alpha_hi", bundle.scale.alpha_star)
-    sg_bound = semigroup_gap_bound(gap_t, bundle.kernels, alpha_lo, alpha_hi)
+    sg_bound = _config_checked(
+        "semigroup gap indices", semigroup_gap_bound, gap_t, bundle.kernels, alpha_lo, alpha_hi
+    )
     sg_inter = semigroup_gap_intermediate(
         gap_t, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi
     )
@@ -328,8 +336,9 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         sg_gaps[eps] = semigroup_gap(
             eps, gap_t, samples, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, bundle.rng
         )
-        z_reports[eps] = perturbation_gap(
-            report.operators[eps][1], z_lim, samples, bundle.scale, bundle.rng
+        z_reports[eps] = _config_checked(
+            "perturbation gap", perturbation_gap,
+            report.operators[eps][1], z_lim, samples, bundle.scale, bundle.rng,
         )
     sg_zero = semigroup_gap(
         0.0, gap_t, 1, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, bundle.rng
@@ -423,10 +432,9 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
         f"sites={sites}, stored rows about {stored:.3g}",
     )
     rho0 = exp.get("rho0", 0.5)
-    try:
-        field0 = DensityField(bundle.torus, np.asarray(rho0, dtype=float))
-    except ValueError as err:
-        raise ConfigError(f"kinetic rho0: {err}") from err
+    field0 = _config_checked(
+        "kinetic rho0", DensityField, bundle.torus, np.asarray(rho0, dtype=float)
+    )
     constant_data = bool(np.all(field0.rho == field0.rho[0]))
     traj = integrate_kinetic(
         field0,
@@ -558,7 +566,10 @@ def run_bounds(bundle: RuntimeBundle, out: Path):
     # the bound is sampled on the unscaled perturbation whatever epsilon is set
     params = replace(bundle.params, epsilon=1.0)
     op = OperatorHandle("perturbation", bundle.kernels, params, bundle.truncation)
-    report = verify_singular_bound(op, bundle.scale, bundle.bound, samples, bundle.rng)
+    report = _config_checked(
+        "singular bound sampling", verify_singular_bound,
+        op, bundle.scale, bundle.bound, samples, bundle.rng,
+    )
     checks = [
         Assertion(
             "no_bound_violations",
@@ -587,8 +598,9 @@ def run_horizon(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     search_hi = exp.get("search_hi", bundle.scale.alpha_star)
     scan_points = exp.get("scan_points", 1000)
-    opt = optimal_terminal(
-        bundle.scale.alpha_s, bundle.bound, search_hi, bundle.scale.nu, scan_points
+    opt = _config_checked(
+        "horizon search", optimal_terminal,
+        bundle.scale.alpha_s, bundle.bound, search_hi, bundle.scale.nu, scan_points,
     )
     checks = [
         Assertion(

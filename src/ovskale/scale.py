@@ -34,26 +34,25 @@ from .lattice import KernelPair
 from .operators import ModelParams, OperatorHandle
 from .states import CorrelationVector, flat_orders, random_correlation
 
+# points of [lo, hi] at which BoundModel.validate_on checks the coefficients
+_VALIDATE_SAMPLES = 64
+# least distance of a sampled index pair from 1 and from each other
+_MIN_INDEX_GAP = 1e-3
+
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """The working interval of scale indices and the semigroup constants."""
+    """The working interval of scale indices and the semigroup constant nu."""
 
     alpha_s: float
     alpha_star: float
     nu: float = 1.0
-    omega: float = 0.0
-    alpha_under: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha_under == 1.0):
-            raise ValueError("the scale is anchored at alpha_under = 1")
         if not (1.0 < self.alpha_s < self.alpha_star):
             raise ValueError("need 1 < alpha_s < alpha_star")
         if not (self.nu >= 1.0):
             raise ValueError("nu must be >= 1")
-        if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +67,8 @@ class BoundModel:
     singular: Callable[[float], float]
     regular: Callable[[float], float]
 
-    def validate_on(self, lo: float, hi: float, samples: int = 64) -> None:
-        grid = np.linspace(lo, hi, samples)
+    def validate_on(self, lo: float, hi: float) -> None:
+        grid = np.linspace(lo, hi, _VALIDATE_SAMPLES)
         sing = np.array([self.singular(x) for x in grid])
         reg = np.array([self.regular(x) for x in grid])
         if not (np.all(sing > 0) and np.all(reg > 0)):
@@ -107,13 +106,7 @@ def model_bound(
 
 def norm_alpha(k: CorrelationVector, alpha: float) -> float:
     """Weighted sup norm max_eta |k(eta)| alpha^{-|eta|}; needs alpha > 1."""
-    if not (alpha > 1.0):
-        raise ValueError("norm index alpha must exceed 1")
-    best = 0.0
-    for n, layer in enumerate(k.layers):
-        if layer.size:
-            best = max(best, float(np.abs(layer).max()) * alpha ** (-n))
-    return best
+    return norm_alpha_flat(k.flat(), flat_orders(k.torus, k.n_max), alpha)
 
 
 def norm_alpha_flat(vec: np.ndarray, orders: np.ndarray, alpha: float):
@@ -282,8 +275,6 @@ def verify_singular_bound(
     bound: BoundModel,
     samples: int,
     rng,
-    *,
-    min_gap: float = 1e-3,
 ) -> SingularBoundReport:
     """Sample ||op u||_{alpha''} / ||u||_{alpha'} against the singular bound.
 
@@ -297,6 +288,8 @@ def verify_singular_bound(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     a_star = scale.alpha_star
+    if not (a_star - _MIN_INDEX_GAP >= 1.0 + _MIN_INDEX_GAP):
+        raise ValueError(f"alpha_star {a_star} leaves no room for index pairs")
     sing_star = bound.singular(a_star)
     reg_star = bound.regular(a_star)
     torus = op.torus
@@ -304,9 +297,8 @@ def verify_singular_bound(
     gaps = np.empty(samples)
     violations = []
     for i in range(samples):
-        lo = 1.0 + min_gap
-        a_prime = rng.uniform(lo, a_star - min_gap)
-        a_second = rng.uniform(a_prime + min_gap, a_star)
+        a_prime = rng.uniform(1.0 + _MIN_INDEX_GAP, a_star - _MIN_INDEX_GAP)
+        a_second = rng.uniform(a_prime + _MIN_INDEX_GAP, a_star)
         u = random_correlation(torus, op.n_max, a_prime, rng)
         nu_in = norm_alpha(u, a_prime)
         out = op.apply(u)

@@ -15,9 +15,12 @@ trapezoid recursion
 which is O(grid) per level.  Every computed term is compared against its
 majorant
 
-    nu e^{omega t} ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
+    nu ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
 
 and the run is re-done at half resolution for a Richardson consistency gate.
+The stored rows are the result's `trajectory`, one read-only (stored times
+x d) array whose norms are each one stacked `norm_alpha_flat` call; only the
+final row becomes a `CorrelationVector`.
 `oracle_evolve` is the independent sparse-propagator reference with two
 internal routes (the action of the matrix exponential and an adaptive
 Runge-Kutta integration) that must agree; `flow_compose_check` and
@@ -89,10 +92,15 @@ class SeriesConfig:
 
 @dataclass
 class EvolutionResult:
-    """Trajectory, per-term records, and horizon metadata of one solver run."""
+    """Trajectory, per-term records, and horizon metadata of one solver run.
+
+    trajectory is the read-only (len(times) x d) array of the stored flat
+    states; final_state is its last row as a vector.
+    """
 
     times: np.ndarray
-    states: list
+    trajectory: np.ndarray
+    final_state: CorrelationVector
     term_norms: np.ndarray
     majorant_values: np.ndarray
     term_norm_history: np.ndarray
@@ -115,14 +123,9 @@ class EvolutionResult:
     # used the full product
     compression_residual: float = 0.0
 
-    @property
-    def final_state(self) -> CorrelationVector:
-        return self.states[-1]
-
     def norms_at(self, alpha: float) -> np.ndarray:
-        from .scale import norm_alpha
-
-        return np.array([norm_alpha(st, alpha) for st in self.states])
+        orders = flat_orders(self.final_state.torus, self.final_state.n_max)
+        return norm_alpha_flat(self.trajectory, orders, alpha)
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,12 +200,12 @@ def _resolve_run(scale: ScaleSpec, bound: BoundModel, cfg: SeriesConfig, dt: flo
 
 
 def _log_majorant(
-    n: int, dt: float, t_abs: float, q: float, horizon_prime: float, nu: float,
-    regular_alpha: float, omega: float, norm0: float,
+    n: int, dt: float, q: float, horizon_prime: float, nu: float,
+    regular_alpha: float, norm0: float,
 ) -> float:
     if norm0 == 0.0:
         return -math.inf
-    base = math.log(nu) + omega * t_abs + math.log(norm0)
+    base = math.log(nu) + math.log(norm0)
     if n == 0:
         return base
     coeff = (q * n / (math.e * horizon_prime) + nu * regular_alpha) * dt
@@ -232,6 +235,10 @@ _SKETCH_SEED = 0x0D5CA1E
 # Omega (k + p), C = Q^T W (k), Z C^T (k) and the contiguous copy of C^T
 # that the sparse product takes (k)
 SKETCH_STATE_COLUMNS = 4 * _SKETCH_RANK + _SKETCH_PROBES
+# tolerance (relative and absolute) of the oracle's adaptive DOP853 route
+_ORACLE_RK_TOL = 1e-12
+# intervals of the index grid over which the a-priori constant takes its suprema
+_APRIORI_GRID_POINTS = 512
 
 
 def _semigroup_profile(energies, tau, u0):
@@ -432,19 +439,19 @@ def _evolve_legs(
     runs = [_resolve_run(scale, bound, c, dt) for c in cfgs]
     orders = flat_orders(u_s.torus, u_s.n_max)
     u0 = u_s.flat()
+    u0.setflags(write=False)
     initial_norm = norm_alpha_flat(u0, orders, scale.alpha_s)
     regular = [bound.regular(alpha) for _, _, _, alpha in runs]
 
     if dt == 0.0:
         results = []
         for c, (horizon, horizon_prime, q, alpha), reg in zip(cfgs, runs, regular):
-            log_maj = _log_majorant(
-                0, 0.0, t, q, horizon_prime, scale.nu, reg, scale.omega, initial_norm
-            )
+            log_maj = _log_majorant(0, 0.0, q, horizon_prime, scale.nu, reg, initial_norm)
             maj0 = math.exp(log_maj) if initial_norm else 0.0
             results.append(EvolutionResult(
                 times=np.array([s]),
-                states=[u_s],
+                trajectory=u0[None, :],
+                final_state=u_s,
                 term_norms=np.array([initial_norm]),
                 majorant_values=np.array([maj0]),
                 term_norm_history=np.array([[norm_alpha_flat(u0, orders, alpha)]]),
@@ -491,15 +498,16 @@ def _evolve_legs(
         cfgs, runs, regular, legs, half_legs
     ):
         total, final_norms, history, n_used = leg
+        if not np.isfinite(total).all():
+            raise ConvergenceError("the stored trajectory has non-finite entries")
+        total.setflags(write=False)
         converged = bool(final_norms[-1] < c.term_tol) or initial_norm == 0.0
 
         # majorant audit of every computed term at the final time
         majorants = np.empty(n_used + 1)
         log_slack = math.log1p(c.majorant_slack)
         for n in range(n_used + 1):
-            log_maj = _log_majorant(
-                n, dt, t, q, horizon_prime, scale.nu, reg, scale.omega, initial_norm
-            )
+            log_maj = _log_majorant(n, dt, q, horizon_prime, scale.nu, reg, initial_norm)
             majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
             term = final_norms[n]
             # written so that a NaN or infinite term fails the audit
@@ -519,15 +527,15 @@ def _evolve_legs(
             acc = 0.0
             for n in range(n_used + 1):
                 lm = _log_majorant(
-                    n, tau_abs - s, tau_abs, q, horizon_prime, scale.nu, reg,
-                    scale.omega, initial_norm,
+                    n, tau_abs - s, q, horizon_prime, scale.nu, reg, initial_norm
                 )
                 acc += math.exp(lm) if lm > -math.inf else 0.0
             maj_sum_hist[j] = acc
 
         results.append(EvolutionResult(
             times=times,
-            states=[CorrelationVector.from_flat(u_s.torus, u_s.n_max, row) for row in total],
+            trajectory=total,
+            final_state=CorrelationVector.from_flat(u_s.torus, u_s.n_max, total[-1]),
             term_norms=final_norms,
             majorant_values=majorants,
             term_norm_history=history,
@@ -557,13 +565,12 @@ def oracle_evolve(
     full_op: OperatorHandle,
     *,
     agreement_tol: float = 1e-9,
-    adaptive_tol: float = 1e-12,
 ) -> CorrelationVector:
     """Sparse reference propagator for u' = (A + Z) u over duration dt.
 
     Two routes on the operator's sparse matrix, the action of the matrix
     exponential (Al-Mohy and Higham's truncated Taylor series) and an adaptive
-    DOP853 integration at relative tolerance adaptive_tol, must agree to
+    DOP853 integration at relative tolerance _ORACLE_RK_TOL, must agree to
     agreement_tol in relative sup norm; the exponential route is returned.
     A non-finite matrix or result raises ConvergenceError.
     """
@@ -580,7 +587,7 @@ def oracle_evolve(
     via_expm = expm_multiply(mat * dt, u0)
     sol = solve_ivp(
         lambda _t, y: mat @ y, (0.0, dt), u0, method="DOP853",
-        rtol=adaptive_tol, atol=adaptive_tol,
+        rtol=_ORACLE_RK_TOL, atol=_ORACLE_RK_TOL,
     )
     if not sol.success:
         raise ConvergenceError(f"adaptive oracle route failed: {sol.message}")
@@ -645,19 +652,14 @@ def flow_compose_check(
     legs = [cfg, direct_cfg] if solve_main else [direct_cfg]
     *main, direct = _evolve_legs(u_s, s, t, diag_op, pert_op, scale, bound, legs)
     leg1 = ovsyannikov_evolve(u_s, s, tau, diag_op, pert_op, scale, bound, cfg.for_horizon(tau - s))
-    scale2 = ScaleSpec(alpha_s=alpha_tau, alpha_star=scale.alpha_star, nu=scale.nu, omega=scale.omega)
     leg2 = ovsyannikov_evolve(
-        leg1.final_state, tau, t, diag_op, pert_op, scale2, bound, cfg.for_horizon(t - tau)
+        leg1.final_state, tau, t, diag_op, pert_op, replace(scale, alpha_s=alpha_tau), bound,
+        cfg.for_horizon(t - tau),
     )
-    from .scale import norm_alpha
-
-    diff = norm_alpha(
-        CorrelationVector.from_flat(
-            u_s.torus, u_s.n_max, direct.final_state.flat() - leg2.final_state.flat()
-        ),
-        scale.alpha_star,
-    )
-    denom = max(norm_alpha(direct.final_state, scale.alpha_star), 1e-30)
+    orders = flat_orders(u_s.torus, u_s.n_max)
+    final = direct.trajectory[-1]
+    diff = norm_alpha_flat(final - leg2.trajectory[-1], orders, scale.alpha_star)
+    denom = max(norm_alpha_flat(final, orders, scale.alpha_star), 1e-30)
     budget = direct.quad_error + leg1.quad_error + leg2.quad_error
     return FlowReport(
         difference=diff,
@@ -692,14 +694,13 @@ def apriori_estimate_check(
     result: EvolutionResult,
     scale: ScaleSpec,
     bound: BoundModel,
-    grid_points: int = 512,
 ) -> AprioriReport:
-    """Check ||u(t)||_alpha <= C e^{omega t} ||u_s||_{alpha_s} / (T' - q ups).
+    """Check ||u(t)||_alpha <= C ||u_s||_{alpha_s} / (T' - q ups).
 
     C = nu e^{e nu T_sup N_sup - 1} T_sup with the suprema taken over the
     working index interval; the inequality is tested at every stored time.
     """
-    grid = np.linspace(scale.alpha_s, scale.alpha_star, grid_points + 1)
+    grid = np.linspace(scale.alpha_s, scale.alpha_star, _APRIORI_GRID_POINTS + 1)
     regular_sup = max(bound.regular(x) for x in grid)
     horizon_sup = max(
         time_horizon(scale.alpha_s, b, bound, scale.nu) for b in grid[1:]
@@ -709,25 +710,20 @@ def apriori_estimate_check(
     if denom <= 0:
         raise HorizonError("a-priori bound needs horizon_prime - q upsilon > 0")
     prefactor = constant / denom
-    from .scale import norm_alpha
-
-    violations = []
-    ratios = [0.0]
-    for time, state in zip(result.times, result.states):
-        lhs = norm_alpha(state, result.alpha)
-        rhs = prefactor * math.exp(scale.omega * time) * result.initial_norm
-        if rhs == 0.0:
-            ratios.append(0.0 if lhs == 0.0 else math.inf)
-        else:
-            ratios.append(lhs / rhs)
-        # written so that a NaN side is a violation
-        if not (lhs <= rhs * (1.0 + 1e-12)):
-            violations.append({"time": float(time), "lhs": lhs, "rhs": rhs})
+    rhs = prefactor * result.initial_norm
+    lhs = result.norms_at(result.alpha)
+    ratios = lhs / rhs if rhs != 0.0 else np.where(lhs == 0.0, 0.0, math.inf)
+    # written so that a NaN side is a violation
+    failed = ~(lhs <= rhs * (1.0 + 1e-12))
+    violations = [
+        {"time": time, "lhs": value, "rhs": rhs}
+        for time, value in zip(result.times[failed].tolist(), lhs[failed].tolist())
+    ]
     return AprioriReport(
         constant=constant,
         prefactor=prefactor,
         regular_sup=regular_sup,
         horizon_sup=horizon_sup,
-        max_ratio=float(np.max(ratios)),
+        max_ratio=float(np.max(ratios, initial=0.0)),
         violations=violations,
     )

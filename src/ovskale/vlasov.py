@@ -29,6 +29,11 @@ from .scale import BoundModel, ScaleSpec, norm_alpha_flat
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
 from .states import CorrelationVector, flat_orders, random_correlation
 
+# least ln(alpha_hi / alpha_lo) of a pair sampled by perturbation_gap
+_LN_SPLIT_FLOOR = 0.8
+# time step of the kinetic field that chaos_check compares with the hierarchy
+_CHAOS_KINETIC_DT = 1e-3
+
 
 @dataclass(frozen=True)
 class EpsilonSweep:
@@ -139,8 +144,6 @@ def perturbation_gap(
     samples: int,
     scale: ScaleSpec,
     rng,
-    *,
-    ln_split_floor: float = 0.8,
 ) -> ZGapReport:
     """Measure the operator gap |Z_eps - Z_0| over sampled index pairs.
 
@@ -159,20 +162,20 @@ def perturbation_gap(
     Truncation caps the layer index, so the pole weights sup_r r^j x^r
     saturate unless ln(alpha_hi/alpha_lo) is large enough for their interior
     maximum to fit under the cap.  Pairs are therefore sampled with
-    ln(alpha_hi/alpha_lo) >= ln_split_floor, the regime where the truncated
+    ln(alpha_hi/alpha_lo) >= _LN_SPLIT_FLOOR, the regime where the truncated
     operator can actually express the two-pole profile; the window must
-    satisfy alpha_star > e^{ln_split_floor} for such pairs to exist.
+    satisfy alpha_star > 1.02 e^{_LN_SPLIT_FLOOR} for such pairs to exist.
     """
     if z_lim.params.epsilon != 0.0:
         raise ValueError("z_lim must be the perturbation at the limit epsilon = 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ratio_min = math.exp(ln_split_floor)
+    ratio_min = math.exp(_LN_SPLIT_FLOOR)
     lo_max = scale.alpha_star / ratio_min
     if lo_max <= 1.02:
         raise ValueError(
             f"alpha_star {scale.alpha_star} leaves no room for index splits with "
-            f"ln(alpha_hi/alpha_lo) >= {ln_split_floor}"
+            f"ln(alpha_hi/alpha_lo) >= {_LN_SPLIT_FLOOR}"
         )
     diff_abs = abs((z_eps.matrix() - z_lim.matrix()).tocsr())
     orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
@@ -247,18 +250,13 @@ def vlasov_limit(
         except Exception as err:
             raise type(err)(f"epsilon={eps}: {err}") from err
     limit = results[0.0]
-    limit_flats = [st.flat() for st in limit.states]
     orders = flat_orders(u0.torus, n_max)
-    alpha_star = sweep.scale.alpha_star
-    sup_gaps = []
-    for eps in sweep.positive:
-        res = results[eps]
-        gap = max(
-            norm_alpha_flat(st.flat() - ref, orders, alpha_star)
-            for st, ref in zip(res.states, limit_flats)
-        )
-        sup_gaps.append(gap)
-    sup_gaps = np.array(sup_gaps)
+    sup_gaps = np.array([
+        norm_alpha_flat(
+            results[eps].trajectory - limit.trajectory, orders, sweep.scale.alpha_star
+        ).max()
+        for eps in sweep.positive
+    ])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = sup_gaps[1:] / sup_gaps[:-1]
     strict = bool(np.all(np.diff(sup_gaps) < 0.0))
@@ -316,7 +314,6 @@ def chaos_check(
     n_max: int,
     *,
     refined_n_max: int | None = None,
-    kinetic_dt: float = 1e-3,
 ) -> ChaosReport:
     """Evolve products through the limit hierarchy and compare to the field.
 
@@ -334,7 +331,7 @@ def chaos_check(
     if t == 0.0:
         rho_t = rho0.rho.copy()
     else:
-        rho_t = integrate_kinetic(rho0, t, kinetic_dt, kernels, params).final
+        rho_t = integrate_kinetic(rho0, t, _CHAOS_KINETIC_DT, kernels, params).final
 
     limit_params = replace(params, epsilon=0.0)
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tempfile
 import time
 import warnings
@@ -285,6 +286,47 @@ def test_exit_2_when_kinetic_rho0_has_the_wrong_length(tmp_path, capsys):
     assert manifest["error"].startswith("ConfigError: kinetic rho0: rho must have shape (4,)")
 
 
+# vlasov at alpha_star 2.2 runs its sweep inside this shorter horizon
+T_NARROW = time_horizon(1.5, 2.2, SMALL.bound)
+
+
+@pytest.mark.parametrize(
+    "alpha_star, experiment, message",
+    [
+        (
+            2.2,
+            {"name": "vlasov", "epsilons": [0.2, 0.0], "samples": 2},
+            "perturbation gap: alpha_star 2.2 leaves no room for index splits",
+        ),
+        (
+            2.5,
+            {
+                "name": "vlasov", "epsilons": [0.2, 0.0], "samples": 2,
+                "gap_alpha_lo": 2.4, "gap_alpha_hi": 1.6,
+            },
+            "semigroup gap indices: need 1 < alpha_lo < alpha_hi",
+        ),
+        (2.5, {"name": "horizon", "search_hi": 1.5}, "horizon search: search_hi must exceed"),
+        (1.0015, {"name": "bounds", "samples": 5}, "singular bound sampling: alpha_star 1.0015"),
+    ],
+    ids=["vlasov-split", "vlasov-gap-indices", "horizon", "bounds"],
+)
+def test_exit_2_when_an_experiment_rejects_its_indices(tmp_path, capsys, alpha_star, experiment, message):
+    # schema-valid configs whose index choices the experiment cannot use
+    doc = base_doc()
+    doc["scale"] = {"alpha_s": min(1.5, 0.5 * (1.0 + alpha_star)), "alpha_star": alpha_star}
+    doc["solver"]["upsilon"] = 0.4 * T_NARROW
+    doc["experiment"] = experiment
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["error"].startswith("ConfigError: " + message)
+
+
 @pytest.mark.parametrize(
     "experiment",
     [
@@ -386,6 +428,100 @@ def test_run_experiment_fuzz_kinetic_and_bifurcation(model, experiment, seed):
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
         # an edge root warns by design; a RuntimeWarning still fails the test
         warnings.simplefilter("ignore", UserWarning)
+        manifest = run_experiment(doc, out)
+        assert manifest["exit_code"] in {0, 1, 2, 3}
+        written = json.loads((Path(out) / "manifest.json").read_text())
+    assert written["exit_code"] == manifest["exit_code"]
+
+
+@st.composite
+def _hierarchy_model(draw):
+    """A model that builds, with at most 300 entries per state."""
+    dim = draw(st.integers(1, 2))
+    sites = draw(st.integers(1, 5 if dim == 1 else 3))
+    count = sites**dim
+    top = max(n for n in range(1, 4) if sum(math.comb(count, k) for k in range(n + 1)) <= 300)
+    return {
+        "torus": {"dim": dim, "sites": sites, "spacing": draw(st.floats(0.1, 2.0))},
+        "kernels": {"a": draw(_SMALL_KERNEL), "phi": draw(_SMALL_KERNEL)},
+        "m": draw(st.floats(0.01, 5.0)),
+        "lambda": draw(st.floats(0.01, 5.0)),
+        "truncation": draw(st.integers(1, top)),
+        **draw(st.fixed_dictionaries({}, optional={"epsilon": st.floats(0.0, 1.0)})),
+    }
+
+
+@st.composite
+def _index_pair(draw):
+    alpha_s = draw(st.floats(1.0, 3.0, exclude_min=True))
+    return {"alpha_s": alpha_s, "alpha_star": alpha_s + draw(st.floats(1e-4, 3.0))}
+
+
+_SOLVER = st.fixed_dictionaries(
+    {"upsilon": st.floats(1e-5, 0.05)},
+    optional={
+        "grid_points": st.integers(1, 16).map(lambda h: 2 * h),
+        "n_max": st.integers(1, 40),
+        "term_tol": st.floats(1e-13, 1e-3),
+        "quad_tol": st.floats(1e-12, 1e-2),
+        "trajectory_points": st.integers(2, 40),
+        "alpha": st.floats(1.0, 6.0, exclude_min=True),
+        "q": st.floats(1.0, 10.0, exclude_min=True),
+    },
+)
+_EVOLVE = st.fixed_dictionaries(
+    {"name": st.just("evolve"), "t": st.floats(1e-6, 0.05)},
+    optional={
+        "s": st.floats(0.0, 1.0),
+        "initial": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["product", "random"])}, optional={"rho": _DENSITY}
+        ),
+        "flow_tau": st.floats(1e-6, 0.05),
+        "check_apriori": st.booleans(),
+    },
+)
+_INDEX = st.floats(1.0, 4.0, exclude_min=True)
+_VLASOV = st.fixed_dictionaries(
+    {
+        "name": st.just("vlasov"),
+        "epsilons": st.lists(st.floats(0.0, 1.0), max_size=3).map(
+            lambda eps: sorted(eps, reverse=True)
+        ),
+    },
+    optional={
+        "rho0": st.floats(0.01, 5.0),
+        "samples": st.integers(1, 4),
+        "gap_time": st.floats(1e-4, 0.1),
+        "gap_alpha_lo": _INDEX,
+        "gap_alpha_hi": _INDEX,
+    },
+)
+_BOUNDS = st.fixed_dictionaries(
+    {"name": st.just("bounds")}, optional={"samples": st.integers(1, 20)}
+)
+_HORIZON = st.fixed_dictionaries(
+    {"name": st.just("horizon")},
+    optional={
+        "search_hi": st.floats(1.0, 6.0, exclude_min=True),
+        "scan_points": st.integers(10, 200),
+        "elapsed": st.floats(0.0, 0.1),
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=_hierarchy_model(),
+    scale=_index_pair(),
+    solver=_SOLVER,
+    experiment=st.one_of(_EVOLVE, _VLASOV, _BOUNDS, _HORIZON),
+    seed=st.integers(0, 2**31),
+)
+def test_run_experiment_fuzz_hierarchy_runs(model, scale, solver, experiment, seed):
+    doc = {"model": model, "scale": scale, "solver": solver, "experiment": experiment, "seed": seed}
+    validate_config(doc)
+    with tempfile.TemporaryDirectory() as out:
+        # a traceback fails here, and so does a RuntimeWarning (pytest config)
         manifest = run_experiment(doc, out)
         assert manifest["exit_code"] in {0, 1, 2, 3}
         written = json.loads((Path(out) / "manifest.json").read_text())

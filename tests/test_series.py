@@ -120,8 +120,12 @@ def test_trajectory_endpoints(small):
     res = ovsyannikov_evolve(u0, s, t, diag, pert, small.scale, small.bound, _cfg(small))
     assert res.times[0] == pytest.approx(s)
     assert res.times[-1] == pytest.approx(t)
-    assert len(res.times) == len(res.states) == 9
+    assert res.trajectory.shape == (9, u0.dimension)
     assert np.all(np.diff(res.times) > 0)
+    # the stored rows are one read-only array; only the last becomes a vector
+    assert not res.trajectory.flags.writeable
+    assert _bits(res.final_state.flat()) == _bits(res.trajectory[-1])
+    assert _bits(res.trajectory[0]) == _bits(u0.flat())
 
 
 def test_horizon_guards(small):
@@ -170,6 +174,27 @@ def test_nan_in_perturbation_is_a_typed_failure(small):
         ovsyannikov_evolve(
             u0, 0.0, 0.5 * small.horizon, diag, pert, small.scale, small.bound, _cfg(small)
         )
+
+
+def test_non_finite_stored_row_is_a_typed_failure(small):
+    # the level loop and the gates test the final row only; an infinite
+    # earlier stored row must still end in a typed failure, exit 3
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    diag, pert, _ = _ops(small)
+    run_grid = series._run_grid
+
+    def spoiled(*args, **kwargs):
+        legs, residuals = run_grid(*args, **kwargs)
+        total = legs[0][0]
+        if len(total) > 2:  # the main grid, not the two-row Richardson rerun
+            total[len(total) // 2, -1] = math.inf
+        return legs, residuals
+
+    with mock.patch.object(series, "_run_grid", spoiled):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            ovsyannikov_evolve(
+                u0, 0.0, 0.5 * small.horizon, diag, pert, small.scale, small.bound, _cfg(small)
+            )
 
 
 def test_state_near_the_float_range_is_a_typed_failure(small):
@@ -348,7 +373,8 @@ def _assert_same_result(got, want):
         "converged", "initial_norm", "compression_residual",
     ):
         assert getattr(got, name) == getattr(want, name), name
-    assert _bits([v.flat() for v in got.states]) == _bits([v.flat() for v in want.states])
+    assert _bits(got.trajectory) == _bits(want.trajectory)
+    assert _bits(got.final_state.flat()) == _bits(want.final_state.flat())
 
 
 @settings(max_examples=25, deadline=None)
@@ -600,7 +626,7 @@ def test_result_serialization(small):
     doc = res.to_json_dict()
     text = json.dumps(doc)
     assert json.loads(text)["n_used"] == res.n_used
-    assert len(doc["times"]) == len(doc["norm_alpha"]) == len(res.states)
+    assert len(doc["times"]) == len(doc["norm_alpha"]) == len(res.trajectory)
     norms = res.norms_at(small.scale.alpha_star)
     assert norms.shape == res.times.shape
     assert np.all(norms >= 0)
