@@ -244,7 +244,6 @@ def config_hash(doc: dict) -> str:
 class RuntimeBundle:
     """Everything a run needs, assembled from one validated document."""
 
-    doc: dict
     torus: Torus
     kernels: KernelPair
     params: ModelParams
@@ -253,9 +252,7 @@ class RuntimeBundle:
     bound: BoundModel
     solver: SeriesConfig
     experiment: dict
-    seed: int
     rng: np.random.Generator
-    output: str | None
 
 
 def build_runtime(doc: dict) -> RuntimeBundle:
@@ -299,7 +296,6 @@ def build_runtime(doc: dict) -> RuntimeBundle:
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
     return RuntimeBundle(
-        doc=doc,
         torus=torus,
         kernels=kernels,
         params=params,
@@ -308,7 +304,5 @@ def build_runtime(doc: dict) -> RuntimeBundle:
         bound=bound,
         solver=solver,
         experiment=dict(doc["experiment"]),
-        seed=doc["seed"],
         rng=np.random.default_rng(doc["seed"]),
-        output=doc.get("output"),
     )

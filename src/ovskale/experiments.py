@@ -55,6 +55,7 @@ from .vlasov import (
     semigroup_gap,
     semigroup_gap_bound,
     semigroup_gap_intermediate,
+    split_ceiling,
     vlasov_limit,
 )
 
@@ -150,7 +151,8 @@ def _check_footprint(
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
     that solves (solver given) adds, per perturbation, the stored trajectory
-    rows, one (grid + 1) x d level array and the time compression's
+    rows; and once, one (grid + 1) x d level array, the gather of its stored
+    rows that feeds the totals, and the time compression's
     SKETCH_STATE_COLUMNS columns over d.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
@@ -161,7 +163,7 @@ def _check_footprint(
     if solver is not None:
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
-        need += operators * 8 * stored * dim + 8 * (grid + 1) * dim
+        need += (operators + 1) * 8 * stored * dim + 8 * (grid + 1) * dim
         need += 8 * dim * SKETCH_STATE_COLUMNS
         detail += f", grid={grid}"
     _check_budget(need, detail)
@@ -181,10 +183,9 @@ def _preflight(doc: dict) -> None:
 
 
 def _split_operators(bundle: RuntimeBundle):
-    """Diagonal and perturbation parts matching the configured epsilon."""
+    """Diagonal and perturbation parts at the configured epsilon."""
     args = (bundle.kernels, bundle.params, bundle.truncation)
-    diag = OperatorHandle("diagonal", *args) if bundle.params.epsilon > 0 else None
-    return diag, OperatorHandle("perturbation", *args)
+    return OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
 
 
 def _config_checked(what: str, fn, *args):
@@ -315,10 +316,7 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     _check_footprint(
         bundle.torus.site_count, bundle.truncation, bundle.solver, operators=len(eps_list)
     )
-    u0 = _product_state(bundle, exp.get("rho0", 0.5))
-    sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
-    report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
-
+    # the gap indices depend on the config alone: reject them before the sweep
     samples = exp.get("samples", 20)
     gap_t = exp.get("gap_time", bundle.solver.upsilon)
     alpha_lo = exp.get("gap_alpha_lo", bundle.scale.alpha_s)
@@ -326,6 +324,11 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     sg_bound = _config_checked(
         "semigroup gap indices", semigroup_gap_bound, gap_t, bundle.kernels, alpha_lo, alpha_hi
     )
+    _config_checked("perturbation gap", split_ceiling, bundle.scale.alpha_star)
+    u0 = _product_state(bundle, exp.get("rho0", 0.5))
+    sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
+    report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
+
     sg_inter = semigroup_gap_intermediate(
         gap_t, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi
     )

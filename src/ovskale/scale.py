@@ -38,6 +38,8 @@ from .states import CorrelationVector, flat_orders, random_correlation
 _VALIDATE_SAMPLES = 64
 # least distance of a sampled index pair from 1 and from each other
 _MIN_INDEX_GAP = 1e-3
+# points of (alpha_s, alpha_hi] that localization_index scans for its bracket
+_LOCALIZATION_SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,6 @@ def localization_index(
     bound: BoundModel,
     alpha_hi: float,
     nu: float = 1.0,
-    scan_points: int = 4096,
 ) -> float:
     """Smallest index alpha with time_horizon(alpha_s, alpha) >= t - s.
 
@@ -231,7 +232,7 @@ def localization_index(
         raise ValueError("need t >= s")
     if dt == 0.0:
         return alpha_s
-    grid = np.linspace(alpha_s, alpha_hi, scan_points + 1)[1:]
+    grid = np.linspace(alpha_s, alpha_hi, _LOCALIZATION_SCAN_POINTS + 1)[1:]
     values = np.array([time_horizon(alpha_s, b, bound, nu) for b in grid])
     hit = np.nonzero(values >= dt)[0]
     if hit.size == 0:

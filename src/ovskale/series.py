@@ -7,13 +7,16 @@ Z loses one power of the index gap.  The solution is summed as Duhamel terms
     W_0(tau) = S_A(tau - s) u_s,
     W_n(tau) = int_s^tau S_A(tau - r) Z W_{n-1}(r) dr,
 
-each level computed on one shared uniform grid with an exact-semigroup
-trapezoid recursion
+each level computed on one shared uniform grid in two steps: the product
+Y = Z W_{n-1} over every grid point, then the exact-semigroup trapezoid
+recursion
 
-    Q_{i+1} = S_A(dt) [ Q_i + (dt/2) Y_i ] + (dt/2) Y_{i+1},   Y = Z W_{n-1},
+    Q_{i+1} = S_A(dt) [ Q_i + (dt/2) Y_i ] + (dt/2) Y_{i+1},
 
-which is O(grid) per level.  Every computed term is compared against its
-majorant
+which is O(grid) per level.  A is always given by its diagonal handle; the
+scaling limit eps = 0 is the handle whose energies are all zero, so that
+S_A is the identity and needs no path of its own.  Every computed term is
+compared against its majorant
 
     nu ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
 
@@ -103,7 +106,6 @@ class EvolutionResult:
     final_state: CorrelationVector
     term_norms: np.ndarray
     majorant_values: np.ndarray
-    term_norm_history: np.ndarray
     majorant_sum_history: np.ndarray
     horizon: float
     horizon_prime: float
@@ -116,7 +118,6 @@ class EvolutionResult:
     converged: bool
     initial_norm: float
     scale: ScaleSpec
-    regular_at_alpha: float
     # largest accepted time-compression probe estimate of a level, relative to
     # the level's sketch, over both grids (a probabilistic a-posteriori
     # estimate from a fixed Omega, see _PROBE_FACTOR); 0 when every level
@@ -243,8 +244,6 @@ _APRIORI_GRID_POINTS = 512
 
 def _semigroup_profile(energies, tau, u0):
     """Level 0, e^{-tau E} u0 at every grid time, built in place as one array."""
-    if energies is None:
-        return np.tile(u0, (len(tau), 1))
     out = np.outer(tau, energies)
     np.negative(out, out=out)
     np.exp(out, out=out)
@@ -300,30 +299,30 @@ def _run_grid(
 ):
     """Sum Duhamel levels on a uniform grid for one or more norm indices.
 
+    energies are the diagonal's semigroup energies (all zero at the limit).
     One time-major (grid + 1) x d array holds the current level and is
-    overwritten level by level: Y = Z W through a time-compressed level
-    (`_compressed_product`) or, when the rank-k sketch fails, in blocks of
-    consecutive grid points sized to stay in cache; then the trapezoid
-    recursion over the rows.  Each alpha in alphas is one leg with its own
-    stopping test (or its entry of fixed_levels); the loop runs until every
-    leg has stopped.  Returns, per leg, the totals of the store_idx rows at
-    the leg's level count, its final-row norms, its stored-row norm history
-    and the count; and the probe estimate of every level (0 where a level
-    used the full product).
+    overwritten level by level: first Y = Z W, through a time-compressed
+    level (`_compressed_product`) or, when the rank-k sketch fails, in
+    blocks of consecutive grid points sized to stay in cache; then the
+    trapezoid recursion over rows 1..grid.  Each alpha in alphas is one leg
+    with its own stopping test (or its entry of fixed_levels); the loop runs
+    until every leg has stopped.  Returns, per leg, the totals of the
+    store_idx rows at the leg's level count, its final-row norms and the
+    count; and the probe estimate of every level (0 where a level used the
+    full product).
     """
     step = dt / grid
     half = 0.5 * step
-    decay = None if energies is None else np.exp(-step * energies)
+    decay = np.exp(-step * energies)
     w = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1), u0)
     width = max(1, _BLOCK_BYTES // (8 * len(u0)))
     # a grid of fewer than 4 k - 1 points gains too little from k columns
     omega = _sketch_columns(len(u0)) if 4 * _SKETCH_RANK <= grid + 2 else None
-    # carry: the previous row's Y (times half when decaying); work: scratch
+    # carry: the previous row's Y times half; work: scratch
     carry = np.empty(len(u0))
     work = np.empty(len(u0))
     total = w[store_idx]
     finals = [[norm_alpha_flat(w[-1], orders, a)] for a in alphas]
-    history = [[norm_alpha_flat(total, orders, a)] for a in alphas]
     counts = [None] * len(alphas)
     totals = [None] * len(alphas)
     residuals = []
@@ -349,39 +348,25 @@ def _run_grid(
                 totals[leg] = total.copy()
         residual = None if omega is None else _compressed_product(w, zmat, omega)
         residuals.append(0.0 if residual is None else residual)
-        span = width if residual is None else grid + 1
-        for start in range(0, grid + 1, span):
-            stop = min(start + span, grid + 1)
-            if residual is None:
-                w[start:stop] = (zmat @ w[start:stop].T).T
-            if start == 0:
-                if decay is None:
-                    carry[:] = w[0]
-                else:
-                    np.multiply(half, w[0], out=carry)
-                w[0] = 0.0
-            # Q_i = S_A(dt) [Q_{i-1} + (dt/2) Y_{i-1}] + (dt/2) Y_i over row i = Y_i
-            for i in range(max(start, 1), stop):
-                if decay is None:
-                    np.add(carry, w[i], out=work)
-                    carry[:] = w[i]
-                    np.multiply(half, work, out=work)
-                    np.add(w[i - 1], work, out=w[i])
-                else:
-                    np.add(w[i - 1], carry, out=work)
-                    np.multiply(decay, work, out=work)
-                    np.multiply(half, w[i], out=carry)
-                    np.add(work, carry, out=w[i])
-        rows = w[store_idx]
-        total += rows
+        if residual is None:
+            for start in range(0, grid + 1, width):
+                w[start:start + width] = (zmat @ w[start:start + width].T).T
+        np.multiply(half, w[0], out=carry)
+        w[0] = 0.0
+        # Q_i = S_A(dt) [Q_{i-1} + (dt/2) Y_{i-1}] + (dt/2) Y_i over row i = Y_i
+        for i in range(1, grid + 1):
+            np.add(w[i - 1], carry, out=work)
+            np.multiply(decay, work, out=work)
+            np.multiply(half, w[i], out=carry)
+            np.add(work, carry, out=w[i])
+        total += w[store_idx]
         level += 1
         for leg, alpha in enumerate(alphas):
             if counts[leg] is None:
                 finals[leg].append(norm_alpha_flat(w[-1], orders, alpha))
-                history[leg].append(norm_alpha_flat(rows, orders, alpha))
     legs = [
-        (total if kept is None else kept, np.array(norms), np.vstack(hist), count)
-        for kept, norms, hist, count in zip(totals, finals, history, counts)
+        (total if kept is None else kept, np.array(norms), count)
+        for kept, norms, count in zip(totals, finals, counts)
     ]
     return legs, np.array(residuals)
 
@@ -390,7 +375,7 @@ def ovsyannikov_evolve(
     u_s: CorrelationVector,
     s: float,
     t: float,
-    diag_op: OperatorHandle | None,
+    diag_op: OperatorHandle,
     pert_op: OperatorHandle,
     scale: ScaleSpec,
     bound: BoundModel,
@@ -398,13 +383,14 @@ def ovsyannikov_evolve(
 ) -> EvolutionResult:
     """Evolve u_s from time s to t by the majorant-controlled Duhamel series.
 
-    diag_op supplies the entrywise semigroup (None means the identity
-    semigroup); pert_op is the index-losing perturbation.  Raises
-    HorizonError when (t, upsilon, q, alpha) violate the horizon geometry,
-    MajorantViolation when a computed term beats its majorant beyond the
-    configured slack or is not finite, and ConvergenceError when a Duhamel
-    level has a non-finite norm or the half-grid Richardson disagreement
-    exceeds the gate (or is NaN).
+    diag_op is the diagonal handle A_eps that supplies the entrywise
+    semigroup (at eps = 0 its energies vanish and the semigroup is the
+    identity); pert_op is the index-losing perturbation.  Raises ValueError
+    when diag_op is not a diagonal handle, HorizonError when (t, upsilon, q,
+    alpha) violate the horizon geometry, MajorantViolation when a computed
+    term beats its majorant beyond the configured slack or is not finite,
+    and ConvergenceError when a Duhamel level has a non-finite norm or the
+    half-grid Richardson disagreement exceeds the gate (or is NaN).
     """
     return _evolve_legs(u_s, s, t, diag_op, pert_op, scale, bound, [cfg])[0]
 
@@ -413,7 +399,7 @@ def _evolve_legs(
     u_s: CorrelationVector,
     s: float,
     t: float,
-    diag_op: OperatorHandle | None,
+    diag_op: OperatorHandle,
     pert_op: OperatorHandle,
     scale: ScaleSpec,
     bound: BoundModel,
@@ -428,10 +414,10 @@ def _evolve_legs(
     """
     if t < s:
         raise HorizonError("need t >= s")
-    if diag_op is not None and not diag_op.is_diagonal:
-        raise ValueError("diag_op must be a diagonal kind")
+    if not (isinstance(diag_op, OperatorHandle) and diag_op.is_diagonal):
+        raise ValueError(f"diag_op must be a diagonal OperatorHandle, not {diag_op!r}")
     for op in (diag_op, pert_op):
-        if op is not None and (op.torus != u_s.torus or op.n_max != u_s.n_max):
+        if op.torus != u_s.torus or op.n_max != u_s.n_max:
             raise ValueError("operator truncation does not match the state")
     cfg = cfgs[0]
     bound.validate_on(scale.alpha_s, scale.alpha_star)
@@ -454,7 +440,6 @@ def _evolve_legs(
                 final_state=u_s,
                 term_norms=np.array([initial_norm]),
                 majorant_values=np.array([maj0]),
-                term_norm_history=np.array([[norm_alpha_flat(u0, orders, alpha)]]),
                 majorant_sum_history=np.array([maj0]),
                 horizon=horizon,
                 horizon_prime=horizon_prime,
@@ -467,7 +452,6 @@ def _evolve_legs(
                 converged=True,
                 initial_norm=initial_norm,
                 scale=scale,
-                regular_at_alpha=reg,
             ))
         return results
 
@@ -478,7 +462,7 @@ def _evolve_legs(
     grid = cfg.time_grid_points
     count = min(cfg.trajectory_points, grid + 1)
     store_idx = np.unique(np.round(np.linspace(0, grid, count)).astype(int))
-    energies = diag_op.semigroup_energies() if diag_op is not None else None
+    energies = diag_op.semigroup_energies()
     zmat = pert_op.matrix()
     alphas = [alpha for _, _, _, alpha in runs]
 
@@ -490,14 +474,14 @@ def _evolve_legs(
     half_legs, half_residuals = _run_grid(
         u0, energies, zmat, dt, grid // 2, orders, alphas, np.array([0, grid // 2]),
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
-        fixed_levels=[leg[3] for leg in legs],
+        fixed_levels=[leg[2] for leg in legs],
     )
     times = s + (dt / grid) * store_idx
     results = []
     for c, (horizon, horizon_prime, q, alpha), reg, leg, half_leg in zip(
         cfgs, runs, regular, legs, half_legs
     ):
-        total, final_norms, history, n_used = leg
+        total, final_norms, n_used = leg
         if not np.isfinite(total).all():
             raise ConvergenceError("the stored trajectory has non-finite entries")
         total.setflags(write=False)
@@ -538,7 +522,6 @@ def _evolve_legs(
             final_state=CorrelationVector.from_flat(u_s.torus, u_s.n_max, total[-1]),
             term_norms=final_norms,
             majorant_values=majorants,
-            term_norm_history=history,
             majorant_sum_history=maj_sum_hist,
             horizon=horizon,
             horizon_prime=horizon_prime,
@@ -551,7 +534,6 @@ def _evolve_legs(
             converged=converged,
             initial_norm=initial_norm,
             scale=scale,
-            regular_at_alpha=reg,
             compression_residual=float(
                 max(residuals[:n_used].max(initial=0.0), half_residuals[:n_used].max(initial=0.0))
             ),
@@ -608,8 +590,6 @@ class FlowReport:
     relative: float
     budget: float
     alpha_tau: float
-    horizon_full: float
-    horizon_second: float
     direct_final: CorrelationVector
     composed_final: CorrelationVector
     main: EvolutionResult | None = None
@@ -620,7 +600,7 @@ def flow_compose_check(
     s: float,
     tau: float,
     t: float,
-    diag_op: OperatorHandle | None,
+    diag_op: OperatorHandle,
     pert_op: OperatorHandle,
     scale: ScaleSpec,
     bound: BoundModel,
@@ -666,8 +646,6 @@ def flow_compose_check(
         relative=diff / denom,
         budget=budget,
         alpha_tau=alpha_tau,
-        horizon_full=horizon_full,
-        horizon_second=horizon_second,
         direct_final=direct.final_state,
         composed_final=leg2.final_state,
         main=main[0] if main else None,

@@ -4,8 +4,9 @@ The scaling replaces the competition kernel by eps a, the attraction kernel
 by eps phi, and the birth intensity by lambda / eps, then renormalizes layer
 by layer.  After renormalization the diagonal shrinks to -eps E^a and only
 the death term of the perturbation still depends on eps; the crowding and
-birth terms are shared by the whole family.  At eps = 0 the diagonal is gone
-and the death term carries the bare kernel -phi with no damping.
+birth terms are shared by the whole family.  At eps = 0 the diagonal
+vanishes, so its semigroup is the identity, and the death term carries the
+bare kernel -phi with no damping.
 
 Nothing here models the abstract convergence coefficients analytically;
 every comparison is a measured operator or trajectory gap.  Product-form
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kinetic import DensityField, integrate_kinetic
-from .lattice import KernelPair, subsets_of_order
+from .lattice import KernelPair
 from .operators import ModelParams, OperatorHandle, interaction_energies
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
@@ -33,6 +34,8 @@ from .states import CorrelationVector, flat_orders, random_correlation
 _LN_SPLIT_FLOOR = 0.8
 # time step of the kinetic field that chaos_check compares with the hierarchy
 _CHAOS_KINETIC_DT = 1e-3
+# start time of every run of a sweep
+_SWEEP_START = 0.0
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,7 @@ def semigroup_gap(
     """
     if epsilon < 0 or t < 0:
         raise ValueError("epsilon and t must be >= 0")
-    if not (1.0 < alpha_lo < alpha_hi):
-        raise ValueError("need 1 < alpha_lo < alpha_hi")
+    _check_index_pair(alpha_lo, alpha_hi)
     if epsilon == 0.0 or t == 0.0:
         return 0.0
     energies = interaction_energies(kernels, n_max)
@@ -114,10 +116,30 @@ def semigroup_gap_intermediate(
     return t * float(np.max(energies * ratio**orders.astype(float)))
 
 
-def semigroup_gap_bound(t: float, kernels: KernelPair, alpha_lo: float, alpha_hi: float) -> float:
-    """Closed-form slope bound 4 sup(a) / (e ln(hi/lo))^2 times t."""
+def _check_index_pair(alpha_lo: float, alpha_hi: float) -> None:
+    """Raise ValueError unless 1 < alpha_lo < alpha_hi, as the semigroup gaps need."""
     if not (1.0 < alpha_lo < alpha_hi):
         raise ValueError("need 1 < alpha_lo < alpha_hi")
+
+
+def split_ceiling(alpha_star: float) -> float:
+    """Largest alpha_lo of a pair that perturbation_gap samples under alpha_star.
+
+    Raises ValueError when alpha_star <= 1.02 e^{_LN_SPLIT_FLOOR} leaves no
+    room for a pair with ln(alpha_hi / alpha_lo) >= _LN_SPLIT_FLOOR.
+    """
+    lo_max = alpha_star / math.exp(_LN_SPLIT_FLOOR)
+    if lo_max <= 1.02:
+        raise ValueError(
+            f"alpha_star {alpha_star} leaves no room for index splits with "
+            f"ln(alpha_hi/alpha_lo) >= {_LN_SPLIT_FLOOR}"
+        )
+    return lo_max
+
+
+def semigroup_gap_bound(t: float, kernels: KernelPair, alpha_lo: float, alpha_hi: float) -> float:
+    """Closed-form slope bound 4 sup(a) / (e ln(hi/lo))^2 times t."""
+    _check_index_pair(alpha_lo, alpha_hi)
     gap = math.log(alpha_hi / alpha_lo)
     return t * 4.0 * kernels.sup_a / (math.e * gap) ** 2
 
@@ -163,20 +185,15 @@ def perturbation_gap(
     saturate unless ln(alpha_hi/alpha_lo) is large enough for their interior
     maximum to fit under the cap.  Pairs are therefore sampled with
     ln(alpha_hi/alpha_lo) >= _LN_SPLIT_FLOOR, the regime where the truncated
-    operator can actually express the two-pole profile; the window must
-    satisfy alpha_star > 1.02 e^{_LN_SPLIT_FLOOR} for such pairs to exist.
+    operator can actually express the two-pole profile; `split_ceiling`
+    checks that the window leaves room for such pairs.
     """
     if z_lim.params.epsilon != 0.0:
         raise ValueError("z_lim must be the perturbation at the limit epsilon = 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    lo_max = split_ceiling(scale.alpha_star)
     ratio_min = math.exp(_LN_SPLIT_FLOOR)
-    lo_max = scale.alpha_star / ratio_min
-    if lo_max <= 1.02:
-        raise ValueError(
-            f"alpha_star {scale.alpha_star} leaves no room for index splits with "
-            f"ln(alpha_hi/alpha_lo) >= {_LN_SPLIT_FLOOR}"
-        )
     diff_abs = abs((z_eps.matrix() - z_lim.matrix()).tocsr())
     orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
     deltas = np.empty(samples)
@@ -203,7 +220,7 @@ class VlasovReport:
     """Sweep outcome: per-epsilon trajectory gaps against the limit run.
 
     operators maps each epsilon to the (diagonal, perturbation) handles its
-    run used, the diagonal None at the limit.
+    run used; the limit's diagonal handle has zero energies.
     """
 
     epsilons: np.ndarray
@@ -217,9 +234,9 @@ class VlasovReport:
 
 
 def _sweep_operators(eps: float, kernels, params, n_max):
+    """Diagonal and perturbation handles at eps, the limit eps = 0 included."""
     p = replace(params, epsilon=eps)
-    diag = OperatorHandle("diagonal", kernels, p, n_max) if eps > 0.0 else None
-    return diag, OperatorHandle("perturbation", kernels, p, n_max)
+    return tuple(OperatorHandle(kind, kernels, p, n_max) for kind in ("diagonal", "perturbation"))
 
 
 def vlasov_limit(
@@ -227,8 +244,6 @@ def vlasov_limit(
     kernels: KernelPair,
     params: ModelParams,
     bound: BoundModel,
-    *,
-    s: float = 0.0,
 ) -> VlasovReport:
     """Run the full sweep and measure sup-in-time gaps to the limit flow.
 
@@ -238,14 +253,14 @@ def vlasov_limit(
     """
     u0 = sweep.initial
     n_max = u0.n_max
-    t_end = s + sweep.config.upsilon
+    t_end = _SWEEP_START + sweep.config.upsilon
     operators = {}
     results = {}
     for eps in sweep.epsilons:
         diag, pert = operators[eps] = _sweep_operators(eps, kernels, params, n_max)
         try:
             results[eps] = ovsyannikov_evolve(
-                u0, s, t_end, diag, pert, sweep.scale, bound, sweep.config
+                u0, _SWEEP_START, t_end, diag, pert, sweep.scale, bound, sweep.config
             )
         except Exception as err:
             raise type(err)(f"epsilon={eps}: {err}") from err
@@ -269,15 +284,12 @@ def vlasov_limit(
 class ChaosReport:
     """Distance of the evolved hierarchy from the product of the evolved field."""
 
-    t: float
-    n_probe: int
     n_max: int
     refined_n_max: int
     layer_gaps: np.ndarray
     refined_layer_gaps: np.ndarray
     rho_final: np.ndarray
     hierarchy_result: EvolutionResult
-    refined_result: EvolutionResult
 
     @property
     def gap(self) -> float:
@@ -290,16 +302,11 @@ class ChaosReport:
 
 def _product_layer_gaps(k: CorrelationVector, rho: np.ndarray, n_probe: int) -> np.ndarray:
     """Max absolute entry gap per layer against the product of the field."""
-    torus = k.torus
-    gaps = np.zeros(n_probe + 1)
-    gaps[0] = abs(k.value(()) - 1.0)
-    for n in range(1, n_probe + 1):
-        worst = 0.0
-        for eta in subsets_of_order(torus.site_count, n):
-            prod = float(np.prod(rho[list(eta)]))
-            worst = max(worst, abs(k.value(eta) - prod))
-        gaps[n] = worst
-    return gaps
+    product = CorrelationVector.product_form(k.torus, n_probe, rho)
+    return np.array([
+        np.abs(k_layer - p_layer).max(initial=0.0)
+        for k_layer, p_layer in zip(k.layers, product.layers)
+    ])
 
 
 def chaos_check(
@@ -333,17 +340,13 @@ def chaos_check(
     else:
         rho_t = integrate_kinetic(rho0, t, _CHAOS_KINETIC_DT, kernels, params).final
 
-    limit_params = replace(params, epsilon=0.0)
-
     def run(order: int):
         u0 = CorrelationVector.product_form(rho0.torus, order, rho0.rho)
-        pert = OperatorHandle("perturbation", kernels, limit_params, order)
-        return ovsyannikov_evolve(u0, 0.0, t, None, pert, scale, bound, cfg)
+        diag, pert = _sweep_operators(0.0, kernels, params, order)
+        return ovsyannikov_evolve(u0, 0.0, t, diag, pert, scale, bound, cfg)
 
     coarse = run(n_max)
     refined = run(refined_n_max)
     gaps = _product_layer_gaps(coarse.final_state, rho_t, n_probe)
     refined_gaps = _product_layer_gaps(refined.final_state, rho_t, n_probe)
-    return ChaosReport(
-        t, n_probe, n_max, refined_n_max, gaps, refined_gaps, rho_t, coarse, refined
-    )
+    return ChaosReport(n_max, refined_n_max, gaps, refined_gaps, rho_t, coarse)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ovskale import config_hash, load_config, time_horizon
 from ovskale.cli import main
 from ovskale.config import validate_config
+from ovskale import experiments
 from ovskale.experiments import run_experiment
 
 from conftest import make_instance
@@ -311,8 +312,16 @@ T_NARROW = time_horizon(1.5, 2.2, SMALL.bound)
     ],
     ids=["vlasov-split", "vlasov-gap-indices", "horizon", "bounds"],
 )
-def test_exit_2_when_an_experiment_rejects_its_indices(tmp_path, capsys, alpha_star, experiment, message):
-    # schema-valid configs whose index choices the experiment cannot use
+def test_exit_2_when_an_experiment_rejects_its_indices(
+    tmp_path, capsys, monkeypatch, alpha_star, experiment, message
+):
+    # schema-valid configs whose index choices the experiment cannot use; the
+    # vlasov gap indices depend on the config alone and are rejected before
+    # the sweep solves anything
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its gap indices were checked")
+
+    monkeypatch.setattr(experiments, "vlasov_limit", no_sweep)
     doc = base_doc()
     doc["scale"] = {"alpha_s": min(1.5, 0.5 * (1.0 + alpha_star)), "alpha_star": alpha_star}
     doc["solver"]["upsilon"] = 0.4 * T_NARROW

@@ -29,7 +29,7 @@ from ovskale import (
     ovsyannikov_evolve,
     time_horizon,
 )
-from ovskale import load_config, series
+from ovskale import experiments, load_config, series
 from ovskale.config import build_runtime
 from ovskale.experiments import run_evolve
 from ovskale.scale import norm_alpha_flat
@@ -88,13 +88,15 @@ def test_series_matches_dense_oracle(small):
 
 
 def test_limit_route_matches_oracle(small):
-    # diag None runs the identity-semigroup route used by the scaling limit
+    # the scaling limit runs through its diagonal handle, whose zero energies
+    # make the semigroup the identity
     u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
-    z0 = OperatorHandle(
-        "perturbation", small.kernels, replace(small.params, epsilon=0.0), small.n_max
-    )
+    limit = replace(small.params, epsilon=0.0)
+    a0 = OperatorHandle("diagonal", small.kernels, limit, small.n_max)
+    z0 = OperatorHandle("perturbation", small.kernels, limit, small.n_max)
+    assert not a0.semigroup_energies().any()
     t = 0.4 * small.horizon
-    res = ovsyannikov_evolve(u0, 0.0, t, None, z0, small.scale, small.bound, _cfg(small))
+    res = ovsyannikov_evolve(u0, 0.0, t, a0, z0, small.scale, small.bound, _cfg(small))
     ref = oracle_evolve(u0, t, z0)
     diff = res.final_state.flat() - ref.flat()
     rel = np.abs(diff).max() / np.abs(ref.flat()).max()
@@ -126,6 +128,17 @@ def test_trajectory_endpoints(small):
     assert not res.trajectory.flags.writeable
     assert _bits(res.final_state.flat()) == _bits(res.trajectory[-1])
     assert _bits(res.trajectory[0]) == _bits(u0.flat())
+
+
+@pytest.mark.parametrize("kind", [None, "perturbation", "full"])
+def test_diag_op_must_be_a_diagonal_handle(small, kind):
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    _, pert, _ = _ops(small)
+    diag = None if kind is None else OperatorHandle(kind, small.kernels, small.params, small.n_max)
+    with pytest.raises(ValueError, match="diagonal"):
+        ovsyannikov_evolve(
+            u0, 0.0, 0.5 * small.horizon, diag, pert, small.scale, small.bound, _cfg(small)
+        )
 
 
 def test_horizon_guards(small):
@@ -224,13 +237,16 @@ def _reference_run_grid(
     grid: int,
     orders: np.ndarray,
     alpha: float,
-    store_idx: np.ndarray,
     *,
     term_tol: float,
     max_levels: int,
     fixed_levels: int | None = None,
 ):
-    """The level loop before blocking: four full arrays, totals on every row."""
+    """The level loop before blocking: four full arrays, totals on every row.
+
+    energies None is the identity semigroup of the limit, summed as
+    Q + h (Y_i + Y_{i+1}) with no decay factor.
+    """
     tau = np.linspace(0.0, dt, grid + 1)
     step = dt / grid
     half = 0.5 * step
@@ -238,7 +254,6 @@ def _reference_run_grid(
     w = _reference_profile(energies, tau, u0)
     total = w.copy()
     final_norms = [norm_alpha_flat(w[-1], orders, alpha)]
-    history = [np.array([norm_alpha_flat(w[i], orders, alpha) for i in store_idx])]
     level = 0
     while True:
         if not math.isfinite(final_norms[-1]):
@@ -262,8 +277,7 @@ def _reference_run_grid(
         total += w
         level += 1
         final_norms.append(norm_alpha_flat(w[-1], orders, alpha))
-        history.append(np.array([norm_alpha_flat(w[i], orders, alpha) for i in store_idx]))
-    return total, np.array(final_norms), np.vstack(history), level
+    return total, np.array(final_norms), level
 
 
 def _bits(arr) -> bytes:
@@ -290,14 +304,15 @@ def test_level_loop_matches_reference(dim, sites, n_max, limit, grid, data):
     # the time-compressed loop against the plain whole-array loop, with the
     # level count pinned to the reference's so that a final-row norm sitting
     # at term_tol cannot flip it; blocks of every width for the levels that
-    # fall back to the full product
+    # fall back to the full product; the limit feeds the eps = 0 handle's
+    # zero energies to the loop and the identity route to the reference
     tor = Torus(dim, sites, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     n_max = min(n_max, tor.site_count)
     eps = 0.0 if limit else data.draw(st.floats(0.05, 1.0))
     params = ModelParams(1.0, 1.0, eps)
     zmat = OperatorHandle("perturbation", ker, params, n_max).matrix()
-    energies = None if limit else OperatorHandle("diagonal", ker, params, n_max).semigroup_energies()
+    energies = OperatorHandle("diagonal", ker, params, n_max).semigroup_energies()
     width = data.draw(st.integers(1, grid + 2))
     store_idx = np.array(sorted(data.draw(st.sets(st.integers(0, grid), min_size=1))))
     fixed = data.draw(st.one_of(st.none(), st.integers(0, 4)))
@@ -306,13 +321,15 @@ def test_level_loop_matches_reference(dim, sites, n_max, limit, grid, data):
     seed = data.draw(st.integers(0, 2**16))
     u0 = random_correlation(tor, n_max, 1.5, np.random.default_rng(seed)).flat()
     orders = flat_orders(tor, n_max)
-    args = (u0, energies, zmat, dt, grid, orders)
-    ref_total, ref_final, ref_hist, ref_levels = _reference_run_grid(
-        *args, alpha, store_idx, term_tol=1e-12, max_levels=8, fixed_levels=fixed
+    tail = (zmat, dt, grid, orders)
+    ref_total, ref_final, ref_levels = _reference_run_grid(
+        u0, None if limit else energies, *tail, alpha,
+        term_tol=1e-12, max_levels=8, fixed_levels=fixed,
     )
     with mock.patch.object(series, "_BLOCK_BYTES", 8 * len(u0) * width):
-        [(total, final, hist, levels)], residuals = series._run_grid(
-            *args, [alpha], store_idx, term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels]
+        [(total, final, levels)], residuals = series._run_grid(
+            u0, energies, *tail, [alpha], store_idx,
+            term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels],
         )
     assert levels == ref_levels
     assert residuals.shape == (levels,)
@@ -321,8 +338,6 @@ def test_level_loop_matches_reference(dim, sites, n_max, limit, grid, data):
     err = norm_alpha_flat(total - ref_rows, orders, alpha)
     assert np.all(err <= 1e-13 * norm_alpha_flat(ref_rows, orders, alpha))
     _assert_terms_close(final, ref_final)
-    for column in range(len(store_idx)):
-        _assert_terms_close(hist[:, column], ref_hist[:, column])
 
 
 def _spread_energy_case():
@@ -340,8 +355,8 @@ def _spread_energy_case():
 def test_high_rank_levels_fall_back_to_the_full_product():
     args = _spread_energy_case()
     store_idx = np.arange(0, 31, 3)
-    ref_total, ref_final, ref_hist, ref_levels = _reference_run_grid(
-        *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
+    ref_total, ref_final, ref_levels = _reference_run_grid(
+        *args, 2.0, term_tol=1e-12, max_levels=6
     )
     outcomes = []
     product = series._compressed_product
@@ -351,7 +366,7 @@ def test_high_rank_levels_fall_back_to_the_full_product():
         return outcomes[-1]
 
     with mock.patch.object(series, "_compressed_product", spy):
-        [(total, final, hist, levels)], residuals = series._run_grid(
+        [(total, final, levels)], residuals = series._run_grid(
             *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
         )
     assert levels == ref_levels == 6
@@ -359,13 +374,12 @@ def test_high_rank_levels_fall_back_to_the_full_product():
     assert _bits(residuals) == _bits(np.zeros(levels))
     assert _bits(total) == _bits(ref_total[store_idx])
     assert _bits(final) == _bits(ref_final)
-    assert _bits(hist) == _bits(ref_hist)
 
 
 def _assert_same_result(got, want):
     assert got.n_used == want.n_used
     for name in (
-        "times", "term_norms", "majorant_values", "term_norm_history", "majorant_sum_history",
+        "times", "term_norms", "majorant_values", "majorant_sum_history",
     ):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
     for name in (
@@ -454,17 +468,20 @@ def test_solve_draws_nothing_from_shared_random_state(tmp_path):
     assert json.loads(outputs[0])["compression_residual"] > 0.0
 
 
-def test_level_loop_holds_one_level_array():
-    # the parent loop held w, total, y and q_acc (four full arrays) plus the
-    # transients of the level-0 profile; one level array and cache-sized
-    # blocks must now stay well below 1.5 of them
+_PEAK_GRID = 1024
+
+
+def _solve_peak(trajectory_points: int):
+    """Traced peak of one S=14, n=4 solve, its config, one level array and the CSR bytes."""
     inst = make_instance(sites=14, n_max=4)
     diag, pert, _ = _ops(inst)
     zmat = pert.matrix()
     diag.semigroup_energies()
     u0 = CorrelationVector.product_form(inst.torus, inst.n_max, 0.5)
-    grid = 1024
-    cfg = _cfg(inst, frac=0.2, time_grid_points=grid, trajectory_points=9, quad_tol=1e-6)
+    cfg = _cfg(
+        inst, frac=0.2, time_grid_points=_PEAK_GRID, trajectory_points=trajectory_points,
+        quad_tol=1e-6,
+    )
     tracemalloc.start()
     try:
         res = ovsyannikov_evolve(
@@ -474,9 +491,32 @@ def test_level_loop_holds_one_level_array():
     finally:
         tracemalloc.stop()
     assert res.converged
-    level_bytes = (grid + 1) * u0.dimension * 8
+    level_bytes = (_PEAK_GRID + 1) * u0.dimension * 8
     csr_bytes = zmat.data.nbytes + zmat.indices.nbytes + zmat.indptr.nbytes
+    return peak, cfg, level_bytes, csr_bytes
+
+
+def test_level_loop_holds_one_level_array():
+    # the parent loop held w, total, y and q_acc (four full arrays) plus the
+    # transients of the level-0 profile; one level array and cache-sized
+    # blocks must now stay well below 1.5 of them
+    peak, _, level_bytes, csr_bytes = _solve_peak(9)
     assert peak < 1.5 * level_bytes + csr_bytes
+
+
+def test_stored_rows_stay_within_the_size_check():
+    # with every grid point stored the loop holds the level array, the totals
+    # and the gather of the stored rows that feeds them (3 level arrays); a
+    # loop that keeps the gather into the next level holds 4
+    peak, cfg, level_bytes, csr_bytes = _solve_peak(_PEAK_GRID + 1)
+    assert peak < 3.5 * level_bytes + csr_bytes
+    # the preflight's solver share (its estimate with the solver less the one
+    # without) covers the measured peak besides the matrix
+    needs = []
+    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
+        experiments._check_footprint(14, 4, cfg)
+        experiments._check_footprint(14, 4)
+    assert peak - csr_bytes <= needs[0] - needs[1]
 
 
 def test_oracle_nan_matrix_is_a_typed_failure(small):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# install() rewrites module globals for the whole process, so it runs apart;
-# one small evolve with a flow check then runs under the tracer, so that a
-# reshaped solver call fails here rather than in the benchmark's traced run
+# install() rewrites module globals for the whole process, so each probe runs
+# apart; one small evolve with a flow check, and one small vlasov sweep (its
+# limit run passes the eps = 0 diagonal handle), run under the tracer, so that
+# a reshaped solver or sweep call fails here rather than in the benchmark's
+# traced runs
 PROBE = """
 import json, sys, tempfile
 from pathlib import Path
@@ -30,8 +32,8 @@ print(json.dumps(report))
 """
 
 
-def _evolve_doc() -> dict:
-    doc = json.loads((ROOT / "configs" / "evolve.json").read_text())
+def _small_doc(name: str) -> dict:
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     doc["model"]["torus"]["sites"] = 4
     doc["model"]["truncation"] = 2
     doc["solver"]["grid_points"] = 32
@@ -39,17 +41,27 @@ def _evolve_doc() -> dict:
     return doc
 
 
-def test_tracer_finds_every_traced_name():
+def _probe(doc: dict) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(ROOT / "perfbench"), json.dumps(_evolve_doc())],
+        [sys.executable, "-c", PROBE, str(ROOT / "perfbench"), json.dumps(doc)],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["missing"] == []
     assert report["exit_code"] == 0
-    assert report["metrics"]["series.evolve_calls"] > 0
-    assert report["metrics"]["series.levels"] > 0
+    return report["metrics"]
+
+
+def test_tracer_finds_every_traced_name():
+    evolve = _probe(_small_doc("evolve"))
+    assert evolve["series.evolve_calls"] > 0
+    assert evolve["series.levels"] > 0
+    vlasov = _probe(_small_doc("vlasov"))
+    # every epsilon of the sweep, the limit included, is one traced solve
+    assert vlasov["series.evolve_calls"] == 5
+    assert vlasov["series.levels"] > 0
+    assert vlasov["vlasov.pool_overlap"] > 0

@@ -143,12 +143,12 @@ def test_vlasov_limit_tiny_sweep(small):
     assert np.array_equal(rep.times, rep.limit_result.times)
     # the handles each run used, one built matrix per perturbation
     assert sorted(rep.operators) == [0.0, 0.1, 0.2]
-    assert rep.operators[0.0][0] is None
     for eps, (diag, pert) in rep.operators.items():
         assert pert.kind == "perturbation" and pert.params.epsilon == eps
         assert pert._matrix is not None
-        if eps > 0.0:
-            assert diag.kind == "diagonal" and diag.params.epsilon == eps
+        assert diag.kind == "diagonal" and diag.params.epsilon == eps
+    # the limit runs through a diagonal handle whose energies are zero
+    assert not rep.operators[0.0][0].semigroup_energies().any()
 
 
 def test_vlasov_limit_wraps_run_errors(small):
