@@ -2,149 +2,98 @@
 scale-of-spaces evolution with certified majorants, the scaled family and
 its measured limit, and the limiting nonlocal kinetic equation with its
 fold bifurcation.
+
+The names below load their submodule on first use, so that a run imports
+only the scipy subpackages it needs.
 """
 
-from ._version import __version__
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DimensionCapError,
-    HorizonError,
-    MajorantViolation,
-    OvskaleError,
-    StepSizeCollapse,
-)
-from .lattice import (
-    KernelPair,
-    SupportedFunction,
-    Torus,
-    k_inverse,
-    k_transform,
-    kernel_pair_from_spec,
-    load_kernel_pair,
-    lp_exponential,
-    lp_integral,
-)
-from .states import CorrelationVector, random_correlation
-from .operators import (
-    ModelParams,
-    OperatorHandle,
-    apply_observable_generator,
-    interaction_energies,
-    lp_pairing,
-)
-from .scale import (
-    BoundModel,
-    ScaleSpec,
-    localization_index,
-    model_bound,
-    norm_alpha,
-    optimal_terminal,
-    time_horizon,
-    verify_singular_bound,
-)
-from .series import (
-    EvolutionResult,
-    SeriesConfig,
-    apriori_estimate_check,
-    flow_compose_check,
-    oracle_evolve,
-    ovsyannikov_evolve,
-)
-from .vlasov import (
-    ChaosReport,
-    EpsilonSweep,
-    VlasovReport,
-    ZGapReport,
-    chaos_check,
-    perturbation_gap,
-    semigroup_gap,
-    semigroup_gap_bound,
-    semigroup_gap_intermediate,
-    vlasov_limit,
-)
-from .kinetic import (
-    BifurcationInput,
-    bifurcation_input_from_model,
-    DensityField,
-    circular_convolution,
-    critical_c_range,
-    homogeneous_ode,
-    homogeneous_scalar_ode,
-    integrate_kinetic,
-    kinetic_rhs,
-    stationary_scan,
-    tangency_point,
-    threshold_b,
-)
-from .config import CONFIG_SCHEMA, build_runtime, config_hash, load_config, validate_config
-from .experiments import run_experiment
+import importlib
 
-__all__ = [
-    "__version__",
-    "OvskaleError",
-    "ConfigError",
-    "HorizonError",
-    "ConvergenceError",
-    "MajorantViolation",
-    "StepSizeCollapse",
-    "DimensionCapError",
-    "Torus",
-    "KernelPair",
-    "SupportedFunction",
-    "kernel_pair_from_spec",
-    "load_kernel_pair",
-    "k_transform",
-    "k_inverse",
-    "lp_integral",
-    "lp_exponential",
-    "CorrelationVector",
-    "random_correlation",
-    "ModelParams",
-    "OperatorHandle",
-    "apply_observable_generator",
-    "interaction_energies",
-    "lp_pairing",
-    "ScaleSpec",
-    "BoundModel",
-    "model_bound",
-    "norm_alpha",
-    "time_horizon",
-    "optimal_terminal",
-    "localization_index",
-    "verify_singular_bound",
-    "SeriesConfig",
-    "EvolutionResult",
-    "ovsyannikov_evolve",
-    "oracle_evolve",
-    "flow_compose_check",
-    "apriori_estimate_check",
-    "EpsilonSweep",
-    "VlasovReport",
-    "ChaosReport",
-    "ZGapReport",
-    "vlasov_limit",
-    "semigroup_gap",
-    "semigroup_gap_bound",
-    "semigroup_gap_intermediate",
-    "perturbation_gap",
-    "chaos_check",
-    "DensityField",
-    "BifurcationInput",
-    "bifurcation_input_from_model",
-    "circular_convolution",
-    "kinetic_rhs",
-    "integrate_kinetic",
-    "homogeneous_ode",
-    "homogeneous_scalar_ode",
-    "stationary_scan",
-    "threshold_b",
-    "tangency_point",
-    "critical_c_range",
-    "CONFIG_SCHEMA",
-    "load_config",
-    "validate_config",
-    "build_runtime",
-    "config_hash",
-    "run_experiment",
-]
+# submodule -> the public names it exports
+_EXPORTS = {
+    "_version": ("__version__",),
+    "errors": (
+        "OvskaleError",
+        "ConfigError",
+        "HorizonError",
+        "ConvergenceError",
+        "MajorantViolation",
+        "StepSizeCollapse",
+        "DimensionCapError",
+    ),
+    "lattice": (
+        "Torus",
+        "KernelPair",
+        "SupportedFunction",
+        "kernel_pair_from_spec",
+        "load_kernel_pair",
+        "k_transform",
+        "k_inverse",
+        "lp_integral",
+        "lp_exponential",
+    ),
+    "states": ("CorrelationVector", "random_correlation"),
+    "operators": ("ModelParams", "OperatorHandle", "interaction_energies", "lp_pairing"),
+    "scale": (
+        "ScaleSpec",
+        "BoundModel",
+        "model_bound",
+        "norm_alpha",
+        "time_horizon",
+        "optimal_terminal",
+        "localization_index",
+        "verify_singular_bound",
+    ),
+    "series": (
+        "SeriesConfig",
+        "EvolutionResult",
+        "ovsyannikov_evolve",
+        "oracle_evolve",
+        "flow_compose_check",
+        "apriori_estimate_check",
+    ),
+    "vlasov": (
+        "EpsilonSweep",
+        "VlasovReport",
+        "ChaosReport",
+        "ZGapReport",
+        "vlasov_limit",
+        "semigroup_gap",
+        "semigroup_gap_bound",
+        "semigroup_gap_intermediate",
+        "perturbation_gap",
+        "chaos_check",
+    ),
+    "kinetic": (
+        "DensityField",
+        "BifurcationInput",
+        "bifurcation_input_from_model",
+        "circular_convolution",
+        "kinetic_rhs",
+        "integrate_kinetic",
+        "homogeneous_ode",
+        "homogeneous_scalar_ode",
+        "stationary_scan",
+        "threshold_b",
+        "tangency_point",
+        "critical_c_range",
+    ),
+    "config": ("CONFIG_SCHEMA", "load_config", "validate_config", "build_runtime", "config_hash"),
+    "experiments": ("run_experiment",),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,7 @@ are printed with 17 significant digits so reruns are byte-comparable.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -29,15 +30,6 @@ from .errors import (
     HorizonError,
     MajorantViolation,
     StepSizeCollapse,
-)
-from .kinetic import (
-    BifurcationInput,
-    DensityField,
-    critical_c_range,
-    homogeneous_scalar_ode,
-    integrate_kinetic,
-    stationary_scan,
-    threshold_b,
 )
 from .operators import OperatorHandle
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
@@ -75,6 +67,12 @@ _KINETIC_WORK_ARRAYS = 16
 _BYTES_PER_SITE = 96
 # experiments that assemble a hierarchy operator
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
+# experiments that need ovskale.kinetic, and with it scipy.fft and scipy.integrate
+_KINETIC_RUNS = ("kinetic", "bifurcation")
+# stored-row arrays a flow-checked evolve holds at once: the main solve's, the
+# direct leg's (a copy of the totals when their level counts differ), and
+# the two composed legs'
+_FLOW_TRAJECTORIES = 4
 
 NUMERICAL_ERRORS = (
     HorizonError,
@@ -131,12 +129,18 @@ def write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+# the largest estimate _check_budget made since run_experiment reset it
+_largest_estimate = 0.0
+
+
 def _check_budget(need: float, detail: str) -> None:
     """Raise DimensionCapError when a run plans to hold more than its memory share."""
+    global _largest_estimate
+    # an exact integer estimate may be past the float range
+    shown = float(need) if need < 1e300 else math.inf
+    _largest_estimate = max(_largest_estimate, shown)
     budget = _MEMORY_SHARE * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not (need <= budget):
-        # an exact integer estimate may be past the float range
-        shown = float(need) if need < 1e300 else math.inf
         raise DimensionCapError(
             f"estimated {shown / 1e9:.3g} GB ({detail}) exceeds "
             f"{budget / 1e9:.3g} GB, {_MEMORY_SHARE:.0%} of physical memory"
@@ -144,15 +148,19 @@ def _check_budget(need: float, detail: str) -> None:
 
 
 def _check_footprint(
-    sites: int, order: int, solver: SeriesConfig | None = None, operators: int = 1
+    sites: int,
+    order: int,
+    solver: SeriesConfig | None = None,
+    operators: int = 1,
+    trajectories: int = 1,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
-    that solves (solver given) adds, per perturbation, the stored trajectory
-    rows; and once, one (grid + 1) x d level array, the gather of its stored
-    rows that feeds the totals, and the time compression's
+    that solves (solver given) adds the stored rows of each trajectory held
+    at once; and once, one (grid + 1) x d level array, the gather of its
+    stored rows that feeds the totals, and the time compression's
     SKETCH_STATE_COLUMNS columns over d.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
@@ -163,7 +171,7 @@ def _check_footprint(
     if solver is not None:
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
-        need += (operators + 1) * 8 * stored * dim + 8 * (grid + 1) * dim
+        need += (trajectories + 1) * 8 * stored * dim + 8 * (grid + 1) * dim
         need += 8 * dim * SKETCH_STATE_COLUMNS
         detail += f", grid={grid}"
     _check_budget(need, detail)
@@ -214,8 +222,11 @@ def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVecto
 
 
 def run_evolve(bundle: RuntimeBundle, out: Path):
-    _check_footprint(bundle.torus.site_count, bundle.truncation, bundle.solver)
     exp = bundle.experiment
+    _check_footprint(
+        bundle.torus.site_count, bundle.truncation, bundle.solver,
+        trajectories=_FLOW_TRAJECTORIES if "flow_tau" in exp else 1,
+    )
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
     u0 = _initial_state(bundle, exp.get("initial"))
@@ -314,7 +325,8 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         eps_list.append(0.0)
     # the sweep keeps every epsilon's operator and trajectory
     _check_footprint(
-        bundle.torus.site_count, bundle.truncation, bundle.solver, operators=len(eps_list)
+        bundle.torus.site_count, bundle.truncation, bundle.solver,
+        operators=len(eps_list), trajectories=len(eps_list),
     )
     # the gap indices depend on the config alone: reject them before the sweep
     samples = exp.get("samples", 20)
@@ -424,6 +436,8 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
 
 
 def run_kinetic(bundle: RuntimeBundle, out: Path):
+    from . import kinetic
+
     exp = bundle.experiment
     sites = bundle.torus.site_count
     store_every = exp.get("store_every", 1)
@@ -436,10 +450,10 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
     )
     rho0 = exp.get("rho0", 0.5)
     field0 = _config_checked(
-        "kinetic rho0", DensityField, bundle.torus, np.asarray(rho0, dtype=float)
+        "kinetic rho0", kinetic.DensityField, bundle.torus, np.asarray(rho0, dtype=float)
     )
     constant_data = bool(np.all(field0.rho == field0.rho[0]))
-    traj = integrate_kinetic(
+    traj = kinetic.integrate_kinetic(
         field0,
         exp["t_end"],
         exp["dt"],
@@ -455,7 +469,7 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
         )
     ]
     if constant_data and exp["t_end"] > 0:
-        scalar = homogeneous_scalar_ode(
+        scalar = kinetic.homogeneous_scalar_ode(
             float(field0.rho[0]),
             float(traj.times[-1]),
             bundle.kernels.avg_a,
@@ -485,13 +499,15 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
 
 
 def run_bifurcation(bundle: RuntimeBundle, out: Path):
+    from . import kinetic
+
     exp = bundle.experiment
     x_hi = exp.get("x_hi", 50.0)
     resolution = exp.get("resolution", 100_000)
-    b_star = threshold_b()
+    b_star = kinetic.threshold_b()
     try:
         inputs = {
-            (b, c): BifurcationInput(b, c, x_hi=x_hi, resolution=resolution)
+            (b, c): kinetic.BifurcationInput(b, c, x_hi=x_hi, resolution=resolution)
             for b in exp["b_values"]
             for c in exp["c_values"]
         }
@@ -507,12 +523,12 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
     consistent = True
     detail = []
     for (b, c), inp in inputs.items():
-        scan = stationary_scan(inp)
+        scan = kinetic.stationary_scan(inp)
         roots = list(scan.roots) + [""] * (3 - min(3, len(scan.roots)))
         rows.append([b, c, scan.count, *roots[:3]])
         if b != b_star:
             if b < b_star:
-                c_lo, c_hi = critical_c_range(b)
+                c_lo, c_hi = kinetic.critical_c_range(b)
                 margin = 1e-9 * max(1.0, c)
                 if abs(c - c_lo) <= margin or abs(c - c_hi) <= margin:
                     continue
@@ -537,7 +553,7 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
     b_grid = np.linspace(b_star / 10.0, b_star * 0.99, fold_points)
     c_los, c_his = [], []
     for b in b_grid:
-        lo, hi = critical_c_range(float(b))
+        lo, hi = kinetic.critical_c_range(float(b))
         c_los.append(lo)
         c_his.append(hi)
     widths = np.array(c_his) - np.array(c_los)
@@ -673,8 +689,12 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     failed, 2 when the configuration does not build or a runner rejects it
     (ConfigError) and 3 on numerical failure or a size preflight refusal
     (DimensionCapError).  A config that fails the schema raises ConfigError
-    before any manifest is written and is the caller's exit 2.
+    before any manifest is written and is the caller's exit 2.  The manifest
+    also records the largest memory estimate of the run's size checks and
+    the seconds spent in build_runtime and in the runner (null for a stage
+    that did not finish).
     """
+    global _largest_estimate
     validate_config(doc)
     out = Path(out_dir if out_dir is not None else (doc.get("output") or "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -683,10 +703,19 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     error = None
     checks: list[Assertion] = []
     outputs: list[str] = []
+    timings = {"build_runtime_s": None, "runner_s": None}
+    _largest_estimate = 0.0
     try:
         _preflight(doc)
+        if name in _KINETIC_RUNS:
+            # imports belong to set-up, not to the runner's time
+            importlib.import_module(".kinetic", __package__)
+        begin = time.perf_counter()
         bundle = build_runtime(doc)
+        timings["build_runtime_s"] = time.perf_counter() - begin
+        begin = time.perf_counter()
         checks, outputs = RUNNERS[name](bundle, out)
+        timings["runner_s"] = time.perf_counter() - begin
         exit_code = 0 if all(c.passed for c in checks) else 1
     except ConfigError as err:
         error = f"{type(err).__name__}: {err}"
@@ -705,6 +734,10 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
             "scipy": scipy.__version__,
         },
         "wall_time_s": time.perf_counter() - started,
+        "timings": timings,
+        "memory_estimate_bytes": (
+            int(_largest_estimate) if _largest_estimate < math.inf else None
+        ),
         "assertions": [c.as_dict() for c in checks],
         "error": error,
         "exit_code": exit_code,

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import HorizonError
 from .lattice import KernelPair
@@ -196,6 +195,8 @@ def optimal_terminal(
         )
     lo = betas[best - 1] if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
     hi = betas[best + 1]
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         lambda b: -time_horizon(alpha_s, float(b), bound, nu),
         bounds=(float(lo), float(hi)),

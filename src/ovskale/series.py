@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConvergenceError, HorizonError, MajorantViolation
 from .operators import OperatorHandle
@@ -556,6 +554,9 @@ def oracle_evolve(
     agreement_tol in relative sup norm; the exponential route is returned.
     A non-finite matrix or result raises ConvergenceError.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.sparse.linalg import expm_multiply
+
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if full_op.torus != u_s.torus or full_op.n_max != u_s.n_max:

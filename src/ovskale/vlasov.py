@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
-from .kinetic import DensityField, integrate_kinetic
 from .lattice import KernelPair
 from .operators import ModelParams, OperatorHandle, interaction_energies
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
 from .states import CorrelationVector, flat_orders, random_correlation
+
+if TYPE_CHECKING:
+    from .kinetic import DensityField
 
 # least ln(alpha_hi / alpha_lo) of a pair sampled by perturbation_gap
 _LN_SPLIT_FLOOR = 0.8
@@ -338,6 +341,8 @@ def chaos_check(
     if t == 0.0:
         rho_t = rho0.rho.copy()
     else:
+        from .kinetic import integrate_kinetic
+
         rho_t = integrate_kinetic(rho0, t, _CHAOS_KINETIC_DT, kernels, params).final
 
     def run(order: int):

@@ -1,7 +1,9 @@
-"""Shared model instances for the test suite."""
+"""Shared model instances and slow references for the test suite."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,11 +14,13 @@ from ovskale import (
     KernelPair,
     ModelParams,
     ScaleSpec,
+    SupportedFunction,
     Torus,
     kernel_pair_from_spec,
     model_bound,
     time_horizon,
 )
+from ovskale.lattice import diff_table, pair_energy, point_energy, subsets_of_order
 
 GAUSS_A = {"kind": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.7}}
 GAUSS_PHI = {"kind": "gaussian", "params": {"amplitude": 0.8, "sigma": 0.5}}
@@ -56,6 +60,70 @@ def make_instance(
     scale = ScaleSpec(alpha_s=alpha_s, alpha_star=alpha_star)
     bound = model_bound(kernels, params)
     return Instance(torus, kernels, params, scale, bound, n_max)
+
+
+def apply_observable_generator(
+    G: SupportedFunction, kernels: KernelPair, params: ModelParams, n_max: int
+) -> SupportedFunction:
+    """Generator on the observable side of the Lebesgue-Poisson pairing.
+
+    For every configuration eta with |eta| <= n_max:
+
+      out(eta) = -E^a(eta) G(eta)
+                 - sum_{x in eta} (sum_{y in eta - x} a(x - y)) G(eta - x)
+                 - m sum_{xi subset eta} G(xi) sum_{x in xi}
+                       e^{-E^phi(x, xi - x)} prod_{y in eta - xi} (e^{-phi(x-y)} - 1)
+                 + lambda h^d sum_{x not in eta} G(eta + x),
+
+    reading G as zero above its own order or outside its window.  This is the
+    exact adjoint of the unscaled (eps = 1) full generator on the truncated
+    space; params.epsilon is not read.
+    """
+    torus = kernels.torus
+    s = torus.site_count
+    h = torus.cell_volume
+    diff = diff_table(torus)
+    a_vals = kernels.a_values
+    phi_vals = kernels.phi_values
+    mob = np.expm1(-phi_vals)
+    m_rate = params.death_amplitude
+    lam = params.birth_intensity
+    out = {}
+    for n in range(n_max + 1):
+        for eta in subsets_of_order(s, n):
+            eta_set = set(eta)
+            val = 0.0
+            if n >= 2:
+                g_here = G.value(eta)
+                if g_here != 0.0:
+                    val -= pair_energy(eta, kernels) * g_here
+            for x in eta:
+                rest = tuple(y for y in eta if y != x)
+                g_rest = G.value(rest)
+                if g_rest != 0.0:
+                    drow = diff[x]
+                    val -= sum(a_vals[drow[y]] for y in rest) * g_rest
+            for r in range(n + 1):
+                for xi in itertools.combinations(eta, r):
+                    g_xi = G.value(xi)
+                    if g_xi == 0.0:
+                        continue
+                    outside = [y for y in eta if y not in xi]
+                    acc = 0.0
+                    for x in xi:
+                        drow = diff[x]
+                        term = math.exp(-point_energy(x, tuple(y for y in xi if y != x), kernels))
+                        for y in outside:
+                            term *= mob[drow[y]]
+                        acc += term
+                    val -= m_rate * g_xi * acc
+            birth_sum = 0.0
+            for x in range(s):
+                if x not in eta_set:
+                    birth_sum += G.value(tuple(sorted(eta + (x,))))
+            val += lam * h * birth_sum
+            out[eta] = val
+    return SupportedFunction(torus, out, n_max, None)
 
 
 @pytest.fixture(scope="session")

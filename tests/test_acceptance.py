@@ -24,7 +24,6 @@ from ovskale import (
     SeriesConfig,
     SupportedFunction,
     Torus,
-    apply_observable_generator,
     apriori_estimate_check,
     chaos_check,
     critical_c_range,
@@ -51,7 +50,7 @@ from ovskale import (
 from ovskale.kinetic import stationary_curve
 from ovskale.states import random_correlation
 
-from conftest import GAUSS_A, GAUSS_PHI, make_instance
+from conftest import GAUSS_A, GAUSS_PHI, apply_observable_generator, make_instance
 
 FROZEN_HORIZON = 0.02307622982293264  # stock instance, alpha 1.5 -> 2.5
 

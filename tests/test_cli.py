@@ -110,6 +110,13 @@ def test_run_evolve_success(tmp_path, capsys):
     assert manifest["config_sha256"] == config_hash(doc)
     for key in ("ovskale", "python", "numpy", "scipy"):
         assert key in manifest["versions"]
+    # the size checks' largest estimate, and the time of each stage
+    assert isinstance(manifest["memory_estimate_bytes"], int)
+    assert manifest["memory_estimate_bytes"] > 0
+    timings = manifest["timings"]
+    assert set(timings) == {"build_runtime_s", "runner_s"}
+    assert all(value >= 0.0 for value in timings.values())
+    assert sum(timings.values()) <= manifest["wall_time_s"]
     assert all(item["passed"] for item in manifest["assertions"])
     names = {item["name"] for item in manifest["assertions"]}
     assert {"series_converged", "majorant_domination", "flow_property"} <= names
@@ -252,6 +259,8 @@ def test_exit_3_when_the_hierarchy_exceeds_memory(tmp_path, capsys, experiment):
     assert manifest["exit_code"] == 3
     assert manifest["error"].startswith("DimensionCapError: estimated ")
     assert "d=" in manifest["error"] and "physical memory" in manifest["error"]
+    # refused in the preflight: neither stage ran
+    assert manifest["timings"] == {"build_runtime_s": None, "runner_s": None}
 
 
 @pytest.mark.parametrize("name", ["kinetic", "evolve"])

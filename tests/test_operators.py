@@ -14,7 +14,6 @@ from ovskale import (
     ModelParams,
     OperatorHandle,
     Torus,
-    apply_observable_generator,
     interaction_energies,
     kernel_pair_from_spec,
     lp_pairing,
@@ -32,7 +31,7 @@ from ovskale.operators import _mobius_table
 from ovskale.series import _semigroup_profile
 from ovskale.states import CorrelationVector, flat_orders, random_correlation
 
-from conftest import GAUSS_A, GAUSS_PHI
+from conftest import GAUSS_A, GAUSS_PHI, apply_observable_generator
 
 
 def dense(kind, kernels, params, n_max) -> np.ndarray:

@@ -519,6 +519,27 @@ def test_stored_rows_stay_within_the_size_check():
     assert peak - csr_bytes <= needs[0] - needs[1]
 
 
+def test_flow_checked_evolve_stays_within_the_size_check(tmp_path):
+    # with flow_tau the run holds the main solve's and the direct leg's stored
+    # rows (and a copy of the totals when their level counts differ), then the
+    # two composed legs'; the preflight's estimate covers the whole run's peak
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
+    doc["model"]["torus"]["sites"] = 14
+    doc["model"]["truncation"] = 4
+    doc["solver"].update(grid_points=256, trajectory_points=257)
+    bundle = build_runtime(doc)
+    needs = []
+    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
+        tracemalloc.start()
+        try:
+            checks, _ = run_evolve(bundle, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak <= max(needs)
+
+
 def test_oracle_nan_matrix_is_a_typed_failure(small):
     # expm_multiply would die on the NaN with an untyped ValueError
     u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
