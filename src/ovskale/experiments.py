@@ -67,8 +67,14 @@ _KINETIC_WORK_ARRAYS = 16
 _BYTES_PER_SITE = 96
 # experiments that assemble a hierarchy operator
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
-# experiments that need ovskale.kinetic, and with it scipy.fft and scipy.integrate
-_KINETIC_RUNS = ("kinetic", "bifurcation")
+# modules each experiment loads before build_runtime, so that imports count
+# as set-up and not as the runner's time: the hierarchy runs assemble a
+# scipy.sparse operator, the kinetic runs need ovskale.kinetic (numpy alone)
+_SETUP_IMPORTS = {
+    **dict.fromkeys(_HIERARCHY_RUNS, ("scipy.sparse",)),
+    "kinetic": ("ovskale.kinetic",),
+    "bifurcation": ("ovskale.kinetic",),
+}
 # stored-row arrays a flow-checked evolve holds at once: the main solve's, the
 # direct leg's (a copy of the totals when their level counts differ), and
 # the two composed legs'
@@ -691,8 +697,8 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     (DimensionCapError).  A config that fails the schema raises ConfigError
     before any manifest is written and is the caller's exit 2.  The manifest
     also records the largest memory estimate of the run's size checks and
-    the seconds spent in build_runtime and in the runner (null for a stage
-    that did not finish).
+    the seconds spent loading the run's modules, in build_runtime and in the
+    runner (null for a stage that did not finish).
     """
     global _largest_estimate
     validate_config(doc)
@@ -703,13 +709,14 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     error = None
     checks: list[Assertion] = []
     outputs: list[str] = []
-    timings = {"build_runtime_s": None, "runner_s": None}
+    timings = {"imports_s": None, "build_runtime_s": None, "runner_s": None}
     _largest_estimate = 0.0
     try:
         _preflight(doc)
-        if name in _KINETIC_RUNS:
-            # imports belong to set-up, not to the runner's time
-            importlib.import_module(".kinetic", __package__)
+        begin = time.perf_counter()
+        for module in _SETUP_IMPORTS.get(name, ()):
+            importlib.import_module(module)
+        timings["imports_s"] = time.perf_counter() - begin
         begin = time.perf_counter()
         bundle = build_runtime(doc)
         timings["build_runtime_s"] = time.perf_counter() - begin

@@ -32,9 +32,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import (
     KernelPair,
@@ -47,6 +47,9 @@ from .lattice import (
     total_dimension,
 )
 from .states import CorrelationVector
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 KINDS = ("full", "diagonal", "perturbation")
 
@@ -200,6 +203,8 @@ class OperatorHandle:
         depend on their order and full == diagonal + perturbation exactly.
         """
         if self._matrix is None:
+            import scipy.sparse as sp
+
             blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
             eps = float(self.params.epsilon)
             if self.kind != "perturbation" and eps != 0.0:

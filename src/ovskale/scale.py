@@ -193,20 +193,28 @@ def optimal_terminal(
             scan_betas=betas,
             scan_values=values,
         )
-    lo = betas[best - 1] if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
-    hi = betas[best + 1]
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(
-        lambda b: -time_horizon(alpha_s, float(b), bound, nu),
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    beta_opt = float(res.x)
+    lo = float(betas[best - 1]) if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
+    hi = float(betas[best + 1])
+    # golden-section search: each round keeps the sub-bracket of the larger
+    # interior value and reuses that point, down to an index width of 1e-12
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = time_horizon(alpha_s, x1, bound, nu), time_horizon(alpha_s, x2, bound, nu)
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = time_horizon(alpha_s, x1, bound, nu)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = time_horizon(alpha_s, x2, bound, nu)
+    beta_opt, horizon = (x1, f1) if f1 >= f2 else (x2, f2)
     return HorizonOptimum(
         beta=beta_opt,
-        horizon=time_horizon(alpha_s, beta_opt, bound, nu),
+        horizon=horizon,
         unimodal=len(peaks) == 1,
         at_boundary=False,
         local_max_count=len(peaks),

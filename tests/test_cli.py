@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ovskale import config_hash, load_config, time_horizon
 from ovskale.cli import main
 from ovskale.config import validate_config
-from ovskale import experiments
+from ovskale import experiments, kinetic
 from ovskale.experiments import run_experiment
 
 from conftest import make_instance
@@ -114,7 +114,7 @@ def test_run_evolve_success(tmp_path, capsys):
     assert isinstance(manifest["memory_estimate_bytes"], int)
     assert manifest["memory_estimate_bytes"] > 0
     timings = manifest["timings"]
-    assert set(timings) == {"build_runtime_s", "runner_s"}
+    assert set(timings) == {"imports_s", "build_runtime_s", "runner_s"}
     assert all(value >= 0.0 for value in timings.values())
     assert sum(timings.values()) <= manifest["wall_time_s"]
     assert all(item["passed"] for item in manifest["assertions"])
@@ -234,6 +234,35 @@ def test_exit_3_on_numerical_failure(tmp_path, capsys):
     assert "StepSizeCollapse" in manifest["error"]
 
 
+def test_kinetic_run_times_its_stages(tmp_path):
+    doc = base_doc()
+    doc["experiment"] = {"name": "kinetic", "t_end": 0.05, "dt": 0.001, "rho0": 0.5}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "homogeneous_consistency" in {item["name"] for item in manifest["assertions"]}
+    timings = manifest["timings"]
+    assert set(timings) == {"imports_s", "build_runtime_s", "runner_s"}
+    assert all(value >= 0.0 for value in timings.values())
+    assert sum(timings.values()) <= manifest["wall_time_s"]
+
+
+def test_exit_3_when_the_scalar_reference_exceeds_its_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kinetic, "_SCALAR_MAX_TRIALS", 2)
+    doc = base_doc()
+    doc["experiment"] = {"name": "kinetic", "t_end": 0.05, "dt": 0.001, "rho0": 0.5}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("ConvergenceError: scalar kinetic solve")
+    assert manifest["timings"]["runner_s"] is None
+
+
 @pytest.mark.parametrize(
     "experiment",
     [
@@ -259,8 +288,8 @@ def test_exit_3_when_the_hierarchy_exceeds_memory(tmp_path, capsys, experiment):
     assert manifest["exit_code"] == 3
     assert manifest["error"].startswith("DimensionCapError: estimated ")
     assert "d=" in manifest["error"] and "physical memory" in manifest["error"]
-    # refused in the preflight: neither stage ran
-    assert manifest["timings"] == {"build_runtime_s": None, "runner_s": None}
+    # refused in the preflight: no stage ran
+    assert manifest["timings"] == {"imports_s": None, "build_runtime_s": None, "runner_s": None}
 
 
 @pytest.mark.parametrize("name", ["kinetic", "evolve"])

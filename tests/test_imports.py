@@ -15,10 +15,17 @@ import pytest
 import ovskale
 
 ROOT = Path(__file__).resolve().parents[1]
-# loaded only by the runs that use them: the kinetic equation (scipy.fft,
-# which pulls in scipy.special, and scipy.integrate), the horizon search
-# (scipy.optimize) and the oracle
-LAZY = ("scipy.optimize", "scipy.integrate", "scipy.fft", "scipy.special", "ovskale.kinetic")
+# loaded only where used: scipy.sparse by the hierarchy runs, ovskale.kinetic
+# by the kinetic runs and scipy.integrate by the oracle, which no run calls;
+# the package loads scipy.optimize, scipy.fft and scipy.special nowhere
+LAZY = (
+    "scipy.sparse",
+    "scipy.optimize",
+    "scipy.integrate",
+    "scipy.fft",
+    "scipy.special",
+    "ovskale.kinetic",
+)
 
 # prints which LAZY modules are loaded after `import ovskale.cli`, and, given
 # a config and an output directory, when its runner is entered and after the
@@ -52,16 +59,21 @@ print(json.dumps(seen))
 """
 
 
-def _probe(*args: str) -> dict:
+def _python(code: str, *args: str):
+    """The last line printed by code in a fresh interpreter, read as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, ",".join(LAZY), *args],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _probe(*args: str) -> dict:
+    return _python(PROBE, ",".join(LAZY), *args)
 
 
 def test_cli_import_loads_no_optional_subpackage():
@@ -70,16 +82,26 @@ def test_cli_import_loads_no_optional_subpackage():
 
 @pytest.mark.parametrize("name", ["evolve", "vlasov", "bounds"])
 def test_hierarchy_runs_load_no_optional_subpackage(tmp_path, name):
+    # scipy.sparse is set-up: loaded before the runner is entered
     seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
     assert seen["exit"] == 0
-    assert seen["run"] == []
+    assert seen["runner"] == ["scipy.sparse"]
+    assert seen["run"] == ["scipy.sparse"]
 
 
-def test_kinetic_run_loads_its_subpackages_before_the_runner(tmp_path):
-    # imports are set-up: the runner's own time holds none of them
-    seen = _probe(str(ROOT / "configs" / "kinetic.json"), str(tmp_path))
+@pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])
+def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
+    seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
     assert seen["exit"] == 0
-    assert {"scipy.integrate", "scipy.fft", "ovskale.kinetic"} <= set(seen["runner"])
+    assert [m for m in seen["run"] if m.startswith("scipy.")] == []
+    if name != "horizon":
+        # the kinetic module is set-up too
+        assert "ovskale.kinetic" in seen["runner"]
+
+
+def test_kinetic_module_loads_no_scipy_subpackage():
+    code = "import json, sys, ovskale.kinetic; print(json.dumps(sorted(sys.modules)))"
+    assert [m for m in _python(code) if m.startswith("scipy")] == []
 
 
 def test_every_exported_name_resolves():

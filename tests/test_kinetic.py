@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from ovskale import (
     BifurcationInput,
+    ConvergenceError,
     DensityField,
     KernelPair,
     ModelParams,
@@ -27,6 +29,7 @@ from ovskale import (
     tangency_point,
     threshold_b,
 )
+from ovskale import kinetic
 from ovskale.kinetic import ScanResult, _bisect, stationary_curve
 
 from conftest import GAUSS_A, GAUSS_PHI
@@ -60,6 +63,17 @@ def reference_rhs(rho, kernels, params, convolve):
     comp = convolve(kernels.torus, kernels.a_values, rho)
     attr = convolve(kernels.torus, kernels.phi_values, rho)
     return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
+
+
+def reference_scalar_ode(r0, t_end, avg_a, avg_phi, m, lam):
+    """The scalar reduction by scipy's DOP853 at rtol 1e-12, atol 1e-14."""
+
+    def rate(_t, r):
+        return lam - avg_a * r * r - m * r * np.exp(-avg_phi * r)
+
+    sol = solve_ivp(rate, (0.0, t_end), [float(r0)], method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return float(sol.y[0, -1])
 
 
 def reference_scan(inp):
@@ -360,6 +374,47 @@ def test_homogeneous_scalar_validation():
     with pytest.raises(ValueError):
         homogeneous_scalar_ode(0.1, -1.0, 1.0, 1.0, 1.0, 1.0)
     assert homogeneous_scalar_ode(0.7, 0.0, 1.0, 1.0, 1.0, 1.0) == 0.7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r0=st.floats(0.0, 12.0),
+    t_end=st.floats(0.0, 60.0, exclude_min=True),
+    avg_a=st.floats(0.0, 3.0),
+    avg_phi=st.floats(0.0, 3.0),
+    m=st.floats(0.1, 3.0),
+    lam=st.floats(0.1, 3.0),
+)
+# a first step over the whole interval jumps the death term's bump near
+# r = 1/3 with its full and half steps agreeing, and lands 1e-3 off
+@example(r0=0.0, t_end=12.0, avg_a=0.0, avg_phi=3.0, m=1.0, lam=3.0)
+@example(r0=0.0, t_end=1e-323, avg_a=0.0, avg_phi=0.0, m=1.0, lam=1.0)
+def test_homogeneous_scalar_matches_reference(r0, t_end, avg_a, avg_phi, m, lam):
+    args = (r0, t_end, avg_a, avg_phi, m, lam)
+    ref = reference_scalar_ode(*args)
+    # relative, down to the solvers' absolute tolerance: a t_end near the
+    # underflow threshold gives a density of a few subnormal units
+    assert abs(homogeneous_scalar_ode(*args) - ref) <= 1e-10 * ref + 1e-14
+
+
+def test_homogeneous_scalar_rejects_an_overflowing_trial(monkeypatch):
+    # a first trial over the whole interval: its second stage sits near
+    # r = -12870, where exp(-avg_phi r) overflows
+    monkeypatch.setattr(kinetic, "_scalar_first_step", lambda rate, r0, t_end: t_end)
+    args = (12.0, 60.0, 3.0, 3.0, 3.0, 3.0)
+    k1 = 3.0 - 3.0 * 12.0**2 - 3.0 * 12.0 * math.exp(-3.0 * 12.0)
+    with pytest.raises(OverflowError):
+        math.exp(-3.0 * (12.0 + 0.5 * 60.0 * k1))
+    ref = reference_scalar_ode(*args)
+    assert abs(homogeneous_scalar_ode(*args) - ref) <= 1e-10 * ref
+
+
+def test_homogeneous_scalar_failures_are_convergence_errors(monkeypatch):
+    with pytest.raises(ConvergenceError, match="rate is not finite"):
+        homogeneous_scalar_ode(1e200, 1.0, 1.0, 1.0, 1.0, 1.0)
+    monkeypatch.setattr(kinetic, "_SCALAR_MAX_TRIALS", 5)
+    with pytest.raises(ConvergenceError, match="more than 5 trial steps"):
+        homogeneous_scalar_ode(0.5, 10.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_bifurcation_input_validation():

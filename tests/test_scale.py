@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from ovskale import (
     BoundModel,
@@ -170,6 +171,44 @@ def test_optimal_terminal_interior(stock6):
     # the refined point beats its grid neighbors
     mid = time_horizon(1.5, opt.beta, stock6.bound)
     assert mid == pytest.approx(opt.horizon, rel=1e-14)
+
+
+def reference_optimum(alpha_s, bound, search_hi, nu, scan_points):
+    """The bracket of optimal_terminal's scan refined by scipy's bounded Brent search."""
+    betas = np.linspace(alpha_s, search_hi, scan_points + 1)[1:]
+    values = [time_horizon(alpha_s, b, bound, nu) for b in betas]
+    best = int(np.argmax(values))
+    lo = betas[best - 1] if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
+    res = optimize.minimize_scalar(
+        lambda b: -time_horizon(alpha_s, float(b), bound, nu),
+        bounds=(float(lo), float(betas[best + 1])),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return float(res.x), time_horizon(alpha_s, float(res.x), bound, nu)
+
+
+def test_optimal_terminal_matches_reference(stock6):
+    gen = np.random.default_rng(7)
+    cases = [(1.5, stock6.bound, 2.5, 1.0, 1000), (1.5, stock6.bound, 6.0, 1.0, 1000)]
+    for _ in range(6):
+        a_amp, phi_amp, m, lam = gen.uniform(0.05, 3.0, 4)
+        inst = make_instance(
+            a_spec={"kind": "gaussian", "params": {"amplitude": a_amp, "sigma": 0.7}},
+            phi_spec={"kind": "gaussian", "params": {"amplitude": phi_amp, "sigma": 0.5}},
+            m=m,
+            lam=lam,
+        )
+        alpha_s = gen.uniform(1.05, 2.0)
+        cases.append((alpha_s, inst.bound, alpha_s + 6.0, gen.uniform(1.0, 3.0), 500))
+    for alpha_s, bound, search_hi, nu, points in cases:
+        opt = optimal_terminal(alpha_s, bound, search_hi, nu, points)
+        assert not opt.at_boundary
+        beta, horizon = reference_optimum(alpha_s, bound, search_hi, nu, points)
+        assert abs(opt.horizon - horizon) <= 1e-12 * horizon
+        # the maximum is flat: a shift of 1e-8 in beta moves the horizon by
+        # about a rounding error, so neither search places beta closer
+        assert abs(opt.beta - beta) <= 1e-7 * beta
 
 
 def test_optimal_terminal_boundary_flag(stock6):
