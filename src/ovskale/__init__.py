@@ -26,14 +26,13 @@ _EXPORTS = {
         "KernelPair",
         "SupportedFunction",
         "kernel_pair_from_spec",
-        "load_kernel_pair",
         "k_transform",
         "k_inverse",
         "lp_integral",
         "lp_exponential",
     ),
     "states": ("CorrelationVector", "random_correlation"),
-    "operators": ("ModelParams", "OperatorHandle", "interaction_energies", "lp_pairing"),
+    "operators": ("ModelParams", "OperatorHandle", "interaction_energies"),
     "scale": (
         "ScaleSpec",
         "BoundModel",
@@ -67,11 +66,8 @@ _EXPORTS = {
     "kinetic": (
         "DensityField",
         "BifurcationInput",
-        "bifurcation_input_from_model",
         "circular_convolution",
-        "kinetic_rhs",
         "integrate_kinetic",
-        "homogeneous_ode",
         "homogeneous_scalar_ode",
         "stationary_scan",
         "threshold_b",

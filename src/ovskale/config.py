@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import jsonschema
 import numpy as np
@@ -242,7 +242,11 @@ def config_hash(doc: dict) -> str:
 
 @dataclass
 class RuntimeBundle:
-    """Everything a run needs, assembled from one validated document."""
+    """Everything a run needs, assembled from one validated document.
+
+    solves is the run's solve ledger: the runner appends one entry per series
+    solve and the manifest records them.
+    """
 
     torus: Torus
     kernels: KernelPair
@@ -253,6 +257,7 @@ class RuntimeBundle:
     solver: SeriesConfig
     experiment: dict
     rng: np.random.Generator
+    solves: list = field(default_factory=list)
 
 
 def build_runtime(doc: dict) -> RuntimeBundle:

@@ -34,10 +34,11 @@ from .errors import (
 from .operators import OperatorHandle
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
 from .series import (
-    SKETCH_STATE_COLUMNS,
+    EvolutionResult,
     SeriesConfig,
     apriori_estimate_check,
     flow_compose_check,
+    level_loop_bytes,
     ovsyannikov_evolve,
 )
 from .states import CorrelationVector, random_correlation
@@ -159,15 +160,16 @@ def _check_footprint(
     solver: SeriesConfig | None = None,
     operators: int = 1,
     trajectories: int = 1,
+    sup_energy: float = 0.0,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
     that solves (solver given) adds the stored rows of each trajectory held
-    at once; and once, one (grid + 1) x d level array, the gather of its
-    stored rows that feeds the totals, and the time compression's
-    SKETCH_STATE_COLUMNS columns over d.
+    at once and, once, the level loop's own arrays (`level_loop_bytes`).  The
+    energies eps E^a sum eps a >= 0 over at most n (n - 1) ordered pairs, so
+    they lie in [0, n (n - 1) sup_energy] with sup_energy = eps sup a.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
     # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
@@ -177,8 +179,9 @@ def _check_footprint(
     if solver is not None:
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
-        need += (trajectories + 1) * 8 * stored * dim + 8 * (grid + 1) * dim
-        need += 8 * dim * SKETCH_STATE_COLUMNS
+        need += trajectories * 8 * stored * dim
+        pairs = min(order, sites) * (min(order, sites) - 1)
+        need += level_loop_bytes(dim, grid, pairs * sup_energy * solver.upsilon)
         detail += f", grid={grid}"
     _check_budget(need, detail)
 
@@ -194,6 +197,27 @@ def _preflight(doc: dict) -> None:
     _check_budget(_BYTES_PER_SITE * sites, f"sites={sites}")
     if doc["experiment"]["name"] in _HIERARCHY_RUNS:
         _check_footprint(sites, doc["model"]["truncation"])
+
+
+def _ledger_entry(result: EvolutionResult, pert: OperatorHandle, gate: float) -> dict:
+    """One solve of the manifest's ledger: size, levels, gates and compression figures.
+
+    A term's majorant slack is 1 - term / majorant (over positive majorants).
+    """
+    positive = result.majorant_values > 0.0
+    slack = 1.0 - result.term_norms[positive] / result.majorant_values[positive]
+    return {
+        "epsilon": pert.params.epsilon,
+        "d": pert.dimension,
+        "nnz": int(pert.matrix().nnz),
+        "n_used": result.n_used,
+        "richardson_ratio": result.quad_disagreement / gate,
+        "min_majorant_slack": float(slack.min()) if slack.size else None,
+        "compression_residual": result.compression_residual,
+        "interpolation_nodes": result.interpolation_nodes,
+        "interpolation_bound": result.interpolation_bound,
+        "exact_rank_levels": result.exact_rank_levels,
+    }
 
 
 def _split_operators(bundle: RuntimeBundle):
@@ -232,6 +256,7 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
     _check_footprint(
         bundle.torus.site_count, bundle.truncation, bundle.solver,
         trajectories=_FLOW_TRAJECTORIES if "flow_tau" in exp else 1,
+        sup_energy=bundle.params.epsilon * bundle.kernels.sup_a,
     )
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
@@ -245,6 +270,7 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
         result = flow.main
     else:
         result = ovsyannikov_evolve(u0, s, t_abs, *args)
+    bundle.solves.append(_ledger_entry(result, pert, bundle.solver.richardson_gate))
     checks = [
         Assertion(
             "series_converged",
@@ -333,6 +359,7 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     _check_footprint(
         bundle.torus.site_count, bundle.truncation, bundle.solver,
         operators=len(eps_list), trajectories=len(eps_list),
+        sup_energy=max(eps_list) * bundle.kernels.sup_a,
     )
     # the gap indices depend on the config alone: reject them before the sweep
     samples = exp.get("samples", 20)
@@ -346,6 +373,10 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     u0 = _product_state(bundle, exp.get("rho0", 0.5))
     sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
     report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
+    for eps in sweep.epsilons:
+        bundle.solves.append(_ledger_entry(
+            report.results[eps], report.operators[eps][1], bundle.solver.richardson_gate
+        ))
 
     sg_inter = semigroup_gap_intermediate(
         gap_t, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi
@@ -696,9 +727,10 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     (ConfigError) and 3 on numerical failure or a size preflight refusal
     (DimensionCapError).  A config that fails the schema raises ConfigError
     before any manifest is written and is the caller's exit 2.  The manifest
-    also records the largest memory estimate of the run's size checks and
-    the seconds spent loading the run's modules, in build_runtime and in the
-    runner (null for a stage that did not finish).
+    also records the largest memory estimate of the run's size checks, the
+    seconds spent loading the run's modules, in build_runtime and in the
+    runner (null for a stage that did not finish), and the solve ledger, one
+    `_ledger_entry` per series solve of a hierarchy run.
     """
     global _largest_estimate
     validate_config(doc)
@@ -710,6 +742,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     checks: list[Assertion] = []
     outputs: list[str] = []
     timings = {"imports_s": None, "build_runtime_s": None, "runner_s": None}
+    solves: list = []
     _largest_estimate = 0.0
     try:
         _preflight(doc)
@@ -719,6 +752,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
         timings["imports_s"] = time.perf_counter() - begin
         begin = time.perf_counter()
         bundle = build_runtime(doc)
+        solves = bundle.solves
         timings["build_runtime_s"] = time.perf_counter() - begin
         begin = time.perf_counter()
         checks, outputs = RUNNERS[name](bundle, out)
@@ -745,6 +779,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
         "memory_estimate_bytes": (
             int(_largest_estimate) if _largest_estimate < math.inf else None
         ),
+        "solves": solves,
         "assertions": [c.as_dict() for c in checks],
         "error": error,
         "exit_code": exit_code,

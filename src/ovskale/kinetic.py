@@ -96,14 +96,6 @@ def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray) -> n
     return _convolve(torus, _kernel_spectra(torus, kernel), rho)[0]
 
 
-def kinetic_rhs(
-    rho: np.ndarray, torus: Torus, kernels: KernelPair, params: ModelParams
-) -> np.ndarray:
-    """Right-hand side of the kinetic equation at the density rho."""
-    spectra = _kernel_spectra(torus, kernels.a_values, kernels.phi_values)
-    return _rhs(np.asarray(rho, dtype=float), torus, spectra, params)
-
-
 @dataclass
 class KineticTrajectory:
     times: np.ndarray
@@ -271,12 +263,6 @@ def homogeneous_scalar_ode(
     )
 
 
-def homogeneous_ode(r0: float, t_end: float, kernels: KernelPair, params: ModelParams) -> float:
-    return homogeneous_scalar_ode(
-        r0, t_end, kernels.avg_a, kernels.avg_phi, params.death_amplitude, params.birth_intensity
-    )
-
-
 @dataclass(frozen=True)
 class BifurcationInput:
     """Dimensionless stationary problem x e^{-x} + b x^2 = c on [0, x_hi]."""
@@ -409,14 +395,3 @@ def critical_c_range(b: float) -> tuple[float, float]:
     c_low = float(stationary_curve(x_hi, b))
     return c_low, c_high
 
-
-def bifurcation_input_from_model(
-    kernels: KernelPair, params: ModelParams, x_hi: float = 50.0, resolution: int = 100_000
-) -> BifurcationInput:
-    """Dimensionless (b, c) of a concrete model instance."""
-    avg_phi = kernels.avg_phi
-    if not (avg_phi > 0):
-        raise ValueError("model reduction needs avg_phi > 0")
-    b = kernels.avg_a / (params.death_amplitude * avg_phi)
-    c = params.birth_intensity * avg_phi / params.death_amplitude
-    return BifurcationInput(b=b, c=c, x_hi=x_hi, resolution=resolution)

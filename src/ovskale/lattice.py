@@ -327,19 +327,6 @@ def kernel_pair_from_spec(torus: Torus, a_spec: dict, phi_spec: dict) -> KernelP
     return KernelPair(torus, kernel_values(torus, a_spec), kernel_values(torus, phi_spec))
 
 
-def load_kernel_pair(doc: dict) -> KernelPair:
-    """Build a KernelPair from its JSON document.
-
-    Format: {"dim": d, "sites": M, "spacing": h, "a": {...}, "phi": {...}}.
-    """
-    required = {"dim", "sites", "spacing", "a", "phi"}
-    missing = required - doc.keys()
-    if missing:
-        raise ValueError(f"kernel document missing keys: {sorted(missing)}")
-    torus = Torus(int(doc["dim"]), int(doc["sites"]), float(doc["spacing"]))
-    return kernel_pair_from_spec(torus, doc["a"], doc["phi"])
-
-
 @dataclass(eq=False)
 class SupportedFunction:
     """A function on configurations with bounded order and bounded support.

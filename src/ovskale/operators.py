@@ -38,12 +38,10 @@ import numpy as np
 
 from .lattice import (
     KernelPair,
-    SupportedFunction,
     diff_table,
     layer_array,
     layer_offsets,
     subset_rank,
-    subsets_of_order,
     total_dimension,
 )
 from .states import CorrelationVector
@@ -254,22 +252,3 @@ def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
         parts.append(energy)
     return np.concatenate(parts)
 
-
-def lp_pairing(F, k: CorrelationVector) -> float:
-    """Lebesgue-Poisson pairing of an observable with a correlation vector.
-
-    Layers pair with weight h^{d n} under the canonical-subset convention, up
-    to the state's truncation order.
-    """
-    h = k.torus.cell_volume
-    if isinstance(F, SupportedFunction):
-        total = 0.0
-        for eta, val in F.values.items():
-            if val != 0.0 and len(eta) <= k.n_max:
-                total += h ** len(eta) * val * k.value(eta)
-        return total
-    total = 0.0
-    for n in range(k.n_max + 1):
-        for eta in subsets_of_order(k.torus.site_count, n):
-            total += h**n * float(F(eta)) * k.value(eta)
-    return total

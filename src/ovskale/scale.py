@@ -157,6 +157,15 @@ class HorizonOptimum:
     scan_values: np.ndarray = field(repr=False)
 
 
+def _horizon_slope(alpha: float, beta: float, bound: BoundModel) -> float:
+    """singular(beta) - (beta - alpha) singular'(beta), of the sign of d/dbeta time_horizon;
+    singular' from central differences at h = 1e-4 beta and h / 2, extrapolated (O(h^4))."""
+    h = 1e-4 * beta
+    wide = (bound.singular(beta + h) - bound.singular(beta - h)) / (2.0 * h)
+    narrow = (bound.singular(beta + 0.5 * h) - bound.singular(beta - 0.5 * h)) / h
+    return bound.singular(beta) - (beta - alpha) * (4.0 * narrow - wide) / 3.0
+
+
 def optimal_terminal(
     alpha_s: float,
     bound: BoundModel,
@@ -166,9 +175,10 @@ def optimal_terminal(
 ) -> HorizonOptimum:
     """Maximize beta -> time_horizon(alpha_s, beta) over (alpha_s, search_hi].
 
-    Bracketed scan plus golden-section refinement; reports whether the scan
-    saw a single strict local maximum and whether the optimum sits on the
-    search boundary.
+    A scan brackets the maximum and bisection of the sign of the slope
+    (`_horizon_slope`) pins beta within it; reports whether the scan saw a
+    single strict local maximum and whether the optimum sits on the search
+    boundary.
     """
     if not (search_hi > alpha_s):
         raise ValueError("search_hi must exceed alpha_s")
@@ -195,23 +205,19 @@ def optimal_terminal(
         )
     lo = float(betas[best - 1]) if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
     hi = float(betas[best + 1])
-    # golden-section search: each round keeps the sub-bracket of the larger
-    # interior value and reuses that point, down to an index width of 1e-12
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f1, f2 = time_horizon(alpha_s, x1, bound, nu), time_horizon(alpha_s, x2, bound, nu)
-    for _ in range(200):
-        if hi - lo <= 1e-12:
+    # the maximum is flat (a relative shift of 1e-8 in beta moves the horizon
+    # by a rounding error), so beta is pinned where the slope changes sign,
+    # by bisection of the scan's bracket down to adjacent floats
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - shrink * (hi - lo)
-            f1 = time_horizon(alpha_s, x1, bound, nu)
+        if _horizon_slope(alpha_s, mid, bound) > 0.0:
+            lo = mid
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + shrink * (hi - lo)
-            f2 = time_horizon(alpha_s, x2, bound, nu)
-    beta_opt, horizon = (x1, f1) if f1 >= f2 else (x2, f2)
+            hi = mid
+    beta_opt = lo
+    horizon = time_horizon(alpha_s, beta_opt, bound, nu)
     return HorizonOptimum(
         beta=beta_opt,
         horizon=horizon,

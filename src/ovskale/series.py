@@ -7,34 +7,34 @@ Z loses one power of the index gap.  The solution is summed as Duhamel terms
     W_0(tau) = S_A(tau - s) u_s,
     W_n(tau) = int_s^tau S_A(tau - r) Z W_{n-1}(r) dr,
 
-each level computed on one shared uniform grid in two steps: the product
-Y = Z W_{n-1} over every grid point, then the exact-semigroup trapezoid
-recursion
+each on one shared uniform grid by the exact-semigroup trapezoid recursion
 
-    Q_{i+1} = S_A(dt) [ Q_i + (dt/2) Y_i ] + (dt/2) Y_{i+1},
+    Q_{i+1} = S_A(dt) [ Q_i + (dt/2) Y_i ] + (dt/2) Y_{i+1},   Y = Z W_{n-1}.
 
-which is O(grid) per level.  A is always given by its diagonal handle; the
-scaling limit eps = 0 is the handle whose energies are all zero, so that
-S_A is the identity and needs no path of its own.  Every computed term is
-compared against its majorant
+A is given by its diagonal handle (at the scaling limit eps = 0 its energies
+vanish).  S_A reaches entry x only through its energy E_x, so a level is held
+factored, W = sum_m L_m R_m^T: L_m is the recursion of a few time columns run
+at Chebyshev node energies e_m, R_m the Lagrange weights l_m(E) times the
+state columns, and each level is compressed to at most _COMPRESSION_RANK
+columns under a deterministic bound before Z multiplies it.  An energy spread
+too wide for _MAX_NODES nodes takes the full-product route instead.  Every
+computed term is compared against its majorant
 
     nu ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
 
 and the run is re-done at half resolution for a Richardson consistency gate.
-The stored rows are the result's `trajectory`, one read-only (stored times
-x d) array whose norms are each one stacked `norm_alpha_flat` call; only the
-final row becomes a `CorrelationVector`.
-`oracle_evolve` is the independent sparse-propagator reference with two
-internal routes (the action of the matrix exponential and an adaptive
-Runge-Kutta integration) that must agree; `flow_compose_check` and
-`apriori_estimate_check` audit the two-parameter flow property and the
-closed-form a-priori bound.
+The stored rows are the result's read-only `trajectory`.  `oracle_evolve` is
+the independent sparse-propagator reference (the action of the matrix
+exponential and an adaptive Runge-Kutta integration, which must agree);
+`flow_compose_check` and `apriori_estimate_check` audit the two-parameter
+flow property and the closed-form a-priori bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,11 +116,14 @@ class EvolutionResult:
     converged: bool
     initial_norm: float
     scale: ScaleSpec
-    # largest accepted time-compression probe estimate of a level, relative to
-    # the level's sketch, over both grids (a probabilistic a-posteriori
-    # estimate from a fixed Omega, see _PROBE_FACTOR); 0 when every level
-    # used the full product
+    # over both grids: the largest bound on what a level's time basis misses,
+    # relative to its largest final entry (0: nothing missed); the nodes (0 on
+    # the full-product route) and their interpolation bound; the levels that
+    # failed the compression test and kept their exact rank
     compression_residual: float = 0.0
+    interpolation_nodes: int = 0
+    interpolation_bound: float = 0.0
+    exact_rank_levels: int = 0
 
     def norms_at(self, alpha: float) -> np.ndarray:
         orders = flat_orders(self.final_state.torus, self.final_state.n_max)
@@ -144,6 +147,9 @@ class EvolutionResult:
             "converged": self.converged,
             "initial_norm": self.initial_norm,
             "compression_residual": self.compression_residual,
+            "interpolation_nodes": self.interpolation_nodes,
+            "interpolation_bound": self.interpolation_bound,
+            "exact_rank_levels": self.exact_rank_levels,
             "final_state": self.final_state.to_json_dict(),
         }
 
@@ -213,31 +219,67 @@ def _log_majorant(
     return base + n * math.log(coeff) - math.lgamma(n + 1)
 
 
-# bytes of one time block's state-major operand: small enough to stay in L2
+# bytes of one block of states that a level pass forms at once: small enough
+# to stay in L2
 _BLOCK_BYTES = 3 << 19
-# time compression of a level: a Gaussian sketch of k columns spans it and p
-# more probe the residual (Halko, Martinsson and Tropp, SIAM Review 53(2),
-# 2011, Alg. 4.2); the rank is accepted when 10 sqrt(2/pi) times the largest
-# probe residual is below _SKETCH_TOL times the largest sketch column.  For a
-# Gaussian Omega drawn independently of the level this bounds the residual
-# with probability at least 1 - 10^-p (here 1 - 1e-4) per level; Omega is
-# fixed by _SKETCH_SEED and reused on every level of every run, so the
-# figure is an a-posteriori estimate, not a deterministic bound.  Every level
-# of the benchmark's evolve and vlasov configs passes at k = 8, so a level
-# that does not falls back to the full product instead of retrying larger k.
-_SKETCH_RANK = 8
-_SKETCH_PROBES = 4
-_SKETCH_TOL = 1e-13
-_PROBE_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
-_SKETCH_SEED = 0x0D5CA1E
-# columns over the state a compressed level holds besides the level array:
-# Omega (k + p), C = Q^T W (k), Z C^T (k) and the contiguous copy of C^T
-# that the sparse product takes (k)
-SKETCH_STATE_COLUMNS = 4 * _SKETCH_RANK + _SKETCH_PROBES
+# a factored level W = L R^T keeps as its time basis Q the fewest, at most
+# _COMPRESSION_RANK, leading left singular vectors of L for which
+# max_i ||row i of (I - Q Q^T) L|| max_x ||row x of R||, a deterministic bound
+# on every entry that Q misses, is within _COMPRESSION_TOL of the largest
+# entry of the final row; failing that, every singular vector (exact rank)
+_COMPRESSION_RANK = 8
+_COMPRESSION_TOL = 1e-14
+# factored columns of stored rows a level loop lets wait before adding them
+_WAITING_COLUMNS = 4 * _COMPRESSION_RANK
+# node energies: as few Chebyshev nodes as bring the a-priori bound
+# 2 (spread dt / 4)^M / M! on the relative error of interpolating e^{-tau E},
+# tau <= dt, within _INTERP_TOL; past _MAX_NODES the full-product route
+_INTERP_TOL = 1e-15
+_MAX_NODES = 16
 # tolerance (relative and absolute) of the oracle's adaptive DOP853 route
 _ORACLE_RK_TOL = 1e-12
 # intervals of the index grid over which the a-priori constant takes its suprema
 _APRIORI_GRID_POINTS = 512
+
+
+@dataclass
+class _GridReport:
+    """What one grid's level loop reports beside its legs.
+
+    nodes (0 on the full-product route) and their interpolation bound; per
+    compressed level, its residual bound and whether it kept its exact rank.
+    """
+
+    nodes: int = 0
+    bound: float = 0.0
+    residuals: list = field(default_factory=list)
+    exact: list = field(default_factory=list)
+
+
+def _node_count(spread: float):
+    """Fewest nodes for energies spread over spread / dt and their bound; None past _MAX_NODES."""
+    bound = 2.0
+    for count in range(1, _MAX_NODES + 1):
+        bound *= spread / (4.0 * count)
+        if bound <= _INTERP_TOL:
+            return count, bound
+    return None
+
+
+def level_loop_bytes(dim: int, grid: int, spread: float) -> int:
+    """Bytes a solve's level loop holds besides its stored rows and Z.
+
+    spread bounds (max E - min E) dt.  The factored route holds a column over
+    the state per node, P, F, Z F and the waiting factors (more on a level
+    that keeps its exact rank) and the node recursions with their SVD; the
+    full route two (grid + 1) x d arrays.
+    """
+    fit = _node_count(spread)
+    if fit is None:
+        return 16 * (grid + 1) * dim + 2 * _BLOCK_BYTES
+    rank = _COMPRESSION_RANK
+    columns = fit[0] + _WAITING_COLUMNS + 4 * rank + 4
+    return 8 * (columns * dim + 4 * fit[0] * rank * (grid + 1)) + 2 * _BLOCK_BYTES
 
 
 def _semigroup_profile(energies, tau, u0):
@@ -249,36 +291,140 @@ def _semigroup_profile(energies, tau, u0):
     return out
 
 
-def _sketch_columns(dim: int) -> np.ndarray:
-    """The fixed Gaussian test matrix Omega, dim x (k + p), from a private generator."""
-    rng = np.random.default_rng(_SKETCH_SEED)
-    return rng.standard_normal((_SKETCH_RANK + _SKETCH_PROBES, dim)).T
-
-
-def _compressed_product(w: np.ndarray, zmat, omega: np.ndarray) -> float | None:
-    """Overwrite w with Z applied to its rows through a rank-k range of its columns.
-
-    w (time-major, grid + 1 rows) is taken as Q C with Q = qr(w Omega[:, :k])
-    and C = Q^T w, so that Z W = Q (Z C^T)^T needs k sparse columns.  Returns
-    the probe estimate relative to the largest sketch column, or None, leaving
-    w untouched, when the rank fails the probe test.
-    """
-    sample = w @ omega
-    basis, _ = np.linalg.qr(sample[:, :_SKETCH_RANK])
-    probes = sample[:, _SKETCH_RANK:]
-    # overflow only makes the estimate non-finite, which fails the test
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.sqrt((sample * sample).sum(axis=0)).max()
-        probes -= basis @ (basis.T @ probes)
-        estimate = _PROBE_FACTOR * np.sqrt((probes * probes).sum(axis=0)).max()
-    # written so that a NaN estimate or an overflowed sketch fails the test
-    if not estimate <= _SKETCH_TOL * size < math.inf:
+def _energy_nodes(energies: np.ndarray, dt: float):
+    """Chebyshev node energies, their Lagrange weights at every energy, (nodes, d), and bound."""
+    lo, hi = float(energies.min()), float(energies.max())
+    fit = _node_count((hi - lo) * dt)
+    if fit is None:
         return None
-    # Q^T W, not W^T Q: BLAS would pack the transposed level into a buffer
-    # as large as the level array, and the process keeps it
-    coeffs = basis.T @ w
-    np.matmul(basis, (zmat @ coeffs.T).T, out=w)
-    return float(estimate / size) if estimate > 0.0 else 0.0
+    count, bound = fit
+    angles = (2.0 * np.arange(count) + 1.0) * (math.pi / (2 * count))
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
+    weights = np.ones((count, len(energies)))
+    for m, j in itertools.permutations(range(count), 2):
+        weights[m] *= (energies - nodes[j]) / (nodes[m] - nodes[j])
+    return nodes, weights, bound
+
+
+def _trapezoid(y: np.ndarray, energies, step: float) -> np.ndarray:
+    """The exact-semigroup trapezoid recursion along the first axis of y, in place.
+
+    Q_i = e^{-step E} [Q_{i-1} + (step/2) y_{i-1}] + (step/2) y_i from Q_0 = 0,
+    with E broadcast against a row, is the prefix sum over j <= i of
+    e^{-(i-j) step E} (step/2) (e^{-step E} y_{j-1} + y_j), taken by doubling
+    its reach log2(rows) times.
+    """
+    y[1:] += np.exp(-step * energies) * y[:-1]
+    y[0] = 0.0
+    y *= 0.5 * step
+    shift = 1
+    while shift < len(y):
+        y[shift:] += np.exp(-shift * step * energies) * y[:-shift]
+        shift *= 2
+    return y
+
+
+def _right_product(weights: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs^T R^T for R^T[(m, r), x] = weights[m, x] right[r, x], a block of states at a time."""
+    width = max(1, _BLOCK_BYTES // (8 * len(coeffs)))
+    out = np.empty((coeffs.shape[1], right.shape[1]))
+    for lo in range(0, right.shape[1], width):
+        block = weights[:, None, lo:lo + width] * right[None, :, lo:lo + width]
+        out[:, lo:lo + width] = coeffs.T @ block.reshape(len(coeffs), -1)
+    return out
+
+
+def _compress(left: np.ndarray, weights: np.ndarray, right: np.ndarray, weight_norms):
+    """Time basis Q of the level W = L R^T, R^T[(m, r), x] = weights[m, x] right[r, x].
+
+    Returns Q, F^T = Q^T W, the missed part's bound relative to the largest
+    final entry (0 at exact rank) and whether the level kept its exact rank.
+    """
+    basis, values, coords = np.linalg.svd(left, full_matrices=False)
+    # a zero row of L (row 0 past level 0) stays exactly zero
+    basis[~left.any(axis=1)] = 0.0
+    cols = min(_COMPRESSION_RANK, len(values))
+    factor = _right_product(weights, right, coords[:cols].T * values[:cols])
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(basis[-1, :cols] @ factor).max()
+        right_norm = (weight_norms * np.sqrt(np.einsum("rx,rx->x", right, right))).max()
+        # largest row norm of the part of L past rank r, r = 1 .. cols
+        tails = np.cumsum(((basis * values) ** 2)[:, ::-1], axis=1)[:, ::-1]
+        tails = np.sqrt(np.append(tails.max(axis=0), 0.0)[1:cols + 1]) * right_norm
+        # written so that a NaN bound or an overflowed size fails the test
+        passed = np.flatnonzero(tails <= _COMPRESSION_TOL * size) if size < math.inf else []
+    if len(passed):
+        rank = passed[0] + 1
+        residual = float(tails[rank - 1] / size) if tails[rank - 1] > 0.0 else 0.0
+        return basis[:, :rank], factor[:rank], residual, False
+    if cols < len(values):
+        factor = _right_product(weights, right, coords.T * values)
+    return basis, factor, 0.0, True
+
+
+def _fold(rows: np.ndarray, parts: list) -> np.ndarray:
+    """Add the factored rows sum left @ right over parts into rows, a block of states at a time."""
+    if parts:
+        left = np.hstack([lf for lf, _ in parts])
+        width = max(1, _BLOCK_BYTES // (8 * sum(left.shape)))
+        for lo in range(0, rows.shape[1], width):
+            rows[:, lo:lo + width] += left @ np.vstack([rt[:, lo:lo + width] for _, rt in parts])
+    return rows
+
+
+def _factored_levels(
+    u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights, report
+):
+    """Duhamel levels as W = sum_m L_m R_m^T; yields each level's final row.
+
+    L_m is the recursion of the previous level's time basis at node energy
+    e_m and R_m = l_m(E) P, P = Z F; level 0 (exact in total) feeds level 1
+    as L_m = e^{-tau e_m}, R_m = l_m(E) u0.  Later levels' stored rows wait
+    in parts as factors.  Arrays over the state are state-minor.
+    """
+    step = dt / grid
+    tau = np.linspace(0.0, dt, grid + 1)
+    yield _semigroup_profile(energies, tau[-1:], u0)[0]
+    weight_norms = np.sqrt(np.einsum("mx,mx->x", weights, weights))
+    left = np.exp(-np.outer(tau, nodes))
+    right = u0[None, :]
+    for level in itertools.count():
+        basis, factor, residual, exact = _compress(left, weights, right, weight_norms)
+        report.residuals.append(residual)
+        report.exact.append(exact)
+        if level:
+            parts.append((basis[store_idx], factor))
+            if sum(len(rt) for _, rt in parts) > _WAITING_COLUMNS:
+                _fold(total, parts)
+                parts.clear()
+            yield basis[-1] @ factor
+        right = np.ascontiguousarray((zmat @ factor.T).T)
+        # P's rows scaled to unit size and Q's columns by as much, so that
+        # the singular vectors of L weigh each direction by its share of W
+        scale = np.abs(right).max(axis=1)
+        if not np.isfinite(scale).all():
+            raise ConvergenceError(f"Duhamel level {level + 1} has non-finite entries")
+        scale[scale == 0.0] = 1.0
+        right /= scale[:, None]
+        rows = np.repeat((basis * scale)[:, None, :], len(nodes), axis=1)
+        left = _trapezoid(rows, nodes[:, None], step).reshape(grid + 1, -1)
+
+
+def _full_levels(u0, energies, zmat, dt, grid, store_idx, total):
+    """Duhamel levels as one (grid + 1) x d array; yields each level's final row.
+
+    Y = Z W runs on blocks of grid points sized for cache; each level's
+    stored rows are added to total.
+    """
+    w = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1), u0)
+    width = max(1, _BLOCK_BYTES // (8 * len(u0)))
+    yield w[-1]
+    while True:
+        for start in range(0, grid + 1, width):
+            w[start:start + width] = (zmat @ w[start:start + width].T).T
+        _trapezoid(w, energies, dt / grid)
+        total += w[store_idx]
+        yield w[-1]
 
 
 def _run_grid(
@@ -298,75 +444,53 @@ def _run_grid(
     """Sum Duhamel levels on a uniform grid for one or more norm indices.
 
     energies are the diagonal's semigroup energies (all zero at the limit).
-    One time-major (grid + 1) x d array holds the current level and is
-    overwritten level by level: first Y = Z W, through a time-compressed
-    level (`_compressed_product`) or, when the rank-k sketch fails, in
-    blocks of consecutive grid points sized to stay in cache; then the
-    trapezoid recursion over rows 1..grid.  Each alpha in alphas is one leg
-    with its own stopping test (or its entry of fixed_levels); the loop runs
-    until every leg has stopped.  Returns, per leg, the totals of the
-    store_idx rows at the leg's level count, its final-row norms and the
-    count; and the probe estimate of every level (0 where a level used the
-    full product).
+    The levels are factored (`_factored_levels`) when at most _MAX_NODES
+    nodes cover the energies, else full (`_full_levels`).  Each alpha is one
+    leg with its own stopping test (or entry of fixed_levels), run until all
+    have stopped.  Returns, per leg, the totals of the store_idx rows at its
+    level count, its final-row norms and the count; and a `_GridReport`.
     """
-    step = dt / grid
-    half = 0.5 * step
-    decay = np.exp(-step * energies)
-    w = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1), u0)
-    width = max(1, _BLOCK_BYTES // (8 * len(u0)))
-    # a grid of fewer than 4 k - 1 points gains too little from k columns
-    omega = _sketch_columns(len(u0)) if 4 * _SKETCH_RANK <= grid + 2 else None
-    # carry: the previous row's Y times half; work: scratch
-    carry = np.empty(len(u0))
-    work = np.empty(len(u0))
-    total = w[store_idx]
-    finals = [[norm_alpha_flat(w[-1], orders, a)] for a in alphas]
+    total = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1)[store_idx], u0)
+    parts: list = []
+    report = _GridReport()
+    fit = _energy_nodes(energies, dt)
+    if fit is None:
+        levels = _full_levels(u0, energies, zmat, dt, grid, store_idx, total)
+    else:
+        nodes, weights, report.bound = fit
+        report.nodes = len(nodes)
+        levels = _factored_levels(
+            u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights, report
+        )
+    finals = [[] for _ in alphas]
     counts = [None] * len(alphas)
     totals = [None] * len(alphas)
-    residuals = []
-    level = 0
-    while True:
-        for leg, norms in enumerate(finals):
+    for level, final in enumerate(levels):
+        for leg, alpha in enumerate(alphas):
             if counts[leg] is not None:
                 continue
-            if not math.isfinite(norms[-1]):
-                raise ConvergenceError(
-                    f"Duhamel level {level} has non-finite norm {norms[-1]}"
-                )
+            norm = norm_alpha_flat(final, orders, alpha)
+            finals[leg].append(norm)
+            if not math.isfinite(norm):
+                raise ConvergenceError(f"Duhamel level {level} has non-finite norm {norm}")
             if fixed_levels is not None:
                 if level >= fixed_levels[leg]:
                     counts[leg] = level
-            elif norms[-1] < term_tol or level >= max_levels:
+            elif norm < term_tol or level >= max_levels:
                 counts[leg] = level
         if None not in counts:
             break
-        # a leg that stops while another runs on keeps a copy of its totals
+        # a leg that stops while another runs on keeps a copy of its totals,
+        # folded as its own solve would fold them
         for leg, count in enumerate(counts):
             if count == level:
-                totals[leg] = total.copy()
-        residual = None if omega is None else _compressed_product(w, zmat, omega)
-        residuals.append(0.0 if residual is None else residual)
-        if residual is None:
-            for start in range(0, grid + 1, width):
-                w[start:start + width] = (zmat @ w[start:start + width].T).T
-        np.multiply(half, w[0], out=carry)
-        w[0] = 0.0
-        # Q_i = S_A(dt) [Q_{i-1} + (dt/2) Y_{i-1}] + (dt/2) Y_i over row i = Y_i
-        for i in range(1, grid + 1):
-            np.add(w[i - 1], carry, out=work)
-            np.multiply(decay, work, out=work)
-            np.multiply(half, w[i], out=carry)
-            np.add(work, carry, out=w[i])
-        total += w[store_idx]
-        level += 1
-        for leg, alpha in enumerate(alphas):
-            if counts[leg] is None:
-                finals[leg].append(norm_alpha_flat(w[-1], orders, alpha))
+                totals[leg] = _fold(total.copy(), parts)
+    _fold(total, parts)
     legs = [
         (total if kept is None else kept, np.array(norms), count)
         for kept, norms, count in zip(totals, finals, counts)
     ]
-    return legs, np.array(residuals)
+    return legs, report
 
 
 def ovsyannikov_evolve(
@@ -464,12 +588,12 @@ def _evolve_legs(
     zmat = pert_op.matrix()
     alphas = [alpha for _, _, _, alpha in runs]
 
-    legs, residuals = _run_grid(
+    legs, report = _run_grid(
         u0, energies, zmat, dt, grid, orders, alphas, store_idx,
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
     )
     # Richardson consistency: recompute each leg's number of levels at half grid
-    half_legs, half_residuals = _run_grid(
+    half_legs, half_report = _run_grid(
         u0, energies, zmat, dt, grid // 2, orders, alphas, np.array([0, grid // 2]),
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
         fixed_levels=[leg[2] for leg in legs],
@@ -532,9 +656,12 @@ def _evolve_legs(
             converged=converged,
             initial_norm=initial_norm,
             scale=scale,
-            compression_residual=float(
-                max(residuals[:n_used].max(initial=0.0), half_residuals[:n_used].max(initial=0.0))
+            compression_residual=max(
+                report.residuals[:n_used + 1] + half_report.residuals[:n_used + 1], default=0.0
             ),
+            interpolation_nodes=report.nodes,
+            interpolation_bound=report.bound,
+            exact_rank_levels=sum(report.exact[:n_used + 1] + half_report.exact[:n_used + 1]),
         ))
     return results
 

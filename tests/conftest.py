@@ -11,11 +11,13 @@ import pytest
 
 from ovskale import (
     BoundModel,
+    CorrelationVector,
     KernelPair,
     ModelParams,
     ScaleSpec,
     SupportedFunction,
     Torus,
+    homogeneous_scalar_ode,
     kernel_pair_from_spec,
     model_bound,
     time_horizon,
@@ -124,6 +126,33 @@ def apply_observable_generator(
             val += lam * h * birth_sum
             out[eta] = val
     return SupportedFunction(torus, out, n_max, None)
+
+
+def lp_pairing(F, k: CorrelationVector) -> float:
+    """Lebesgue-Poisson pairing of an observable with a correlation vector.
+
+    Layers pair with weight h^{d n} under the canonical-subset convention, up
+    to the state's truncation order.
+    """
+    h = k.torus.cell_volume
+    if isinstance(F, SupportedFunction):
+        total = 0.0
+        for eta, val in F.values.items():
+            if val != 0.0 and len(eta) <= k.n_max:
+                total += h ** len(eta) * val * k.value(eta)
+        return total
+    total = 0.0
+    for n in range(k.n_max + 1):
+        for eta in subsets_of_order(k.torus.site_count, n):
+            total += h**n * float(F(eta)) * k.value(eta)
+    return total
+
+
+def homogeneous_ode(r0: float, t_end: float, kernels: KernelPair, params: ModelParams) -> float:
+    """The spatially constant kinetic solution at t_end, from the model's averages."""
+    return homogeneous_scalar_ode(
+        r0, t_end, kernels.avg_a, kernels.avg_phi, params.death_amplitude, params.birth_intensity
+    )
 
 
 @pytest.fixture(scope="session")

@@ -28,11 +28,9 @@ from ovskale import (
     chaos_check,
     critical_c_range,
     flow_compose_check,
-    homogeneous_ode,
     integrate_kinetic,
     kernel_pair_from_spec,
     localization_index,
-    lp_pairing,
     norm_alpha,
     optimal_terminal,
     oracle_evolve,
@@ -50,7 +48,14 @@ from ovskale import (
 from ovskale.kinetic import stationary_curve
 from ovskale.states import random_correlation
 
-from conftest import GAUSS_A, GAUSS_PHI, apply_observable_generator, make_instance
+from conftest import (
+    GAUSS_A,
+    GAUSS_PHI,
+    apply_observable_generator,
+    homogeneous_ode,
+    lp_pairing,
+    make_instance,
+)
 
 FROZEN_HORIZON = 0.02307622982293264  # stock instance, alpha 1.5 -> 2.5
 

@@ -125,6 +125,19 @@ def test_run_evolve_success(tmp_path, capsys):
 
     result = json.loads((out / "result.json").read_text())
     n_used = result["n_used"]
+    # the ledger holds the main solve, with the figures result.json reports
+    [solve] = manifest["solves"]
+    assert (solve["epsilon"], solve["d"], solve["n_used"]) == (1.0, 11, n_used)
+    assert solve["nnz"] > 0
+    assert solve["richardson_ratio"] == result["quad_disagreement"] / doc["solver"]["quad_tol"]
+    assert 0.0 <= solve["min_majorant_slack"] < 1.0
+    for key in (
+        "compression_residual", "interpolation_nodes", "interpolation_bound", "exact_rank_levels"
+    ):
+        assert solve[key] == result[key]
+    assert 0.0 < result["compression_residual"] <= 1e-14
+    assert 1 <= result["interpolation_nodes"] <= 16
+    assert result["exact_rank_levels"] == 0
     rows = read_rows(out / "plot_series_majorant.csv")
     assert rows[0] == ["series", "x", "y"]
     body = rows[1:]

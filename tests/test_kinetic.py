@@ -17,14 +17,11 @@ from ovskale import (
     ModelParams,
     StepSizeCollapse,
     Torus,
-    bifurcation_input_from_model,
     circular_convolution,
     critical_c_range,
-    homogeneous_ode,
     homogeneous_scalar_ode,
     integrate_kinetic,
     kernel_pair_from_spec,
-    kinetic_rhs,
     stationary_scan,
     tangency_point,
     threshold_b,
@@ -32,7 +29,21 @@ from ovskale import (
 from ovskale import kinetic
 from ovskale.kinetic import ScanResult, _bisect, stationary_curve
 
-from conftest import GAUSS_A, GAUSS_PHI
+from conftest import GAUSS_A, GAUSS_PHI, homogeneous_ode
+
+
+def kinetic_rhs(rho, torus: Torus, kernels: KernelPair, params: ModelParams) -> np.ndarray:
+    """Right-hand side of the kinetic equation at the density rho."""
+    spectra = kinetic._kernel_spectra(torus, kernels.a_values, kernels.phi_values)
+    return kinetic._rhs(np.asarray(rho, dtype=float), torus, spectra, params)
+
+
+def bifurcation_input_from_model(kernels: KernelPair, params: ModelParams) -> BifurcationInput:
+    """Dimensionless (b, c) of a concrete model instance."""
+    avg_phi = kernels.avg_phi
+    b = kernels.avg_a / (params.death_amplitude * avg_phi)
+    c = params.birth_intensity * avg_phi / params.death_amplitude
+    return BifurcationInput(b=b, c=c)
 
 
 def _kernels(sites=8, spacing=0.5, a=GAUSS_A, phi=GAUSS_PHI, dim=1):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ovskale import Torus, kernel_pair_from_spec
 from ovskale.lattice import (
+    KernelPair,
     MAX_SUBSET_ORDER,
     SupportedFunction,
     diff_table,
@@ -21,7 +22,6 @@ from ovskale.lattice import (
     layer_array,
     layer_offsets,
     layer_sizes,
-    load_kernel_pair,
     lp_exponential,
     lp_integral,
     pair_energy,
@@ -32,6 +32,12 @@ from ovskale.lattice import (
     total_dimension,
 )
 from conftest import GAUSS_A, GAUSS_PHI
+
+
+def load_kernel_pair(doc: dict) -> KernelPair:
+    """A KernelPair from its JSON document {"dim", "sites", "spacing", "a", "phi"}."""
+    torus = Torus(int(doc["dim"]), int(doc["sites"]), float(doc["spacing"]))
+    return kernel_pair_from_spec(torus, doc["a"], doc["phi"])
 
 
 def test_torus_indexing_roundtrip():

@@ -16,7 +16,6 @@ from ovskale import (
     Torus,
     interaction_energies,
     kernel_pair_from_spec,
-    lp_pairing,
 )
 from ovskale.lattice import (
     SupportedFunction,
@@ -28,10 +27,14 @@ from ovskale.lattice import (
     total_dimension,
 )
 from ovskale.operators import _mobius_table
-from ovskale.series import _semigroup_profile
 from ovskale.states import CorrelationVector, flat_orders, random_correlation
 
-from conftest import GAUSS_A, GAUSS_PHI, apply_observable_generator
+from conftest import GAUSS_A, GAUSS_PHI, apply_observable_generator, lp_pairing
+
+
+def _semigroup_profile(energies, tau, u0):
+    """e^{-tau E} u0 at every time of tau, one row each: the diagonal semigroup."""
+    return np.exp(-np.outer(tau, energies)) * u0
 
 
 def dense(kind, kernels, params, n_max) -> np.ndarray:
@@ -298,7 +301,7 @@ def test_lp_pairing_hand_value():
 
 
 def test_semigroup_identity_and_composition(stock4, rng):
-    # the solver's semigroup profile e^{-tau E} u on the diagonal handle
+    # the semigroup profile e^{-tau E} u on the diagonal handle
     k = random_correlation(stock4.torus, stock4.n_max, 1.8, rng).flat()
     energies = OperatorHandle(
         "diagonal", stock4.kernels, stock4.params, stock4.n_max

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,9 +189,43 @@ def reference_optimum(alpha_s, bound, search_hi, nu, scan_points):
     return float(res.x), time_horizon(alpha_s, float(res.x), bound, nu)
 
 
+def _golden_optimum(alpha_s, bound, search_hi, nu, scan_points):
+    """The bracket of optimal_terminal's scan refined by golden-section search."""
+    betas = np.linspace(alpha_s, search_hi, scan_points + 1)[1:]
+    best = int(np.argmax([time_horizon(alpha_s, b, bound, nu) for b in betas]))
+    lo = float(betas[best - 1]) if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
+    hi = float(betas[best + 1])
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = time_horizon(alpha_s, x1, bound, nu), time_horizon(alpha_s, x2, bound, nu)
+    while hi - lo > 1e-12:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = time_horizon(alpha_s, x1, bound, nu)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = time_horizon(alpha_s, x2, bound, nu)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def _slope_root(alpha_s, inst, bracket):
+    """The root of d/dbeta of the model's horizon, from its closed form at 40 digits."""
+    a, phi = inst.kernels.avg_a, inst.kernels.avg_phi
+    m, lam = inst.params.death_amplitude, inst.params.birth_intensity
+    with mpmath.workdps(40):
+        def slope(b):
+            sing = a * b * b + b * m * mpmath.exp(phi * b) + b * lam
+            dsing = 2 * a * b + m * mpmath.exp(phi * b) * (1 + phi * b) + lam
+            return sing - (b - alpha_s) * dsing
+
+        return float(mpmath.findroot(slope, bracket, solver="anderson"))
+
+
 def test_optimal_terminal_matches_reference(stock6):
     gen = np.random.default_rng(7)
-    cases = [(1.5, stock6.bound, 2.5, 1.0, 1000), (1.5, stock6.bound, 6.0, 1.0, 1000)]
+    cases = [(1.5, stock6, 2.5, 1.0, 1000), (1.5, stock6, 6.0, 1.0, 1000)]
     for _ in range(6):
         a_amp, phi_amp, m, lam = gen.uniform(0.05, 3.0, 4)
         inst = make_instance(
@@ -200,15 +235,23 @@ def test_optimal_terminal_matches_reference(stock6):
             lam=lam,
         )
         alpha_s = gen.uniform(1.05, 2.0)
-        cases.append((alpha_s, inst.bound, alpha_s + 6.0, gen.uniform(1.0, 3.0), 500))
-    for alpha_s, bound, search_hi, nu, points in cases:
-        opt = optimal_terminal(alpha_s, bound, search_hi, nu, points)
+        cases.append((alpha_s, inst, alpha_s + 6.0, gen.uniform(1.0, 3.0), 500))
+    for alpha_s, inst, search_hi, nu, points in cases:
+        opt = optimal_terminal(alpha_s, inst.bound, search_hi, nu, points)
         assert not opt.at_boundary
-        beta, horizon = reference_optimum(alpha_s, bound, search_hi, nu, points)
-        assert abs(opt.horizon - horizon) <= 1e-12 * horizon
-        # the maximum is flat: a shift of 1e-8 in beta moves the horizon by
-        # about a rounding error, so neither search places beta closer
-        assert abs(opt.beta - beta) <= 1e-7 * beta
+        searches = [
+            reference_optimum(alpha_s, inst.bound, search_hi, nu, points),
+            _golden_optimum(alpha_s, inst.bound, search_hi, nu, points),
+        ]
+        for beta, horizon in searches:
+            assert abs(opt.horizon - horizon) <= 1e-12 * horizon
+            # the maximum is flat: a shift of 1e-8 in beta moves the horizon
+            # by about a rounding error, so neither search places beta closer
+            assert abs(opt.beta - beta) <= 1e-7 * beta
+        # the written beta is the root of the slope, which neither search
+        # moves: the golden-section and Brent brackets both give this value
+        root = _slope_root(alpha_s, inst, (searches[0][0] * 0.999, searches[0][0] * 1.001))
+        assert abs(opt.beta - root) <= 1e-11 * root
 
 
 def test_optimal_terminal_boundary_flag(stock6):

@@ -211,8 +211,8 @@ def test_non_finite_stored_row_is_a_typed_failure(small):
 
 
 def test_state_near_the_float_range_is_a_typed_failure(small):
-    # the sketch of such a level overflows; its probe test must fail, not
-    # accept an infinite bound, and the run ends in the Richardson gate
+    # the compression bound of such a level overflows; its test must fail,
+    # not accept an infinite bound, and the run ends in the Richardson gate
     diag, pert, _ = _ops(small)
     flat = CorrelationVector.product_form(small.torus, small.n_max, 0.5).flat() * 1e300
     u0 = CorrelationVector.from_flat(small.torus, small.n_max, flat)
@@ -223,12 +223,6 @@ def test_state_near_the_float_range_is_a_typed_failure(small):
         )
 
 
-def _reference_profile(energies, tau, u0):
-    if energies is None:
-        return np.tile(u0, (len(tau), 1))
-    return np.exp(-np.outer(tau, energies)) * u0[None, :]
-
-
 def _reference_run_grid(
     u0: np.ndarray,
     energies,
@@ -237,22 +231,27 @@ def _reference_run_grid(
     grid: int,
     orders: np.ndarray,
     alpha: float,
+    store_idx: np.ndarray,
     *,
     term_tol: float,
     max_levels: int,
     fixed_levels: int | None = None,
 ):
-    """The level loop before blocking: four full arrays, totals on every row.
+    """The level loop with one (grid + 1) x d level array and no compression.
 
-    energies None is the identity semigroup of the limit, summed as
-    Q + h (Y_i + Y_{i+1}) with no decay factor.
+    The level array is overwritten level by level: Y = Z W in blocks of
+    consecutive grid points, then the trapezoid recursion row by row.
+    Returns the totals of the store_idx rows, the final-row norms and the
+    level count.
     """
-    tau = np.linspace(0.0, dt, grid + 1)
     step = dt / grid
     half = 0.5 * step
-    decay = None if energies is None else np.exp(-step * energies)
-    w = _reference_profile(energies, tau, u0)
-    total = w.copy()
+    decay = np.exp(-step * energies)
+    w = np.exp(-np.outer(np.linspace(0.0, dt, grid + 1), energies)) * u0
+    width = max(1, (3 << 19) // (8 * len(u0)))
+    carry = np.empty(len(u0))
+    work = np.empty(len(u0))
+    total = w[store_idx]
     final_norms = [norm_alpha_flat(w[-1], orders, alpha)]
     level = 0
     while True:
@@ -265,16 +264,16 @@ def _reference_run_grid(
                 break
         elif final_norms[-1] < term_tol or level >= max_levels:
             break
-        y = (zmat @ w.T).T
-        q_acc = np.zeros_like(w)
-        if decay is None:
-            for i in range(grid):
-                q_acc[i + 1] = q_acc[i] + half * (y[i] + y[i + 1])
-        else:
-            for i in range(grid):
-                q_acc[i + 1] = decay * (q_acc[i] + half * y[i]) + half * y[i + 1]
-        w = q_acc
-        total += w
+        for start in range(0, grid + 1, width):
+            w[start:start + width] = (zmat @ w[start:start + width].T).T
+        np.multiply(half, w[0], out=carry)
+        w[0] = 0.0
+        for i in range(1, grid + 1):
+            np.add(w[i - 1], carry, out=work)
+            np.multiply(decay, work, out=work)
+            np.multiply(half, w[i], out=carry)
+            np.add(work, carry, out=w[i])
+        total += w[store_idx]
         level += 1
         final_norms.append(norm_alpha_flat(w[-1], orders, alpha))
     return total, np.array(final_norms), level
@@ -284,65 +283,97 @@ def _bits(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype=float).tobytes()
 
 
-def _assert_terms_close(got, ref):
-    # each term norm within 1e-12 of itself plus 1e-15 of the level-0 term
-    got, ref = np.asarray(got), np.asarray(ref)
-    assert got.shape == ref.shape
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-15 * ref[0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dim=st.integers(1, 2),
-    sites=st.integers(2, 4),
-    n_max=st.integers(1, 3),
-    limit=st.booleans(),
-    grid=st.integers(1, 128).map(lambda h: 2 * h),
-    data=st.data(),
-)
-def test_level_loop_matches_reference(dim, sites, n_max, limit, grid, data):
-    # the time-compressed loop against the plain whole-array loop, with the
-    # level count pinned to the reference's so that a final-row norm sitting
-    # at term_tol cannot flip it; blocks of every width for the levels that
-    # fall back to the full product; the limit feeds the eps = 0 handle's
-    # zero energies to the loop and the identity route to the reference
+def _level_case(dim, sites, n_max, eps, seed):
     tor = Torus(dim, sites, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     n_max = min(n_max, tor.site_count)
-    eps = 0.0 if limit else data.draw(st.floats(0.05, 1.0))
     params = ModelParams(1.0, 1.0, eps)
     zmat = OperatorHandle("perturbation", ker, params, n_max).matrix()
     energies = OperatorHandle("diagonal", ker, params, n_max).semigroup_energies()
-    width = data.draw(st.integers(1, grid + 2))
+    u0 = random_correlation(tor, n_max, 1.5, np.random.default_rng(seed)).flat()
+    return u0, energies, zmat, flat_orders(tor, n_max)
+
+
+_level_cases = dict(
+    dim=st.integers(1, 2),
+    sites=st.integers(2, 4),
+    n_max=st.integers(1, 3),
+    eps=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    grid=st.integers(1, 128).map(lambda h: 2 * h),
+    dt=st.floats(1e-3, 0.05),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_level_cases, alpha=st.floats(1.2, 2.5), data=st.data())
+def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, alpha, data):
+    # the factored loop against the full-array loop, with the level count
+    # pinned to the reference's so that a final-row norm sitting at term_tol
+    # cannot flip it; eps = 0 feeds the limit handle's zero energies
+    u0, energies, zmat, orders = _level_case(dim, sites, n_max, eps, seed)
     store_idx = np.array(sorted(data.draw(st.sets(st.integers(0, grid), min_size=1))))
     fixed = data.draw(st.one_of(st.none(), st.integers(0, 4)))
-    dt = data.draw(st.floats(1e-3, 0.05))
-    alpha = data.draw(st.floats(1.2, 2.5))
-    seed = data.draw(st.integers(0, 2**16))
-    u0 = random_correlation(tor, n_max, 1.5, np.random.default_rng(seed)).flat()
-    orders = flat_orders(tor, n_max)
     tail = (zmat, dt, grid, orders)
     ref_total, ref_final, ref_levels = _reference_run_grid(
-        u0, None if limit else energies, *tail, alpha,
-        term_tol=1e-12, max_levels=8, fixed_levels=fixed,
+        u0, energies, *tail, alpha, store_idx, term_tol=1e-12, max_levels=8, fixed_levels=fixed,
     )
-    with mock.patch.object(series, "_BLOCK_BYTES", 8 * len(u0) * width):
-        [(total, final, levels)], residuals = series._run_grid(
-            u0, energies, *tail, [alpha], store_idx,
-            term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels],
-        )
+    [(total, final, levels)], report = series._run_grid(
+        u0, energies, *tail, [alpha], store_idx,
+        term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels],
+    )
     assert levels == ref_levels
-    assert residuals.shape == (levels,)
-    assert np.all((residuals >= 0.0) & (residuals <= series._SKETCH_TOL))
-    ref_rows = ref_total[store_idx]
-    err = norm_alpha_flat(total - ref_rows, orders, alpha)
-    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_rows, orders, alpha))
-    _assert_terms_close(final, ref_final)
+    assert 1 <= report.nodes <= series._MAX_NODES
+    assert (report.nodes == 1) == (np.ptp(energies) == 0.0)
+    assert report.bound <= series._INTERP_TOL
+    # level 0 is summed exactly and compressed only to feed level 1
+    assert len(report.residuals) == len(report.exact) == (levels + 1 if levels else 0)
+    assert all(0.0 <= r <= series._COMPRESSION_TOL for r in report.residuals)
+    err = norm_alpha_flat(total - ref_total, orders, alpha)
+    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_total, orders, alpha))
+    # each term norm within 1e-13 of itself plus 1e-15 of the level-0 term:
+    # the loops' rounding grows at the same rate as the levels decay past it
+    assert final.shape == ref_final.shape
+    assert np.all(np.abs(final - ref_final) <= 1e-13 * ref_final + 1e-15 * ref_final[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_level_cases, tol=st.sampled_from([1e-4, 1e-7, 1e-10]))
+def test_compression_bound_covers_the_missed_part(dim, sites, n_max, eps, grid, dt, seed, tol):
+    # every level, materialised as W = L R^T, differs from its compressed Q F^T
+    # by no more than the deterministic bound times the final row's size; the
+    # test tolerance is loose enough that truncation, not rounding, decides
+    u0, energies, zmat, orders = _level_case(dim, sites, n_max, eps, seed)
+    compress = series._compress
+    seen = []
+
+    def checked(left, weights, right, weight_norms):
+        basis, factor, residual, exact = compress(left, weights, right, weight_norms)
+        right_t = (weights[:, None, :] * right[None, :, :]).reshape(len(left.T), -1)
+        level = left @ right_t
+        missed = np.abs(level - basis @ factor).max()
+        # backward error of the SVD and of the products, on the scale of L R^T
+        rounding = 8 * sum(left.shape) * np.finfo(float).eps * (
+            np.linalg.norm(left, 2) * np.sqrt((right_t * right_t).sum(axis=0)).max()
+        )
+        assert missed <= residual * np.abs(level[-1]).max() * (1.0 + 1e-9) + rounding
+        assert residual <= tol
+        seen.append((residual, exact))
+        return basis, factor, residual, exact
+
+    with mock.patch.object(series, "_COMPRESSION_TOL", tol), \
+            mock.patch.object(series, "_compress", checked):
+        [(_, _, levels)], report = series._run_grid(
+            u0, energies, zmat, dt, grid, orders, [2.0], np.array([0, grid]),
+            term_tol=1e-12, max_levels=6,
+        )
+    assert seen == list(zip(report.residuals, report.exact))
+    assert len(seen) == (levels + 1 if levels else 0)
 
 
 def _spread_energy_case():
-    # decay rates over four decades: each level has rank about 20 at 1e-13,
-    # above the sketch's 8 columns; grid 30 is the smallest that tries them
+    # decay rates over four decades: interpolating e^{-tau E} over them would
+    # take far more than _MAX_NODES nodes
     tor = Torus(1, 6, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     zmat = OperatorHandle("perturbation", ker, ModelParams(1.0, 1.0), 3).matrix()
@@ -353,27 +384,23 @@ def _spread_energy_case():
 
 
 def test_high_rank_levels_fall_back_to_the_full_product():
+    # the wide energy spread takes the full-product route, which sums the
+    # recursion by doubling instead of row by row
     args = _spread_energy_case()
     store_idx = np.arange(0, 31, 3)
+    assert series._energy_nodes(args[1], args[3]) is None
     ref_total, ref_final, ref_levels = _reference_run_grid(
-        *args, 2.0, term_tol=1e-12, max_levels=6
+        *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
     )
-    outcomes = []
-    product = series._compressed_product
-
-    def spy(*a):
-        outcomes.append(product(*a))
-        return outcomes[-1]
-
-    with mock.patch.object(series, "_compressed_product", spy):
-        [(total, final, levels)], residuals = series._run_grid(
+    with mock.patch.object(series, "_compress", side_effect=AssertionError("compressed")):
+        [(total, final, levels)], report = series._run_grid(
             *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
         )
     assert levels == ref_levels == 6
-    assert outcomes == [None] * levels
-    assert _bits(residuals) == _bits(np.zeros(levels))
-    assert _bits(total) == _bits(ref_total[store_idx])
-    assert _bits(final) == _bits(ref_final)
+    assert (report.nodes, report.bound, report.residuals, report.exact) == (0, 0.0, [], [])
+    err = norm_alpha_flat(total - ref_total, args[-1], 2.0)
+    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_total, args[-1], 2.0))
+    assert np.all(np.abs(final - ref_final) <= 1e-13 * ref_final)
 
 
 def _assert_same_result(got, want):
@@ -384,7 +411,8 @@ def _assert_same_result(got, want):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
     for name in (
         "horizon", "horizon_prime", "q", "alpha", "upsilon", "quad_disagreement",
-        "converged", "initial_norm", "compression_residual",
+        "converged", "initial_norm", "compression_residual", "interpolation_nodes",
+        "interpolation_bound", "exact_rank_levels",
     ):
         assert getattr(got, name) == getattr(want, name), name
     assert _bits(got.trajectory) == _bits(want.trajectory)
@@ -449,7 +477,7 @@ def test_flow_check_carries_the_main_solve_when_level_counts_differ():
 
 
 def test_solve_draws_nothing_from_shared_random_state(tmp_path):
-    # the sketch has its own generator: the global state and the config's
+    # the solve draws no random numbers: the global state and the config's
     # generator (from which perturbation_gap samples later) stay untouched
     doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
     outputs = []
@@ -497,24 +525,24 @@ def _solve_peak(trajectory_points: int):
 
 
 def test_level_loop_holds_one_level_array():
-    # the parent loop held w, total, y and q_acc (four full arrays) plus the
-    # transients of the level-0 profile; one level array and cache-sized
-    # blocks must now stay well below 1.5 of them
+    # a full-array loop holds at least one (grid + 1) x d level array; the
+    # factored loop holds none, only columns over the state and (grid + 1) x k
+    # node recursions, and must stay below half of one
     peak, _, level_bytes, csr_bytes = _solve_peak(9)
-    assert peak < 1.5 * level_bytes + csr_bytes
+    assert peak < 0.5 * level_bytes + csr_bytes
 
 
 def test_stored_rows_stay_within_the_size_check():
-    # with every grid point stored the loop holds the level array, the totals
-    # and the gather of the stored rows that feeds them (3 level arrays); a
-    # loop that keeps the gather into the next level holds 4
+    # with every grid point stored the loop holds the totals (one level
+    # array), the factors waiting to be summed into them and their blocks
     peak, cfg, level_bytes, csr_bytes = _solve_peak(_PEAK_GRID + 1)
-    assert peak < 3.5 * level_bytes + csr_bytes
+    assert peak < 1.5 * level_bytes + csr_bytes
     # the preflight's solver share (its estimate with the solver less the one
     # without) covers the measured peak besides the matrix
     needs = []
+    sup_energy = make_instance(sites=14, n_max=4).kernels.sup_a
     with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
-        experiments._check_footprint(14, 4, cfg)
+        experiments._check_footprint(14, 4, cfg, sup_energy=sup_energy)
         experiments._check_footprint(14, 4)
     assert peak - csr_bytes <= needs[0] - needs[1]
 
