@@ -311,16 +311,19 @@ def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, al
     # the factored loop against the full-array loop, with the level count
     # pinned to the reference's so that a final-row norm sitting at term_tol
     # cannot flip it; eps = 0 feeds the limit handle's zero energies; blocks
-    # of states of every width
+    # of states of every width; ranks of 1 and 2 make levels keep their
+    # exact rank
     u0, energies, zmat, orders = _level_case(dim, sites, n_max, eps, seed)
     store_idx = np.array(sorted(data.draw(st.sets(st.integers(0, grid), min_size=1))))
     fixed = data.draw(st.one_of(st.none(), st.integers(0, 4)))
     block_bytes = 8 * data.draw(st.integers(1, 4096))
+    rank = data.draw(st.sampled_from([1, 2, series._COMPRESSION_RANK]))
     tail = (zmat, dt, grid, orders)
     ref_total, ref_final, ref_levels = _reference_run_grid(
         u0, energies, *tail, alpha, store_idx, term_tol=1e-12, max_levels=8, fixed_levels=fixed,
     )
-    with mock.patch.object(series, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(series, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(series, "_COMPRESSION_RANK", rank):
         [(total, final, levels)], report = series._run_grid(
             u0, energies, *tail, [alpha], store_idx,
             term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels],
