@@ -530,7 +530,7 @@ def _evolve_legs(
     """One `ovsyannikov_evolve` result per config, all summed on one level loop.
 
     The configs must share the grid, the stopping tolerances and the stored
-    rows, as `SeriesConfig.for_horizon` clones do.  The level arrays do not
+    rows, as `SeriesConfig.for_horizon` clones do.  The levels do not
     depend on q or alpha, so the legs share the loop and its half-grid
     Richardson rerun, and each result is bit-identical to its own solve.
     """
