@@ -157,26 +157,27 @@ def _check_budget(need: float, detail: str) -> None:
 def _check_footprint(
     sites: int,
     order: int,
-    solver: SeriesConfig | None = None,
+    solve: tuple[SeriesConfig, float] | None = None,
     operators: int = 1,
     trajectories: int = 1,
-    sup_energy: float = 0.0,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
-    that solves (solver given) adds the stored rows of each trajectory held
-    at once and, once, the level loop's own arrays (`level_loop_bytes`).  The
-    energies eps E^a sum eps a >= 0 over at most n (n - 1) ordered pairs, so
-    they lie in [0, n (n - 1) sup_energy] with sup_energy = eps sup a.
+    that solves (solve = (solver, sup_energy) given) adds the stored rows of
+    each trajectory held at once and, once, the level loop's own arrays
+    (`level_loop_bytes`).  The energies eps E^a sum eps a >= 0 over at most
+    n (n - 1) ordered pairs, so they lie in [0, n (n - 1) sup_energy] with
+    sup_energy = eps sup a.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
     # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
     nnz = sum(math.comb(sites, k) * (2 * k + 2**k - 1) for k in range(1, order + 1))
     need = operators * _BYTES_PER_NONZERO * nnz
     detail = f"d={dim}, nnz<={nnz}"
-    if solver is not None:
+    if solve is not None:
+        solver, sup_energy = solve
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
         need += trajectories * 8 * stored * dim
@@ -254,9 +255,9 @@ def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVecto
 def run_evolve(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     _check_footprint(
-        bundle.torus.site_count, bundle.truncation, bundle.solver,
+        bundle.torus.site_count, bundle.truncation,
+        (bundle.solver, bundle.params.epsilon * bundle.kernels.sup_a),
         trajectories=_FLOW_TRAJECTORIES if "flow_tau" in exp else 1,
-        sup_energy=bundle.params.epsilon * bundle.kernels.sup_a,
     )
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
@@ -357,9 +358,9 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         eps_list.append(0.0)
     # the sweep keeps every epsilon's operator and trajectory
     _check_footprint(
-        bundle.torus.site_count, bundle.truncation, bundle.solver,
+        bundle.torus.site_count, bundle.truncation,
+        (bundle.solver, max(eps_list) * bundle.kernels.sup_a),
         operators=len(eps_list), trajectories=len(eps_list),
-        sup_energy=max(eps_list) * bundle.kernels.sup_a,
     )
     # the gap indices depend on the config alone: reject them before the sweep
     samples = exp.get("samples", 20)

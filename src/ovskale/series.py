@@ -16,8 +16,9 @@ vanish).  S_A reaches entry x only through its energy E_x, so a level is held
 factored, W = sum_m L_m R_m^T: L_m is the recursion of a few time columns run
 at Chebyshev node energies e_m, R_m the Lagrange weights l_m(E) times the
 state columns, and each level is compressed to at most _COMPRESSION_RANK
-columns under a deterministic bound before Z multiplies it.  An energy spread
-too wide for _MAX_NODES nodes takes the full-product route instead.  Every
+(failing that _MAX_RANK) columns under a deterministic bound before Z
+multiplies it.  An energy spread too wide for _MAX_NODES nodes takes the
+full-product route instead.  Every
 computed term is compared against its majorant
 
     nu ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
@@ -34,11 +35,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, HorizonError, MajorantViolation
+from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantViolation
 from .operators import OperatorHandle
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat, time_horizon, localization_index
 from .states import CorrelationVector, flat_orders
@@ -119,7 +120,7 @@ class EvolutionResult:
     # over both grids: the largest bound on what a level's time basis misses,
     # relative to its largest final entry (0: nothing missed); the nodes (0 on
     # the full-product route) and their interpolation bound; the levels that
-    # failed the compression test and kept their exact rank
+    # no rank up to _COMPRESSION_RANK fitted
     compression_residual: float = 0.0
     interpolation_nodes: int = 0
     interpolation_bound: float = 0.0
@@ -222,12 +223,15 @@ def _log_majorant(
 # bytes of one block of states that a level pass forms at once: small enough
 # to stay in L2
 _BLOCK_BYTES = 3 << 19
-# a factored level W = L R^T keeps as its time basis Q the fewest, at most
-# _COMPRESSION_RANK, leading left singular vectors of L for which
+# a factored level W = L R^T keeps as its time basis Q the fewest leading
+# left singular vectors of L for which
 # max_i ||row i of (I - Q Q^T) L|| max_x ||row x of R||, a deterministic bound
 # on every entry that Q misses, is within _COMPRESSION_TOL of the largest
-# entry of the final row; failing that, every singular vector (exact rank)
+# entry of the final row: at most _COMPRESSION_RANK of them or, on a level
+# that no such rank fits, at most _MAX_RANK (every one, its exact rank, if
+# fewer), the most the size check counts
 _COMPRESSION_RANK = 8
+_MAX_RANK = 2 * _COMPRESSION_RANK
 _COMPRESSION_TOL = 1e-14
 # factored columns of stored rows a level loop lets wait before adding them
 _WAITING_COLUMNS = 4 * _COMPRESSION_RANK
@@ -240,20 +244,6 @@ _MAX_NODES = 16
 _ORACLE_RK_TOL = 1e-12
 # intervals of the index grid over which the a-priori constant takes its suprema
 _APRIORI_GRID_POINTS = 512
-
-
-@dataclass
-class _GridReport:
-    """What one grid's level loop reports beside its legs.
-
-    nodes (0 on the full-product route) and their interpolation bound; per
-    compressed level, its residual bound and whether it kept its exact rank.
-    """
-
-    nodes: int = 0
-    bound: float = 0.0
-    residuals: list = field(default_factory=list)
-    exact: list = field(default_factory=list)
 
 
 def _node_count(spread: float):
@@ -270,25 +260,16 @@ def level_loop_bytes(dim: int, grid: int, spread: float) -> int:
     """Bytes a solve's level loop holds besides its stored rows and Z.
 
     spread bounds (max E - min E) dt.  The factored route holds a column over
-    the state per node, P, F, Z F and the waiting factors (more on a level
-    that keeps its exact rank) and the node recursions with their SVD; the
-    full route two (grid + 1) x d arrays.
+    the state per node and, at the largest rank a level may keep
+    (_MAX_RANK), P, F, Z F and the waiting factors, and the node recursions
+    with their SVD; the full route one (grid + 1) x d array and three
+    columns.
     """
     fit = _node_count(spread)
     if fit is None:
-        return 16 * (grid + 1) * dim + 2 * _BLOCK_BYTES
-    rank = _COMPRESSION_RANK
-    columns = fit[0] + _WAITING_COLUMNS + 4 * rank + 4
-    return 8 * (columns * dim + 4 * fit[0] * rank * (grid + 1)) + 2 * _BLOCK_BYTES
-
-
-def _semigroup_profile(energies, tau, u0):
-    """Level 0, e^{-tau E} u0 at every grid time, built in place as one array."""
-    out = np.outer(tau, energies)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out *= u0
-    return out
+        return 8 * (grid + 4) * dim + 2 * _BLOCK_BYTES
+    columns = fit[0] + _WAITING_COLUMNS + 4 * _MAX_RANK + 4
+    return 8 * (columns * dim + 4 * fit[0] * _MAX_RANK * (grid + 1)) + 2 * _BLOCK_BYTES
 
 
 def _energy_nodes(energies: np.ndarray, dt: float):
@@ -338,28 +319,35 @@ def _compress(left: np.ndarray, weights: np.ndarray, right: np.ndarray, weight_n
     """Time basis Q of the level W = L R^T, R^T[(m, r), x] = weights[m, x] right[r, x].
 
     Returns Q, F^T = Q^T W, the missed part's bound relative to the largest
-    final entry (0 at exact rank) and whether the level kept its exact rank.
+    final entry (0 at exact rank) and whether no rank up to
+    _COMPRESSION_RANK fitted.  Raises DimensionCapError for a level that
+    needs more than _MAX_RANK columns.
     """
     basis, values, coords = np.linalg.svd(left, full_matrices=False)
     # a zero row of L (row 0 past level 0) stays exactly zero
     basis[~left.any(axis=1)] = 0.0
-    cols = min(_COMPRESSION_RANK, len(values))
-    factor = _right_product(weights, right, coords[:cols].T * values[:cols])
+    top = values[0] if values[0] > 0.0 else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(basis[-1, :cols] @ factor).max()
         right_norm = (weight_norms * np.sqrt(np.einsum("rx,rx->x", right, right))).max()
-        # largest row norm of the part of L past rank r, r = 1 .. cols
-        tails = np.cumsum(((basis * values) ** 2)[:, ::-1], axis=1)[:, ::-1]
-        tails = np.sqrt(np.append(tails.max(axis=0), 0.0)[1:cols + 1]) * right_norm
-        # written so that a NaN bound or an overflowed size fails the test
-        passed = np.flatnonzero(tails <= _COMPRESSION_TOL * size) if size < math.inf else []
-    if len(passed):
-        rank = passed[0] + 1
-        residual = float(tails[rank - 1] / size) if tails[rank - 1] > 0.0 else 0.0
-        return basis[:, :rank], factor[:rank], residual, False
-    if cols < len(values):
-        factor = _right_product(weights, right, coords.T * values)
-    return basis, factor, 0.0, True
+        # largest row norm of the part of L past rank r, r = 1 .. all (0)
+        tails = np.cumsum(((basis * (values / top)) ** 2)[:, ::-1], axis=1)[:, ::-1]
+        tails = np.append(top * np.sqrt(tails.max(axis=0)[1:]) * right_norm, 0.0)
+    for cap in (_COMPRESSION_RANK, _MAX_RANK):
+        cols = min(cap, len(values))
+        factor = _right_product(weights, right, coords[:cols].T * values[:cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.abs(basis[-1, :cols] @ factor).max()
+        if not size < math.inf:
+            raise ConvergenceError(f"a Duhamel level has non-finite final entries ({size})")
+        # written so that a NaN bound fails the test
+        passed = np.flatnonzero(tails[:cols] <= _COMPRESSION_TOL * size)
+        if len(passed):
+            rank = passed[0] + 1
+            residual = float(tails[rank - 1] / size) if tails[rank - 1] > 0.0 else 0.0
+            return basis[:, :rank], factor[:rank], residual, cap > _COMPRESSION_RANK
+    raise DimensionCapError(
+        f"a Duhamel level needs more than {_MAX_RANK} time columns, the most the size check counts"
+    )
 
 
 def _fold(rows: np.ndarray, parts: list) -> np.ndarray:
@@ -373,25 +361,27 @@ def _fold(rows: np.ndarray, parts: list) -> np.ndarray:
 
 
 def _factored_levels(
-    u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights, report
+    u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights, residuals, exact
 ):
     """Duhamel levels as W = sum_m L_m R_m^T; yields each level's final row.
 
     L_m is the recursion of the previous level's time basis at node energy
     e_m and R_m = l_m(E) P, P = Z F; level 0 (exact in total) feeds level 1
     as L_m = e^{-tau e_m}, R_m = l_m(E) u0.  Later levels' stored rows wait
-    in parts as factors.  Arrays over the state are state-minor.
+    in parts as factors; each compressed level appends its residual bound
+    and whether no rank up to _COMPRESSION_RANK fitted.  Arrays over the
+    state are state-minor.
     """
     step = dt / grid
     tau = np.linspace(0.0, dt, grid + 1)
-    yield _semigroup_profile(energies, tau[-1:], u0)[0]
+    yield np.exp(-dt * energies) * u0
     weight_norms = np.sqrt(np.einsum("mx,mx->x", weights, weights))
     left = np.exp(-np.outer(tau, nodes))
     right = u0[None, :]
     for level in itertools.count():
-        basis, factor, residual, exact = _compress(left, weights, right, weight_norms)
-        report.residuals.append(residual)
-        report.exact.append(exact)
+        basis, factor, residual, kept = _compress(left, weights, right, weight_norms)
+        residuals.append(residual)
+        exact.append(kept)
         if level:
             parts.append((basis[store_idx], factor))
             if sum(len(rt) for _, rt in parts) > _WAITING_COLUMNS:
@@ -413,17 +403,34 @@ def _factored_levels(
 def _full_levels(u0, energies, zmat, dt, grid, store_idx, total):
     """Duhamel levels as one (grid + 1) x d array; yields each level's final row.
 
-    Y = Z W runs on blocks of grid points sized for cache; each level's
-    stored rows are added to total.
+    The array is overwritten level by level: Y = Z W on blocks of grid
+    points sized for cache, then the trapezoid recursion row by row; each
+    level's stored rows are added to total.
     """
-    w = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1), u0)
+    half = 0.5 * dt / grid
+    decay = np.exp(-(dt / grid) * energies)
+    w = np.outer(-np.linspace(0.0, dt, grid + 1), energies)
+    np.exp(w, out=w)
+    w *= u0
     width = max(1, _BLOCK_BYTES // (8 * len(u0)))
+    # carry: the previous row's Y times half; work: scratch
+    carry = np.empty(len(u0))
+    work = np.empty(len(u0))
     yield w[-1]
     while True:
         for start in range(0, grid + 1, width):
             w[start:start + width] = (zmat @ w[start:start + width].T).T
-        _trapezoid(w, energies, dt / grid)
-        total += w[store_idx]
+        np.multiply(half, w[0], out=carry)
+        w[0] = 0.0
+        # Q_i = S_A(dt) [Q_{i-1} + (dt/2) Y_{i-1}] + (dt/2) Y_i over row i = Y_i
+        for i in range(1, grid + 1):
+            np.add(w[i - 1], carry, out=work)
+            np.multiply(decay, work, out=work)
+            np.multiply(half, w[i], out=carry)
+            np.add(work, carry, out=w[i])
+        # row by row: a gather of the stored rows would be a further array
+        for row, i in zip(total, store_idx):
+            row += w[i]
         yield w[-1]
 
 
@@ -448,19 +455,24 @@ def _run_grid(
     nodes cover the energies, else full (`_full_levels`).  Each alpha is one
     leg with its own stopping test (or entry of fixed_levels), run until all
     have stopped.  Returns, per leg, the totals of the store_idx rows at its
-    level count, its final-row norms and the count; and a `_GridReport`.
+    level count, its final-row norms and the count; and the node count (0
+    on the full route), their interpolation bound and, per compressed
+    level, its residual bound and whether it kept more than
+    _COMPRESSION_RANK columns.
     """
-    total = _semigroup_profile(energies, np.linspace(0.0, dt, grid + 1)[store_idx], u0)
-    parts: list = []
-    report = _GridReport()
+    total = np.outer(-np.linspace(0.0, dt, grid + 1)[store_idx], energies)
+    np.exp(total, out=total)
+    total *= u0
+    parts, residuals, exact = [], [], []
     fit = _energy_nodes(energies, dt)
     if fit is None:
+        nodes, bound = (), 0.0
         levels = _full_levels(u0, energies, zmat, dt, grid, store_idx, total)
     else:
-        nodes, weights, report.bound = fit
-        report.nodes = len(nodes)
+        nodes, weights, bound = fit
         levels = _factored_levels(
-            u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights, report
+            u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights,
+            residuals, exact,
         )
     finals = [[] for _ in alphas]
     counts = [None] * len(alphas)
@@ -490,7 +502,7 @@ def _run_grid(
         (total if kept is None else kept, np.array(norms), count)
         for kept, norms, count in zip(totals, finals, counts)
     ]
-    return legs, report
+    return legs, (len(nodes), bound, residuals, exact)
 
 
 def ovsyannikov_evolve(
@@ -588,12 +600,12 @@ def _evolve_legs(
     zmat = pert_op.matrix()
     alphas = [alpha for _, _, _, alpha in runs]
 
-    legs, report = _run_grid(
+    legs, (nodes, bound, residuals, exact) = _run_grid(
         u0, energies, zmat, dt, grid, orders, alphas, store_idx,
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
     )
     # Richardson consistency: recompute each leg's number of levels at half grid
-    half_legs, half_report = _run_grid(
+    half_legs, (_, _, half_residuals, half_exact) = _run_grid(
         u0, energies, zmat, dt, grid // 2, orders, alphas, np.array([0, grid // 2]),
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
         fixed_levels=[leg[2] for leg in legs],
@@ -657,11 +669,11 @@ def _evolve_legs(
             initial_norm=initial_norm,
             scale=scale,
             compression_residual=max(
-                report.residuals[:n_used + 1] + half_report.residuals[:n_used + 1], default=0.0
+                residuals[:n_used + 1] + half_residuals[:n_used + 1], default=0.0
             ),
-            interpolation_nodes=report.nodes,
-            interpolation_bound=report.bound,
-            exact_rank_levels=sum(report.exact[:n_used + 1] + half_report.exact[:n_used + 1]),
+            interpolation_nodes=nodes,
+            interpolation_bound=bound,
+            exact_rank_levels=sum(exact[:n_used + 1] + half_exact[:n_used + 1]),
         ))
     return results
 

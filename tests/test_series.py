@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ovskale import (
     ConvergenceError,
     CorrelationVector,
+    DimensionCapError,
     HorizonError,
     ModelParams,
     OperatorHandle,
@@ -306,13 +307,14 @@ _level_cases = dict(
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_level_cases, alpha=st.floats(1.2, 2.5), data=st.data())
-def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, alpha, data):
+@given(**_level_cases, alpha=st.floats(1.2, 2.5), full=st.booleans(), data=st.data())
+def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, alpha, full, data):
     # the factored loop against the full-array loop, with the level count
     # pinned to the reference's so that a final-row norm sitting at term_tol
     # cannot flip it; eps = 0 feeds the limit handle's zero energies; blocks
-    # of states of every width; ranks of 1 and 2 make levels keep their
-    # exact rank
+    # of states of every width; ranks of 1 and 2 make levels keep more
+    # columns, up to their exact rank; with no nodes allowed, the full route
+    # must equal the reference bit for bit
     u0, energies, zmat, orders = _level_case(dim, sites, n_max, eps, seed)
     store_idx = np.array(sorted(data.draw(st.sets(st.integers(0, grid), min_size=1))))
     fixed = data.draw(st.one_of(st.none(), st.integers(0, 4)))
@@ -323,18 +325,24 @@ def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, al
         u0, energies, *tail, alpha, store_idx, term_tol=1e-12, max_levels=8, fixed_levels=fixed,
     )
     with mock.patch.object(series, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(series, "_COMPRESSION_RANK", rank):
-        [(total, final, levels)], report = series._run_grid(
+            mock.patch.object(series, "_COMPRESSION_RANK", rank), \
+            mock.patch.object(series, "_MAX_NODES", 0 if full else series._MAX_NODES):
+        [(total, final, levels)], (nodes, bound, residuals, exact) = series._run_grid(
             u0, energies, *tail, [alpha], store_idx,
             term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels],
         )
     assert levels == ref_levels
-    assert 1 <= report.nodes <= series._MAX_NODES
-    assert (report.nodes == 1) == (np.ptp(energies) == 0.0)
-    assert report.bound <= series._INTERP_TOL
+    if full:
+        assert (nodes, bound, residuals, exact) == (0, 0.0, [], [])
+        assert _bits(total) == _bits(ref_total)
+        assert _bits(final) == _bits(ref_final)
+        return
+    assert 1 <= nodes <= series._MAX_NODES
+    assert (nodes == 1) == (np.ptp(energies) == 0.0)
+    assert bound <= series._INTERP_TOL
     # level 0 is summed exactly and compressed only to feed level 1
-    assert len(report.residuals) == len(report.exact) == (levels + 1 if levels else 0)
-    assert all(0.0 <= r <= series._COMPRESSION_TOL for r in report.residuals)
+    assert len(residuals) == len(exact) == (levels + 1 if levels else 0)
+    assert all(0.0 <= r <= series._COMPRESSION_TOL for r in residuals)
     err = norm_alpha_flat(total - ref_total, orders, alpha)
     assert np.all(err <= 1e-13 * norm_alpha_flat(ref_total, orders, alpha))
     # each term norm within 1e-13 of itself plus 1e-15 of the level-0 term:
@@ -369,11 +377,11 @@ def test_compression_bound_covers_the_missed_part(dim, sites, n_max, eps, grid, 
 
     with mock.patch.object(series, "_COMPRESSION_TOL", tol), \
             mock.patch.object(series, "_compress", checked):
-        [(_, _, levels)], report = series._run_grid(
+        [(_, _, levels)], (_, _, residuals, exact) = series._run_grid(
             u0, energies, zmat, dt, grid, orders, [2.0], np.array([0, grid]),
             term_tol=1e-12, max_levels=6,
         )
-    assert seen == list(zip(report.residuals, report.exact))
+    assert seen == list(zip(residuals, exact))
     assert len(seen) == (levels + 1 if levels else 0)
 
 
@@ -390,8 +398,7 @@ def _spread_energy_case():
 
 
 def test_high_rank_levels_fall_back_to_the_full_product():
-    # the wide energy spread takes the full-product route, which sums the
-    # recursion by doubling instead of row by row
+    # the wide energy spread takes the full-product route, the reference loop
     args = _spread_energy_case()
     store_idx = np.arange(0, 31, 3)
     assert series._energy_nodes(args[1], args[3]) is None
@@ -403,10 +410,9 @@ def test_high_rank_levels_fall_back_to_the_full_product():
             *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
         )
     assert levels == ref_levels == 6
-    assert (report.nodes, report.bound, report.residuals, report.exact) == (0, 0.0, [], [])
-    err = norm_alpha_flat(total - ref_total, args[-1], 2.0)
-    assert np.all(err <= 1e-13 * norm_alpha_flat(ref_total, args[-1], 2.0))
-    assert np.all(np.abs(final - ref_final) <= 1e-13 * ref_final)
+    assert report == (0, 0.0, [], [])
+    assert _bits(total) == _bits(ref_total)
+    assert _bits(final) == _bits(ref_final)
 
 
 def _assert_same_result(got, want):
@@ -506,7 +512,7 @@ _PEAK_GRID = 1024
 
 
 def _solve_peak(trajectory_points: int):
-    """Traced peak of one S=14, n=4 solve, its config, one level array and the CSR bytes."""
+    """Traced peak of one S=14, n=4 solve, its config, one level array, the CSR bytes and the result."""
     inst = make_instance(sites=14, n_max=4)
     diag, pert, _ = _ops(inst)
     zmat = pert.matrix()
@@ -527,30 +533,56 @@ def _solve_peak(trajectory_points: int):
     assert res.converged
     level_bytes = (_PEAK_GRID + 1) * u0.dimension * 8
     csr_bytes = zmat.data.nbytes + zmat.indices.nbytes + zmat.indptr.nbytes
-    return peak, cfg, level_bytes, csr_bytes
+    return peak, cfg, level_bytes, csr_bytes, res
+
+
+def _solver_share(cfg: SeriesConfig) -> float:
+    """The preflight's S=14, n=4 estimate with the solve at cfg less the one without."""
+    needs = []
+    sup_energy = make_instance(sites=14, n_max=4).kernels.sup_a
+    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
+        experiments._check_footprint(14, 4, (cfg, sup_energy))
+        experiments._check_footprint(14, 4)
+    return needs[0] - needs[1]
 
 
 def test_level_loop_holds_one_level_array():
     # a full-array loop holds at least one (grid + 1) x d level array; the
     # factored loop holds none, only columns over the state and (grid + 1) x k
     # node recursions, and must stay below half of one
-    peak, _, level_bytes, csr_bytes = _solve_peak(9)
+    peak, _, level_bytes, csr_bytes, _ = _solve_peak(9)
     assert peak < 0.5 * level_bytes + csr_bytes
 
 
 def test_stored_rows_stay_within_the_size_check():
     # with every grid point stored the loop holds the totals (one level
     # array), the factors waiting to be summed into them and their blocks
-    peak, cfg, level_bytes, csr_bytes = _solve_peak(_PEAK_GRID + 1)
+    peak, cfg, level_bytes, csr_bytes, _ = _solve_peak(_PEAK_GRID + 1)
     assert peak < 1.5 * level_bytes + csr_bytes
-    # the preflight's solver share (its estimate with the solver less the one
-    # without) covers the measured peak besides the matrix
-    needs = []
-    sup_energy = make_instance(sites=14, n_max=4).kernels.sup_a
-    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
-        experiments._check_footprint(14, 4, cfg, sup_energy=sup_energy)
-        experiments._check_footprint(14, 4)
-    assert peak - csr_bytes <= needs[0] - needs[1]
+    # the preflight's solver share covers the measured peak besides the matrix
+    assert peak - csr_bytes <= _solver_share(cfg)
+
+
+def test_levels_past_the_compression_rank_stay_within_the_size_check():
+    # with one column allowed at first every level past rank 1 keeps more,
+    # up to _MAX_RANK, which the preflight counts
+    with mock.patch.object(series, "_COMPRESSION_RANK", 1):
+        peak, cfg, _, csr_bytes, res = _solve_peak(9)
+    assert res.exact_rank_levels > 0
+    assert peak - csr_bytes <= _solver_share(cfg)
+
+
+def test_a_level_past_the_largest_rank_is_a_size_refusal():
+    # a level that no rank up to _MAX_RANK fits raises DimensionCapError
+    # (exit 3) instead of holding more columns than the preflight counted
+    u0, energies, zmat, orders = _level_case(1, 4, 3, 1.0, 7)
+    with mock.patch.object(series, "_COMPRESSION_RANK", 1), \
+            mock.patch.object(series, "_MAX_RANK", 1):
+        with pytest.raises(DimensionCapError, match="time columns"):
+            series._run_grid(
+                u0, energies, zmat, 0.05, 64, orders, [2.0], np.array([0, 64]),
+                term_tol=1e-12, max_levels=6,
+            )
 
 
 def test_flow_checked_evolve_stays_within_the_size_check(tmp_path):
