@@ -20,6 +20,7 @@ _EXPORTS = {
         "MajorantViolation",
         "StepSizeCollapse",
         "DimensionCapError",
+        "SymmetryError",
     ),
     "lattice": (
         "Torus",
@@ -31,6 +32,7 @@ _EXPORTS = {
         "lp_integral",
         "lp_exponential",
     ),
+    "orbits": ("OrbitMap", "orbit_map", "orbit_counts", "point_group"),
     "states": ("CorrelationVector", "random_correlation"),
     "operators": ("ModelParams", "OperatorHandle", "interaction_energies"),
     "scale": (

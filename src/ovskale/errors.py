@@ -27,3 +27,7 @@ class StepSizeCollapse(OvskaleError):
 
 class DimensionCapError(OvskaleError):
     """The estimated memory of a run exceeds its share of physical memory."""
+
+
+class SymmetryError(OvskaleError):
+    """A state given to the orbit route is not constant on its orbits."""

@@ -3,7 +3,10 @@
 Every runner returns a list of named assertions plus the files it wrote;
 run_experiment wraps that in a manifest with config hash, versions, wall
 time, and the exit code the command line process should use.  CSV floats
-are printed with 17 significant digits so reruns are byte-comparable.
+are printed with 17 significant digits so reruns are byte-comparable.  The
+hierarchy runs choose the route: a product of a scalar density (the default
+`evolve` state, every `vlasov` sweep) is solved on the orbits of the
+lattice symmetries that fix both kernels, a random state on the full space.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ _MEMORY_SHARE = 0.5
 # peak of assembly (COO blocks, their concatenation, the CSR matrix) per
 # nonzero of the bound below: measured 69-70 on 1-D and 2-D tori
 _BYTES_PER_NONZERO = 72
+# on the orbit route: per nonzero of the row bound (COO blocks, both CSR
+# matrices) and per flat entry (orbit map, layer scans of assembly, states):
+# measured up to 100 and 250 on 1-, 2- and 3-D tori
+_BYTES_PER_ORBIT_NONZERO = 120
+_BYTES_PER_ORBIT_ENTRY = 320
 # peak of one stationary scan per grid cell: measured 27; per point of the
 # fold curve (arrays, lists of floats, JSON and CSV rows): measured 285
 _BYTES_PER_SCAN_CELL = 32
@@ -160,6 +168,7 @@ def _check_footprint(
     solve: tuple[SeriesConfig, float] | None = None,
     operators: int = 1,
     trajectories: int = 1,
+    orbits: tuple[int, ...] | None = None,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
@@ -170,46 +179,80 @@ def _check_footprint(
     (`level_loop_bytes`).  The energies eps E^a sum eps a >= 0 over at most
     n (n - 1) ordered pairs, so they lie in [0, n (n - 1) sup_energy] with
     sup_energy = eps sup a.
+
+    On the orbit route (orbits = the orbit count of each layer given) the
+    states, the level loop and the operators' rows are over the orbits: a
+    row of order k >= 1 has at most k birth, S - k crowding and
+    sum_{j <= n - k} C(S - k, j) death and diagonal entries (the empty row
+    none), and the orbit map with the layer scans of assembly work over d.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
-    # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
-    nnz = sum(math.comb(sites, k) * (2 * k + 2**k - 1) for k in range(1, order + 1))
-    need = operators * _BYTES_PER_NONZERO * nnz
-    detail = f"d={dim}, nnz<={nnz}"
+    if orbits is None:
+        rows = dim
+        # each k-subset: k birth and k crowding entries, 2^k - 1 death entries
+        nnz = sum(math.comb(sites, k) * (2 * k + 2**k - 1) for k in range(1, order + 1))
+        need = operators * _BYTES_PER_NONZERO * nnz
+        detail = f"d={dim}, nnz<={nnz}"
+    else:
+        rows = sum(orbits)
+        nnz = sum(
+            count * (k + (sites - k) * (k < order)
+                     + sum(math.comb(sites - k, j) for j in range(order - k + 1)))
+            for k, count in enumerate(orbits) if k and count
+        )
+        need = _BYTES_PER_ORBIT_ENTRY * dim + operators * _BYTES_PER_ORBIT_NONZERO * nnz
+        detail = f"d={dim}, orbits={rows}, nnz<={nnz}"
     if solve is not None:
         solver, sup_energy = solve
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
-        need += trajectories * 8 * stored * dim
+        need += trajectories * 8 * stored * rows
         pairs = min(order, sites) * (min(order, sites) - 1)
-        need += level_loop_bytes(dim, grid, pairs * sup_energy * solver.upsilon)
+        need += level_loop_bytes(rows, grid, pairs * sup_energy * solver.upsilon)
         detail += f", grid={grid}"
     _check_budget(need, detail)
+
+
+def _product_run(exp: dict) -> bool:
+    """Whether a hierarchy experiment starts from a product of a scalar density."""
+    if exp["name"] == "evolve":
+        return (exp.get("initial") or {"kind": "product"})["kind"] == "product"
+    return exp["name"] == "vlasov"
 
 
 def _preflight(doc: dict) -> None:
     """Raise DimensionCapError from the validated config alone, before build_runtime.
 
     Tabulating the kernels holds a few arrays over the S = sites^dim sites; a
-    hierarchy run also needs at least one perturbation over d entries.
+    hierarchy run also needs at least one perturbation over d entries or, on
+    the orbit route, the orbit map over d entries (its orbit count needs the
+    kernels, and the runner's check counts it).
     """
     torus = doc["model"]["torus"]
     sites = torus["sites"] ** torus["dim"]
     _check_budget(_BYTES_PER_SITE * sites, f"sites={sites}")
     if doc["experiment"]["name"] in _HIERARCHY_RUNS:
-        _check_footprint(sites, doc["model"]["truncation"])
+        order = doc["model"]["truncation"]
+        if _product_run(doc["experiment"]):
+            dim = sum(math.comb(sites, k) for k in range(order + 1))
+            _check_budget(_BYTES_PER_ORBIT_ENTRY * dim, f"d={dim}, orbit map")
+        else:
+            _check_footprint(sites, order)
 
 
 def _ledger_entry(result: EvolutionResult, pert: OperatorHandle, gate: float) -> dict:
     """One solve of the manifest's ledger: size, levels, gates and compression figures.
 
-    A term's majorant slack is 1 - term / majorant (over positive majorants).
+    d is the full dimension, orbits the orbit count on the orbit route (else
+    None) and nnz that of the matrix the levels multiply.  A term's majorant
+    slack is 1 - term / majorant (over positive majorants).
     """
     positive = result.majorant_values > 0.0
     slack = 1.0 - result.term_norms[positive] / result.majorant_values[positive]
     return {
         "epsilon": pert.params.epsilon,
         "d": pert.dimension,
+        "orbits": None if pert.orbits is None else pert.orbits.count,
         "nnz": int(pert.matrix().nnz),
         "n_used": result.n_used,
         "richardson_ratio": result.quad_disagreement / gate,
@@ -221,10 +264,24 @@ def _ledger_entry(result: EvolutionResult, pert: OperatorHandle, gate: float) ->
     }
 
 
-def _split_operators(bundle: RuntimeBundle):
-    """Diagonal and perturbation parts at the configured epsilon."""
-    args = (bundle.kernels, bundle.params, bundle.truncation)
+def _split_operators(bundle: RuntimeBundle, orbits):
+    """Diagonal and perturbation parts at the configured epsilon, on the route of orbits."""
+    args = (bundle.kernels, bundle.params, bundle.truncation, orbits)
     return OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
+
+
+def _orbit_counts(bundle: RuntimeBundle) -> tuple[int, ...]:
+    """Orbit count of each layer under the lattice symmetries that fix both kernels."""
+    from .orbits import orbit_counts, point_group
+
+    return orbit_counts(bundle.torus, bundle.truncation, point_group(bundle.kernels))
+
+
+def _orbit_map(bundle: RuntimeBundle):
+    """The orbit route's map: translations times the point group that fixes both kernels."""
+    from .orbits import orbit_map, point_group
+
+    return orbit_map(bundle.torus, bundle.truncation, point_group(bundle.kernels))
 
 
 def _config_checked(what: str, fn, *args):
@@ -243,26 +300,23 @@ def _product_state(bundle: RuntimeBundle, rho: float) -> CorrelationVector:
     )
 
 
-def _initial_state(bundle: RuntimeBundle, spec: dict | None) -> CorrelationVector:
-    spec = spec or {"kind": "product", "rho": 0.5}
-    if spec["kind"] == "product":
-        return _product_state(bundle, spec.get("rho", 0.5))
-    return random_correlation(
-        bundle.torus, bundle.truncation, bundle.scale.alpha_s, bundle.rng
-    )
-
-
 def run_evolve(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
+    # a product of a scalar density runs on the orbit route, a random state on the full one
+    product = _product_run(exp)
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, bundle.params.epsilon * bundle.kernels.sup_a),
         trajectories=_FLOW_TRAJECTORIES if "flow_tau" in exp else 1,
+        orbits=_orbit_counts(bundle) if product else None,
     )
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
-    u0 = _initial_state(bundle, exp.get("initial"))
-    diag, pert = _split_operators(bundle)
+    if product:
+        u0 = _product_state(bundle, (exp.get("initial") or {}).get("rho", 0.5))
+    else:
+        u0 = random_correlation(bundle.torus, bundle.truncation, bundle.scale.alpha_s, bundle.rng)
+    diag, pert = _split_operators(bundle, _orbit_map(bundle) if product else None)
     args = (diag, pert, bundle.scale, bundle.bound, bundle.solver)
     flow = None
     if "flow_tau" in exp:
@@ -356,11 +410,11 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         return [], ["sweep.csv", "plot_eps_gap.csv", "summary.json"]
     if eps_list[-1] != 0.0:
         eps_list.append(0.0)
-    # the sweep keeps every epsilon's operator and trajectory
+    # the sweep keeps every epsilon's operator and trajectory, on the orbit route
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, max(eps_list) * bundle.kernels.sup_a),
-        operators=len(eps_list), trajectories=len(eps_list),
+        operators=len(eps_list), trajectories=len(eps_list), orbits=_orbit_counts(bundle),
     )
     # the gap indices depend on the config alone: reject them before the sweep
     samples = exp.get("samples", 20)
@@ -372,7 +426,7 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     )
     _config_checked("perturbation gap", split_ceiling, bundle.scale.alpha_star)
     u0 = _product_state(bundle, exp.get("rho0", 0.5))
-    sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver)
+    sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver, _orbit_map(bundle))
     report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
     for eps in sweep.epsilons:
         bundle.solves.append(_ledger_entry(

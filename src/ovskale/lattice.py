@@ -129,6 +129,15 @@ class Torus:
         comps = np.minimum(coords, m - coords) * self.spacing
         return np.sqrt(np.einsum("ij,ij->j", comps, comps))
 
+    def sites_of(self, coords: np.ndarray) -> np.ndarray:
+        """Site index of each column of a (dim, N) integer array of multi-indices, mod M."""
+        shape = (self.sites_per_axis,) * self.dim
+        return np.ravel_multi_index(coords % self.sites_per_axis, shape)
+
+    def transform(self, g: np.ndarray) -> np.ndarray:
+        """Site index of g x for every site x, g an integer (dim, dim) matrix."""
+        return self.sites_of(g @ self.coord_array())
+
 
 @lru_cache(maxsize=None)
 def diff_table(torus: Torus) -> np.ndarray:
@@ -298,8 +307,7 @@ class KernelPair:
                 raise ValueError(f"{name} must be nonnegative")
             vals.setflags(write=False)
             object.__setattr__(self, name, vals)
-        shape = (self.torus.sites_per_axis,) * self.torus.dim
-        neg = np.ravel_multi_index(-self.torus.coord_array() % shape[0], shape)
+        neg = self.torus.transform(-np.eye(self.torus.dim, dtype=np.int64))
         if not np.array_equal(self.a_values[neg], self.a_values):
             raise ValueError("a_values must be symmetric under reflection")
         if not np.array_equal(self.phi_values[neg], self.phi_values):

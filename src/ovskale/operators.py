@@ -25,6 +25,8 @@ and birth pair every (n+1)-subset with its n-subsets one position short,
 death splits every (n+j)-subset into the positions of eta and of xi, and
 `lattice.subset_rank` turns the subsets back into flat indices.  Sums and
 products run over sites in increasing order, as the formulas above read.
+On the orbit route a handle keeps only the blocks' entries at the
+representative rows and sums their columns over each orbit.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .states import CorrelationVector
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+    from .orbits import OrbitMap
 
 KINDS = ("full", "diagonal", "perturbation")
 
@@ -82,13 +86,18 @@ def _mobius_table(kernels: KernelPair, eps: float) -> np.ndarray:
     return np.expm1(-eps * phi) / eps
 
 
-def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int):
-    """COO blocks of the crowding and birth families.
+def _held(held, rows: np.ndarray):
+    """Positions of the entries whose row is held: all (a slice) when held is None."""
+    return slice(None) if held is None else np.flatnonzero(held[rows])
+
+
+def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int, held):
+    """COO blocks of the crowding and birth families, at the rows held.
 
     Both come from each m-subset T with one position p removed: birth maps
     row T to column T - T[p] with rate lambda, crowding maps row T - T[p] to
     column T with -h^d sum_{y in T - T[p]} a(T[p] - y), summed over y in
-    increasing order.
+    increasing order.  held marks the rows to build (None: every row).
     """
     s = kernels.torus.site_count
     h = kernels.torus.cell_volume
@@ -97,24 +106,28 @@ def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int):
     for m in range(1, n_max + 1):
         upper = layer_array(s, m)
         top = offs[m] + np.arange(len(upper))
+        births = _held(held, top)
         for p in range(m):
             below = offs[m - 1] + subset_rank(s, np.delete(upper, p, axis=1))
-            yield top, below, np.full(len(upper), params.birth_intensity)
-            coef = np.zeros(len(upper))
+            yield top[births], below[births], np.full(len(top[births]), params.birth_intensity)
+            pick = _held(held, below)
+            kept = upper[pick]
+            coef = np.zeros(len(kept))
             for q in range(m):
                 if q != p:
-                    coef += a_pair[upper[:, p], upper[:, q]]
+                    coef += a_pair[kept[:, p], kept[:, q]]
             keep = coef != 0.0
-            yield below[keep], top[keep], -h * coef[keep]
+            yield below[pick][keep], top[pick][keep], -h * coef[keep]
 
 
-def _death(kernels: KernelPair, params: ModelParams, n_max: int):
-    """COO blocks of the death family.
+def _death(kernels: KernelPair, params: ModelParams, n_max: int, held):
+    """COO blocks of the death family, at the rows held.
 
     Entry (eta, eta + xi) comes from each (n + j)-subset T split into n
     positions for eta and j for xi: -h^{d j} sum_{x in eta} m e^{-eps
     E^phi(x, eta - x)} prod_{y in xi} w(x - y), with the sum over x and the
-    product over y taken in increasing site order.
+    product over y taken in increasing site order.  held marks the rows to
+    build (None: every row).
     """
     eps = float(params.epsilon)
     torus = kernels.torus
@@ -143,15 +156,17 @@ def _death(kernels: KernelPair, params: ModelParams, n_max: int):
             for xi in itertools.combinations(range(t), j):
                 rest = [q for q in range(t) if q not in xi]
                 rank = subset_rank(s, upper[:, rest])
+                pick = _held(held, offs[n] + rank)
+                rank, kept = rank[pick], upper[pick]
                 pre = prefactors[n][rank]
-                val = np.zeros(len(upper))
+                val = np.zeros(len(kept))
                 for i, q in enumerate(rest):
                     prod = pre[:, i]
                     for r in xi:
-                        prod = prod * mob_pair[upper[:, q], upper[:, r]]
+                        prod = prod * mob_pair[kept[:, q], kept[:, r]]
                     val += prod
                 keep = val != 0.0
-                yield offs[n] + rank[keep], top[keep], -weight * val[keep]
+                yield offs[n] + rank[keep], top[pick][keep], -weight * val[keep]
 
 
 class OperatorHandle:
@@ -159,20 +174,33 @@ class OperatorHandle:
 
     kind is "full", "diagonal" (A_eps) or "perturbation" (Z_eps); the scaling
     eps is params.epsilon, 1 for the unscaled hierarchy and 0 for the limit.
-    kind, kernels, params and n_max are fixed at construction; the sparse
-    matrix of the term enumeration is built lazily and cached.
+    kind, kernels, params, n_max and the route are fixed at construction; the
+    sparse matrix of the term enumeration is built lazily and cached.
+
+    With an orbit map (`orbits.orbit_map`, whose group must fix both kernel
+    tables) the handle is on the orbit route: it acts on states constant on
+    orbits, held by their entries at the representatives.  Its matrix is
+    Z_red[r, o] = sum_{c in o} Z[r, c] over representative rows r, built
+    from those rows alone, and its energies are read at the representatives.
     """
 
-    def __init__(self, kind: str, kernels: KernelPair, params: ModelParams, n_max: int):
+    def __init__(
+        self, kind: str, kernels: KernelPair, params: ModelParams, n_max: int,
+        orbits: OrbitMap | None = None,
+    ):
         if kind not in KINDS:
             raise ValueError(f"unknown operator kind: {kind!r}")
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        if orbits is not None and not orbits.fits(kernels, n_max):
+            raise ValueError("the orbit map does not fit the kernels and truncation")
         self.kind = kind
         self.kernels = kernels
         self.params = params
         self.n_max = n_max
+        self.orbits = orbits
         self._matrix = None
+        self._rows = None
         self._energies = None
 
     def __repr__(self):
@@ -194,15 +222,21 @@ class OperatorHandle:
         return self.kind == "diagonal"
 
     def matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of the operator on the flat layered state.
+        """Sparse matrix of the operator on the flat layered state, or on the orbits.
 
         Each term family contributes COO blocks and coinciding entries are
         summed; no entry collects more than two terms, so the sum does not
         depend on their order and full == diagonal + perturbation exactly.
+        On the orbit route the blocks hold the representative rows only and
+        their columns are summed over each orbit.
         """
         if self._matrix is None:
             import scipy.sparse as sp
 
+            held = None
+            if self.orbits is not None:
+                held = np.zeros(self.dimension, dtype=bool)
+                held[self.orbits.reps] = True
             blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
             eps = float(self.params.epsilon)
             if self.kind != "perturbation" and eps != 0.0:
@@ -210,27 +244,52 @@ class OperatorHandle:
                 offs = layer_offsets(self.torus.site_count, self.n_max)
                 # only entries of order >= 2 carry a pair energy
                 idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
+                idx = idx[_held(held, idx)]
                 blocks.append((idx, idx, -eps * energies[idx]))
             if self.kind != "diagonal":
-                blocks.extend(_crowding_and_birth(self.kernels, self.params, self.n_max))
-                blocks.extend(_death(self.kernels, self.params, self.n_max))
+                blocks.extend(_crowding_and_birth(self.kernels, self.params, self.n_max, held))
+                blocks.extend(_death(self.kernels, self.params, self.n_max, held))
             rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
             d = self.dimension
-            self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+            if self.orbits is None:
+                self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+            else:
+                ids, count = self.orbits.orbit_of, self.orbits.count
+                rows = ids[rows]
+                self._rows = sp.coo_matrix((vals, (rows, cols)), shape=(count, d)).tocsr()
+                self._matrix = sp.coo_matrix(
+                    (vals, (rows, ids[cols])), shape=(count, count)
+                ).tocsr()
         return self._matrix
 
+    def rows(self) -> sp.csr_matrix:
+        """The rows the route holds over every flat column.
+
+        The matrix itself on the full route; on the orbit route the
+        representative rows, in orbit order, before their columns are summed.
+        """
+        matrix = self.matrix()
+        return matrix if self.orbits is None else self._rows
+
     def semigroup_energies(self) -> np.ndarray:
-        """Flat diagonal energies eps E^a: the diagonal part multiplies by -E."""
+        """Diagonal energies eps E^a, flat or at the representatives: the diagonal part multiplies by -E."""
         if not self.is_diagonal:
             raise ValueError("semigroup energies only defined for the diagonal kind")
         if self._energies is None:
-            self._energies = self.params.epsilon * interaction_energies(self.kernels, self.n_max)
+            energies = interaction_energies(self.kernels, self.n_max)
+            if self.orbits is not None:
+                energies = energies[self.orbits.reps]
+            self._energies = self.params.epsilon * energies
         return self._energies
 
     def apply(self, k: CorrelationVector) -> CorrelationVector:
+        """The operator applied to k; on the orbit route k must be constant on orbits."""
         if k.torus != self.torus or k.n_max != self.n_max:
             raise ValueError("state does not match operator truncation")
-        return CorrelationVector.from_flat(self.torus, self.n_max, self.matrix() @ k.flat())
+        if self.orbits is None:
+            return CorrelationVector.from_flat(self.torus, self.n_max, self.matrix() @ k.flat())
+        out = self.matrix() @ self.orbits.restrict(k.flat())
+        return CorrelationVector.from_flat(self.torus, self.n_max, self.orbits.expand(out))
 
 
 def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:

@@ -24,11 +24,14 @@ computed term is compared against its majorant
     nu ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
 
 and the run is re-done at half resolution for a Richardson consistency gate.
-The stored rows are the result's read-only `trajectory`.  `oracle_evolve` is
-the independent sparse-propagator reference (the action of the matrix
-exponential and an adaptive Runge-Kutta integration, which must agree);
-`flow_compose_check` and `apriori_estimate_check` audit the two-parameter
-flow property and the closed-form a-priori bound.
+The stored rows are the result's read-only `trajectory`.  Handles on the
+orbit route (see `operators.OperatorHandle`) run the same loop on a state's
+entries at the orbit representatives; only the final state is expanded to
+every entry.  `oracle_evolve` is the independent sparse-propagator
+reference (the action of the matrix exponential and an adaptive Runge-Kutta
+integration, which must agree); `flow_compose_check` and
+`apriori_estimate_check` audit the two-parameter flow property and the
+closed-form a-priori bound.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +47,9 @@ from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantV
 from .operators import OperatorHandle
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat, time_horizon, localization_index
 from .states import CorrelationVector, flat_orders
+
+if TYPE_CHECKING:
+    from .orbits import OrbitMap
 
 
 @dataclass
@@ -96,8 +103,10 @@ class SeriesConfig:
 class EvolutionResult:
     """Trajectory, per-term records, and horizon metadata of one solver run.
 
-    trajectory is the read-only (len(times) x d) array of the stored flat
-    states; final_state is its last row as a vector.
+    trajectory is the read-only array of the stored states, one row per time:
+    the flat states on the full route, their entries at the orbit
+    representatives on the orbit route (orbits given); final_state is its
+    last row as a full vector.
     """
 
     times: np.ndarray
@@ -125,10 +134,16 @@ class EvolutionResult:
     interpolation_nodes: int = 0
     interpolation_bound: float = 0.0
     exact_rank_levels: int = 0
+    orbits: OrbitMap | None = None
+
+    @property
+    def orders(self) -> np.ndarray:
+        """Layer order of each trajectory column."""
+        orders = flat_orders(self.final_state.torus, self.final_state.n_max)
+        return orders if self.orbits is None else orders[self.orbits.reps]
 
     def norms_at(self, alpha: float) -> np.ndarray:
-        orders = flat_orders(self.final_state.torus, self.final_state.n_max)
-        return norm_alpha_flat(self.trajectory, orders, alpha)
+        return norm_alpha_flat(self.trajectory, self.orders, alpha)
 
     def to_json_dict(self) -> dict:
         return {
@@ -519,7 +534,9 @@ def ovsyannikov_evolve(
 
     diag_op is the diagonal handle A_eps that supplies the entrywise
     semigroup (at eps = 0 its energies vanish and the semigroup is the
-    identity); pert_op is the index-losing perturbation.  Raises ValueError
+    identity); pert_op is the index-losing perturbation.  Handles on the
+    orbit route (one shared orbit map) solve on the representatives; u_s
+    must then be constant on orbits, else SymmetryError.  Raises ValueError
     when diag_op is not a diagonal handle, HorizonError when (t, upsilon, q,
     alpha) violate the horizon geometry, MajorantViolation when a computed
     term beats its majorant beyond the configured slack or is not finite,
@@ -553,12 +570,18 @@ def _evolve_legs(
     for op in (diag_op, pert_op):
         if op.torus != u_s.torus or op.n_max != u_s.n_max:
             raise ValueError("operator truncation does not match the state")
+    orbits = pert_op.orbits
+    if diag_op.orbits is not orbits:
+        raise ValueError("diag_op and pert_op must share one orbit map or both be full")
     cfg = cfgs[0]
     bound.validate_on(scale.alpha_s, scale.alpha_star)
     dt = t - s
     runs = [_resolve_run(scale, bound, c, dt) for c in cfgs]
     orders = flat_orders(u_s.torus, u_s.n_max)
     u0 = u_s.flat()
+    if orbits is not None:
+        u0 = orbits.restrict(u0)
+        orders = orders[orbits.reps]
     u0.setflags(write=False)
     initial_norm = norm_alpha_flat(u0, orders, scale.alpha_s)
     regular = [bound.regular(alpha) for _, _, _, alpha in runs]
@@ -586,6 +609,7 @@ def _evolve_legs(
                 converged=True,
                 initial_norm=initial_norm,
                 scale=scale,
+                orbits=orbits,
             ))
         return results
 
@@ -653,7 +677,9 @@ def _evolve_legs(
         results.append(EvolutionResult(
             times=times,
             trajectory=total,
-            final_state=CorrelationVector.from_flat(u_s.torus, u_s.n_max, total[-1]),
+            final_state=CorrelationVector.from_flat(
+                u_s.torus, u_s.n_max, total[-1] if orbits is None else orbits.expand(total[-1])
+            ),
             term_norms=final_norms,
             majorant_values=majorants,
             majorant_sum_history=maj_sum_hist,
@@ -674,6 +700,7 @@ def _evolve_legs(
             interpolation_nodes=nodes,
             interpolation_bound=bound,
             exact_rank_levels=sum(exact[:n_used + 1] + half_exact[:n_used + 1]),
+            orbits=orbits,
         ))
     return results
 
@@ -776,10 +803,9 @@ def flow_compose_check(
         leg1.final_state, tau, t, diag_op, pert_op, replace(scale, alpha_s=alpha_tau), bound,
         cfg.for_horizon(t - tau),
     )
-    orders = flat_orders(u_s.torus, u_s.n_max)
     final = direct.trajectory[-1]
-    diff = norm_alpha_flat(final - leg2.trajectory[-1], orders, scale.alpha_star)
-    denom = max(norm_alpha_flat(final, orders, scale.alpha_star), 1e-30)
+    diff = norm_alpha_flat(final - leg2.trajectory[-1], direct.orders, scale.alpha_star)
+    denom = max(norm_alpha_flat(final, direct.orders, scale.alpha_star), 1e-30)
     budget = direct.quad_error + leg1.quad_error + leg2.quad_error
     return FlowReport(
         difference=diff,

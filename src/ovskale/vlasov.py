@@ -13,6 +13,11 @@ every comparison is a measured operator or trajectory gap.  Product-form
 states ride through the eps = 0 flow: starting the hierarchy from the
 layerwise products of a density field keeps it in product form up to
 truncation error, with the field evolving under the kinetic equation.
+
+The products of a scalar density are constant on the orbits of the lattice
+symmetries that fix both kernels, so a sweep given an orbit map and
+`chaos_check` on a constant field solve on the orbit representatives; the
+semigroup gap's random profiles stay on the full route.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .states import CorrelationVector, flat_orders, random_correlation
 
 if TYPE_CHECKING:
     from .kinetic import DensityField
+    from .orbits import OrbitMap
 
 # least ln(alpha_hi / alpha_lo) of a pair sampled by perturbation_gap
 _LN_SPLIT_FLOOR = 0.8
@@ -43,12 +49,17 @@ _SWEEP_START = 0.0
 
 @dataclass(frozen=True)
 class EpsilonSweep:
-    """A descending scaling sweep ending at the limit point 0."""
+    """A descending scaling sweep ending at the limit point 0.
+
+    With orbits every solve runs on the orbit route; the initial state must
+    then be constant on orbits (a product of a scalar density is).
+    """
 
     epsilons: tuple
     initial: CorrelationVector
     scale: ScaleSpec
     config: SeriesConfig
+    orbits: OrbitMap | None = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -67,13 +78,12 @@ class EpsilonSweep:
         return self.epsilons[:-1]
 
 
-def _test_profiles(torus, n_max: int, alpha_lo: float, samples: int, rng) -> list:
-    """Random states in the alpha_lo ball plus the extremal geometric profile."""
+def _test_profiles(torus, n_max: int, alpha_lo: float, samples: int, rng):
+    """The extremal geometric profile, then random states in the alpha_lo ball, one at a time."""
     orders = flat_orders(torus, n_max)
-    out = [np.power(alpha_lo, orders.astype(float))]
+    yield np.power(alpha_lo, orders.astype(float))
     for _ in range(samples):
-        out.append(random_correlation(torus, n_max, alpha_lo, rng).flat())
-    return out
+        yield random_correlation(torus, n_max, alpha_lo, rng).flat()
 
 
 def semigroup_gap(
@@ -180,9 +190,12 @@ def perturbation_gap(
     induced norm of the difference between the weighted sup-norm balls,
     max over rows of alpha_hi^{-|row|} sum_cols |D| alpha_lo^{|col|}; the
     extremal state is the sign-matched geometric profile, so no state
-    sampling is involved.  A one-parameter least squares fit against
-    w(delta) = 1/delta + 1/delta^2 captures the expected two-pole shape;
-    the reported residual is the relative rms misfit.
+    sampling is involved.  On the orbit route the rows are the
+    representatives', over every column: a row's sum is the same over its
+    orbit, while summing D over an orbit's columns first could cancel.  A
+    one-parameter least squares fit against w(delta) = 1/delta + 1/delta^2
+    captures the expected two-pole shape; the reported residual is the
+    relative rms misfit.
 
     Truncation caps the layer index, so the pole weights sup_r r^j x^r
     saturate unless ln(alpha_hi/alpha_lo) is large enough for their interior
@@ -193,19 +206,22 @@ def perturbation_gap(
     """
     if z_lim.params.epsilon != 0.0:
         raise ValueError("z_lim must be the perturbation at the limit epsilon = 0")
+    if z_eps.orbits is not z_lim.orbits:
+        raise ValueError("z_eps and z_lim must share one orbit map or both be full")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     lo_max = split_ceiling(scale.alpha_star)
     ratio_min = math.exp(_LN_SPLIT_FLOOR)
-    diff_abs = abs((z_eps.matrix() - z_lim.matrix()).tocsr())
+    diff_abs = abs((z_eps.rows() - z_lim.rows()).tocsr())
     orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
+    row_orders = orders if z_eps.orbits is None else orders[z_eps.orbits.reps]
     deltas = np.empty(samples)
     gaps = np.empty(samples)
     for i in range(samples):
         alpha_lo = float(rng.uniform(1.02, lo_max))
         alpha_hi = float(rng.uniform(alpha_lo * ratio_min, scale.alpha_star))
         col_scale = np.power(alpha_lo, orders)
-        row_scale = np.power(alpha_hi, -orders)
+        row_scale = np.power(alpha_hi, -row_orders)
         gaps[i] = float(np.max(row_scale * (diff_abs @ col_scale)))
         deltas[i] = alpha_hi - alpha_lo
     weights = 1.0 / deltas + 1.0 / deltas**2
@@ -236,10 +252,12 @@ class VlasovReport:
     operators: dict
 
 
-def _sweep_operators(eps: float, kernels, params, n_max):
+def _sweep_operators(eps: float, kernels, params, n_max, orbits=None):
     """Diagonal and perturbation handles at eps, the limit eps = 0 included."""
     p = replace(params, epsilon=eps)
-    return tuple(OperatorHandle(kind, kernels, p, n_max) for kind in ("diagonal", "perturbation"))
+    return tuple(
+        OperatorHandle(kind, kernels, p, n_max, orbits) for kind in ("diagonal", "perturbation")
+    )
 
 
 def vlasov_limit(
@@ -252,26 +270,29 @@ def vlasov_limit(
 
     Every run shares the initial state, scale, and solver configuration, so
     stored time grids align and the gap sup is taken pointwise over them.
-    Solver failures carry the offending epsilon in the message.
+    The intermediate index does not depend on epsilon: the first run
+    resolves it and the others take it from there.  Solver failures carry
+    the offending epsilon in the message.
     """
     u0 = sweep.initial
     n_max = u0.n_max
-    t_end = _SWEEP_START + sweep.config.upsilon
+    config = sweep.config
+    t_end = _SWEEP_START + config.upsilon
     operators = {}
     results = {}
     for eps in sweep.epsilons:
-        diag, pert = operators[eps] = _sweep_operators(eps, kernels, params, n_max)
+        diag, pert = operators[eps] = _sweep_operators(eps, kernels, params, n_max, sweep.orbits)
         try:
             results[eps] = ovsyannikov_evolve(
-                u0, _SWEEP_START, t_end, diag, pert, sweep.scale, bound, sweep.config
+                u0, _SWEEP_START, t_end, diag, pert, sweep.scale, bound, config
             )
         except Exception as err:
             raise type(err)(f"epsilon={eps}: {err}") from err
+        config = replace(config, alpha=results[eps].alpha)
     limit = results[0.0]
-    orders = flat_orders(u0.torus, n_max)
     sup_gaps = np.array([
         norm_alpha_flat(
-            results[eps].trajectory - limit.trajectory, orders, sweep.scale.alpha_star
+            results[eps].trajectory - limit.trajectory, limit.orders, sweep.scale.alpha_star
         ).max()
         for eps in sweep.positive
     ])
@@ -330,7 +351,8 @@ def chaos_check(
     The hierarchy starts from the layerwise products of rho0 and runs under
     the limit perturbation alone; the field runs under the kinetic equation.
     Both evolutions repeat at a refined truncation order to expose how much
-    of the gap is truncation.  At t = 0 the gap vanishes by construction.
+    of the gap is truncation.  At t = 0 the gap vanishes by construction.  A
+    constant field's hierarchy runs on the orbit route.
     """
     if not (0 <= n_probe <= n_max):
         raise ValueError("need 0 <= n_probe <= n_max")
@@ -345,9 +367,15 @@ def chaos_check(
 
         rho_t = integrate_kinetic(rho0, t, _CHAOS_KINETIC_DT, kernels, params).final
 
+    # a constant field's products are constant on orbits
+    constant = bool(np.all(rho0.rho == rho0.rho[0]))
+
     def run(order: int):
+        from .orbits import orbit_map, point_group
+
         u0 = CorrelationVector.product_form(rho0.torus, order, rho0.rho)
-        diag, pert = _sweep_operators(0.0, kernels, params, order)
+        orbits = orbit_map(rho0.torus, order, point_group(kernels)) if constant else None
+        diag, pert = _sweep_operators(0.0, kernels, params, order, orbits)
         return ovsyannikov_evolve(u0, 0.0, t, diag, pert, scale, bound, cfg)
 
     coarse = run(n_max)

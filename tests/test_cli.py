@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovskale import config_hash, load_config, time_horizon
+from ovskale import OperatorHandle, config_hash, load_config, time_horizon
 from ovskale.cli import main
-from ovskale.config import validate_config
+from ovskale.config import build_runtime, validate_config
 from ovskale import experiments, kinetic
 from ovskale.experiments import run_experiment
 
@@ -128,7 +128,10 @@ def test_run_evolve_success(tmp_path, capsys):
     # the ledger holds the main solve, with the figures result.json reports
     [solve] = manifest["solves"]
     assert (solve["epsilon"], solve["d"], solve["n_used"]) == (1.0, 11, n_used)
-    assert solve["nnz"] > 0
+    # a product state runs on the orbits (empty set, a site, pairs at distance
+    # 1 and 2), and nnz is that of the 4 x 4 matrix the levels multiply
+    assert solve["orbits"] == 4
+    assert 0 < solve["nnz"] <= 16
     assert solve["richardson_ratio"] == result["quad_disagreement"] / doc["solver"]["quad_tol"]
     assert 0.0 <= solve["min_majorant_slack"] < 1.0
     for key in (
@@ -150,6 +153,55 @@ def test_run_evolve_success(tmp_path, capsys):
 
     term_rows = read_rows(out / "series_terms.csv")
     assert len(term_rows) == n_used + 2  # header plus orders 0..n_used
+
+
+@pytest.mark.parametrize("initial", ["random", "vlasov"])
+def test_ledger_records_the_route_of_each_solve(tmp_path, initial):
+    # a random state stays on the full route; every solve of a sweep runs on orbits
+    doc = base_doc()
+    if initial == "random":
+        doc["experiment"]["initial"] = {"kind": "random"}
+    else:
+        doc["experiment"] = {"name": "vlasov", "epsilons": [0.4, 0.2], "samples": 2}
+    manifest = run_experiment(doc, str(tmp_path))
+    assert manifest["exit_code"] == 0
+    full_nnz = OperatorHandle("perturbation", SMALL.kernels, SMALL.params, 2).matrix().nnz
+    for solve in manifest["solves"]:
+        assert solve["d"] == 11
+        if initial == "random":
+            assert (solve["orbits"], solve["nnz"]) == (None, full_nnz)
+        else:
+            assert solve["orbits"] == 4 and solve["nnz"] <= 16
+    assert len(manifest["solves"]) == (1 if initial == "random" else 3)
+
+
+def test_large_product_evolve_passes_the_size_check_on_orbits(tmp_path, monkeypatch):
+    # 1-D S=40, n=5 (d = 760,099) with a flow check: the full route's
+    # estimate was 3.56 GB; on its 9,706 orbits only the orbit map and the
+    # layer scans of assembly are over d
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
+    doc["model"]["torus"]["sites"] = 40
+    doc["model"]["truncation"] = 5
+    needs = []
+    monkeypatch.setattr(experiments, "_check_budget", lambda need, detail: needs.append(need))
+
+    class Stop(Exception):
+        pass
+
+    def stop(bundle):
+        raise Stop
+
+    # stop once the runner's size check has passed, before the orbit map
+    monkeypatch.setattr(experiments, "_orbit_map", stop)
+    with pytest.raises(Stop):
+        run_experiment(doc, str(tmp_path))
+    # the site tables, the preflight (the orbit map over d) and the runner's check
+    assert len(needs) == 3
+    solver = build_runtime(doc).solver
+    experiments._check_footprint(40, 5, (solver, 1.0), trajectories=4)
+    full = needs.pop()
+    assert full > 3e9
+    assert max(needs) < 0.2 * full
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -89,6 +89,14 @@ def test_hierarchy_runs_load_no_optional_subpackage(tmp_path, name):
     assert seen["run"] == ["scipy.sparse"]
 
 
+@pytest.mark.parametrize("name", ["evolve", "vlasov"])
+def test_product_runs_load_the_orbit_module_in_the_runner(tmp_path, name):
+    # canonicalising on orbits is the runner's work: set-up does not load it
+    seen = _python(PROBE, "ovskale.orbits", str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
+    assert seen["exit"] == 0
+    assert (seen["import"], seen["runner"], seen["run"]) == ([], [], ["ovskale.orbits"])
+
+
 @pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])
 def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
     seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))

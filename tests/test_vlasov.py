@@ -18,12 +18,15 @@ from ovskale import (
     Torus,
     chaos_check,
     kernel_pair_from_spec,
+    ovsyannikov_evolve,
     perturbation_gap,
     semigroup_gap,
     semigroup_gap_bound,
     semigroup_gap_intermediate,
     vlasov_limit,
 )
+from ovskale import series
+
 from conftest import GAUSS_PHI, Instance, make_instance
 
 
@@ -151,6 +154,26 @@ def test_vlasov_limit_tiny_sweep(small):
     assert not rep.operators[0.0][0].semigroup_energies().any()
 
 
+def test_sweep_resolves_the_intermediate_index_once(small, monkeypatch):
+    # the index depends on the scale, bound and upsilon alone: the first
+    # solve resolves it and every result equals its own solve bit for bit
+    calls = []
+    resolve = series.default_intermediate_alpha
+    monkeypatch.setattr(
+        series, "default_intermediate_alpha", lambda *args: calls.append(args) or resolve(*args)
+    )
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    cfg = _cfg(small)
+    rep = vlasov_limit(
+        EpsilonSweep((0.2, 0.1, 0.0), u0, small.scale, cfg), small.kernels, small.params,
+        small.bound,
+    )
+    assert len(calls) == 1
+    for eps, (diag, pert) in rep.operators.items():
+        alone = ovsyannikov_evolve(u0, 0.0, cfg.upsilon, diag, pert, small.scale, small.bound, cfg)
+        assert alone.trajectory.tobytes() == rep.results[eps].trajectory.tobytes()
+
+
 def test_vlasov_limit_wraps_run_errors(small):
     u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
     bad_cfg = _cfg(small, time_grid_points=4, quad_tol=1e-30)
@@ -182,6 +205,9 @@ def test_chaos_short_evolution(small):
     assert rep.refined_n_max == 4  # min(2 n_max, site_count)
     assert rep.hierarchy_result.converged
     assert np.all(rep.rho_final > 0)
+    # a constant field's hierarchy runs on the orbits: the empty set, a site
+    # and the pairs at distance 1 and 2
+    assert rep.hierarchy_result.orbits.count == 4
 
 
 def test_chaos_validation(small):
