@@ -84,10 +84,9 @@ _SETUP_IMPORTS = {
     "kinetic": ("ovskale.kinetic",),
     "bifurcation": ("ovskale.kinetic",),
 }
-# stored-row arrays a flow-checked evolve holds at once: the main solve's, the
-# direct leg's (a copy of the totals when their level counts differ), and
-# the two composed legs'
-_FLOW_TRAJECTORIES = 4
+# stored-row arrays a flow-checked evolve holds at once: the direct leg's,
+# which is the main solve, and the two composed legs'
+_FLOW_TRAJECTORIES = 3
 
 NUMERICAL_ERRORS = (
     HorizonError,
@@ -139,9 +138,10 @@ def _jsonable(obj):
 
 
 def write_json(path: Path, doc: dict) -> None:
+    # one string and one write: json.dump writes every encoded chunk apart
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # the largest estimate _check_budget made since run_experiment reset it
@@ -320,9 +320,14 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
     args = (diag, pert, bundle.scale, bundle.bound, bundle.solver)
     flow = None
     if "flow_tau" in exp:
-        # the main solve rides on the level loop of the flow check's direct leg
-        flow = flow_compose_check(u0, s, s + exp["flow_tau"], t_abs, *args, solve_main=True)
-        result = flow.main
+        # the flow check's direct leg is the solve at the configured solver,
+        # which a t past its upsilon must fail, not shorten
+        if t_abs - s > bundle.solver.upsilon:
+            raise HorizonError(
+                f"t - s = {t_abs - s} exceeds the configured upsilon {bundle.solver.upsilon}"
+            )
+        flow = flow_compose_check(u0, s, s + exp["flow_tau"], t_abs, *args)
+        result = flow.direct
     else:
         result = ovsyannikov_evolve(u0, s, t_abs, *args)
     bundle.solves.append(_ledger_entry(result, pert, bundle.solver.richardson_gate))

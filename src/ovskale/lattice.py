@@ -142,11 +142,8 @@ class Torus:
 @lru_cache(maxsize=None)
 def diff_table(torus: Torus) -> np.ndarray:
     """Dense (S, S) table of difference-site indices, diff[i, j] = i - j mod M."""
-    s = torus.site_count
-    out = np.empty((s, s), dtype=np.int64)
-    for i in range(s):
-        for j in range(s):
-            out[i, j] = torus.diff_site(i, j)
+    coords = torus.coord_array()
+    out = torus.sites_of(coords[:, :, None] - coords[:, None, :])
     out.setflags(write=False)
     return out
 

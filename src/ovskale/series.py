@@ -31,7 +31,8 @@ every entry.  `oracle_evolve` is the independent sparse-propagator
 reference (the action of the matrix exponential and an adaptive Runge-Kutta
 integration, which must agree); `flow_compose_check` and
 `apriori_estimate_check` audit the two-parameter flow property and the
-closed-form a-priori bound.
+closed-form a-priori bound.  Each solve, the flow check's legs included, is
+one `ovsyannikov_evolve` call with its own level loop.
 """
 
 from __future__ import annotations
@@ -456,24 +457,23 @@ def _run_grid(
     dt: float,
     grid: int,
     orders: np.ndarray,
-    alphas: list[float],
+    alpha: float,
     store_idx: np.ndarray,
     *,
     term_tol: float,
     max_levels: int,
-    fixed_levels: list[int] | None = None,
+    fixed_levels: int | None = None,
 ):
-    """Sum Duhamel levels on a uniform grid for one or more norm indices.
+    """Sum Duhamel levels on a uniform grid, stopping on their alpha-norms.
 
     energies are the diagonal's semigroup energies (all zero at the limit).
     The levels are factored (`_factored_levels`) when at most _MAX_NODES
-    nodes cover the energies, else full (`_full_levels`).  Each alpha is one
-    leg with its own stopping test (or entry of fixed_levels), run until all
-    have stopped.  Returns, per leg, the totals of the store_idx rows at its
-    level count, its final-row norms and the count; and the node count (0
-    on the full route), their interpolation bound and, per compressed
-    level, its residual bound and whether it kept more than
-    _COMPRESSION_RANK columns.
+    nodes cover the energies, else full (`_full_levels`).  The loop stops at
+    level fixed_levels when given, else at the first final-row norm below
+    term_tol or at max_levels.  Returns the totals of the store_idx rows,
+    the final-row norms and the level count; and the node count (0 on the
+    full route), their interpolation bound and, per compressed level, its
+    residual bound and whether it kept more than _COMPRESSION_RANK columns.
     """
     total = np.outer(-np.linspace(0.0, dt, grid + 1)[store_idx], energies)
     np.exp(total, out=total)
@@ -489,35 +489,19 @@ def _run_grid(
             u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights,
             residuals, exact,
         )
-    finals = [[] for _ in alphas]
-    counts = [None] * len(alphas)
-    totals = [None] * len(alphas)
+    finals = []
     for level, final in enumerate(levels):
-        for leg, alpha in enumerate(alphas):
-            if counts[leg] is not None:
-                continue
-            norm = norm_alpha_flat(final, orders, alpha)
-            finals[leg].append(norm)
-            if not math.isfinite(norm):
-                raise ConvergenceError(f"Duhamel level {level} has non-finite norm {norm}")
-            if fixed_levels is not None:
-                if level >= fixed_levels[leg]:
-                    counts[leg] = level
-            elif norm < term_tol or level >= max_levels:
-                counts[leg] = level
-        if None not in counts:
+        norm = norm_alpha_flat(final, orders, alpha)
+        finals.append(norm)
+        if not math.isfinite(norm):
+            raise ConvergenceError(f"Duhamel level {level} has non-finite norm {norm}")
+        if fixed_levels is not None:
+            if level >= fixed_levels:
+                break
+        elif norm < term_tol or level >= max_levels:
             break
-        # a leg that stops while another runs on keeps a copy of its totals,
-        # folded as its own solve would fold them
-        for leg, count in enumerate(counts):
-            if count == level:
-                totals[leg] = _fold(total.copy(), parts)
     _fold(total, parts)
-    legs = [
-        (total if kept is None else kept, np.array(norms), count)
-        for kept, norms, count in zip(totals, finals, counts)
-    ]
-    return legs, (len(nodes), bound, residuals, exact)
+    return (total, np.array(finals), level), (len(nodes), bound, residuals, exact)
 
 
 def ovsyannikov_evolve(
@@ -543,26 +527,6 @@ def ovsyannikov_evolve(
     and ConvergenceError when a Duhamel level has a non-finite norm or the
     half-grid Richardson disagreement exceeds the gate (or is NaN).
     """
-    return _evolve_legs(u_s, s, t, diag_op, pert_op, scale, bound, [cfg])[0]
-
-
-def _evolve_legs(
-    u_s: CorrelationVector,
-    s: float,
-    t: float,
-    diag_op: OperatorHandle,
-    pert_op: OperatorHandle,
-    scale: ScaleSpec,
-    bound: BoundModel,
-    cfgs: list[SeriesConfig],
-) -> list[EvolutionResult]:
-    """One `ovsyannikov_evolve` result per config, all summed on one level loop.
-
-    The configs must share the grid, the stopping tolerances and the stored
-    rows, as `SeriesConfig.for_horizon` clones do.  The levels do not
-    depend on q or alpha, so the legs share the loop and its half-grid
-    Richardson rerun, and each result is bit-identical to its own solve.
-    """
     if t < s:
         raise HorizonError("need t >= s")
     if not (isinstance(diag_op, OperatorHandle) and diag_op.is_diagonal):
@@ -573,10 +537,9 @@ def _evolve_legs(
     orbits = pert_op.orbits
     if diag_op.orbits is not orbits:
         raise ValueError("diag_op and pert_op must share one orbit map or both be full")
-    cfg = cfgs[0]
     bound.validate_on(scale.alpha_s, scale.alpha_star)
     dt = t - s
-    runs = [_resolve_run(scale, bound, c, dt) for c in cfgs]
+    horizon, horizon_prime, q, alpha = _resolve_run(scale, bound, cfg, dt)
     orders = flat_orders(u_s.torus, u_s.n_max)
     u0 = u_s.flat()
     if orbits is not None:
@@ -584,125 +547,110 @@ def _evolve_legs(
         orders = orders[orbits.reps]
     u0.setflags(write=False)
     initial_norm = norm_alpha_flat(u0, orders, scale.alpha_s)
-    regular = [bound.regular(alpha) for _, _, _, alpha in runs]
+    regular = bound.regular(alpha)
 
     if dt == 0.0:
-        results = []
-        for c, (horizon, horizon_prime, q, alpha), reg in zip(cfgs, runs, regular):
-            log_maj = _log_majorant(0, 0.0, q, horizon_prime, scale.nu, reg, initial_norm)
-            maj0 = math.exp(log_maj) if initial_norm else 0.0
-            results.append(EvolutionResult(
-                times=np.array([s]),
-                trajectory=u0[None, :],
-                final_state=u_s,
-                term_norms=np.array([initial_norm]),
-                majorant_values=np.array([maj0]),
-                majorant_sum_history=np.array([maj0]),
-                horizon=horizon,
-                horizon_prime=horizon_prime,
-                q=q,
-                alpha=alpha,
-                upsilon=c.upsilon,
-                quad_disagreement=0.0,
-                quad_error=0.0,
-                n_used=0,
-                converged=True,
-                initial_norm=initial_norm,
-                scale=scale,
-                orbits=orbits,
-            ))
-        return results
+        log_maj = _log_majorant(0, 0.0, q, horizon_prime, scale.nu, regular, initial_norm)
+        maj0 = math.exp(log_maj) if initial_norm else 0.0
+        return EvolutionResult(
+            times=np.array([s]),
+            trajectory=u0[None, :],
+            final_state=u_s,
+            term_norms=np.array([initial_norm]),
+            majorant_values=np.array([maj0]),
+            majorant_sum_history=np.array([maj0]),
+            horizon=horizon,
+            horizon_prime=horizon_prime,
+            q=q,
+            alpha=alpha,
+            upsilon=cfg.upsilon,
+            quad_disagreement=0.0,
+            quad_error=0.0,
+            n_used=0,
+            converged=True,
+            initial_norm=initial_norm,
+            scale=scale,
+            orbits=orbits,
+        )
 
-    for _, horizon_prime, q, _ in runs:
-        if q * dt / horizon_prime >= 1.0:
-            raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
+    if q * dt / horizon_prime >= 1.0:
+        raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
 
     grid = cfg.time_grid_points
     count = min(cfg.trajectory_points, grid + 1)
     store_idx = np.unique(np.round(np.linspace(0, grid, count)).astype(int))
     energies = diag_op.semigroup_energies()
     zmat = pert_op.matrix()
-    alphas = [alpha for _, _, _, alpha in runs]
 
-    legs, (nodes, bound, residuals, exact) = _run_grid(
-        u0, energies, zmat, dt, grid, orders, alphas, store_idx,
+    (total, final_norms, n_used), (nodes, interp_bound, residuals, exact) = _run_grid(
+        u0, energies, zmat, dt, grid, orders, alpha, store_idx,
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
     )
-    # Richardson consistency: recompute each leg's number of levels at half grid
-    half_legs, (_, _, half_residuals, half_exact) = _run_grid(
-        u0, energies, zmat, dt, grid // 2, orders, alphas, np.array([0, grid // 2]),
-        term_tol=cfg.term_tol, max_levels=cfg.n_max,
-        fixed_levels=[leg[2] for leg in legs],
+    # Richardson consistency: recompute the same number of levels at half grid
+    (half_total, _, _), (_, _, half_residuals, half_exact) = _run_grid(
+        u0, energies, zmat, dt, grid // 2, orders, alpha, np.array([0, grid // 2]),
+        term_tol=cfg.term_tol, max_levels=cfg.n_max, fixed_levels=n_used,
     )
-    times = s + (dt / grid) * store_idx
-    results = []
-    for c, (horizon, horizon_prime, q, alpha), reg, leg, half_leg in zip(
-        cfgs, runs, regular, legs, half_legs
-    ):
-        total, final_norms, n_used = leg
-        if not np.isfinite(total).all():
-            raise ConvergenceError("the stored trajectory has non-finite entries")
-        total.setflags(write=False)
-        converged = bool(final_norms[-1] < c.term_tol) or initial_norm == 0.0
+    if not np.isfinite(total).all():
+        raise ConvergenceError("the stored trajectory has non-finite entries")
+    total.setflags(write=False)
+    converged = bool(final_norms[-1] < cfg.term_tol) or initial_norm == 0.0
 
-        # majorant audit of every computed term at the final time
-        majorants = np.empty(n_used + 1)
-        log_slack = math.log1p(c.majorant_slack)
-        for n in range(n_used + 1):
-            log_maj = _log_majorant(n, dt, q, horizon_prime, scale.nu, reg, initial_norm)
-            majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
-            term = final_norms[n]
-            # written so that a NaN or infinite term fails the audit
-            if not (term <= 0.0 or math.log(term) <= log_maj + log_slack):
-                raise MajorantViolation(
-                    f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
-                )
-
-        disagreement = norm_alpha_flat(total[-1] - half_leg[0][-1], orders, alpha)
-        if not (disagreement <= c.richardson_gate):
-            raise ConvergenceError(
-                f"half-grid disagreement {disagreement} exceeds gate {c.richardson_gate}"
+    # majorant audit of every computed term at the final time
+    majorants = np.empty(n_used + 1)
+    log_slack = math.log1p(cfg.majorant_slack)
+    for n in range(n_used + 1):
+        log_maj = _log_majorant(n, dt, q, horizon_prime, scale.nu, regular, initial_norm)
+        majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
+        term = final_norms[n]
+        # written so that a NaN or infinite term fails the audit
+        if not (term <= 0.0 or math.log(term) <= log_maj + log_slack):
+            raise MajorantViolation(
+                f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
             )
 
-        maj_sum_hist = np.zeros(len(store_idx))
-        for j, tau_abs in enumerate(times):
-            acc = 0.0
-            for n in range(n_used + 1):
-                lm = _log_majorant(
-                    n, tau_abs - s, q, horizon_prime, scale.nu, reg, initial_norm
-                )
-                acc += math.exp(lm) if lm > -math.inf else 0.0
-            maj_sum_hist[j] = acc
+    disagreement = norm_alpha_flat(total[-1] - half_total[-1], orders, alpha)
+    if not (disagreement <= cfg.richardson_gate):
+        raise ConvergenceError(
+            f"half-grid disagreement {disagreement} exceeds gate {cfg.richardson_gate}"
+        )
 
-        results.append(EvolutionResult(
-            times=times,
-            trajectory=total,
-            final_state=CorrelationVector.from_flat(
-                u_s.torus, u_s.n_max, total[-1] if orbits is None else orbits.expand(total[-1])
-            ),
-            term_norms=final_norms,
-            majorant_values=majorants,
-            majorant_sum_history=maj_sum_hist,
-            horizon=horizon,
-            horizon_prime=horizon_prime,
-            q=q,
-            alpha=alpha,
-            upsilon=c.upsilon,
-            quad_disagreement=disagreement,
-            quad_error=disagreement / 3.0,
-            n_used=n_used,
-            converged=converged,
-            initial_norm=initial_norm,
-            scale=scale,
-            compression_residual=max(
-                residuals[:n_used + 1] + half_residuals[:n_used + 1], default=0.0
-            ),
-            interpolation_nodes=nodes,
-            interpolation_bound=bound,
-            exact_rank_levels=sum(exact[:n_used + 1] + half_exact[:n_used + 1]),
-            orbits=orbits,
-        ))
-    return results
+    times = s + (dt / grid) * store_idx
+    # term n's majorant at elapsed time tau is majorants[n] (tau / dt)^n: the
+    # sum over the terms at every stored time, by Horner's rule
+    ratio = store_idx / grid
+    maj_sum_hist = np.zeros(len(times))
+    for value in majorants[::-1]:
+        maj_sum_hist = maj_sum_hist * ratio + value
+
+    return EvolutionResult(
+        times=times,
+        trajectory=total,
+        final_state=CorrelationVector.from_flat(
+            u_s.torus, u_s.n_max, total[-1] if orbits is None else orbits.expand(total[-1])
+        ),
+        term_norms=final_norms,
+        majorant_values=majorants,
+        majorant_sum_history=maj_sum_hist,
+        horizon=horizon,
+        horizon_prime=horizon_prime,
+        q=q,
+        alpha=alpha,
+        upsilon=cfg.upsilon,
+        quad_disagreement=disagreement,
+        quad_error=disagreement / 3.0,
+        n_used=n_used,
+        converged=converged,
+        initial_norm=initial_norm,
+        scale=scale,
+        compression_residual=max(
+            residuals[:n_used + 1] + half_residuals[:n_used + 1], default=0.0
+        ),
+        interpolation_nodes=nodes,
+        interpolation_bound=interp_bound,
+        exact_rank_levels=sum(exact[:n_used + 1] + half_exact[:n_used + 1]),
+        orbits=orbits,
+    )
 
 
 def oracle_evolve(
@@ -757,9 +705,8 @@ class FlowReport:
     relative: float
     budget: float
     alpha_tau: float
-    direct_final: CorrelationVector
+    direct: EvolutionResult
     composed_final: CorrelationVector
-    main: EvolutionResult | None = None
 
 
 def flow_compose_check(
@@ -772,16 +719,15 @@ def flow_compose_check(
     scale: ScaleSpec,
     bound: BoundModel,
     cfg: SeriesConfig,
-    *,
-    solve_main: bool = False,
 ) -> FlowReport:
     """Compare evolving s -> t directly against s -> tau -> t composed.
 
     The restart index is the localization index of tau; the flow hypothesis
     t < min(tau + horizon(alpha_tau, alpha_star), s + horizon(alpha_s,
-    alpha_star)) is verified before any solve.  With solve_main the report
-    also carries `main`, the s -> t solve at cfg itself, summed on the direct
-    leg's level loop and equal to `ovsyannikov_evolve` with cfg bit for bit.
+    alpha_star)) is verified before any solve.  The direct leg, the report's
+    `direct`, is the s -> t solve at cfg itself when t - s <= cfg.upsilon,
+    else at cfg.for_horizon(t - s); the composed legs run at
+    cfg.for_horizon of their durations.
     """
     if not (s < tau < t):
         raise HorizonError("need s < tau < t")
@@ -795,9 +741,8 @@ def flow_compose_check(
     if not (t - tau < horizon_second):
         raise HorizonError("flow hypothesis violated: t - tau exceeds the restarted horizon")
 
-    direct_cfg = cfg.for_horizon(t - s)
-    legs = [cfg, direct_cfg] if solve_main else [direct_cfg]
-    *main, direct = _evolve_legs(u_s, s, t, diag_op, pert_op, scale, bound, legs)
+    direct_cfg = cfg if t - s <= cfg.upsilon else cfg.for_horizon(t - s)
+    direct = ovsyannikov_evolve(u_s, s, t, diag_op, pert_op, scale, bound, direct_cfg)
     leg1 = ovsyannikov_evolve(u_s, s, tau, diag_op, pert_op, scale, bound, cfg.for_horizon(tau - s))
     leg2 = ovsyannikov_evolve(
         leg1.final_state, tau, t, diag_op, pert_op, replace(scale, alpha_s=alpha_tau), bound,
@@ -812,9 +757,8 @@ def flow_compose_check(
         relative=diff / denom,
         budget=budget,
         alpha_tau=alpha_tau,
-        direct_final=direct.final_state,
+        direct=direct,
         composed_final=leg2.final_state,
-        main=main[0] if main else None,
     )
 
 

@@ -66,6 +66,16 @@ def test_diff_and_neg_sites():
             assert table[i, j] == tor.diff_site(i, j)
 
 
+@pytest.mark.parametrize("dim, sites", [(1, 18), (2, 4), (2, 5), (3, 4)])
+def test_diff_table_matches_the_scalar_loop(dim, sites):
+    tor = Torus(dim, sites, 0.5)
+    count = tor.site_count
+    ref = [[tor.diff_site(i, j) for j in range(count)] for i in range(count)]
+    table = diff_table(tor)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(table, ref)
+
+
 def test_torus_validation():
     with pytest.raises(ValueError):
         Torus(0, 4, 0.5)

@@ -198,11 +198,10 @@ def test_non_finite_stored_row_is_a_typed_failure(small):
     run_grid = series._run_grid
 
     def spoiled(*args, **kwargs):
-        legs, residuals = run_grid(*args, **kwargs)
-        total = legs[0][0]
+        (total, norms, levels), report = run_grid(*args, **kwargs)
         if len(total) > 2:  # the main grid, not the two-row Richardson rerun
             total[len(total) // 2, -1] = math.inf
-        return legs, residuals
+        return (total, norms, levels), report
 
     with mock.patch.object(series, "_run_grid", spoiled):
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -327,9 +326,9 @@ def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, al
     with mock.patch.object(series, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(series, "_COMPRESSION_RANK", rank), \
             mock.patch.object(series, "_MAX_NODES", 0 if full else series._MAX_NODES):
-        [(total, final, levels)], (nodes, bound, residuals, exact) = series._run_grid(
-            u0, energies, *tail, [alpha], store_idx,
-            term_tol=1e-12, max_levels=8, fixed_levels=[ref_levels],
+        (total, final, levels), (nodes, bound, residuals, exact) = series._run_grid(
+            u0, energies, *tail, alpha, store_idx,
+            term_tol=1e-12, max_levels=8, fixed_levels=ref_levels,
         )
     assert levels == ref_levels
     if full:
@@ -377,8 +376,8 @@ def test_compression_bound_covers_the_missed_part(dim, sites, n_max, eps, grid, 
 
     with mock.patch.object(series, "_COMPRESSION_TOL", tol), \
             mock.patch.object(series, "_compress", checked):
-        [(_, _, levels)], (_, _, residuals, exact) = series._run_grid(
-            u0, energies, zmat, dt, grid, orders, [2.0], np.array([0, grid]),
+        (_, _, levels), (_, _, residuals, exact) = series._run_grid(
+            u0, energies, zmat, dt, grid, orders, 2.0, np.array([0, grid]),
             term_tol=1e-12, max_levels=6,
         )
     assert seen == list(zip(residuals, exact))
@@ -406,8 +405,8 @@ def test_high_rank_levels_fall_back_to_the_full_product():
         *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
     )
     with mock.patch.object(series, "_compress", side_effect=AssertionError("compressed")):
-        [(total, final, levels)], report = series._run_grid(
-            *args, [2.0], store_idx, term_tol=1e-12, max_levels=6
+        (total, final, levels), report = series._run_grid(
+            *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
         )
     assert levels == ref_levels == 6
     assert report == (0, 0.0, [], [])
@@ -431,61 +430,92 @@ def _assert_same_result(got, want):
     assert _bits(got.final_state.flat()) == _bits(want.final_state.flat())
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    sites=st.integers(4, 6),
-    n_max=st.integers(2, 3),
-    product=st.booleans(),
-    grid=st.integers(1, 40).map(lambda h: 2 * h),
-    t_frac=st.floats(0.1, 0.45),
-    alpha=st.one_of(st.none(), st.floats(1.7, 2.45)),
-    term_tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
-    seed=st.integers(0, 2**16),
-)
-def test_shared_level_loop_equals_separate_solves(
-    sites, n_max, product, grid, t_frac, alpha, term_tol, seed
-):
-    # the main solve at cfg and the direct leg at cfg.for_horizon(t - s),
-    # Richardson reruns included, are each bit-identical to their own solve
-    inst = make_instance(sites=sites, n_max=n_max)
-    diag, pert, _ = _ops(inst)
-    if product:
-        u0 = CorrelationVector.product_form(inst.torus, n_max, 0.5)
-    else:
-        u0 = random_correlation(inst.torus, n_max, 1.5, np.random.default_rng(seed))
-    t = t_frac * inst.horizon
-    cfg = _cfg(inst, time_grid_points=grid, alpha=alpha, term_tol=term_tol, quad_tol=1e-3)
-    legs = [cfg, cfg.for_horizon(t)]
-    args = (u0, 0.0, t, diag, pert, inst.scale, inst.bound)
-    try:
-        separate = [ovsyannikov_evolve(*args, leg) for leg in legs]
-    except (HorizonError, ConvergenceError) as err:
-        with pytest.raises(type(err)):
-            series._evolve_legs(*args, legs)
-        return
-    for got, want in zip(series._evolve_legs(*args, legs), separate):
-        _assert_same_result(got, want)
-
-
-def test_flow_check_carries_the_main_solve_when_level_counts_differ():
-    # configured alpha 2.4 needs 5 levels, the direct leg's default alpha 6
+@pytest.mark.parametrize("upsilon_frac", [0.2, 0.3, 0.15])
+def test_flow_check_direct_leg_is_the_solve_at_its_config(upsilon_frac):
+    # the direct leg is the s -> t solve at cfg when t - s fits its upsilon
+    # (at its end, and inside it), else at cfg.for_horizon(t - s): the
+    # configured alpha 2.4 needs 5 levels, for_horizon's default alpha 6
     inst = make_instance(sites=6, n_max=3)
     diag, pert, _ = _ops(inst)
     u0 = random_correlation(inst.torus, 3, 1.5, np.random.default_rng(5))
     T = inst.horizon
-    cfg = _cfg(inst, time_grid_points=64, alpha=2.4, quad_tol=1e-6)
-    args = (diag, pert, inst.scale, inst.bound, cfg)
-    shared = flow_compose_check(u0, 0.0, 0.1 * T, 0.2 * T, *args, solve_main=True)
-    alone = flow_compose_check(u0, 0.0, 0.1 * T, 0.2 * T, *args)
-    main = ovsyannikov_evolve(u0, 0.0, 0.2 * T, *args)
-    direct = ovsyannikov_evolve(u0, 0.0, 0.2 * T, *args[:-1], cfg.for_horizon(0.2 * T))
-    assert (main.n_used, direct.n_used) == (5, 6)
-    _assert_same_result(shared.main, main)
-    assert alone.main is None
-    for name in ("difference", "relative", "budget", "alpha_tau"):
-        assert getattr(shared, name) == getattr(alone, name)
-    assert _bits(shared.direct_final.flat()) == _bits(direct.final_state.flat())
-    assert _bits(alone.composed_final.flat()) == _bits(shared.composed_final.flat())
+    t = 0.2 * T
+    cfg = _cfg(inst, upsilon_frac, time_grid_points=64, alpha=2.4, quad_tol=1e-6)
+    args = (diag, pert, inst.scale, inst.bound)
+    rep = flow_compose_check(u0, 0.0, 0.1 * T, t, *args, cfg)
+    want = ovsyannikov_evolve(u0, 0.0, t, *args, cfg if t <= cfg.upsilon else cfg.for_horizon(t))
+    assert want.n_used == (5 if t <= cfg.upsilon else 6)
+    _assert_same_result(rep.direct, want)
+
+
+def _reference_majorant_sums(res: series.EvolutionResult, s: float, regular: float) -> np.ndarray:
+    """The majorant sum at every stored time, one `_log_majorant` per time and term."""
+    out = np.zeros(len(res.times))
+    for j, tau in enumerate(res.times):
+        for n in range(res.n_used + 1):
+            lm = series._log_majorant(
+                n, tau - s, res.q, res.horizon_prime, res.scale.nu, regular, res.initial_norm
+            )
+            out[j] += math.exp(lm) if lm > -math.inf else 0.0
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sites=st.integers(4, 6),
+    n_max=st.integers(2, 3),
+    state=st.sampled_from(["product", "random", "zero"]),
+    s=st.floats(0.0, 1.0),
+    t_frac=st.floats(0.05, 0.45),
+    term_tol=st.sampled_from([1e-6, 1e-10, 1e-12]),
+    seed=st.integers(0, 2**16),
+)
+def test_majorant_sums_match_the_scalar_formula(sites, n_max, state, s, t_frac, term_tol, seed):
+    inst = make_instance(sites=sites, n_max=n_max)
+    diag, pert, _ = _ops(inst)
+    if state == "product":
+        u0 = CorrelationVector.product_form(inst.torus, n_max, 0.5)
+    elif state == "random":
+        u0 = random_correlation(inst.torus, n_max, 1.5, np.random.default_rng(seed))
+    else:
+        u0 = CorrelationVector.from_flat(inst.torus, n_max, np.zeros(diag.dimension))
+    t = s + t_frac * inst.horizon
+    cfg = _cfg(inst, time_grid_points=64, term_tol=term_tol, quad_tol=1e-3)
+    res = ovsyannikov_evolve(u0, s, t, diag, pert, inst.scale, inst.bound, cfg)
+    want = _reference_majorant_sums(res, s, inst.bound.regular(res.alpha))
+    assert res.majorant_sum_history.shape == want.shape
+    assert np.all(np.abs(res.majorant_sum_history - want) <= 1e-13 * want)
+
+
+def _evolve_outputs(tmp_path: Path, name: str, **experiment) -> dict:
+    """Bytes of each file run_evolve writes for the stock evolve config updated by experiment."""
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
+    doc["experiment"].update(experiment)
+    doc["experiment"] = {k: v for k, v in doc["experiment"].items() if v is not None}
+    out = tmp_path / name
+    out.mkdir()
+    _, files = run_evolve(build_runtime(doc), out)
+    return {f: (out / f).read_bytes() for f in files}
+
+
+@pytest.mark.parametrize("kind", ["product", "random"])
+def test_flow_checked_evolve_writes_the_unchecked_result(tmp_path, kind):
+    # the flow check's direct leg is the main solve: every output but the
+    # flow block is what the same run without flow_tau writes
+    initial = {"kind": kind}
+    checked = _evolve_outputs(tmp_path, "checked", initial=initial)
+    unchecked = _evolve_outputs(tmp_path, "unchecked", initial=initial, flow_tau=None)
+    doc = json.loads(checked.pop("result.json"))
+    assert doc.pop("flow")["relative"] <= 1e-6
+    assert doc == json.loads(unchecked.pop("result.json"))
+    assert checked == unchecked
+
+
+@pytest.mark.parametrize("flow_tau", [0.007, None])
+def test_t_past_upsilon_fails_with_or_without_flow_check(tmp_path, flow_tau):
+    # the flow check must not shorten the configured solve to fit t
+    with pytest.raises(HorizonError, match="configured upsilon"):
+        _evolve_outputs(tmp_path, "out", t=0.0117, flow_tau=flow_tau)
 
 
 def test_solve_draws_nothing_from_shared_random_state(tmp_path):
@@ -580,15 +610,15 @@ def test_a_level_past_the_largest_rank_is_a_size_refusal():
             mock.patch.object(series, "_MAX_RANK", 1):
         with pytest.raises(DimensionCapError, match="time columns"):
             series._run_grid(
-                u0, energies, zmat, 0.05, 64, orders, [2.0], np.array([0, 64]),
+                u0, energies, zmat, 0.05, 64, orders, 2.0, np.array([0, 64]),
                 term_tol=1e-12, max_levels=6,
             )
 
 
 def test_flow_checked_evolve_stays_within_the_size_check(tmp_path):
-    # with flow_tau the run holds the main solve's and the direct leg's stored
-    # rows (and a copy of the totals when their level counts differ), then the
-    # two composed legs'; the preflight's estimate covers the whole run's peak
+    # with flow_tau the run holds the direct leg's stored rows, which are the
+    # main solve's, then the two composed legs'; the preflight's estimate
+    # covers the whole run's peak
     doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
     doc["model"]["torus"]["sites"] = 14
     doc["model"]["truncation"] = 4

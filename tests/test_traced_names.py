@@ -60,7 +60,9 @@ def _probe(*docs: dict) -> dict:
 
 def test_tracer_finds_every_traced_name():
     evolve = _probe(_small_doc("evolve"))
-    assert evolve["series.evolve_calls"] > 0
+    # the flow check's direct leg, which is the main solve, and its two
+    # composed legs
+    assert evolve["series.evolve_calls"] == 3
     assert evolve["series.levels"] > 0
     vlasov = _probe(_small_doc("vlasov"))
     # every epsilon of the sweep, the limit included, is one traced solve
