@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -211,14 +212,79 @@ def schema_json() -> str:
     return json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# two types are stricter than JSON Schema's: an integer has no fraction part
+# (6.0 fails) and a number is finite (json.load reads NaN and Infinity)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: _is_number(x) and math.isfinite(x),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+# the keywords CONFIG_SCHEMA uses, checked with the jsonschema package's
+# messages; "$schema" and "title" are annotations
+KEYWORDS = {*_BOUNDS, "$schema", "title", "type", "properties", "required", "const", "enum"}
+KEYWORDS |= {"additionalProperties", "items", "minItems", "minLength", "anyOf", "oneOf"}
+
+
+def _errors(x, schema: dict, path: tuple):
+    """(path, message, keyword) of each way x breaks schema, in keyword order."""
+    for key, v in schema.items():
+        if key not in KEYWORDS or (key == "additionalProperties" and v is not False):
+            raise NotImplementedError(f"config schema keyword {key}: {v!r} is not checked")
+        if key == "type" and not _TYPES[v](x):
+            kind = "a finite number" if v == "number" and _is_number(x) else f"of type {v!r}"
+            yield path, f"{x!r} is not {kind}", key
+        elif key == "const" and (x != v or isinstance(x, bool) != isinstance(v, bool)):
+            yield path, f"{v!r} was expected", key  # JSON equality: true is not 1
+        elif key == "enum" and all(x != c or isinstance(x, bool) != isinstance(c, bool) for c in v):
+            yield path, f"{x!r} is not one of {v!r}", key
+        elif key in _BOUNDS and _is_number(x) and _BOUNDS[key][0](x, v):
+            yield path, f"{x!r} is {_BOUNDS[key][1]} {v!r}", key
+        elif isinstance(x, {"minItems": list, "minLength": str}.get(key, ())) and len(x) < v:
+            yield path, f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}", key
+        elif key in ("anyOf", "oneOf"):
+            errors = [list(_errors(x, branch, path)) for branch in v]
+            valid = [branch for branch, errs in zip(v, errors) if not errs]
+            # a tagged union (on the experiment's name) reports the errors of its tag's branch
+            named = [errs for errs in errors if all(e[2] != "const" for e in errs)]
+            if not valid and len(named) == 1:
+                yield from named[0]
+            elif not valid:
+                yield path, f"{x!r} is not valid under any of the given schemas", key
+            elif key == "oneOf" and len(valid) > 1:
+                yield path, f"{x!r} is valid under each of {', '.join(map(repr, valid))}", key
+        elif key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                yield from _errors(item, v, path + (i,))
+        elif key == "properties" and isinstance(x, dict):
+            for name in filter(x.__contains__, v):
+                yield from _errors(x[name], v[name], path + (name,))
+        elif key == "required" and isinstance(x, dict):
+            yield from ((path, f"{n!r} is a required property", key) for n in v if n not in x)
+        elif key == "additionalProperties" and isinstance(x, dict):
+            extra = sorted((k for k in x if k not in schema.get("properties", {})), key=str)
+            if extra:
+                names = ", ".join(map(repr, extra)) + (" was" if len(extra) == 1 else " were")
+                yield path, f"Additional properties are not allowed ({names} unexpected)", key
+
+
 def validate_config(doc: dict) -> None:
-    """Schema-check a configuration document; raises ConfigError on failure."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "(root)"
-        raise ConfigError(f"config invalid at {where}: {first.message}")
+    """Schema-check a config document; raises ConfigError at its first error in path order."""
+    first = min(_errors(doc, CONFIG_SCHEMA, ()), key=lambda e: e[0], default=None)
+    if first is not None:
+        where = "/".join(map(str, first[0])) or "(root)"
+        raise ConfigError(f"config invalid at {where}: {first[1]}")
 
 
 def load_config(path: str) -> dict:

@@ -138,10 +138,13 @@ def _jsonable(obj):
 
 
 def write_json(path: Path, doc: dict) -> None:
-    # one string and one write: json.dump writes every encoded chunk apart
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
+    # one top-level key per line: json's C encoder runs only without indent
+    text = ",\n".join(
+        f"  {json.dumps(k)}: {json.dumps(doc[k], sort_keys=True, default=_jsonable)}"
+        for k in sorted(doc)
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write("{\n" + text + "\n}\n")
 
 
 # the largest estimate _check_budget made since run_experiment reset it

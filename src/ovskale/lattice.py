@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,50 +80,12 @@ class Torus:
     def period(self) -> float:
         return self.sites_per_axis * self.spacing
 
-    def coords(self, site: int) -> tuple[int, ...]:
-        """Multi-index of a site (row-major)."""
-        m = self.sites_per_axis
-        out = []
-        for _ in range(self.dim):
-            site, r = divmod(site, m)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def site(self, coords: Sequence[int]) -> int:
-        m = self.sites_per_axis
-        idx = 0
-        for c in coords:
-            idx = idx * m + (int(c) % m)
-        return idx
-
-    def diff_site(self, i: int, j: int) -> int:
-        """Site index of the periodic difference (coords(i) - coords(j)) mod M."""
-        ci, cj = self.coords(i), self.coords(j)
-        return self.site(tuple(a - b for a, b in zip(ci, cj)))
-
-    def neg_site(self, i: int) -> int:
-        return self.site(tuple(-c for c in self.coords(i)))
-
-    def min_image_displacement(self, site: int) -> np.ndarray:
-        """Physical displacement of a difference site under the minimal image."""
-        m = self.sites_per_axis
-        comps = []
-        for c in self.coords(site):
-            c = c % m
-            if c > m / 2:
-                c -= m
-            comps.append(c * self.spacing)
-        return np.array(comps, dtype=float)
-
-    def min_image_distance(self, site: int) -> float:
-        return float(np.linalg.norm(self.min_image_displacement(site)))
-
     def coord_array(self) -> np.ndarray:
-        """(dim, S) multi-indices of every site, in the row-major order of `coords`."""
+        """(dim, S) multi-indices of every site; site k is row-major, the last axis fastest."""
         return np.indices((self.sites_per_axis,) * self.dim).reshape(self.dim, -1)
 
     def min_image_distances(self) -> np.ndarray:
-        """`min_image_distance` of every difference site, as one array."""
+        """Distance of every difference site from the origin under the minimal image."""
         m = self.sites_per_axis
         coords = self.coord_array()
         comps = np.minimum(coords, m - coords) * self.spacing

@@ -64,6 +64,39 @@ def make_instance(
     return Instance(torus, kernels, params, scale, bound, n_max)
 
 
+def site_coords(torus: Torus, site: int) -> tuple[int, ...]:
+    """Multi-index of a site (row-major), one divmod per axis."""
+    out = []
+    for _ in range(torus.dim):
+        site, r = divmod(site, torus.sites_per_axis)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def site_index(torus: Torus, coords) -> int:
+    """Site of a multi-index, each component taken mod M."""
+    idx = 0
+    for c in coords:
+        idx = idx * torus.sites_per_axis + (int(c) % torus.sites_per_axis)
+    return idx
+
+
+def diff_site(torus: Torus, i: int, j: int) -> int:
+    """Site of the periodic difference (coords(i) - coords(j)) mod M."""
+    return site_index(torus, [a - b for a, b in zip(site_coords(torus, i), site_coords(torus, j))])
+
+
+def neg_site(torus: Torus, i: int) -> int:
+    return site_index(torus, [-c for c in site_coords(torus, i)])
+
+
+def min_image_distance(torus: Torus, site: int) -> float:
+    """Length of a difference site's displacement under the minimal image."""
+    m = torus.sites_per_axis
+    comps = [(c - m if c > m / 2 else c) * torus.spacing for c in site_coords(torus, site)]
+    return float(np.linalg.norm(np.array(comps, dtype=float)))
+
+
 def apply_observable_generator(
     G: SupportedFunction, kernels: KernelPair, params: ModelParams, n_max: int
 ) -> SupportedFunction:

@@ -1,4 +1,5 @@
-"""Import boundaries: a run loads only the scipy subpackages it uses.
+"""Import boundaries: a run loads only the scipy subpackages it uses, and
+jsonschema (the config check's test reference) nowhere.
 
 Each probe starts a fresh interpreter, because this process has long since
 loaded every module.  The checks read sys.modules, so they need no timing.
@@ -17,8 +18,10 @@ import ovskale
 ROOT = Path(__file__).resolve().parents[1]
 # loaded only where used: scipy.sparse by the hierarchy runs, ovskale.kinetic
 # by the kinetic runs and scipy.integrate by the oracle, which no run calls;
-# the package loads scipy.optimize, scipy.fft and scipy.special nowhere
+# the package loads scipy.optimize, scipy.fft, scipy.special and jsonschema
+# nowhere
 LAZY = (
+    "jsonschema",
     "scipy.sparse",
     "scipy.optimize",
     "scipy.integrate",
@@ -102,6 +105,7 @@ def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
     seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
     assert seen["exit"] == 0
     assert [m for m in seen["run"] if m.startswith("scipy.")] == []
+    assert "jsonschema" not in seen["run"]
     if name != "horizon":
         # the kinetic module is set-up too
         assert "ovskale.kinetic" in seen["runner"]

@@ -29,7 +29,7 @@ from ovskale import (
 from ovskale import kinetic
 from ovskale.kinetic import ScanResult, _bisect, stationary_curve
 
-from conftest import GAUSS_A, GAUSS_PHI, homogeneous_ode
+from conftest import GAUSS_A, GAUSS_PHI, diff_site, homogeneous_ode, neg_site
 
 
 def kinetic_rhs(rho, torus: Torus, kernels: KernelPair, params: ModelParams) -> np.ndarray:
@@ -58,7 +58,7 @@ def direct_convolution(torus, kernel, rho):
     out = np.zeros(torus.site_count)
     for x in range(torus.site_count):
         for y in range(torus.site_count):
-            out[x] += kernel[torus.diff_site(x, y)] * rho[y]
+            out[x] += kernel[diff_site(torus, x, y)] * rho[y]
     return torus.cell_volume * out
 
 
@@ -147,7 +147,7 @@ def test_convolution_fft_matches_direct_dim2(rng):
 
 def _even(torus, values):
     """Symmetrise values under the periodic reflection j -> -j, exactly."""
-    neg = np.array([torus.neg_site(i) for i in range(torus.site_count)])
+    neg = np.array([neg_site(torus, i) for i in range(torus.site_count)])
     return 0.5 * (values + values[neg])
 
 

@@ -31,7 +31,15 @@ from ovskale.lattice import (
     subsets_of_order,
     total_dimension,
 )
-from conftest import GAUSS_A, GAUSS_PHI
+from conftest import (
+    GAUSS_A,
+    GAUSS_PHI,
+    diff_site,
+    min_image_distance,
+    neg_site,
+    site_coords,
+    site_index,
+)
 
 
 def load_kernel_pair(doc: dict) -> KernelPair:
@@ -45,32 +53,37 @@ def test_torus_indexing_roundtrip():
     assert tor.site_count == 9
     assert tor.cell_volume == pytest.approx(0.25)
     assert tor.period == pytest.approx(1.5)
+    coords = tor.coord_array()
+    assert np.array_equal(tor.sites_of(coords), np.arange(tor.site_count))
     for s in range(tor.site_count):
-        assert tor.site(tor.coords(s)) == s
+        assert site_index(tor, site_coords(tor, s)) == s
+        assert tuple(coords[:, s]) == site_coords(tor, s)
 
 
 def test_torus_min_image_distance():
     tor = Torus(1, 6, 0.5)
+    fast = tor.min_image_distances()
     for k in range(6):
         expected = min(k, 6 - k) * 0.5
-        assert tor.min_image_distance(k) == pytest.approx(expected)
+        assert min_image_distance(tor, k) == pytest.approx(expected)
+        assert fast[k] == pytest.approx(expected)
 
 
 def test_diff_and_neg_sites():
     tor = Torus(1, 5, 1.0)
     table = diff_table(tor)
     for i in range(5):
-        assert tor.neg_site(tor.neg_site(i)) == i
+        assert neg_site(tor, neg_site(tor, i)) == i
         for j in range(5):
-            assert tor.diff_site(i, j) == (i - j) % 5
-            assert table[i, j] == tor.diff_site(i, j)
+            assert diff_site(tor, i, j) == (i - j) % 5
+            assert table[i, j] == diff_site(tor, i, j)
 
 
 @pytest.mark.parametrize("dim, sites", [(1, 18), (2, 4), (2, 5), (3, 4)])
 def test_diff_table_matches_the_scalar_loop(dim, sites):
     tor = Torus(dim, sites, 0.5)
     count = tor.site_count
-    ref = [[tor.diff_site(i, j) for j in range(count)] for i in range(count)]
+    ref = [[diff_site(tor, i, j) for j in range(count)] for i in range(count)]
     table = diff_table(tor)
     assert table.dtype == np.int64 and not table.flags.writeable
     assert np.array_equal(table, ref)
@@ -115,7 +128,7 @@ def test_gaussian_kernel_hand_values():
     tor = Torus(1, 6, 0.5)
     vals = kernel_values(tor, GAUSS_A)
     for k in range(6):
-        r = tor.min_image_distance(k)
+        r = min_image_distance(tor, k)
         assert vals[k] == pytest.approx(1.0 * math.exp(-r * r / (2 * 0.7**2)), rel=1e-15)
 
 
@@ -126,7 +139,7 @@ def test_kernel_tables_match_per_site_profiles(dim, sites, spacing):
     gauss = kernel_values(tor, GAUSS_A)
     hat = kernel_values(tor, {"kind": "tophat", "params": {"amplitude": 2.0, "radius": 0.6}})
     for k in range(tor.site_count):
-        r = tor.min_image_distance(k)
+        r = min_image_distance(tor, k)
         assert gauss[k] == pytest.approx(math.exp(-r * r / (2 * 0.7**2)), rel=2e-15)
         if abs(r - 0.6) > 1e-12:
             assert hat[k] == (2.0 if r <= 0.6 else 0.0)
@@ -144,7 +157,7 @@ def test_tophat_kernel():
     spec = {"kind": "tophat", "params": {"amplitude": 2.0, "radius": 0.6}}
     vals = kernel_values(tor, spec)
     for k in range(6):
-        expected = 2.0 if tor.min_image_distance(k) <= 0.6 else 0.0
+        expected = 2.0 if min_image_distance(tor, k) <= 0.6 else 0.0
         assert vals[k] == expected
 
 
