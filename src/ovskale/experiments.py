@@ -57,9 +57,9 @@ from .vlasov import (
 
 # share of physical memory a run's hierarchy arrays may be planned to take
 _MEMORY_SHARE = 0.5
-# peak of assembly (COO blocks, their concatenation, the CSR matrix) per
-# nonzero of the bound below: measured 69-70 on 1-D and 2-D tori
-_BYTES_PER_NONZERO = 72
+# peak of assembly (int32 COO blocks, their concatenation, the CSR matrix)
+# per nonzero of the bound below: measured 29-33 on 1-, 2- and 3-D tori
+_BYTES_PER_NONZERO = 36
 # on the orbit route: per nonzero of the row bound (COO blocks, both CSR
 # matrices) and per flat entry (orbit map, layer scans of assembly, states):
 # measured up to 100 and 250 on 1-, 2- and 3-D tori
@@ -84,10 +84,6 @@ _SETUP_IMPORTS = {
     "kinetic": ("ovskale.kinetic",),
     "bifurcation": ("ovskale.kinetic",),
 }
-# stored-row arrays a flow-checked evolve holds at once: the direct leg's,
-# which is the main solve, and the two composed legs'
-_FLOW_TRAJECTORIES = 3
-
 NUMERICAL_ERRORS = (
     HorizonError,
     ConvergenceError,
@@ -171,6 +167,7 @@ def _check_footprint(
     solve: tuple[SeriesConfig, float] | None = None,
     operators: int = 1,
     trajectories: int = 1,
+    legs: int = 0,
     orbits: tuple[int, ...] | None = None,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
@@ -178,10 +175,10 @@ def _check_footprint(
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
     that solves (solve = (solver, sup_energy) given) adds the stored rows of
-    each trajectory held at once and, once, the level loop's own arrays
-    (`level_loop_bytes`).  The energies eps E^a sum eps a >= 0 over at most
-    n (n - 1) ordered pairs, so they lie in [0, n (n - 1) sup_energy] with
-    sup_energy = eps sup a.
+    each trajectory held at once, the two end rows of each flow leg and,
+    once, the level loop's own arrays (`level_loop_bytes`).  The energies
+    eps E^a sum eps a >= 0 over at most n (n - 1) ordered pairs, so they lie
+    in [0, n (n - 1) sup_energy] with sup_energy = eps sup a.
 
     On the orbit route (orbits = the orbit count of each layer given) the
     states, the level loop and the operators' rows are over the orbits: a
@@ -209,11 +206,22 @@ def _check_footprint(
         solver, sup_energy = solve
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
-        need += trajectories * 8 * stored * rows
+        need += 8 * (trajectories * stored + 2 * legs) * rows
         pairs = min(order, sites) * (min(order, sites) - 1)
         need += level_loop_bytes(rows, grid, pairs * sup_energy * solver.upsilon)
         detail += f", grid={grid}"
     _check_budget(need, detail)
+
+
+def _peak_rss_bytes() -> int | None:
+    """The process's peak resident set so far; None where `resource` is missing."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    # Linux reports ru_maxrss in KiB, macOS in bytes
+    scale = 1 if platform.system() == "Darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
 
 
 def _product_run(exp: dict) -> bool:
@@ -310,7 +318,8 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, bundle.params.epsilon * bundle.kernels.sup_a),
-        trajectories=_FLOW_TRAJECTORIES if "flow_tau" in exp else 1,
+        # the flow check's direct leg is the main solve; its two composed legs store their end rows
+        legs=2 if "flow_tau" in exp else 0,
         orbits=_orbit_counts(bundle) if product else None,
     )
     s = exp.get("s", 0.0)
@@ -791,9 +800,9 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     (DimensionCapError).  A config that fails the schema raises ConfigError
     before any manifest is written and is the caller's exit 2.  The manifest
     also records the largest memory estimate of the run's size checks, the
-    seconds spent loading the run's modules, in build_runtime and in the
-    runner (null for a stage that did not finish), and the solve ledger, one
-    `_ledger_entry` per series solve of a hierarchy run.
+    process's peak resident set so far, the seconds spent loading modules,
+    in build_runtime and in the runner (null for a stage that did not
+    finish), and the solve ledger, one `_ledger_entry` per series solve.
     """
     global _largest_estimate
     validate_config(doc)
@@ -842,6 +851,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
         "memory_estimate_bytes": (
             int(_largest_estimate) if _largest_estimate < math.inf else None
         ),
+        "peak_rss_bytes": _peak_rss_bytes(),
         "solves": solves,
         "assertions": [c.as_dict() for c in checks],
         "error": error,

@@ -237,20 +237,18 @@ class OperatorHandle:
             if self.orbits is not None:
                 held = np.zeros(self.dimension, dtype=bool)
                 held[self.orbits.reps] = True
-            blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-            eps = float(self.params.epsilon)
-            if self.kind != "perturbation" and eps != 0.0:
-                energies = interaction_energies(self.kernels, self.n_max)
-                offs = layer_offsets(self.torus.site_count, self.n_max)
-                # only entries of order >= 2 carry a pair energy
-                idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
-                idx = idx[_held(held, idx)]
-                blocks.append((idx, idx, -eps * energies[idx]))
-            if self.kind != "diagonal":
-                blocks.extend(_crowding_and_birth(self.kernels, self.params, self.n_max, held))
-                blocks.extend(_death(self.kernels, self.params, self.n_max, held))
-            rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+            # int32 indices, scipy's own choice while d fits, staged one
+            # coordinate at a time: each list is dropped once concatenated
             d = self.dimension
+            index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
+            rows, cols, vals = [np.zeros(0, index)], [np.zeros(0, index)], [np.zeros(0)]
+            for r, c, v in self._blocks(held):
+                rows.append(r.astype(index))
+                cols.append(c.astype(index))
+                vals.append(v)
+            rows = np.concatenate(rows)
+            cols = np.concatenate(cols)
+            vals = np.concatenate(vals)
             if self.orbits is None:
                 self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
             else:
@@ -261,6 +259,20 @@ class OperatorHandle:
                     (vals, (rows, ids[cols])), shape=(count, count)
                 ).tocsr()
         return self._matrix
+
+    def _blocks(self, held):
+        """COO blocks (rows, columns, values) of the term families at the rows held (None: all)."""
+        eps = float(self.params.epsilon)
+        if self.kind != "perturbation" and eps != 0.0:
+            energies = interaction_energies(self.kernels, self.n_max)
+            offs = layer_offsets(self.torus.site_count, self.n_max)
+            # only entries of order >= 2 carry a pair energy
+            idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
+            idx = idx[_held(held, idx)]
+            yield idx, idx, -eps * energies[idx]
+        if self.kind != "diagonal":
+            yield from _crowding_and_birth(self.kernels, self.params, self.n_max, held)
+            yield from _death(self.kernels, self.params, self.n_max, held)
 
     def rows(self) -> sp.csr_matrix:
         """The rows the route holds over every flat column.

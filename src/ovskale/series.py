@@ -727,7 +727,7 @@ def flow_compose_check(
     alpha_star)) is verified before any solve.  The direct leg, the report's
     `direct`, is the s -> t solve at cfg itself when t - s <= cfg.upsilon,
     else at cfg.for_horizon(t - s); the composed legs run at
-    cfg.for_horizon of their durations.
+    cfg.for_horizon of their durations and store only their end rows.
     """
     if not (s < tau < t):
         raise HorizonError("need s < tau < t")
@@ -743,10 +743,13 @@ def flow_compose_check(
 
     direct_cfg = cfg if t - s <= cfg.upsilon else cfg.for_horizon(t - s)
     direct = ovsyannikov_evolve(u_s, s, t, diag_op, pert_op, scale, bound, direct_cfg)
-    leg1 = ovsyannikov_evolve(u_s, s, tau, diag_op, pert_op, scale, bound, cfg.for_horizon(tau - s))
+    legs = replace(cfg, trajectory_points=2)
+    leg1 = ovsyannikov_evolve(
+        u_s, s, tau, diag_op, pert_op, scale, bound, legs.for_horizon(tau - s)
+    )
     leg2 = ovsyannikov_evolve(
         leg1.final_state, tau, t, diag_op, pert_op, replace(scale, alpha_s=alpha_tau), bound,
-        cfg.for_horizon(t - tau),
+        legs.for_horizon(t - tau),
     )
     final = direct.trajectory[-1]
     diff = norm_alpha_flat(final - leg2.trajectory[-1], direct.orders, scale.alpha_star)

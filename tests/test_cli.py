@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import sys
 import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,20 @@ def test_large_product_evolve_passes_the_size_check_on_orbits(tmp_path, monkeypa
     full = needs.pop()
     assert full > 3e9
     assert max(needs) < 0.2 * full
+
+
+def test_manifest_records_the_peak_resident_set(tmp_path):
+    # a stock evolve records the process's peak so far, in bytes; a platform
+    # without the resource module records null
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
+    manifest = run_experiment(doc, str(tmp_path / "stock"))
+    assert manifest["exit_code"] == 0
+    assert isinstance(manifest["peak_rss_bytes"], int)
+    assert manifest["peak_rss_bytes"] > 0
+    written = json.loads((tmp_path / "stock" / "manifest.json").read_text())
+    assert written["peak_rss_bytes"] == manifest["peak_rss_bytes"]
+    with mock.patch.dict(sys.modules, {"resource": None}):
+        assert run_experiment(doc, str(tmp_path / "bare"))["peak_rss_bytes"] is None
 
 
 def test_rerun_is_byte_identical(tmp_path):

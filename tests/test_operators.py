@@ -16,6 +16,8 @@ from ovskale import (
     Torus,
     interaction_energies,
     kernel_pair_from_spec,
+    orbit_map,
+    point_group,
 )
 from ovskale.lattice import (
     SupportedFunction,
@@ -162,6 +164,53 @@ def test_assembly_matches_reference(dim, sites, n_max, spacing, epsilon, kind, r
     s = tor.site_count
     expected = [pair_energy(eta, ker) for n in range(n_max + 1) for eta in subsets_of_order(s, n)]
     assert np.array_equal(interaction_energies(ker, n_max), expected)
+
+
+def _int64_staged(handle):
+    """Reference: the handle's matrix and rows from its own blocks as int64 COO.
+
+    The blocks are concatenated in one pass, all three coordinates together.
+    """
+    held = None
+    if handle.orbits is not None:
+        held = np.zeros(handle.dimension, dtype=bool)
+        held[handle.orbits.reps] = True
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    blocks.extend(handle._blocks(held))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    d = handle.dimension
+    if handle.orbits is None:
+        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+        return matrix, matrix
+    ids, count = handle.orbits.orbit_of, handle.orbits.count
+    return (
+        sp.coo_matrix((vals, (ids[rows], ids[cols])), shape=(count, count)).tocsr(),
+        sp.coo_matrix((vals, (ids[rows], cols)), shape=(count, d)).tocsr(),
+    )
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim, sites, n_max", [(1, 9, 4), (2, 4, 3)])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("route", ["full", "orbit"])
+def test_int32_staged_assembly_is_the_int64_staged_one(dim, sites, n_max, epsilon, route):
+    # staging int32 blocks one coordinate at a time leaves the CSR arrays
+    # bit for bit as the int64 staging of the same blocks made them
+    ker = kernel_pair_from_spec(Torus(dim, sites, 0.5), GAUSS_A, GAUSS_PHI)
+    par = ModelParams(death_amplitude=1.3, birth_intensity=0.7, epsilon=epsilon)
+    orbits = orbit_map(ker.torus, n_max, point_group(ker)) if route == "orbit" else None
+    for kind in ("full", "diagonal", "perturbation"):
+        handle = OperatorHandle(kind, ker, par, n_max, orbits)
+        got = (handle.matrix(), handle.rows())
+        want = _int64_staged(OperatorHandle(kind, ker, par, n_max, orbits))
+        for mat, ref in zip(got, want):
+            assert mat.shape == ref.shape
+            assert mat.indices.dtype == np.int32
+            for name in ("indptr", "indices", "data"):
+                assert _same_bits(getattr(mat, name), getattr(ref, name)), (kind, name)
 
 
 def test_single_site_hand_matrix():

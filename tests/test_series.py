@@ -27,12 +27,15 @@ from ovskale import (
     kernel_pair_from_spec,
     norm_alpha,
     oracle_evolve,
+    orbit_map,
     ovsyannikov_evolve,
+    point_group,
     time_horizon,
 )
 from ovskale import experiments, load_config, series
 from ovskale.config import build_runtime
 from ovskale.experiments import run_evolve
+from ovskale.lattice import layer_array
 from ovskale.scale import norm_alpha_flat
 from ovskale.series import default_intermediate_alpha
 from ovskale.states import flat_orders, random_correlation
@@ -448,6 +451,56 @@ def test_flow_check_direct_leg_is_the_solve_at_its_config(upsilon_frac):
     _assert_same_result(rep.direct, want)
 
 
+def _reference_flow(u0, s, tau, t, diag, pert, scale, bound, cfg):
+    """Difference, relative, budget and composed final state with every leg at cfg's stored rows."""
+    alpha_tau = series.localization_index(tau, s, scale.alpha_s, bound, scale.alpha_star, scale.nu)
+    direct = ovsyannikov_evolve(u0, s, t, diag, pert, scale, bound, cfg)
+    leg1 = ovsyannikov_evolve(u0, s, tau, diag, pert, scale, bound, cfg.for_horizon(tau - s))
+    leg2 = ovsyannikov_evolve(
+        leg1.final_state, tau, t, diag, pert, replace(scale, alpha_s=alpha_tau), bound,
+        cfg.for_horizon(t - tau),
+    )
+    final = direct.trajectory[-1]
+    diff = norm_alpha_flat(final - leg2.trajectory[-1], direct.orders, scale.alpha_star)
+    denom = max(norm_alpha_flat(final, direct.orders, scale.alpha_star), 1e-30)
+    budget = direct.quad_error + leg1.quad_error + leg2.quad_error
+    return diff, diff / denom, budget, leg2.final_state
+
+
+@pytest.mark.parametrize("route", ["full", "orbit"])
+def test_flow_legs_store_only_their_end_rows(route):
+    # the composed legs keep two stored rows each; only their last row is
+    # read, so the report is bit for bit the one of legs at cfg's 33 rows
+    inst = make_instance(sites=8, n_max=3)
+    orbits = None
+    if route == "orbit":
+        orbits = orbit_map(inst.torus, 3, point_group(inst.kernels))
+        u0 = CorrelationVector.product_form(inst.torus, 3, 0.5)
+    else:
+        u0 = random_correlation(inst.torus, 3, 1.5, np.random.default_rng(3))
+    args = (inst.kernels, inst.params, 3, orbits)
+    diag, pert = OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
+    T = inst.horizon
+    cfg = _cfg(inst, 0.3, time_grid_points=64, trajectory_points=33, quad_tol=1e-6)
+    flow = (0.0, 0.1 * T, 0.25 * T, diag, pert, inst.scale, inst.bound)
+    stored = []
+    solve = series.ovsyannikov_evolve
+
+    def counted(*a):
+        stored.append(a[-1].trajectory_points)
+        return solve(*a)
+
+    with mock.patch.object(series, "ovsyannikov_evolve", counted):
+        rep = flow_compose_check(u0, *flow, cfg)
+    assert stored == [33, 2, 2]
+    diff, rel, budget, composed = _reference_flow(u0, *flow, cfg)
+    assert _bits(np.array([rep.difference, rep.relative, rep.budget])) == _bits(
+        np.array([diff, rel, budget])
+    )
+    assert _bits(rep.composed_final.flat()) == _bits(composed.flat())
+    assert rep.direct.trajectory.shape[0] == 33
+
+
 def _reference_majorant_sums(res: series.EvolutionResult, s: float, regular: float) -> np.ndarray:
     """The majorant sum at every stored time, one `_log_majorant` per time and term."""
     out = np.zeros(len(res.times))
@@ -634,6 +687,52 @@ def test_flow_checked_evolve_stays_within_the_size_check(tmp_path):
             tracemalloc.stop()
     assert all(c.passed for c in checks)
     assert peak <= max(needs)
+
+
+def test_full_route_assembly_stays_within_the_size_check(tmp_path):
+    # a random-state evolve with flow_tau: assembling its perturbation peaks
+    # within _BYTES_PER_NONZERO per nonzero of the size check's bound, and
+    # the run (one stored-row array, two 2-row legs) within the runner's
+    # estimate; a change that holds more than the check counts fails here
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
+    doc["model"]["torus"]["sites"] = 12
+    doc["model"]["truncation"] = 4
+    doc["experiment"]["initial"] = {"kind": "random"}
+    assert "flow_tau" in doc["experiment"]
+    bundle = build_runtime(doc)
+    build = OperatorHandle.matrix
+    peaks, assembly = [], []
+
+    def traced(handle):
+        if handle._matrix is not None:
+            return build(handle)
+        # the run's peak so far, then the assembly's own
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        out = build(handle)
+        assembly.append(tracemalloc.get_traced_memory()[1] - current)
+        return out
+
+    # cold layer tables, and scipy.sparse loaded as run_experiment's set-up does
+    import scipy.sparse  # noqa: F401
+
+    needs = []
+    layer_array.cache_clear()
+    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)), \
+            mock.patch.object(OperatorHandle, "matrix", traced):
+        tracemalloc.start()
+        try:
+            checks, _ = run_evolve(bundle, tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        experiments._check_footprint(12, 4)
+    assert all(c.passed for c in checks)
+    [nonzero_bytes] = needs[1:]
+    assert len(assembly) == 1
+    assert assembly[0] <= nonzero_bytes
+    assert max(peaks) <= needs[0]
 
 
 def test_oracle_nan_matrix_is_a_typed_failure(small):
