@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .config import load_config, schema_json
+from .config import read_config, schema_json, validate_config
 from .errors import ConfigError, OvskaleError
 from .experiments import run_experiment
 
@@ -44,16 +44,14 @@ def main(argv: list[str] | None = None) -> int:
         print(schema_json())
         return 0
     try:
-        doc = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.command == "validate":
-        print(f"{args.config}: valid")
-        return 0
-    if args.seed is not None:
-        doc["seed"] = args.seed  # run_experiment validates the document again
-    try:
+        doc = read_config(args.config)
+        if args.command == "validate":
+            validate_config(doc)
+            print(f"{args.config}: valid")
+            return 0
+        if args.seed is not None and isinstance(doc, dict):
+            doc["seed"] = args.seed
+        # the one schema check of a run is run_experiment's
         manifest = run_experiment(doc, args.out)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

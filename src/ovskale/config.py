@@ -287,15 +287,20 @@ def validate_config(doc: dict) -> None:
         raise ConfigError(f"config invalid at {where}: {first[1]}")
 
 
-def load_config(path: str) -> dict:
-    """Read and schema-validate a configuration file."""
+def read_config(path: str) -> dict:
+    """Read a configuration file, unchecked; ConfigError if it is unreadable or not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+
+
+def load_config(path: str) -> dict:
+    """Read and schema-validate a configuration file."""
+    doc = read_config(path)
     validate_config(doc)
     return doc
 
@@ -326,13 +331,15 @@ class RuntimeBundle:
     solves: list = field(default_factory=list)
 
 
-def build_runtime(doc: dict) -> RuntimeBundle:
-    """Assemble validated config into live model objects.
+def build_runtime(doc: dict, *, validated: bool = False) -> RuntimeBundle:
+    """Assemble a config document into live model objects.
 
-    Semantic constraints beyond the schema (index ordering, kernel symmetry,
-    horizon feasibility) surface here as ConfigError.
+    The document is schema-checked first unless the caller has done so
+    (validated).  Semantic constraints beyond the schema (index ordering,
+    kernel symmetry, horizon feasibility) surface here as ConfigError.
     """
-    validate_config(doc)
+    if not validated:
+        validate_config(doc)
     model = doc["model"]
     tor = model["torus"]
     try:

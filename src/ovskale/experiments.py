@@ -17,12 +17,12 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from .config import RuntimeBundle, build_runtime, config_hash, validate_config
@@ -175,8 +175,9 @@ def _check_footprint(
     The estimate counts d = sum_{k <= n} C(S, k) entries per state and, for
     each perturbation held at once, an upper bound on its nonzeros.  A run
     that solves (solve = (solver, sup_energy) given) adds the stored rows of
-    each trajectory held at once, the two end rows of each flow leg and,
-    once, the level loop's own arrays (`level_loop_bytes`).  The energies
+    each trajectory held at once (its array or as many bytes of factors, a
+    kept initial state and a final row), the two end rows of each flow leg
+    and, once, the level loop's own arrays (`level_loop_bytes`).  The energies
     eps E^a sum eps a >= 0 over at most n (n - 1) ordered pairs, so they lie
     in [0, n (n - 1) sup_energy] with sup_energy = eps sup a.
 
@@ -206,9 +207,9 @@ def _check_footprint(
         solver, sup_energy = solve
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
-        need += 8 * (trajectories * stored + 2 * legs) * rows
+        need += 8 * (trajectories * (stored + 2) + 2 * legs) * rows
         pairs = min(order, sites) * (min(order, sites) - 1)
-        need += level_loop_bytes(rows, grid, pairs * sup_energy * solver.upsilon)
+        need += level_loop_bytes(rows, grid, pairs * sup_energy * solver.upsilon, stored)
         detail += f", grid={grid}"
     _check_budget(need, detail)
 
@@ -823,7 +824,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
             importlib.import_module(module)
         timings["imports_s"] = time.perf_counter() - begin
         begin = time.perf_counter()
-        bundle = build_runtime(doc)
+        bundle = build_runtime(doc, validated=True)
         solves = bundle.solves
         timings["build_runtime_s"] = time.perf_counter() - begin
         begin = time.perf_counter()
@@ -844,7 +845,8 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
             "ovskale": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            # null for a run that never loaded scipy
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         },
         "wall_time_s": time.perf_counter() - started,
         "timings": timings,

@@ -122,14 +122,33 @@ def norm_alpha_flat(vec: np.ndarray, orders: np.ndarray, alpha: float):
         raise ValueError("norm index alpha must exceed 1")
     if vec.shape[-1] == 0:
         return 0.0 if vec.ndim == 1 else np.zeros(vec.shape[:-1])
-    starts = np.concatenate(([0], np.flatnonzero(orders[1:] != orders[:-1]) + 1))
-    weights = alpha ** (-orders[starts].astype(float))
-    # max |x| of each run as max(max x, -min x): no |x| temporary, NaN carries
-    top = np.maximum(
-        np.maximum.reduceat(vec, starts, axis=-1), -np.minimum.reduceat(vec, starts, axis=-1)
-    )
-    norms = (np.abs(top) * weights).max(axis=-1)
+    starts = layer_starts(orders)
+    norms = weighted_sup(layer_sups(vec, starts), orders[starts], alpha)
     return float(norms) if vec.ndim == 1 else norms
+
+
+def layer_starts(orders: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal orders."""
+    return np.concatenate(([0], np.flatnonzero(orders[1:] != orders[:-1]) + 1))
+
+
+def layer_sups(vec: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """max |x| over each run of the last axis, run i starting at starts[i].
+
+    Taken as |max(max x, -min x)|: no |x| temporary, and a NaN carries.  The
+    value is at least 0, so the runs of a split state combine by np.maximum
+    into the same bits.
+    """
+    return np.abs(np.maximum(
+        np.maximum.reduceat(vec, starts, axis=-1), -np.minimum.reduceat(vec, starts, axis=-1)
+    ))
+
+
+def weighted_sup(sups: np.ndarray, run_orders: np.ndarray, alpha: float):
+    """max over runs of sup alpha^{-order}: the scale norm from `layer_sups`."""
+    if not (alpha > 1.0):
+        raise ValueError("norm index alpha must exceed 1")
+    return (sups * alpha ** (-run_orders.astype(float))).max(axis=-1)
 
 
 def time_horizon(alpha: float, beta: float, bound: BoundModel, nu: float = 1.0) -> float:

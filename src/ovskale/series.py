@@ -24,10 +24,12 @@ computed term is compared against its majorant
     nu ||u_s||_{alpha_s} ( q n / (e T') + nu N(alpha) )^n (t-s)^n / n!
 
 and the run is re-done at half resolution for a Richardson consistency gate.
-The stored rows are the result's read-only `trajectory`.  Handles on the
-orbit route (see `operators.OperatorHandle`) run the same loop on a state's
-entries at the orbit representatives; only the final state is expanded to
-every entry.  `oracle_evolve` is the independent sparse-propagator
+The stored rows are held as the terms that sum to them (`StoredRows`): the
+result keeps each row's per-layer max |x|, which every scale norm of the
+rows reads, and `EvolutionResult.stored_rows` materialises them.  Handles on
+the orbit route (see `operators.OperatorHandle`) run the same loop on a
+state's entries at the orbit representatives; only the final state is
+expanded to every entry.  `oracle_evolve` is the independent sparse-propagator
 reference (the action of the matrix exponential and an adaptive Runge-Kutta
 integration, which must agree); `flow_compose_check` and
 `apriori_estimate_check` audit the two-parameter flow property and the
@@ -40,13 +42,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantViolation
 from .operators import OperatorHandle
-from .scale import BoundModel, ScaleSpec, norm_alpha_flat, time_horizon, localization_index
+from .scale import (
+    BoundModel,
+    ScaleSpec,
+    layer_starts,
+    layer_sups,
+    localization_index,
+    norm_alpha_flat,
+    time_horizon,
+    weighted_sup,
+)
 from .states import CorrelationVector, flat_orders
 
 if TYPE_CHECKING:
@@ -102,16 +114,15 @@ class SeriesConfig:
 
 @dataclass
 class EvolutionResult:
-    """Trajectory, per-term records, and horizon metadata of one solver run.
+    """Stored rows, per-term records, and horizon metadata of one solver run.
 
-    trajectory is the read-only array of the stored states, one row per time:
-    the flat states on the full route, their entries at the orbit
-    representatives on the orbit route (orbits given); final_state is its
-    last row as a full vector.
+    rows holds the stored states, one row per time: the flat states on the
+    full route, their entries at the orbit representatives on the orbit
+    route (orbits given); final_state is the last row as a full vector.
     """
 
     times: np.ndarray
-    trajectory: np.ndarray
+    rows: StoredRows
     final_state: CorrelationVector
     term_norms: np.ndarray
     majorant_values: np.ndarray
@@ -139,12 +150,16 @@ class EvolutionResult:
 
     @property
     def orders(self) -> np.ndarray:
-        """Layer order of each trajectory column."""
-        orders = flat_orders(self.final_state.torus, self.final_state.n_max)
-        return orders if self.orbits is None else orders[self.orbits.reps]
+        """Layer order of each column of the stored rows."""
+        return self.rows.orders
 
     def norms_at(self, alpha: float) -> np.ndarray:
-        return norm_alpha_flat(self.trajectory, self.orders, alpha)
+        """The scale norm of every stored row, read from their per-layer max |x|."""
+        return self.rows.norms(alpha)
+
+    def stored_rows(self) -> np.ndarray:
+        """The stored rows as a new (times, columns) array."""
+        return self.rows.array()
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,20 +287,24 @@ def _node_count(spread: float):
     return None
 
 
-def level_loop_bytes(dim: int, grid: int, spread: float) -> int:
-    """Bytes a solve's level loop holds besides its stored rows and Z.
+def level_loop_bytes(dim: int, grid: int, spread: float, stored: int) -> int:
+    """Bytes a solve's level loop holds besides its stored rows' array and Z.
 
     spread bounds (max E - min E) dt.  The factored route holds a column over
     the state per node and, at the largest rank a level may keep
-    (_MAX_RANK), P, F, Z F and the waiting factors, and the node recursions
-    with their SVD; the full route one (grid + 1) x d array and three
-    columns.
+    (_MAX_RANK), P, F, Z F, and the node recursions with their SVD; and the
+    factors of the stored rows, a column over the state and the stored rows
+    each (`StoredRows`): as much as the stored rows' array or a waiting
+    group, whichever is more, and the level that tips them into a fold.
+    The full route holds one (grid + 1) x d array and three columns.
     """
     fit = _node_count(spread)
     if fit is None:
         return 8 * (grid + 4) * dim + 2 * _BLOCK_BYTES
-    columns = fit[0] + _WAITING_COLUMNS + 4 * _MAX_RANK + 4
-    return 8 * (columns * dim + 4 * fit[0] * _MAX_RANK * (grid + 1)) + 2 * _BLOCK_BYTES
+    factor = dim + stored
+    held = max(stored * dim, _WAITING_COLUMNS * factor) + _MAX_RANK * factor
+    columns = fit[0] + 4 * _MAX_RANK + 4
+    return 8 * (columns * dim + held + 4 * fit[0] * _MAX_RANK * (grid + 1)) + 2 * _BLOCK_BYTES
 
 
 def _energy_nodes(energies: np.ndarray, dt: float):
@@ -322,8 +341,12 @@ def _trapezoid(y: np.ndarray, energies, step: float) -> np.ndarray:
 
 
 def _right_product(weights: np.ndarray, right: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """coeffs^T R^T for R^T[(m, r), x] = weights[m, x] right[r, x], a block of states at a time."""
-    width = max(1, _BLOCK_BYTES // (8 * len(coeffs)))
+    """coeffs^T R^T for R^T[(m, r), x] = weights[m, x] right[r, x].
+
+    A block of R^T at a time, each an eighth of _BLOCK_BYTES: small enough
+    that forming it and multiplying it stay in cache.
+    """
+    width = max(1, _BLOCK_BYTES // (64 * len(coeffs)))
     out = np.empty((coeffs.shape[1], right.shape[1]))
     for lo in range(0, right.shape[1], width):
         block = weights[:, None, lo:lo + width] * right[None, :, lo:lo + width]
@@ -360,33 +383,176 @@ def _compress(left: np.ndarray, weights: np.ndarray, right: np.ndarray, weight_n
         if len(passed):
             rank = passed[0] + 1
             residual = float(tails[rank - 1] / size) if tails[rank - 1] > 0.0 else 0.0
-            return basis[:, :rank], factor[:rank], residual, cap > _COMPRESSION_RANK
+            # a view of fewer rows would keep the dropped ones alive with the stored rows
+            kept = factor if rank == len(factor) else factor[:rank].copy()
+            return basis[:, :rank], kept, residual, cap > _COMPRESSION_RANK
     raise DimensionCapError(
         f"a Duhamel level needs more than {_MAX_RANK} time columns, the most the size check counts"
     )
 
 
-def _fold(rows: np.ndarray, parts: list) -> np.ndarray:
-    """Add the factored rows sum left @ right over parts into rows, a block of states at a time."""
-    if parts:
-        left = np.hstack([lf for lf, _ in parts])
-        width = max(1, _BLOCK_BYTES // (8 * sum(left.shape)))
-        for lo in range(0, rows.shape[1], width):
-            rows[:, lo:lo + width] += left @ np.vstack([rt[:, lo:lo + width] for _, rt in parts])
-    return rows
+class StoredRows:
+    """The stored rows of one solve, held as the terms that sum to them.
+
+    Row i is the base row plus, group by group in level order, row i of
+    each group's factored levels sum left @ right.  The base is the folded
+    array where there is one, else the level-0 rows e^{-tau_i E} u0,
+    recomputed when read.  A group's product is formed over the blocks of
+    states its size sets, and added to the base in the order that folding
+    it into one array adds it, so that every read gives the same bits.
+
+    A level loop adds each level's factors to the waiting group, which
+    closes once it holds more than _WAITING_COLUMNS columns.  Closed groups
+    fold into the array once the held factors would take more room than the
+    array, and at once after a first fold; until then they are kept.
+    `sups`, each row's max |x| over each run of equal orders, and `final`,
+    the last row, come from one pass over the state.
+    """
+
+    def __init__(self, tau: np.ndarray, energies, u0: np.ndarray, orders: np.ndarray):
+        self.tau, self.energies, self.u0, self.orders = tau, energies, u0, orders
+        self.dim = len(u0)
+        self.folded: np.ndarray | None = None
+        self.groups: list[list] = []
+        self._waiting: list = []
+
+    def _width(self) -> int:
+        return max(1, _BLOCK_BYTES // (8 * len(self.tau)))
+
+    def _blocks(self, width: int):
+        """(lo, rows[:, lo:lo + width]) over the state, left to right.
+
+        The blocks share one buffer: each is valid until the next is made.
+        """
+        buffer = np.empty(len(self.tau) * min(width, self.dim))
+        groups = []
+        for parts in self.groups:
+            left = np.hstack([lf for lf, _ in parts])
+            step = max(1, _BLOCK_BYTES // (8 * sum(left.shape)))
+            # the group's product over its block of states at held[0], held[1]
+            groups.append((left, [rt for _, rt in parts], step, [None, None]))
+        for lo in range(0, self.dim, width):
+            hi = min(lo + width, self.dim)
+            block = buffer[:len(self.tau) * (hi - lo)].reshape(len(self.tau), hi - lo)
+            if self.folded is None:
+                np.multiply(-self.tau[:, None], self.energies[None, lo:hi], out=block)
+                np.exp(block, out=block)
+                block *= self.u0[lo:hi]
+            else:
+                block[...] = self.folded[:, lo:hi]
+            for left, rights, step, held in groups:
+                for start in range(lo - lo % step, hi, step):
+                    if held[0] != start:
+                        held[:] = start, None
+                        held[1] = left @ np.vstack([rt[:, start:start + step] for rt in rights])
+                    a, b = max(lo, start), min(hi, start + step)
+                    block[:, a - lo:b - lo] += held[1][:, a - start:b - start]
+            yield lo, block
+
+    def _fill(self, out: np.ndarray) -> np.ndarray:
+        # a block is read before its columns of out are written, so out may be the base
+        for lo, block in self._blocks(self._width()):
+            out[:, lo:lo + block.shape[1]] = block
+        return out
+
+    def array(self) -> np.ndarray:
+        """The stored rows as a new array."""
+        return self._fill(np.empty((len(self.tau), self.dim)))
+
+    def fold(self) -> None:
+        """Sum the groups into the folded array, made from the level-0 rows if there is none."""
+        if self.folded is None or self.groups:
+            out = self.folded if self.folded is not None else np.empty((len(self.tau), self.dim))
+            self.folded = self._fill(out)
+            self.groups = []
+            self.u0 = self.energies = None
+
+    def _settle(self) -> None:
+        held = sum(len(rt) for parts in self.groups + [self._waiting] for _, rt in parts)
+        # a factor column holds an entry per state and per stored row
+        if self.groups and (
+            self.folded is not None or held * (self.dim + len(self.tau)) > len(self.tau) * self.dim
+        ):
+            self.fold()
+
+    def add(self, left: np.ndarray, right: np.ndarray) -> None:
+        """Let one level's stored rows left @ right wait."""
+        self._waiting.append((left, right))
+        if sum(len(rt) for _, rt in self._waiting) > _WAITING_COLUMNS:
+            self.groups.append(self._waiting)
+            self._waiting = []
+        self._settle()
+
+    def close(self) -> None:
+        """End of the level loop: the waiting group joins the groups."""
+        if self._waiting:
+            self.groups.append(self._waiting)
+            self._waiting = []
+        self._settle()
+
+    def _layer_sups(self, blocks) -> np.ndarray:
+        """Per-layer max |x| of each row from (lo, block) pairs that cover the state in order."""
+        starts = layer_starts(self.orders)
+        sups = np.zeros((len(self.tau), len(starts)))
+        for lo, block in blocks:
+            first = np.searchsorted(starts, lo, side="right") - 1
+            last = np.searchsorted(starts, lo + block.shape[1])
+            part = sups[:, first:last]
+            np.maximum(part, layer_sups(block, np.maximum(starts[first:last] - lo, 0)), out=part)
+        return sups
+
+    @cached_property
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.folded is not None and not self.groups:
+            sups, final = self._layer_sups([(0, self.folded)]), self.folded[-1]
+        else:
+            final = np.empty(self.dim)
+
+            def blocks():
+                for lo, block in self._blocks(self._width()):
+                    final[lo:lo + block.shape[1]] = block[-1]
+                    yield lo, block
+
+            sups = self._layer_sups(blocks())
+        # the final state's layers are views of it
+        final.setflags(write=False)
+        return sups, final
+
+    @property
+    def sups(self) -> np.ndarray:
+        """Each row's max |x| over each run of equal orders, (rows, runs)."""
+        return self._scan[0]
+
+    @property
+    def final(self) -> np.ndarray:
+        """The last row, read-only."""
+        return self._scan[1]
+
+    def norms(self, alpha: float) -> np.ndarray:
+        """The scale norm of every row."""
+        return weighted_sup(self.sups, self.orders[layer_starts(self.orders)], alpha)
+
+    def gap_norms(self, other: "StoredRows", alpha: float) -> np.ndarray:
+        """The scale norm of every row of self - other, one block of states at a time."""
+        width = self._width()
+        sups = self._layer_sups(
+            (lo, block - theirs)
+            for (lo, block), (_, theirs) in zip(self._blocks(width), other._blocks(width))
+        )
+        return weighted_sup(sups, self.orders[layer_starts(self.orders)], alpha)
 
 
 def _factored_levels(
-    u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights, residuals, exact
+    u0, energies, zmat, dt, grid, store_idx, stored, nodes, weights, residuals, exact
 ):
     """Duhamel levels as W = sum_m L_m R_m^T; yields each level's final row.
 
     L_m is the recursion of the previous level's time basis at node energy
-    e_m and R_m = l_m(E) P, P = Z F; level 0 (exact in total) feeds level 1
-    as L_m = e^{-tau e_m}, R_m = l_m(E) u0.  Later levels' stored rows wait
-    in parts as factors; each compressed level appends its residual bound
-    and whether no rank up to _COMPRESSION_RANK fitted.  Arrays over the
-    state are state-minor.
+    e_m and R_m = l_m(E) P, P = Z F; level 0 (the base of stored) feeds
+    level 1 as L_m = e^{-tau e_m}, R_m = l_m(E) u0.  Later levels' stored
+    rows are added to stored as factors; each compressed level appends its
+    residual bound and whether no rank up to _COMPRESSION_RANK fitted.
+    Arrays over the state are state-minor.
     """
     step = dt / grid
     tau = np.linspace(0.0, dt, grid + 1)
@@ -399,10 +565,7 @@ def _factored_levels(
         residuals.append(residual)
         exact.append(kept)
         if level:
-            parts.append((basis[store_idx], factor))
-            if sum(len(rt) for _, rt in parts) > _WAITING_COLUMNS:
-                _fold(total, parts)
-                parts.clear()
+            stored.add(basis[store_idx], factor)
             yield basis[-1] @ factor
         right = np.ascontiguousarray((zmat @ factor.T).T)
         # P's rows scaled to unit size and Q's columns by as much, so that
@@ -468,26 +631,25 @@ def _run_grid(
 
     energies are the diagonal's semigroup energies (all zero at the limit).
     The levels are factored (`_factored_levels`) when at most _MAX_NODES
-    nodes cover the energies, else full (`_full_levels`).  The loop stops at
-    level fixed_levels when given, else at the first final-row norm below
-    term_tol or at max_levels.  Returns the totals of the store_idx rows,
-    the final-row norms and the level count; and the node count (0 on the
-    full route), their interpolation bound and, per compressed level, its
-    residual bound and whether it kept more than _COMPRESSION_RANK columns.
+    nodes cover the energies, else full (`_full_levels`, which sums into the
+    folded array).  The loop stops at level fixed_levels when given, else at
+    the first final-row norm below term_tol or at max_levels.  Returns the
+    store_idx rows (`StoredRows`), the final-row norms and the level count;
+    and the node count (0 on the full route), their interpolation bound and,
+    per compressed level, its residual bound and whether it kept more than
+    _COMPRESSION_RANK columns.
     """
-    total = np.outer(-np.linspace(0.0, dt, grid + 1)[store_idx], energies)
-    np.exp(total, out=total)
-    total *= u0
-    parts, residuals, exact = [], [], []
+    rows = StoredRows(np.linspace(0.0, dt, grid + 1)[store_idx], energies, u0, orders)
+    residuals, exact = [], []
     fit = _energy_nodes(energies, dt)
     if fit is None:
         nodes, bound = (), 0.0
-        levels = _full_levels(u0, energies, zmat, dt, grid, store_idx, total)
+        rows.fold()
+        levels = _full_levels(u0, energies, zmat, dt, grid, store_idx, rows.folded)
     else:
         nodes, weights, bound = fit
         levels = _factored_levels(
-            u0, energies, zmat, dt, grid, store_idx, total, parts, nodes, weights,
-            residuals, exact,
+            u0, energies, zmat, dt, grid, store_idx, rows, nodes, weights, residuals, exact,
         )
     finals = []
     for level, final in enumerate(levels):
@@ -500,8 +662,8 @@ def _run_grid(
                 break
         elif norm < term_tol or level >= max_levels:
             break
-    _fold(total, parts)
-    return (total, np.array(finals), level), (len(nodes), bound, residuals, exact)
+    rows.close()
+    return (rows, np.array(finals), level), (len(nodes), bound, residuals, exact)
 
 
 def ovsyannikov_evolve(
@@ -552,9 +714,11 @@ def ovsyannikov_evolve(
     if dt == 0.0:
         log_maj = _log_majorant(0, 0.0, q, horizon_prime, scale.nu, regular, initial_norm)
         maj0 = math.exp(log_maj) if initial_norm else 0.0
+        # e^{-0 E} u0 is u0 exactly
+        rows = StoredRows(np.zeros(1), np.zeros(len(u0)), u0, orders)
         return EvolutionResult(
             times=np.array([s]),
-            trajectory=u0[None, :],
+            rows=rows,
             final_state=u_s,
             term_norms=np.array([initial_norm]),
             majorant_values=np.array([maj0]),
@@ -582,18 +746,18 @@ def ovsyannikov_evolve(
     energies = diag_op.semigroup_energies()
     zmat = pert_op.matrix()
 
-    (total, final_norms, n_used), (nodes, interp_bound, residuals, exact) = _run_grid(
+    (rows, final_norms, n_used), (nodes, interp_bound, residuals, exact) = _run_grid(
         u0, energies, zmat, dt, grid, orders, alpha, store_idx,
         term_tol=cfg.term_tol, max_levels=cfg.n_max,
     )
     # Richardson consistency: recompute the same number of levels at half grid
-    (half_total, _, _), (_, _, half_residuals, half_exact) = _run_grid(
+    (half_rows, _, _), (_, _, half_residuals, half_exact) = _run_grid(
         u0, energies, zmat, dt, grid // 2, orders, alpha, np.array([0, grid // 2]),
         term_tol=cfg.term_tol, max_levels=cfg.n_max, fixed_levels=n_used,
     )
-    if not np.isfinite(total).all():
+    # a non-finite entry makes its layer's max |x| non-finite
+    if not np.isfinite(rows.sups).all():
         raise ConvergenceError("the stored trajectory has non-finite entries")
-    total.setflags(write=False)
     converged = bool(final_norms[-1] < cfg.term_tol) or initial_norm == 0.0
 
     # majorant audit of every computed term at the final time
@@ -609,7 +773,7 @@ def ovsyannikov_evolve(
                 f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
             )
 
-    disagreement = norm_alpha_flat(total[-1] - half_total[-1], orders, alpha)
+    disagreement = norm_alpha_flat(rows.final - half_rows.final, orders, alpha)
     if not (disagreement <= cfg.richardson_gate):
         raise ConvergenceError(
             f"half-grid disagreement {disagreement} exceeds gate {cfg.richardson_gate}"
@@ -625,9 +789,9 @@ def ovsyannikov_evolve(
 
     return EvolutionResult(
         times=times,
-        trajectory=total,
+        rows=rows,
         final_state=CorrelationVector.from_flat(
-            u_s.torus, u_s.n_max, total[-1] if orbits is None else orbits.expand(total[-1])
+            u_s.torus, u_s.n_max, rows.final if orbits is None else orbits.expand(rows.final)
         ),
         term_norms=final_norms,
         majorant_values=majorants,
@@ -751,8 +915,8 @@ def flow_compose_check(
         leg1.final_state, tau, t, diag_op, pert_op, replace(scale, alpha_s=alpha_tau), bound,
         legs.for_horizon(t - tau),
     )
-    final = direct.trajectory[-1]
-    diff = norm_alpha_flat(final - leg2.trajectory[-1], direct.orders, scale.alpha_star)
+    final = direct.rows.final
+    diff = norm_alpha_flat(final - leg2.rows.final, direct.orders, scale.alpha_star)
     denom = max(norm_alpha_flat(final, direct.orders, scale.alpha_star), 1e-30)
     budget = direct.quad_error + leg1.quad_error + leg2.quad_error
     return FlowReport(

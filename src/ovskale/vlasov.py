@@ -291,9 +291,7 @@ def vlasov_limit(
         config = replace(config, alpha=results[eps].alpha)
     limit = results[0.0]
     sup_gaps = np.array([
-        norm_alpha_flat(
-            results[eps].trajectory - limit.trajectory, limit.orders, sweep.scale.alpha_star
-        ).max()
+        results[eps].rows.gap_norms(limit.rows, sweep.scale.alpha_star).max()
         for eps in sweep.positive
     ])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ovskale import OperatorHandle, config_hash, load_config, time_horizon
 from ovskale.cli import main
 from ovskale.config import build_runtime, validate_config
+from ovskale.errors import ConfigError
 from ovskale import experiments, kinetic
 from ovskale.experiments import run_experiment
 
@@ -252,6 +253,41 @@ def test_seed_override(tmp_path):
     assert report["max_ratio"] != report2["max_ratio"]
 
     assert main(["run", "--config", path, "--out", str(out), "--seed", "-3"]) == 2
+
+
+def test_a_run_checks_its_config_once(tmp_path):
+    # the command line reads the file unchecked and run_experiment checks it,
+    # with the seed given; build_runtime, called by run_experiment, does not
+    # check it again, but public callers of either still get ConfigError
+    from ovskale import cli, config
+
+    doc = base_doc()
+    doc["experiment"] = {"name": "horizon"}
+    path = write_doc(tmp_path, doc)
+    calls = []
+    check = config.validate_config
+
+    def counted(document):
+        calls.append(document["seed"])
+        return check(document)
+
+    with mock.patch.object(config, "validate_config", counted), \
+            mock.patch.object(experiments, "validate_config", counted), \
+            mock.patch.object(cli, "validate_config", counted):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r"), "--seed", "5"]) == 0
+        assert calls == [5]
+        assert main(["validate", "--config", path]) == 0
+        assert calls == [5, 11]
+    bad = dict(doc, seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        run_experiment(bad, str(tmp_path / "bad"))
+    with pytest.raises(ConfigError, match="seed"):
+        build_runtime(bad)
+    # a file that is not an object fails the run's check, with or without a seed
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    for extra in ([], ["--seed", "3"]):
+        assert main(["run", "--config", str(listed), "--out", str(tmp_path / "l"), *extra]) == 2
 
 
 def test_exit_1_when_assertion_fails(tmp_path, capsys):

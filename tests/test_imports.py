@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import ovskale
 
@@ -90,6 +91,8 @@ def test_hierarchy_runs_load_no_optional_subpackage(tmp_path, name):
     assert seen["exit"] == 0
     assert seen["runner"] == ["scipy.sparse"]
     assert seen["run"] == ["scipy.sparse"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 @pytest.mark.parametrize("name", ["evolve", "vlasov"])
@@ -109,6 +112,17 @@ def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
     if name != "horizon":
         # the kinetic module is set-up too
         assert "ovskale.kinetic" in seen["runner"]
+
+
+@pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])
+def test_runs_without_an_operator_load_no_scipy(tmp_path, name):
+    # not even scipy itself: the manifest reads its version from the loaded
+    # modules, and records null
+    seen = _python(PROBE, "scipy", str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
+    assert seen["exit"] == 0
+    assert seen["run"] == []
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] is None
 
 
 def test_kinetic_module_loads_no_scipy_subpackage():

@@ -184,8 +184,8 @@ def test_orbit_route_matches_the_full_route(model, rho, epsilon):
     u0 = CorrelationVector.product_form(torus, n_max, rho)
     full, orb = _evolve_pair(kernels, params, n_max, orbits, u0, scale, bound, cfg, cfg.upsilon)
     orders = flat_orders(torus, n_max)
-    assert orb.trajectory.shape == (len(full.times), orbits.count)
-    assert _rel(orbits.expand(orb.trajectory), full.trajectory, orders, 2.5) <= _ROUTE_TOL
+    assert orb.stored_rows().shape == (len(full.times), orbits.count)
+    assert _rel(orbits.expand(orb.stored_rows()), full.stored_rows(), orders, 2.5) <= _ROUTE_TOL
     assert _rel(orb.final_state.flat(), full.final_state.flat(), orders, 2.5) <= _ROUTE_TOL
     assert np.allclose(orb.norms_at(2.5), full.norms_at(2.5), rtol=_ROUTE_TOL, atol=0.0)
 

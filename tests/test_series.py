@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ovskale import (
@@ -36,7 +36,7 @@ from ovskale import experiments, load_config, series
 from ovskale.config import build_runtime
 from ovskale.experiments import run_evolve
 from ovskale.lattice import layer_array
-from ovskale.scale import norm_alpha_flat
+from ovskale.scale import layer_starts, layer_sups, norm_alpha_flat
 from ovskale.series import default_intermediate_alpha
 from ovskale.states import flat_orders, random_correlation
 
@@ -126,12 +126,13 @@ def test_trajectory_endpoints(small):
     res = ovsyannikov_evolve(u0, s, t, diag, pert, small.scale, small.bound, _cfg(small))
     assert res.times[0] == pytest.approx(s)
     assert res.times[-1] == pytest.approx(t)
-    assert res.trajectory.shape == (9, u0.dimension)
+    rows = res.stored_rows()
+    assert rows.shape == (9, u0.dimension)
     assert np.all(np.diff(res.times) > 0)
-    # the stored rows are one read-only array; only the last becomes a vector
-    assert not res.trajectory.flags.writeable
-    assert _bits(res.final_state.flat()) == _bits(res.trajectory[-1])
-    assert _bits(res.trajectory[0]) == _bits(u0.flat())
+    # only the last stored row becomes a vector, and it is read-only
+    assert _bits(res.final_state.flat()) == _bits(rows[-1])
+    assert not any(layer.flags.writeable for layer in res.final_state.layers)
+    assert _bits(rows[0]) == _bits(u0.flat())
 
 
 @pytest.mark.parametrize("kind", [None, "perturbation", "full"])
@@ -201,10 +202,11 @@ def test_non_finite_stored_row_is_a_typed_failure(small):
     run_grid = series._run_grid
 
     def spoiled(*args, **kwargs):
-        (total, norms, levels), report = run_grid(*args, **kwargs)
-        if len(total) > 2:  # the main grid, not the two-row Richardson rerun
-            total[len(total) // 2, -1] = math.inf
-        return (total, norms, levels), report
+        (rows, norms, levels), report = run_grid(*args, **kwargs)
+        if len(rows.tau) > 2:  # the main grid, not the two-row Richardson rerun
+            rows.fold()
+            rows.folded[len(rows.tau) // 2, -1] = math.inf
+        return (rows, norms, levels), report
 
     with mock.patch.object(series, "_run_grid", spoiled):
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -329,10 +331,11 @@ def test_level_loop_matches_reference(dim, sites, n_max, eps, grid, dt, seed, al
     with mock.patch.object(series, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(series, "_COMPRESSION_RANK", rank), \
             mock.patch.object(series, "_MAX_NODES", 0 if full else series._MAX_NODES):
-        (total, final, levels), (nodes, bound, residuals, exact) = series._run_grid(
+        (rows, final, levels), (nodes, bound, residuals, exact) = series._run_grid(
             u0, energies, *tail, alpha, store_idx,
             term_tol=1e-12, max_levels=8, fixed_levels=ref_levels,
         )
+        total = rows.array()
     assert levels == ref_levels
     if full:
         assert (nodes, bound, residuals, exact) == (0, 0.0, [], [])
@@ -408,13 +411,163 @@ def test_high_rank_levels_fall_back_to_the_full_product():
         *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
     )
     with mock.patch.object(series, "_compress", side_effect=AssertionError("compressed")):
-        (total, final, levels), report = series._run_grid(
+        (rows, final, levels), report = series._run_grid(
             *args, 2.0, store_idx, term_tol=1e-12, max_levels=6
         )
+    total = rows.array()
     assert levels == ref_levels == 6
     assert report == (0, 0.0, [], [])
     assert _bits(total) == _bits(ref_total)
     assert _bits(final) == _bits(ref_final)
+
+
+def _reference_fold(rows: np.ndarray, parts: list) -> np.ndarray:
+    """Add the factored rows sum left @ right over parts into rows, a block of states at a time."""
+    if parts:
+        left = np.hstack([lf for lf, _ in parts])
+        width = max(1, series._BLOCK_BYTES // (8 * sum(left.shape)))
+        for lo in range(0, rows.shape[1], width):
+            rows[:, lo:lo + width] += left @ np.vstack([rt[:, lo:lo + width] for _, rt in parts])
+    return rows
+
+
+def _folded_stored_rows(u0, energies, zmat, dt, grid, store_idx, levels):
+    """The stored rows of levels 0 .. levels summed into one array, and their factor columns.
+
+    The factored loop as it was with one stored-row array: the level-0 rows
+    are its start, and every level's factors wait until more than
+    _WAITING_COLUMNS columns wait, then `_reference_fold` adds them.
+    """
+    step = dt / grid
+    tau = np.linspace(0.0, dt, grid + 1)
+    total = np.outer(-tau[store_idx], energies)
+    np.exp(total, out=total)
+    total *= u0
+    nodes, weights, _ = series._energy_nodes(energies, dt)
+    weight_norms = np.sqrt(np.einsum("mx,mx->x", weights, weights))
+    left, right = np.exp(-np.outer(tau, nodes)), u0[None, :]
+    parts, columns = [], 0
+    for level in range(levels + 1):
+        basis, factor, _, _ = series._compress(left, weights, right, weight_norms)
+        if level:
+            parts.append((basis[store_idx], factor))
+            columns += len(factor)
+            if sum(len(rt) for _, rt in parts) > series._WAITING_COLUMNS:
+                _reference_fold(total, parts)
+                parts.clear()
+        right = np.ascontiguousarray((zmat @ factor.T).T)
+        scale = np.abs(right).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        right /= scale[:, None]
+        stacked = np.repeat((basis * scale)[:, None, :], len(nodes), axis=1)
+        left = series._trapezoid(stacked, nodes[:, None], step).reshape(grid + 1, -1)
+    return _reference_fold(total, parts), columns
+
+
+def _route_case(route: str, eps: float, seed: int):
+    """u0, energies, Z and orders of the 1-D S=8, n=3 instance on the full or the orbit route."""
+    tor = Torus(1, 8, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    orbits = orbit_map(tor, 3, point_group(ker)) if route == "orbit" else None
+    args = (ker, ModelParams(1.0, 1.0, eps), 3, orbits)
+    orders = flat_orders(tor, 3)
+    rng = np.random.default_rng(seed)
+    if orbits is None:
+        u0 = random_correlation(tor, 3, 1.5, rng).flat()
+    else:
+        u0 = orbits.restrict(CorrelationVector.product_form(tor, 3, rng.uniform(0.3, 0.7)).flat())
+        orders = orders[orbits.reps]
+    zmat = OperatorHandle("perturbation", *args).matrix()
+    return u0, OperatorHandle("diagonal", *args).semigroup_energies(), zmat, orders
+
+
+_STORED_GRID = 256
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    route=st.sampled_from(["full", "orbit"]),
+    eps=st.sampled_from([0.0, 1.0]),
+    stored=st.sampled_from([2, 9, 129]),
+    levels=st.integers(0, 24),
+    block_bytes=st.integers(1, 1 << 16).map(lambda n: 8 * n),
+    seed=st.integers(0, 2**16),
+)
+@example(route="full", eps=1.0, stored=129, levels=3, block_bytes=8 << 10, seed=1)
+@example(route="full", eps=1.0, stored=129, levels=24, block_bytes=8 << 10, seed=1)
+@example(route="orbit", eps=1.0, stored=129, levels=1, block_bytes=8 << 10, seed=1)
+@example(route="orbit", eps=1.0, stored=129, levels=6, block_bytes=8 << 10, seed=1)
+def test_stored_rows_are_the_folded_rows_bit_for_bit(
+    route, eps, stored, levels, block_bytes, seed
+):
+    # the factors the loop holds, read block by block, are the stored rows
+    # that summing them into one array in groups of _WAITING_COLUMNS gives;
+    # they fold into an array once they would take more room than it; blocks
+    # of every width, so that a group's blocks straddle the reads'
+    u0, energies, zmat, orders = _route_case(route, eps, seed)
+    store_idx = np.unique(np.round(np.linspace(0, _STORED_GRID, stored)).astype(int))
+    assert len(store_idx) == stored
+    with mock.patch.object(series, "_BLOCK_BYTES", block_bytes):
+        want, columns = _folded_stored_rows(
+            u0, energies, zmat, 0.02, _STORED_GRID, store_idx, levels
+        )
+        (rows, _, n), _ = series._run_grid(
+            u0, energies, zmat, 0.02, _STORED_GRID, orders, 2.0, store_idx,
+            term_tol=1e-12, max_levels=levels, fixed_levels=levels,
+        )
+        assert n == levels
+        assert (rows.folded is not None) == (columns * (len(u0) + stored) > stored * len(u0))
+        assert _bits(rows.array()) == _bits(want)
+        assert _bits(rows.final) == _bits(want[-1])
+        starts = layer_starts(orders)
+        assert _bits(rows.sups) == _bits(layer_sups(want, starts))
+
+
+def test_norms_and_sup_gaps_read_the_materialised_rows():
+    # a result's norms and the sweep's sup gaps come from per-layer maxima
+    # taken block by block; they are norm_alpha_flat over the materialised
+    # rows, bit for bit, a NaN included
+    tor = Torus(1, 8, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    inst = make_instance(sites=8, n_max=3)
+    u0 = random_correlation(tor, 3, 1.5, np.random.default_rng(2))
+    cfg = _cfg(inst, 0.3, time_grid_points=256, trajectory_points=129, quad_tol=1e-6)
+    calls = []
+    run_grid = series._run_grid
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return run_grid(*args, **kwargs)
+
+    results = []
+    for eps in (0.5, 0.0):
+        args = (ker, ModelParams(1.0, 1.0, eps), 3)
+        diag, pert = OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
+        with mock.patch.object(series, "_run_grid", recorded):
+            res = ovsyannikov_evolve(u0, 0.0, cfg.upsilon, diag, pert, inst.scale, inst.bound, cfg)
+        # the main grid's rows again, not yet read, held as factors
+        main_args, main_kwargs = calls[-2]
+        (rows, _, _), _ = run_grid(*main_args, **main_kwargs)
+        assert rows.folded is None and rows.groups
+        results.append((res, rows))
+    (res, rows), (limit, limit_rows) = results
+    assert _bits(res.stored_rows()) == _bits(rows.array())
+    orders = res.orders
+    for alpha in (res.alpha, inst.scale.alpha_star):
+        want = norm_alpha_flat(res.stored_rows(), orders, alpha)
+        assert _bits(res.norms_at(alpha)) == _bits(want)
+    gap = norm_alpha_flat(res.stored_rows() - limit.stored_rows(), orders, 2.5)
+    assert _bits(res.rows.gap_norms(limit.rows, 2.5)) == _bits(gap)
+    rows.groups[0][0][1][0, 17] = math.nan
+    spoiled = replace(res, rows=rows)
+    for alpha in (res.alpha, 2.5):
+        norms = spoiled.norms_at(alpha)
+        assert np.isnan(norms).any()
+        np.testing.assert_array_equal(norms, norm_alpha_flat(rows.array(), orders, alpha))
+    got = rows.gap_norms(limit_rows, 2.5)
+    want = norm_alpha_flat(rows.array() - limit_rows.array(), orders, 2.5)
+    assert np.isnan(got).any()
+    np.testing.assert_array_equal(got, want)
 
 
 def _assert_same_result(got, want):
@@ -429,7 +582,7 @@ def _assert_same_result(got, want):
         "interpolation_bound", "exact_rank_levels",
     ):
         assert getattr(got, name) == getattr(want, name), name
-    assert _bits(got.trajectory) == _bits(want.trajectory)
+    assert _bits(got.stored_rows()) == _bits(want.stored_rows())
     assert _bits(got.final_state.flat()) == _bits(want.final_state.flat())
 
 
@@ -460,8 +613,8 @@ def _reference_flow(u0, s, tau, t, diag, pert, scale, bound, cfg):
         leg1.final_state, tau, t, diag, pert, replace(scale, alpha_s=alpha_tau), bound,
         cfg.for_horizon(t - tau),
     )
-    final = direct.trajectory[-1]
-    diff = norm_alpha_flat(final - leg2.trajectory[-1], direct.orders, scale.alpha_star)
+    final = direct.stored_rows()[-1]
+    diff = norm_alpha_flat(final - leg2.stored_rows()[-1], direct.orders, scale.alpha_star)
     denom = max(norm_alpha_flat(final, direct.orders, scale.alpha_star), 1e-30)
     budget = direct.quad_error + leg1.quad_error + leg2.quad_error
     return diff, diff / denom, budget, leg2.final_state
@@ -498,7 +651,7 @@ def test_flow_legs_store_only_their_end_rows(route):
         np.array([diff, rel, budget])
     )
     assert _bits(rep.composed_final.flat()) == _bits(composed.flat())
-    assert rep.direct.trajectory.shape[0] == 33
+    assert rep.direct.stored_rows().shape[0] == 33
 
 
 def _reference_majorant_sums(res: series.EvolutionResult, s: float, regular: float) -> np.ndarray:
@@ -594,7 +747,7 @@ def test_solve_draws_nothing_from_shared_random_state(tmp_path):
 _PEAK_GRID = 1024
 
 
-def _solve_peak(trajectory_points: int):
+def _solve_peak(trajectory_points: int, **overrides):
     """Traced peak of one S=14, n=4 solve, its config, one level array, the CSR bytes and the result."""
     inst = make_instance(sites=14, n_max=4)
     diag, pert, _ = _ops(inst)
@@ -603,7 +756,7 @@ def _solve_peak(trajectory_points: int):
     u0 = CorrelationVector.product_form(inst.torus, inst.n_max, 0.5)
     cfg = _cfg(
         inst, frac=0.2, time_grid_points=_PEAK_GRID, trajectory_points=trajectory_points,
-        quad_tol=1e-6,
+        quad_tol=1e-6, **overrides,
     )
     tracemalloc.start()
     try:
@@ -644,6 +797,41 @@ def test_stored_rows_stay_within_the_size_check():
     assert peak < 1.5 * level_bytes + csr_bytes
     # the preflight's solver share covers the measured peak besides the matrix
     assert peak - csr_bytes <= _solver_share(cfg)
+
+
+def test_a_series_long_enough_to_fold_stays_within_the_size_check():
+    # so many levels that their factors would take more room than the 129
+    # stored rows: they fold into one array while the factors are still held
+    peak, cfg, _, csr_bytes, res = _solve_peak(129, term_tol=1e-60, n_max=40)
+    assert res.n_used >= 20
+    assert res.rows.folded is not None
+    assert peak - csr_bytes <= _solver_share(cfg)
+
+
+def test_full_route_solve_holds_no_stored_row_array():
+    # a random state's 129 stored rows are held as the levels' factors: the
+    # solve's traced peak is not a stored-row array above the one with two
+    # stored rows (blocks of states a small share of the state, as they are
+    # on the states this is for)
+    inst = make_instance(sites=14, n_max=4)
+    diag, pert, _ = _ops(inst)
+    pert.matrix()
+    diag.semigroup_energies()
+    u0 = random_correlation(inst.torus, 4, 1.5, np.random.default_rng(4))
+    peaks = {}
+    with mock.patch.object(series, "_BLOCK_BYTES", 3 << 15):
+        for stored in (2, 129):
+            cfg = _cfg(inst, 0.2, time_grid_points=256, trajectory_points=stored, quad_tol=1e-6)
+            tracemalloc.start()
+            try:
+                res = ovsyannikov_evolve(
+                    u0, 0.0, cfg.upsilon, diag, pert, inst.scale, inst.bound, cfg
+                )
+                peaks[stored] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert res.rows.folded is None
+    assert peaks[129] - peaks[2] < 0.5 * 129 * u0.dimension * 8
 
 
 def test_levels_past_the_compression_rank_stay_within_the_size_check():
@@ -882,7 +1070,7 @@ def test_result_serialization(small):
     doc = res.to_json_dict()
     text = json.dumps(doc)
     assert json.loads(text)["n_used"] == res.n_used
-    assert len(doc["times"]) == len(doc["norm_alpha"]) == len(res.trajectory)
+    assert len(doc["times"]) == len(doc["norm_alpha"]) == len(res.stored_rows())
     norms = res.norms_at(small.scale.alpha_star)
     assert norms.shape == res.times.shape
     assert np.all(norms >= 0)

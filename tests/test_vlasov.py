@@ -171,7 +171,7 @@ def test_sweep_resolves_the_intermediate_index_once(small, monkeypatch):
     assert len(calls) == 1
     for eps, (diag, pert) in rep.operators.items():
         alone = ovsyannikov_evolve(u0, 0.0, cfg.upsilon, diag, pert, small.scale, small.bound, cfg)
-        assert alone.trajectory.tobytes() == rep.results[eps].trajectory.tobytes()
+        assert alone.stored_rows().tobytes() == rep.results[eps].stored_rows().tobytes()
 
 
 def test_vlasov_limit_wraps_run_errors(small):
