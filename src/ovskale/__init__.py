@@ -4,7 +4,7 @@ its measured limit, and the limiting nonlocal kinetic equation with its
 fold bifurcation.
 
 The names below load their submodule on first use, so that a run imports
-only the scipy subpackages it needs.
+only the parts of scipy it needs.
 """
 
 import importlib

@@ -78,9 +78,11 @@ _BYTES_PER_SITE = 96
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
 # modules each experiment loads before build_runtime, so that imports count
 # as set-up and not as the runner's time: the hierarchy runs assemble a
-# scipy.sparse operator, the kinetic runs need ovskale.kinetic (numpy alone)
+# CsrMatrix (ovskale.csr loads scipy's top level and its sparse kernels) and
+# call np.unique, whose first call in numpy 2.x imports numpy.ma (_unique1d
+# asks np.ma.is_masked); the kinetic runs need ovskale.kinetic (numpy alone)
 _SETUP_IMPORTS = {
-    **dict.fromkeys(_HIERARCHY_RUNS, ("scipy.sparse",)),
+    **dict.fromkeys(_HIERARCHY_RUNS, ("ovskale.csr", "numpy.ma")),
     "kinetic": ("ovskale.kinetic",),
     "bifurcation": ("ovskale.kinetic",),
 }

@@ -49,8 +49,7 @@ from .lattice import (
 from .states import CorrelationVector
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
-
+    from .csr import CsrMatrix
     from .orbits import OrbitMap
 
 KINDS = ("full", "diagonal", "perturbation")
@@ -221,8 +220,8 @@ class OperatorHandle:
     def is_diagonal(self) -> bool:
         return self.kind == "diagonal"
 
-    def matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of the operator on the flat layered state, or on the orbits.
+    def matrix(self) -> CsrMatrix:
+        """`CsrMatrix` of the operator on the flat layered state, or on the orbits.
 
         Each term family contributes COO blocks and coinciding entries are
         summed; no entry collects more than two terms, so the sum does not
@@ -231,7 +230,8 @@ class OperatorHandle:
         their columns are summed over each orbit.
         """
         if self._matrix is None:
-            import scipy.sparse as sp
+            # loads scipy: kinetic runs import this module and load no scipy
+            from .csr import CsrMatrix
 
             held = None
             if self.orbits is not None:
@@ -250,14 +250,12 @@ class OperatorHandle:
             cols = np.concatenate(cols)
             vals = np.concatenate(vals)
             if self.orbits is None:
-                self._matrix = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+                self._matrix = CsrMatrix.from_coo(vals, rows, cols, (d, d))
             else:
                 ids, count = self.orbits.orbit_of, self.orbits.count
                 rows = ids[rows]
-                self._rows = sp.coo_matrix((vals, (rows, cols)), shape=(count, d)).tocsr()
-                self._matrix = sp.coo_matrix(
-                    (vals, (rows, ids[cols])), shape=(count, count)
-                ).tocsr()
+                self._rows = CsrMatrix.from_coo(vals, rows, cols, (count, d))
+                self._matrix = CsrMatrix.from_coo(vals, rows, ids[cols], (count, count))
         return self._matrix
 
     def _blocks(self, held):
@@ -274,8 +272,8 @@ class OperatorHandle:
             yield from _crowding_and_birth(self.kernels, self.params, self.n_max, held)
             yield from _death(self.kernels, self.params, self.n_max, held)
 
-    def rows(self) -> sp.csr_matrix:
-        """The rows the route holds over every flat column.
+    def rows(self) -> CsrMatrix:
+        """`CsrMatrix` of the rows the route holds over every flat column.
 
         The matrix itself on the full route; on the orbit route the
         representative rows, in orbit order, before their columns are summed.

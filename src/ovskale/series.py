@@ -833,6 +833,7 @@ def oracle_evolve(
     A non-finite matrix or result raises ConvergenceError.
     """
     from scipy.integrate import solve_ivp
+    from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 
     if dt < 0:
@@ -841,9 +842,10 @@ def oracle_evolve(
         raise ValueError("operator truncation does not match the state")
     if dt == 0.0:
         return u_s
-    mat = full_op.matrix()
-    if not np.isfinite(mat.data).all():
+    csr = full_op.matrix()
+    if not np.isfinite(csr.data).all():
         raise ConvergenceError("oracle matrix has non-finite entries")
+    mat = csr_array((csr.data, csr.indices, csr.indptr), shape=csr.shape)
     u0 = u_s.flat()
     via_expm = expm_multiply(mat * dt, u0)
     sol = solve_ivp(

@@ -212,7 +212,7 @@ def perturbation_gap(
         raise ValueError("samples must be >= 1")
     lo_max = split_ceiling(scale.alpha_star)
     ratio_min = math.exp(_LN_SPLIT_FLOOR)
-    diff_abs = abs((z_eps.rows() - z_lim.rows()).tocsr())
+    diff_abs = z_eps.rows().abs_difference(z_lim.rows())
     orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
     row_orders = orders if z_eps.orbits is None else orders[z_eps.orbits.reps]
     deltas = np.empty(samples)

@@ -64,6 +64,14 @@ def make_instance(
     return Instance(torus, kernels, params, scale, bound, n_max)
 
 
+def to_dense(matrix) -> np.ndarray:
+    """The dense array of a CSR matrix, read entry by entry from its three arrays."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    out = np.zeros(matrix.shape)
+    np.add.at(out, (rows, matrix.indices), matrix.data)
+    return out
+
+
 def site_coords(torus: Torus, site: int) -> tuple[int, ...]:
     """Multi-index of a site (row-major), one divmod per axis."""
     out = []

@@ -17,11 +17,13 @@ import scipy
 import ovskale
 
 ROOT = Path(__file__).resolve().parents[1]
-# loaded only where used: scipy.sparse by the hierarchy runs, ovskale.kinetic
-# by the kinetic runs and scipy.integrate by the oracle, which no run calls;
-# the package loads scipy.optimize, scipy.fft, scipy.special and jsonschema
+# loaded only where used: ovskale.csr (scipy's top level and its compiled
+# sparse kernels) by the hierarchy runs, ovskale.kinetic by the kinetic runs,
+# and scipy.sparse and scipy.integrate by the oracle, which no run calls; the
+# package loads scipy.optimize, scipy.fft, scipy.special and jsonschema
 # nowhere
 LAZY = (
+    "ovskale.csr",
     "jsonschema",
     "scipy.sparse",
     "scipy.optimize",
@@ -31,9 +33,14 @@ LAZY = (
     "ovskale.kinetic",
 )
 
+# the scipy.sparse package and what its import pulls in: the array-API
+# layer's numpy clone imports numpy's lazy f2py and testing submodules
+HEAVY = ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+
 # prints which LAZY modules are loaded after `import ovskale.cli`, and, given
 # a config and an output directory, when its runner is entered and after the
-# run through the command line entry
+# run through the command line entry, with the modules the runner itself
+# loaded and every module loaded at the end
 PROBE = """
 import json, sys
 import ovskale.cli
@@ -54,11 +61,16 @@ if len(sys.argv) > 2:
 
     def entered(*args):
         seen["runner"] = loaded()
-        return runner(*args)
+        before = set(sys.modules)
+        try:
+            return runner(*args)
+        finally:
+            seen["runner_loads"] = sorted(set(sys.modules) - before)
 
     experiments.RUNNERS[name] = entered
     seen["exit"] = ovskale.cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3]])
     seen["run"] = loaded()
+    seen["modules"] = sorted(sys.modules)
 print(json.dumps(seen))
 """
 
@@ -84,14 +96,29 @@ def test_cli_import_loads_no_optional_subpackage():
     assert _probe()["import"] == []
 
 
-@pytest.mark.parametrize("name", ["evolve", "vlasov", "bounds"])
+def _config(tmp_path, name: str) -> str:
+    """A stock config, or for "random" the stock evolve from a random state."""
+    if name != "random":
+        return str(ROOT / "configs" / f"{name}.json")
+    doc = json.loads((ROOT / "configs" / "evolve.json").read_text())
+    doc["experiment"]["initial"] = {"kind": "random"}
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["evolve", "vlasov", "bounds", "random"])
 def test_hierarchy_runs_load_no_optional_subpackage(tmp_path, name):
-    # scipy.sparse is set-up: loaded before the runner is entered
-    seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
+    # ovskale.csr is set-up: loaded before the runner is entered; it loads
+    # scipy, whose version the manifest records, and not scipy.sparse.  The
+    # runner loads only the orbit module, on the product runs.
+    seen = _probe(_config(tmp_path, name), str(tmp_path / "out"))
     assert seen["exit"] == 0
-    assert seen["runner"] == ["scipy.sparse"]
-    assert seen["run"] == ["scipy.sparse"]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert seen["runner"] == ["ovskale.csr"]
+    assert seen["run"] == ["ovskale.csr"]
+    assert seen["runner_loads"] == ([] if name in ("bounds", "random") else ["ovskale.orbits"])
+    assert [m for m in seen["modules"] if m.startswith(HEAVY)] == []
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
 
 
@@ -103,11 +130,29 @@ def test_product_runs_load_the_orbit_module_in_the_runner(tmp_path, name):
     assert (seen["import"], seen["runner"], seen["run"]) == ([], [], ["ovskale.orbits"])
 
 
+def test_the_oracle_loads_scipy_sparse_when_called():
+    code = """
+import json, sys
+from ovskale import CorrelationVector, ModelParams, OperatorHandle, Torus, kernel_pair_from_spec
+from ovskale.series import oracle_evolve
+
+gauss = {"kind": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.7}}
+torus = Torus(1, 4, 0.5)
+full = OperatorHandle("full", kernel_pair_from_spec(torus, gauss, gauss), ModelParams(1.0, 1.0), 2)
+full.matrix()
+seen = ["scipy.sparse.linalg" in sys.modules]
+oracle_evolve(CorrelationVector.product_form(torus, 2, 0.5), 0.01, full)
+print(json.dumps(seen + ["scipy.sparse.linalg" in sys.modules]))
+"""
+    assert _python(code) == [False, True]
+
+
 @pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])
 def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
     seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
     assert seen["exit"] == 0
     assert [m for m in seen["run"] if m.startswith("scipy.")] == []
+    assert [m for m in seen["modules"] if m.startswith(HEAVY)] == []
     assert "jsonschema" not in seen["run"]
     if name != "horizon":
         # the kinetic module is set-up too

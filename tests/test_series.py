@@ -1,5 +1,6 @@
 """Majorant-controlled series solver against independent propagators."""
 
+import importlib
 import json
 import math
 import time
@@ -902,8 +903,9 @@ def test_full_route_assembly_stays_within_the_size_check(tmp_path):
         assembly.append(tracemalloc.get_traced_memory()[1] - current)
         return out
 
-    # cold layer tables, and scipy.sparse loaded as run_experiment's set-up does
-    import scipy.sparse  # noqa: F401
+    # cold layer tables, and the modules loaded as run_experiment's set-up does
+    for module in experiments._SETUP_IMPORTS["evolve"]:
+        importlib.import_module(module)
 
     needs = []
     layer_array.cache_clear()
