@@ -34,7 +34,7 @@ from .errors import (
     MajorantViolation,
     StepSizeCollapse,
 )
-from .operators import OperatorHandle
+from .operators import OperatorHandle, split_handles
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
 from .series import (
     EvolutionResult,
@@ -278,12 +278,6 @@ def _ledger_entry(result: EvolutionResult, pert: OperatorHandle, gate: float) ->
     }
 
 
-def _split_operators(bundle: RuntimeBundle, orbits):
-    """Diagonal and perturbation parts at the configured epsilon, on the route of orbits."""
-    args = (bundle.kernels, bundle.params, bundle.truncation, orbits)
-    return OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
-
-
 def _orbit_counts(bundle: RuntimeBundle) -> tuple[int, ...]:
     """Orbit count of each layer under the lattice symmetries that fix both kernels."""
     from .orbits import orbit_counts, point_group
@@ -331,7 +325,9 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
         u0 = _product_state(bundle, (exp.get("initial") or {}).get("rho", 0.5))
     else:
         u0 = random_correlation(bundle.torus, bundle.truncation, bundle.scale.alpha_s, bundle.rng)
-    diag, pert = _split_operators(bundle, _orbit_map(bundle) if product else None)
+    diag, pert = split_handles(
+        bundle.kernels, bundle.params, bundle.truncation, _orbit_map(bundle) if product else None
+    )
     args = (diag, pert, bundle.scale, bundle.bound, bundle.solver)
     flow = None
     if "flow_tau" in exp:

@@ -12,8 +12,7 @@ The state space of the whole package is built from finite simple configurations
     one integer array per layer, with the vectorised rank `subset_rank`.
   * The Lebesgue-Poisson calculus on the truncated configuration space:
     `lp_integral`, the product exponent `lp_exponential`, the combinatorial
-    transform `k_transform` and its Moebius inverse `k_inverse`, and the
-    interaction energies `pair_energy` / `point_energy`.
+    transform `k_transform` and its Moebius inverse `k_inverse`.
 
 Design notes
 ------------
@@ -404,24 +403,3 @@ def k_inverse(F, eta) -> float:
             total += sign * _lookup(F, xi)
     return total
 
-
-def pair_energy(eta, kernels: KernelPair) -> float:
-    """Total competition energy: sum over ordered pairs (x, y) in eta of a(x - y)."""
-    sites = _as_sites(eta)
-    a = kernels.a_values
-    diff = diff_table(kernels.torus)
-    total = 0.0
-    for x in sites:
-        row = diff[x]
-        for y in sites:
-            if y != x:
-                total += a[row[y]]
-    return total
-
-
-def point_energy(x: int, xi, kernels: KernelPair) -> float:
-    """Attraction energy of site x against the configuration xi: sum phi(x - y)."""
-    sites = _as_sites(xi)
-    phi = kernels.phi_values
-    row = diff_table(kernels.torus)[int(x)]
-    return float(sum(phi[row[y]] for y in sites))

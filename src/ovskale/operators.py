@@ -302,11 +302,19 @@ class OperatorHandle:
         return CorrelationVector.from_flat(self.torus, self.n_max, self.orbits.expand(out))
 
 
+def split_handles(
+    kernels: KernelPair, params: ModelParams, n_max: int, orbits: OrbitMap | None = None,
+) -> tuple[OperatorHandle, OperatorHandle]:
+    """The diagonal and perturbation handles at params, on the route of orbits."""
+    args = (kernels, params, n_max, orbits)
+    return OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
+
+
 def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
     """Flat vector of pair energies E^a(eta) per configuration entry.
 
-    Each entry sums a(x - y) over ordered pairs of distinct sites of eta in
-    the order of `pair_energy`, so the two agree exactly.
+    Each entry sums a(x - y) over ordered pairs of distinct sites of eta,
+    x outer and y inner, both in increasing site order.
     """
     s = kernels.torus.site_count
     a_pair = kernels.a_values[diff_table(kernels.torus)]

@@ -264,8 +264,6 @@ _BLOCK_BYTES = 3 << 19
 _COMPRESSION_RANK = 8
 _MAX_RANK = 2 * _COMPRESSION_RANK
 _COMPRESSION_TOL = 1e-14
-# factored columns of stored rows a level loop lets wait before adding them
-_WAITING_COLUMNS = 4 * _COMPRESSION_RANK
 # node energies: as few Chebyshev nodes as bring the a-priori bound
 # 2 (spread dt / 4)^M / M! on the relative error of interpolating e^{-tau E},
 # tau <= dt, within _INTERP_TOL; past _MAX_NODES the full-product route
@@ -294,15 +292,15 @@ def level_loop_bytes(dim: int, grid: int, spread: float, stored: int) -> int:
     the state per node and, at the largest rank a level may keep
     (_MAX_RANK), P, F, Z F, and the node recursions with their SVD; and the
     factors of the stored rows, a column over the state and the stored rows
-    each (`StoredRows`): as much as the stored rows' array or a waiting
-    group, whichever is more, and the level that tips them into a fold.
+    each (`StoredRows`): at most as much as the stored rows' array, and the
+    level that tips them into a fold.
     The full route holds one (grid + 1) x d array and three columns.
     """
     fit = _node_count(spread)
     if fit is None:
         return 8 * (grid + 4) * dim + 2 * _BLOCK_BYTES
     factor = dim + stored
-    held = max(stored * dim, _WAITING_COLUMNS * factor) + _MAX_RANK * factor
+    held = stored * dim + _MAX_RANK * factor
     columns = fit[0] + 4 * _MAX_RANK + 4
     return 8 * (columns * dim + held + 4 * fit[0] * _MAX_RANK * (grid + 1)) + 2 * _BLOCK_BYTES
 
@@ -394,27 +392,24 @@ def _compress(left: np.ndarray, weights: np.ndarray, right: np.ndarray, weight_n
 class StoredRows:
     """The stored rows of one solve, held as the terms that sum to them.
 
-    Row i is the base row plus, group by group in level order, row i of
-    each group's factored levels sum left @ right.  The base is the folded
-    array where there is one, else the level-0 rows e^{-tau_i E} u0,
-    recomputed when read.  A group's product is formed over the blocks of
-    states its size sets, and added to the base in the order that folding
-    it into one array adds it, so that every read gives the same bits.
+    Row i is the base row plus, level by level in level order, row i of each
+    factored level's left @ right.  The base is the folded array where there
+    is one, else the level-0 rows e^{-tau_i E} u0, recomputed when read.  A
+    read forms a block of states at a time, the base then each level's
+    product over the block; a fold writes the same blocks into the array,
+    so that every read gives the same bits.
 
-    A level loop adds each level's factors to the waiting group, which
-    closes once it holds more than _WAITING_COLUMNS columns.  Closed groups
-    fold into the array once the held factors would take more room than the
-    array, and at once after a first fold; until then they are kept.
-    `sups`, each row's max |x| over each run of equal orders, and `final`,
-    the last row, come from one pass over the state.
+    A level loop adds each level's factors, and they fold into the array
+    once they would take more room than it.  `sups`, each row's max |x|
+    over each run of equal orders, and `final`, the last row, come from one
+    pass over the state.
     """
 
     def __init__(self, tau: np.ndarray, energies, u0: np.ndarray, orders: np.ndarray):
         self.tau, self.energies, self.u0, self.orders = tau, energies, u0, orders
         self.dim = len(u0)
         self.folded: np.ndarray | None = None
-        self.groups: list[list] = []
-        self._waiting: list = []
+        self.factors: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _width(self) -> int:
         return max(1, _BLOCK_BYTES // (8 * len(self.tau)))
@@ -425,12 +420,6 @@ class StoredRows:
         The blocks share one buffer: each is valid until the next is made.
         """
         buffer = np.empty(len(self.tau) * min(width, self.dim))
-        groups = []
-        for parts in self.groups:
-            left = np.hstack([lf for lf, _ in parts])
-            step = max(1, _BLOCK_BYTES // (8 * sum(left.shape)))
-            # the group's product over its block of states at held[0], held[1]
-            groups.append((left, [rt for _, rt in parts], step, [None, None]))
         for lo in range(0, self.dim, width):
             hi = min(lo + width, self.dim)
             block = buffer[:len(self.tau) * (hi - lo)].reshape(len(self.tau), hi - lo)
@@ -440,13 +429,8 @@ class StoredRows:
                 block *= self.u0[lo:hi]
             else:
                 block[...] = self.folded[:, lo:hi]
-            for left, rights, step, held in groups:
-                for start in range(lo - lo % step, hi, step):
-                    if held[0] != start:
-                        held[:] = start, None
-                        held[1] = left @ np.vstack([rt[:, start:start + step] for rt in rights])
-                    a, b = max(lo, start), min(hi, start + step)
-                    block[:, a - lo:b - lo] += held[1][:, a - start:b - start]
+            for left, right in self.factors:
+                block += left @ right[:, lo:hi]
             yield lo, block
 
     def _fill(self, out: np.ndarray) -> np.ndarray:
@@ -460,35 +444,20 @@ class StoredRows:
         return self._fill(np.empty((len(self.tau), self.dim)))
 
     def fold(self) -> None:
-        """Sum the groups into the folded array, made from the level-0 rows if there is none."""
-        if self.folded is None or self.groups:
+        """Sum the factors into the folded array, made from the level-0 rows if there is none."""
+        if self.folded is None or self.factors:
             out = self.folded if self.folded is not None else np.empty((len(self.tau), self.dim))
             self.folded = self._fill(out)
-            self.groups = []
+            self.factors = []
             self.u0 = self.energies = None
 
-    def _settle(self) -> None:
-        held = sum(len(rt) for parts in self.groups + [self._waiting] for _, rt in parts)
-        # a factor column holds an entry per state and per stored row
-        if self.groups and (
-            self.folded is not None or held * (self.dim + len(self.tau)) > len(self.tau) * self.dim
-        ):
-            self.fold()
-
     def add(self, left: np.ndarray, right: np.ndarray) -> None:
-        """Let one level's stored rows left @ right wait."""
-        self._waiting.append((left, right))
-        if sum(len(rt) for _, rt in self._waiting) > _WAITING_COLUMNS:
-            self.groups.append(self._waiting)
-            self._waiting = []
-        self._settle()
-
-    def close(self) -> None:
-        """End of the level loop: the waiting group joins the groups."""
-        if self._waiting:
-            self.groups.append(self._waiting)
-            self._waiting = []
-        self._settle()
+        """Hold one level's stored rows left @ right; fold once the factors outgrow the array."""
+        self.factors.append((left, right))
+        # a factor column holds an entry per state and per stored row
+        held = sum(len(rt) for _, rt in self.factors)
+        if held * (self.dim + len(self.tau)) > len(self.tau) * self.dim:
+            self.fold()
 
     def _layer_sups(self, blocks) -> np.ndarray:
         """Per-layer max |x| of each row from (lo, block) pairs that cover the state in order."""
@@ -503,7 +472,7 @@ class StoredRows:
 
     @cached_property
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.folded is not None and not self.groups:
+        if self.folded is not None and not self.factors:
             sups, final = self._layer_sups([(0, self.folded)]), self.folded[-1]
         else:
             final = np.empty(self.dim)
@@ -630,8 +599,9 @@ def _run_grid(
     """Sum Duhamel levels on a uniform grid, stopping on their alpha-norms.
 
     energies are the diagonal's semigroup energies (all zero at the limit).
-    The levels are factored (`_factored_levels`) when at most _MAX_NODES
-    nodes cover the energies, else full (`_full_levels`, which sums into the
+    The levels are factored (`_factored_levels`, whose stored rows are held
+    as factors until they outgrow the array) when at most _MAX_NODES nodes
+    cover the energies, else full (`_full_levels`, which sums into the
     folded array).  The loop stops at level fixed_levels when given, else at
     the first final-row norm below term_tol or at max_levels.  Returns the
     store_idx rows (`StoredRows`), the final-row norms and the level count;
@@ -662,7 +632,6 @@ def _run_grid(
                 break
         elif norm < term_tol or level >= max_levels:
             break
-    rows.close()
     return (rows, np.array(finals), level), (len(nodes), bound, residuals, exact)
 
 

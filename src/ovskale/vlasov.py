@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import KernelPair
-from .operators import ModelParams, OperatorHandle, interaction_energies
+from .operators import ModelParams, OperatorHandle, interaction_energies, split_handles
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
 from .states import CorrelationVector, flat_orders, random_correlation
@@ -252,14 +252,6 @@ class VlasovReport:
     operators: dict
 
 
-def _sweep_operators(eps: float, kernels, params, n_max, orbits=None):
-    """Diagonal and perturbation handles at eps, the limit eps = 0 included."""
-    p = replace(params, epsilon=eps)
-    return tuple(
-        OperatorHandle(kind, kernels, p, n_max, orbits) for kind in ("diagonal", "perturbation")
-    )
-
-
 def vlasov_limit(
     sweep: EpsilonSweep,
     kernels: KernelPair,
@@ -281,7 +273,9 @@ def vlasov_limit(
     operators = {}
     results = {}
     for eps in sweep.epsilons:
-        diag, pert = operators[eps] = _sweep_operators(eps, kernels, params, n_max, sweep.orbits)
+        diag, pert = operators[eps] = split_handles(
+            kernels, replace(params, epsilon=eps), n_max, sweep.orbits
+        )
         try:
             results[eps] = ovsyannikov_evolve(
                 u0, _SWEEP_START, t_end, diag, pert, sweep.scale, bound, config
@@ -373,7 +367,7 @@ def chaos_check(
 
         u0 = CorrelationVector.product_form(rho0.torus, order, rho0.rho)
         orbits = orbit_map(rho0.torus, order, point_group(kernels)) if constant else None
-        diag, pert = _sweep_operators(0.0, kernels, params, order, orbits)
+        diag, pert = split_handles(kernels, replace(params, epsilon=0.0), order, orbits)
         return ovsyannikov_evolve(u0, 0.0, t, diag, pert, scale, bound, cfg)
 
     coarse = run(n_max)

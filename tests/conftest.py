@@ -22,7 +22,7 @@ from ovskale import (
     model_bound,
     time_horizon,
 )
-from ovskale.lattice import diff_table, pair_energy, point_energy, subsets_of_order
+from ovskale.lattice import _as_sites, diff_table, subsets_of_order
 
 GAUSS_A = {"kind": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.7}}
 GAUSS_PHI = {"kind": "gaussian", "params": {"amplitude": 0.8, "sigma": 0.5}}
@@ -70,6 +70,28 @@ def to_dense(matrix) -> np.ndarray:
     out = np.zeros(matrix.shape)
     np.add.at(out, (rows, matrix.indices), matrix.data)
     return out
+
+
+def pair_energy(eta, kernels: KernelPair) -> float:
+    """Total competition energy: sum over ordered pairs (x, y) in eta of a(x - y)."""
+    sites = _as_sites(eta)
+    a = kernels.a_values
+    diff = diff_table(kernels.torus)
+    total = 0.0
+    for x in sites:
+        row = diff[x]
+        for y in sites:
+            if y != x:
+                total += a[row[y]]
+    return total
+
+
+def point_energy(x: int, xi, kernels: KernelPair) -> float:
+    """Attraction energy of site x against the configuration xi: sum phi(x - y)."""
+    sites = _as_sites(xi)
+    phi = kernels.phi_values
+    row = diff_table(kernels.torus)[int(x)]
+    return float(sum(phi[row[y]] for y in sites))
 
 
 def site_coords(torus: Torus, site: int) -> tuple[int, ...]:

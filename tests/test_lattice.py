@@ -24,8 +24,6 @@ from ovskale.lattice import (
     layer_sizes,
     lp_exponential,
     lp_integral,
-    pair_energy,
-    point_energy,
     subset_position,
     subset_rank,
     subsets_of_order,
@@ -37,6 +35,8 @@ from conftest import (
     diff_site,
     min_image_distance,
     neg_site,
+    pair_energy,
+    point_energy,
     site_coords,
     site_index,
 )

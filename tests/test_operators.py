@@ -23,7 +23,6 @@ from ovskale.lattice import (
     SupportedFunction,
     diff_table,
     layer_offsets,
-    pair_energy,
     subset_position,
     subsets_of_order,
     total_dimension,
@@ -31,7 +30,14 @@ from ovskale.lattice import (
 from ovskale.operators import _mobius_table
 from ovskale.states import CorrelationVector, flat_orders, random_correlation
 
-from conftest import GAUSS_A, GAUSS_PHI, apply_observable_generator, lp_pairing, to_dense
+from conftest import (
+    GAUSS_A,
+    GAUSS_PHI,
+    apply_observable_generator,
+    lp_pairing,
+    pair_energy,
+    to_dense,
+)
 
 
 def _semigroup_profile(energies, tau, u0):

@@ -422,47 +422,37 @@ def test_high_rank_levels_fall_back_to_the_full_product():
     assert _bits(final) == _bits(ref_final)
 
 
-def _reference_fold(rows: np.ndarray, parts: list) -> np.ndarray:
-    """Add the factored rows sum left @ right over parts into rows, a block of states at a time."""
-    if parts:
-        left = np.hstack([lf for lf, _ in parts])
-        width = max(1, series._BLOCK_BYTES // (8 * sum(left.shape)))
-        for lo in range(0, rows.shape[1], width):
-            rows[:, lo:lo + width] += left @ np.vstack([rt[:, lo:lo + width] for _, rt in parts])
-    return rows
-
-
 def _folded_stored_rows(u0, energies, zmat, dt, grid, store_idx, levels):
     """The stored rows of levels 0 .. levels summed into one array, and their factor columns.
 
-    The factored loop as it was with one stored-row array: the level-0 rows
-    are its start, and every level's factors wait until more than
-    _WAITING_COLUMNS columns wait, then `_reference_fold` adds them.
+    The factored loop with one stored-row array: the level-0 rows
+    are its start, and each level's rows left @ right are added into it as
+    the level is made, over blocks of _BLOCK_BYTES // (8 * stored) states.
     """
     step = dt / grid
     tau = np.linspace(0.0, dt, grid + 1)
     total = np.outer(-tau[store_idx], energies)
     np.exp(total, out=total)
     total *= u0
+    width = max(1, series._BLOCK_BYTES // (8 * len(store_idx)))
     nodes, weights, _ = series._energy_nodes(energies, dt)
     weight_norms = np.sqrt(np.einsum("mx,mx->x", weights, weights))
     left, right = np.exp(-np.outer(tau, nodes)), u0[None, :]
-    parts, columns = [], 0
+    columns = 0
     for level in range(levels + 1):
         basis, factor, _, _ = series._compress(left, weights, right, weight_norms)
         if level:
-            parts.append((basis[store_idx], factor))
+            rows = basis[store_idx]
+            for lo in range(0, total.shape[1], width):
+                total[:, lo:lo + width] += rows @ factor[:, lo:lo + width]
             columns += len(factor)
-            if sum(len(rt) for _, rt in parts) > series._WAITING_COLUMNS:
-                _reference_fold(total, parts)
-                parts.clear()
         right = np.ascontiguousarray((zmat @ factor.T).T)
         scale = np.abs(right).max(axis=1)
         scale[scale == 0.0] = 1.0
         right /= scale[:, None]
         stacked = np.repeat((basis * scale)[:, None, :], len(nodes), axis=1)
         left = series._trapezoid(stacked, nodes[:, None], step).reshape(grid + 1, -1)
-    return _reference_fold(total, parts), columns
+    return total, columns
 
 
 def _route_case(route: str, eps: float, seed: int):
@@ -502,9 +492,8 @@ def test_stored_rows_are_the_folded_rows_bit_for_bit(
     route, eps, stored, levels, block_bytes, seed
 ):
     # the factors the loop holds, read block by block, are the stored rows
-    # that summing them into one array in groups of _WAITING_COLUMNS gives;
-    # they fold into an array once they would take more room than it; blocks
-    # of every width, so that a group's blocks straddle the reads'
+    # that adding each level into one array gives; they fold into an array
+    # once they would take more room than it; blocks of every width
     u0, energies, zmat, orders = _route_case(route, eps, seed)
     store_idx = np.unique(np.round(np.linspace(0, _STORED_GRID, stored)).astype(int))
     assert len(store_idx) == stored
@@ -522,6 +511,33 @@ def test_stored_rows_are_the_folded_rows_bit_for_bit(
         assert _bits(rows.final) == _bits(want[-1])
         starts = layer_starts(orders)
         assert _bits(rows.sups) == _bits(layer_sups(want, starts))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("stored", [2, 9, 129])
+@pytest.mark.parametrize("route", ["full", "orbit"])
+def test_stored_rows_hold_at_most_the_array_and_one_level(route, stored, eps):
+    # after every level a loop adds, the factors held take no more room than
+    # the stored rows' array and that level: a factor column holds an entry
+    # per state and per stored row
+    u0, energies, zmat, orders = _route_case(route, eps, 5)
+    store_idx = np.unique(np.round(np.linspace(0, _STORED_GRID, stored)).astype(int))
+    room = stored * len(u0)
+    add = series.StoredRows.add
+    held = []
+
+    def checked(self, left, right):
+        add(self, left, right)
+        columns = sum(len(rt) for _, rt in self.factors)
+        assert columns * (len(u0) + stored) <= room + len(right) * (len(u0) + stored)
+        held.append(columns)
+
+    with mock.patch.object(series.StoredRows, "add", checked):
+        (_, _, n), _ = series._run_grid(
+            u0, energies, zmat, 0.02, _STORED_GRID, orders, 2.0, store_idx,
+            term_tol=1e-12, max_levels=24, fixed_levels=24,
+        )
+    assert n == len(held) == 24
 
 
 def test_norms_and_sup_gaps_read_the_materialised_rows():
@@ -549,7 +565,7 @@ def test_norms_and_sup_gaps_read_the_materialised_rows():
         # the main grid's rows again, not yet read, held as factors
         main_args, main_kwargs = calls[-2]
         (rows, _, _), _ = run_grid(*main_args, **main_kwargs)
-        assert rows.folded is None and rows.groups
+        assert rows.folded is None and rows.factors
         results.append((res, rows))
     (res, rows), (limit, limit_rows) = results
     assert _bits(res.stored_rows()) == _bits(rows.array())
@@ -559,7 +575,7 @@ def test_norms_and_sup_gaps_read_the_materialised_rows():
         assert _bits(res.norms_at(alpha)) == _bits(want)
     gap = norm_alpha_flat(res.stored_rows() - limit.stored_rows(), orders, 2.5)
     assert _bits(res.rows.gap_norms(limit.rows, 2.5)) == _bits(gap)
-    rows.groups[0][0][1][0, 17] = math.nan
+    rows.factors[0][1][0, 17] = math.nan
     spoiled = replace(res, rows=rows)
     for alpha in (res.alpha, 2.5):
         norms = spoiled.norms_at(alpha)
