@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import KernelPair, Torus, kernel_pair_from_spec
 from .operators import ModelParams
-from .scale import DEFAULT_REGULAR_CONSTANT, BoundModel, ScaleSpec, model_bound
+from .scale import BoundModel, ScaleSpec, model_bound
 from .series import SeriesConfig
 
 _KERNEL_SCHEMA = {
@@ -331,6 +331,20 @@ class RuntimeBundle:
     solves: list = field(default_factory=list)
 
 
+# config keys whose keyword argument has another name
+_ARGUMENT_NAMES = {
+    "m": "death_amplitude",
+    "lambda": "birth_intensity",
+    "n_hat": "regular_constant",
+    "grid_points": "time_grid_points",
+}
+
+
+def _arguments(section: dict, *keys: str) -> dict:
+    """Keyword arguments of those keys the section gives: absent ones keep their defaults."""
+    return {_ARGUMENT_NAMES.get(key, key): section[key] for key in keys if key in section}
+
+
 def build_runtime(doc: dict, *, validated: bool = False) -> RuntimeBundle:
     """Assemble a config document into live model objects.
 
@@ -345,32 +359,12 @@ def build_runtime(doc: dict, *, validated: bool = False) -> RuntimeBundle:
     try:
         torus = Torus(tor["dim"], tor["sites"], tor["spacing"])
         kernels = kernel_pair_from_spec(torus, model["kernels"]["a"], model["kernels"]["phi"])
-        params = ModelParams(
-            death_amplitude=model["m"],
-            birth_intensity=model["lambda"],
-            epsilon=model.get("epsilon", 1.0),
-        )
+        params = ModelParams(**_arguments(model, "m", "lambda", "epsilon"))
         sc = doc["scale"]
-        scale = ScaleSpec(
-            alpha_s=sc["alpha_s"],
-            alpha_star=sc["alpha_star"],
-            nu=sc.get("nu", 1.0),
-        )
-        bound = model_bound(
-            kernels, params, regular_constant=sc.get("n_hat", DEFAULT_REGULAR_CONSTANT)
-        )
-        sv = doc["solver"]
-        solver = SeriesConfig(
-            upsilon=sv["upsilon"],
-            q=sv.get("q"),
-            alpha=sv.get("alpha"),
-            time_grid_points=sv.get("grid_points", 256),
-            n_max=sv.get("n_max", 40),
-            term_tol=sv.get("term_tol", 1e-10),
-            quad_tol=sv.get("quad_tol"),
-            majorant_slack=sv.get("majorant_slack", 1e-6),
-            trajectory_points=sv.get("trajectory_points", 129),
-        )
+        scale = ScaleSpec(**_arguments(sc, "alpha_s", "alpha_star", "nu"))
+        bound = model_bound(kernels, params, **_arguments(sc, "n_hat"))
+        # the schema admits only SeriesConfig's fields in the solver section
+        solver = SeriesConfig(**_arguments(doc["solver"], *doc["solver"]))
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from err
     return RuntimeBundle(

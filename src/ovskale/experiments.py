@@ -60,8 +60,8 @@ _MEMORY_SHARE = 0.5
 # peak of assembly (int32 COO blocks, their concatenation, the CSR matrix)
 # per nonzero of the bound below: measured 29-33 on 1-, 2- and 3-D tori
 _BYTES_PER_NONZERO = 36
-# on the orbit route: per nonzero of the row bound (COO blocks, both CSR
-# matrices) and per flat entry (orbit map, layer scans of assembly, states):
+# on the orbit route: per nonzero of the row bound (COO blocks, the CSR
+# matrix) and per flat entry (orbit map, layer scans of assembly, states):
 # measured up to 100 and 250 on 1-, 2- and 3-D tori
 _BYTES_PER_ORBIT_NONZERO = 120
 _BYTES_PER_ORBIT_ENTRY = 320
@@ -531,7 +531,8 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         {
             "epsilons": list(sweep.positive),
             "sup_gaps": report.sup_gaps,
-            "ratios": report.ratios,
+            # 0/0 when two sup gaps vanish: JSON has no NaN
+            "ratios": [r if math.isfinite(r) else None for r in report.ratios.tolist()],
             "semigroup_gaps": [sg_gaps[e] for e in sweep.positive],
             "semigroup_bound_closed": sg_bound,
             "semigroup_bound_intermediate": sg_inter,

@@ -178,9 +178,10 @@ class OperatorHandle:
 
     With an orbit map (`orbits.orbit_map`, whose group must fix both kernel
     tables) the handle is on the orbit route: it acts on states constant on
-    orbits, held by their entries at the representatives.  Its matrix is
+    orbits, held by their entries at the representatives.  Its one matrix is
     Z_red[r, o] = sum_{c in o} Z[r, c] over representative rows r, built
-    from those rows alone, and its energies are read at the representatives.
+    from those rows alone, and its energies are read at the representatives;
+    no flat column index of the operator is kept.
     """
 
     def __init__(
@@ -199,7 +200,6 @@ class OperatorHandle:
         self.n_max = n_max
         self.orbits = orbits
         self._matrix = None
-        self._rows = None
         self._energies = None
 
     def __repr__(self):
@@ -221,41 +221,39 @@ class OperatorHandle:
         return self.kind == "diagonal"
 
     def matrix(self) -> CsrMatrix:
-        """`CsrMatrix` of the operator on the flat layered state, or on the orbits.
+        """(n, n) `CsrMatrix` of the operator: n = d flat entries, or n orbits.
 
         Each term family contributes COO blocks and coinciding entries are
         summed; no entry collects more than two terms, so the sum does not
         depend on their order and full == diagonal + perturbation exactly.
-        On the orbit route the blocks hold the representative rows only and
-        their columns are summed over each orbit.
+        On the orbit route the blocks hold the representative rows only, and
+        their rows and columns are mapped to orbit ids as they are staged, so
+        the columns of each orbit are summed.
         """
         if self._matrix is None:
             # loads scipy: kinetic runs import this module and load no scipy
             from .csr import CsrMatrix
 
-            held = None
+            held = ids = None
+            n = self.dimension
             if self.orbits is not None:
-                held = np.zeros(self.dimension, dtype=bool)
+                held = np.zeros(n, dtype=bool)
                 held[self.orbits.reps] = True
-            # int32 indices, scipy's own choice while d fits, staged one
+                ids, n = self.orbits.orbit_of, self.orbits.count
+            # int32 indices, scipy's own choice while n fits, staged one
             # coordinate at a time: each list is dropped once concatenated
-            d = self.dimension
-            index = np.int32 if d <= np.iinfo(np.int32).max else np.int64
+            index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
             rows, cols, vals = [np.zeros(0, index)], [np.zeros(0, index)], [np.zeros(0)]
             for r, c, v in self._blocks(held):
+                if ids is not None:
+                    r, c = ids[r], ids[c]
                 rows.append(r.astype(index))
                 cols.append(c.astype(index))
                 vals.append(v)
             rows = np.concatenate(rows)
             cols = np.concatenate(cols)
             vals = np.concatenate(vals)
-            if self.orbits is None:
-                self._matrix = CsrMatrix.from_coo(vals, rows, cols, (d, d))
-            else:
-                ids, count = self.orbits.orbit_of, self.orbits.count
-                rows = ids[rows]
-                self._rows = CsrMatrix.from_coo(vals, rows, cols, (count, d))
-                self._matrix = CsrMatrix.from_coo(vals, rows, ids[cols], (count, count))
+            self._matrix = CsrMatrix.from_coo(vals, rows, cols, (n, n))
         return self._matrix
 
     def _blocks(self, held):
@@ -271,15 +269,6 @@ class OperatorHandle:
         if self.kind != "diagonal":
             yield from _crowding_and_birth(self.kernels, self.params, self.n_max, held)
             yield from _death(self.kernels, self.params, self.n_max, held)
-
-    def rows(self) -> CsrMatrix:
-        """`CsrMatrix` of the rows the route holds over every flat column.
-
-        The matrix itself on the full route; on the orbit route the
-        representative rows, in orbit order, before their columns are summed.
-        """
-        matrix = self.matrix()
-        return matrix if self.orbits is None else self._rows
 
     def semigroup_energies(self) -> np.ndarray:
         """Diagonal energies eps E^a, flat or at the representatives: the diagonal part multiplies by -E."""

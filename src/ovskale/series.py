@@ -681,53 +681,35 @@ def ovsyannikov_evolve(
     regular = bound.regular(alpha)
 
     if dt == 0.0:
-        log_maj = _log_majorant(0, 0.0, q, horizon_prime, scale.nu, regular, initial_norm)
-        maj0 = math.exp(log_maj) if initial_norm else 0.0
-        # e^{-0 E} u0 is u0 exactly
+        # e^{-0 E} u0 is u0 exactly: the level-0 row at s is the solve
+        grid, store_idx = 1, np.zeros(1, dtype=int)
         rows = StoredRows(np.zeros(1), np.zeros(len(u0)), u0, orders)
-        return EvolutionResult(
-            times=np.array([s]),
-            rows=rows,
-            final_state=u_s,
-            term_norms=np.array([initial_norm]),
-            majorant_values=np.array([maj0]),
-            majorant_sum_history=np.array([maj0]),
-            horizon=horizon,
-            horizon_prime=horizon_prime,
-            q=q,
-            alpha=alpha,
-            upsilon=cfg.upsilon,
-            quad_disagreement=0.0,
-            quad_error=0.0,
-            n_used=0,
-            converged=True,
-            initial_norm=initial_norm,
-            scale=scale,
-            orbits=orbits,
+        final_norms, n_used, disagreement = np.array([initial_norm]), 0, 0.0
+        nodes, interp_bound, residuals, exact = 0, 0.0, [], []
+    else:
+        if q * dt / horizon_prime >= 1.0:
+            raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
+        grid = cfg.time_grid_points
+        count = min(cfg.trajectory_points, grid + 1)
+        store_idx = np.unique(np.round(np.linspace(0, grid, count)).astype(int))
+        energies = diag_op.semigroup_energies()
+        zmat = pert_op.matrix()
+        (rows, final_norms, n_used), (nodes, interp_bound, residuals, exact) = _run_grid(
+            u0, energies, zmat, dt, grid, orders, alpha, store_idx,
+            term_tol=cfg.term_tol, max_levels=cfg.n_max,
         )
-
-    if q * dt / horizon_prime >= 1.0:
-        raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
-
-    grid = cfg.time_grid_points
-    count = min(cfg.trajectory_points, grid + 1)
-    store_idx = np.unique(np.round(np.linspace(0, grid, count)).astype(int))
-    energies = diag_op.semigroup_energies()
-    zmat = pert_op.matrix()
-
-    (rows, final_norms, n_used), (nodes, interp_bound, residuals, exact) = _run_grid(
-        u0, energies, zmat, dt, grid, orders, alpha, store_idx,
-        term_tol=cfg.term_tol, max_levels=cfg.n_max,
-    )
-    # Richardson consistency: recompute the same number of levels at half grid
-    (half_rows, _, _), (_, _, half_residuals, half_exact) = _run_grid(
-        u0, energies, zmat, dt, grid // 2, orders, alpha, np.array([0, grid // 2]),
-        term_tol=cfg.term_tol, max_levels=cfg.n_max, fixed_levels=n_used,
-    )
-    # a non-finite entry makes its layer's max |x| non-finite
-    if not np.isfinite(rows.sups).all():
-        raise ConvergenceError("the stored trajectory has non-finite entries")
-    converged = bool(final_norms[-1] < cfg.term_tol) or initial_norm == 0.0
+        # Richardson consistency: recompute the same number of levels at half grid
+        (half_rows, _, _), (_, _, half_residuals, half_exact) = _run_grid(
+            u0, energies, zmat, dt, grid // 2, orders, alpha, np.array([0, grid // 2]),
+            term_tol=cfg.term_tol, max_levels=cfg.n_max, fixed_levels=n_used,
+        )
+        residuals += half_residuals
+        exact += half_exact
+        # a non-finite entry makes its layer's max |x| non-finite
+        if not np.isfinite(rows.sups).all():
+            raise ConvergenceError("the stored trajectory has non-finite entries")
+        disagreement = norm_alpha_flat(rows.final - half_rows.final, orders, alpha)
+    converged = dt == 0.0 or bool(final_norms[-1] < cfg.term_tol) or initial_norm == 0.0
 
     # majorant audit of every computed term at the final time
     majorants = np.empty(n_used + 1)
@@ -741,8 +723,6 @@ def ovsyannikov_evolve(
             raise MajorantViolation(
                 f"term {n} norm {term} exceeds majorant {majorants[n]} beyond slack"
             )
-
-    disagreement = norm_alpha_flat(rows.final - half_rows.final, orders, alpha)
     if not (disagreement <= cfg.richardson_gate):
         raise ConvergenceError(
             f"half-grid disagreement {disagreement} exceeds gate {cfg.richardson_gate}"
@@ -776,12 +756,10 @@ def ovsyannikov_evolve(
         converged=converged,
         initial_norm=initial_norm,
         scale=scale,
-        compression_residual=max(
-            residuals[:n_used + 1] + half_residuals[:n_used + 1], default=0.0
-        ),
+        compression_residual=max(residuals, default=0.0),
         interpolation_nodes=nodes,
         interpolation_bound=interp_bound,
-        exact_rank_levels=sum(exact[:n_used + 1] + half_exact[:n_used + 1]),
+        exact_rank_levels=sum(exact),
         orbits=orbits,
     )
 

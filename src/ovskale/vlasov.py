@@ -191,11 +191,16 @@ def perturbation_gap(
     max over rows of alpha_hi^{-|row|} sum_cols |D| alpha_lo^{|col|}; the
     extremal state is the sign-matched geometric profile, so no state
     sampling is involved.  On the orbit route the rows are the
-    representatives', over every column: a row's sum is the same over its
-    orbit, while summing D over an orbit's columns first could cancel.  A
-    one-parameter least squares fit against w(delta) = 1/delta + 1/delta^2
-    captures the expected two-pole shape; the reported residual is the
-    relative rms misfit.
+    representatives' and the columns the orbits, D_red[r, o] = sum_{c in o}
+    D[r, c]: a row's sum is the same over its orbit, and the sum over an
+    orbit's columns cannot cancel.  Birth and crowding do not depend on eps,
+    and in the death entries 0 < e^{-eps E^phi} <= 1 and -phi <= w <= 0, so
+    the entry of D at a row of order k and a column of order k + j is 0 for
+    j = -1 and has the sign (-1)^j otherwise; every column of an orbit has
+    one order, so |D_red[r, o]| = sum_{c in o} |D[r, c]|.  A one-parameter
+    least squares fit against w(delta) = 1/delta + 1/delta^2 captures the
+    expected two-pole shape; the reported residual is the relative rms
+    misfit.
 
     Truncation caps the layer index, so the pole weights sup_r r^j x^r
     saturate unless ln(alpha_hi/alpha_lo) is large enough for their interior
@@ -212,16 +217,17 @@ def perturbation_gap(
         raise ValueError("samples must be >= 1")
     lo_max = split_ceiling(scale.alpha_star)
     ratio_min = math.exp(_LN_SPLIT_FLOOR)
-    diff_abs = z_eps.rows().abs_difference(z_lim.rows())
+    diff_abs = z_eps.matrix().abs_difference(z_lim.matrix())
     orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
-    row_orders = orders if z_eps.orbits is None else orders[z_eps.orbits.reps]
+    if z_eps.orbits is not None:
+        orders = orders[z_eps.orbits.reps]
     deltas = np.empty(samples)
     gaps = np.empty(samples)
     for i in range(samples):
         alpha_lo = float(rng.uniform(1.02, lo_max))
         alpha_hi = float(rng.uniform(alpha_lo * ratio_min, scale.alpha_star))
         col_scale = np.power(alpha_lo, orders)
-        row_scale = np.power(alpha_hi, -row_orders)
+        row_scale = np.power(alpha_hi, -orders)
         gaps[i] = float(np.max(row_scale * (diff_abs @ col_scale)))
         deltas[i] = alpha_hi - alpha_lo
     weights = 1.0 / deltas + 1.0 / deltas**2

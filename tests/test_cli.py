@@ -69,6 +69,15 @@ def read_rows(path: Path) -> list:
         return list(csv.reader(fh))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def read_strict_json(path: Path):
+    """The JSON document at path, refusing the NaN and Infinity that RFC 8259 has no token for."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -594,7 +603,8 @@ def test_run_experiment_fuzz_kinetic_and_bifurcation(model, experiment, seed):
         warnings.simplefilter("ignore", UserWarning)
         manifest = run_experiment(doc, out)
         assert manifest["exit_code"] in {0, 1, 2, 3}
-        written = json.loads((Path(out) / "manifest.json").read_text())
+        docs = {path.name: read_strict_json(path) for path in Path(out).rglob("*.json")}
+    written = docs["manifest.json"]
     assert written["exit_code"] == manifest["exit_code"]
 
 
@@ -688,7 +698,8 @@ def test_run_experiment_fuzz_hierarchy_runs(model, scale, solver, experiment, se
         # a traceback fails here, and so does a RuntimeWarning (pytest config)
         manifest = run_experiment(doc, out)
         assert manifest["exit_code"] in {0, 1, 2, 3}
-        written = json.loads((Path(out) / "manifest.json").read_text())
+        docs = {path.name: read_strict_json(path) for path in Path(out).rglob("*.json")}
+    written = docs["manifest.json"]
     assert written["exit_code"] == manifest["exit_code"]
 
 
@@ -705,6 +716,21 @@ def test_vlasov_empty_sweep_writes_headers_only(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["epsilons"] == []
     assert summary["assertions"] == []
+
+
+def test_vlasov_zero_gaps_write_null_ratios(tmp_path):
+    # on a 1-site torus every sup gap is 0, so every ratio is 0/0
+    doc = base_doc()
+    doc["model"]["torus"]["sites"] = 1
+    doc["model"]["truncation"] = 1
+    doc["experiment"] = {"name": "vlasov", "epsilons": [0.5, 0.25, 0.0], "rho0": 0.5}
+    out = tmp_path / "v"
+    assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    summary = read_strict_json(out / "summary.json")
+    assert summary["sup_gaps"] == [0.0, 0.0]
+    assert summary["ratios"] == [None]
+    checks = {c["name"]: c["passed"] for c in summary["assertions"]}
+    assert checks["limit_gap_ratios"] is False
 
 
 def test_bifurcation_monostable_grid(tmp_path):

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovskale import ModelParams, ScaleSpec, SeriesConfig
 from ovskale.cli import main
-from ovskale.config import CONFIG_SCHEMA, KEYWORDS, _errors, validate_config
+from ovskale.config import CONFIG_SCHEMA, KEYWORDS, _errors, build_runtime, validate_config
 from ovskale.errors import ConfigError
+from ovskale.scale import DEFAULT_REGULAR_CONSTANT
 
 ROOT = Path(__file__).resolve().parents[1]
 STOCK = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
@@ -306,3 +308,30 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, path, value, where):
     assert err == f"error: config invalid at {where}: {value!r} is not a finite number\n"
     # the file holds the NaN and Infinity tokens json.load reads
     assert ("NaN" if math.isnan(value) else "Infinity") in (tmp_path / "cfg.json").read_text()
+
+
+def test_build_runtime_passes_the_keys_given_and_keeps_the_defaults():
+    doc = copy.deepcopy(STOCK["evolve"])
+    doc["scale"] = {"alpha_s": 1.5, "alpha_star": 2.5}
+    doc["solver"] = {"upsilon": 0.0116}
+    bundle = build_runtime(doc)
+    assert bundle.params == ModelParams(1.0, 1.0)
+    assert bundle.scale == ScaleSpec(1.5, 2.5)
+    assert bundle.bound.regular(2.0) == DEFAULT_REGULAR_CONSTANT
+    assert bundle.solver == SeriesConfig(upsilon=0.0116)
+
+    doc["model"]["epsilon"] = 0.25
+    doc["scale"].update(nu=1.5, n_hat=0.125)
+    doc["solver"].update(
+        q=1.75, alpha=2.0, grid_points=64, n_max=12, term_tol=1e-9, quad_tol=1e-7,
+        majorant_slack=1e-5, trajectory_points=17,
+    )
+    assert set(doc["solver"]) == set(CONFIG_SCHEMA["properties"]["solver"]["properties"])
+    bundle = build_runtime(doc)
+    assert bundle.params == ModelParams(1.0, 1.0, 0.25)
+    assert bundle.scale == ScaleSpec(1.5, 2.5, 1.5)
+    assert bundle.bound.regular(2.0) == 0.125
+    assert bundle.solver == SeriesConfig(
+        upsilon=0.0116, q=1.75, alpha=2.0, time_grid_points=64, n_max=12, term_tol=1e-9,
+        quad_tol=1e-7, majorant_slack=1e-5, trajectory_points=17,
+    )

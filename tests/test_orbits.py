@@ -224,6 +224,28 @@ def test_orbit_handles_apply_as_the_full_ones(model, kind):
     assert float(np.abs(reduced - full).max()) <= _ROUTE_TOL * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(model=_model(max_dim=3), epsilon=st.floats(1e-2, 50.0), seed=st.integers(0, 2**16))
+def test_orbit_perturbation_gap_is_the_full_one(model, epsilon, seed):
+    # every entry of D = Z_eps - Z_0 between two given orders has one sign,
+    # so summing D over an orbit's columns leaves the induced norm as it is
+    kernels, n_max, _ = model
+    orbits = orbit_map(kernels.torus, n_max, point_group(kernels))
+    scale = ScaleSpec(1.5, 6.0)
+    reports = []
+    for route in (None, orbits):
+        z_eps, z_lim = (
+            OperatorHandle("perturbation", kernels, ModelParams(0.7, 1.3, eps), n_max, route)
+            for eps in (epsilon, 0.0)
+        )
+        rng = np.random.default_rng(seed)
+        reports.append(perturbation_gap(z_eps, z_lim, 6, scale, rng))
+    full, orb = reports
+    assert np.array_equal(orb.deltas, full.deltas)
+    assert np.allclose(orb.gaps, full.gaps, rtol=_ROUTE_TOL, atol=0.0)
+    assert orb.fitted_pole == pytest.approx(full.fitted_pole, rel=_ROUTE_TOL, abs=0.0)
+
+
 def test_a_random_state_on_the_orbit_route_is_refused(rng):
     kernels = _gauss(1, 6)
     params = ModelParams(1.0, 1.0)

@@ -67,14 +67,24 @@ def small() -> Instance:
     return make_instance(sites=4, n_max=2)
 
 
-def test_zero_duration_returns_initial(small):
+@pytest.mark.parametrize("route", ["full", "orbit"])
+def test_zero_duration_returns_initial(small, route):
     u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
-    diag, pert, _ = _ops(small)
+    orbits = None
+    if route == "orbit":
+        orbits = orbit_map(small.torus, small.n_max, point_group(small.kernels))
+    args = (small.kernels, small.params, small.n_max, orbits)
+    diag, pert = OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
     res = ovsyannikov_evolve(u0, 0.3, 0.3, diag, pert, small.scale, small.bound, _cfg(small))
     assert res.n_used == 0
     assert res.converged
     assert np.array_equal(res.final_state.flat(), u0.flat())
     assert np.array_equal(res.times, [0.3])
+    assert np.array_equal(res.term_norms, [res.initial_norm])
+    assert res.quad_disagreement == 0.0
+    # term 0's majorant is nu times the initial norm, at every stored time
+    assert res.majorant_values[0] >= res.initial_norm
+    assert np.array_equal(res.majorant_sum_history, res.majorant_values)
 
 
 def test_series_matches_dense_oracle(small):
