@@ -3,8 +3,8 @@ scale-of-spaces evolution with certified majorants, the scaled family and
 its measured limit, and the limiting nonlocal kinetic equation with its
 fold bifurcation.
 
-The names below load their submodule on first use, so that a run imports
-only the parts of scipy it needs.
+The names below load their submodule on first use, so that a run loads
+only the compiled scipy extensions it calls.
 """
 
 import importlib

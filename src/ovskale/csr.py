@@ -1,47 +1,24 @@
 """Compressed sparse row matrices on scipy's compiled kernels.
 
 `CsrMatrix` holds the three CSR arrays and runs on scipy's `_sparsetools`
-extension, loaded straight from the file in scipy's `sparse/` directory.
-Importing the `scipy.sparse` package would cost a hierarchy run about 0.2 s
-and 20 MB, nearly all of it spent outside the kernels: its array-API layer
-clones numpy and so imports numpy's lazy submodules (`numpy.f2py`,
-`numpy.testing`).  The extension itself loads in under a millisecond, and
-it is loaded under this package's name, so the `scipy.sparse` modules stay
-unloaded.  Every construction and product makes the same kernel calls on
-the same arrays as scipy's `coo_matrix(...).tocsr()`, `csr @ x` and
-`abs((a - b).tocsr())`, so the results are scipy's bit for bit.
+extension, loaded by `ovskale.compiled` from the file in scipy's `sparse/`
+directory.  Importing the `scipy.sparse` package would cost a hierarchy run
+about 0.2 s and 20 MB, nearly all of it spent outside the kernels: its
+array-API layer clones numpy and so imports numpy's lazy submodules
+(`numpy.f2py`, `numpy.testing`).  No `scipy` module is loaded.  Every
+construction and product makes the same kernel calls on the same arrays as
+scipy's `coo_matrix(...).tocsr()`, `csr @ x` and `abs((a - b).tocsr())`,
+so the results are scipy's bit for bit.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import os
-
 import numpy as np
-import scipy
+
+from . import compiled
 
 _INT32_MAX = np.iinfo(np.int32).max
-
-
-def _load_kernels():
-    """scipy's compiled sparse kernels, loaded from their file under an ovskale name."""
-    folder = os.path.join(os.path.dirname(scipy.__file__), "sparse")
-    tried = [
-        os.path.join(folder, "_sparsetools" + suffix)
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-    ]
-    for path in tried:
-        if os.path.isfile(path):
-            # the last part of the name selects the extension's init function
-            loader = importlib.machinery.ExtensionFileLoader("ovskale._sparsetools", path)
-            spec = importlib.machinery.ModuleSpec(loader.name, loader, origin=path)
-            module = loader.create_module(spec)
-            loader.exec_module(module)
-            return module
-    raise ImportError(f"scipy's compiled sparse kernels not found; tried {', '.join(tried)}")
-
-
-_kernels = _load_kernels()
+_kernels = compiled.load("sparse", "_sparsetools")
 
 
 def _index_dtype(largest: int):

@@ -17,13 +17,13 @@ import json
 import math
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import compiled
 from ._version import __version__
 from .config import RuntimeBundle, build_runtime, config_hash, validate_config
 from .errors import (
@@ -78,9 +78,10 @@ _BYTES_PER_SITE = 96
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
 # modules each experiment loads before build_runtime, so that imports count
 # as set-up and not as the runner's time: the hierarchy runs assemble a
-# CsrMatrix (ovskale.csr loads scipy's top level and its sparse kernels) and
-# call np.unique, whose first call in numpy 2.x imports numpy.ma (_unique1d
-# asks np.ma.is_masked); the kinetic runs need ovskale.kinetic (numpy alone)
+# CsrMatrix (ovskale.csr loads scipy's compiled sparse kernels) and call
+# np.unique, whose first call in numpy 2.x imports numpy.ma (_unique1d asks
+# np.ma.is_masked); the kinetic runs need ovskale.kinetic (scipy's compiled
+# FFT kernels)
 _SETUP_IMPORTS = {
     **dict.fromkeys(_HIERARCHY_RUNS, ("ovskale.csr", "numpy.ma")),
     "kinetic": ("ovskale.kinetic",),
@@ -844,8 +845,8 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
             "ovskale": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            # null for a run that never loaded scipy
-            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+            # null for a run that loaded none of scipy's compiled kernels
+            "scipy": compiled.scipy_version(),
         },
         "wall_time_s": time.perf_counter() - started,
         "timings": timings,

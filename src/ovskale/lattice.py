@@ -75,10 +75,6 @@ class Torus:
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
-    @property
-    def period(self) -> float:
-        return self.sites_per_axis * self.spacing
-
     def coord_array(self) -> np.ndarray:
         """(dim, S) multi-indices of every site; site k is row-major, the last axis fastest."""
         return np.indices((self.sites_per_axis,) * self.dim).reshape(self.dim, -1)
@@ -283,10 +279,6 @@ class KernelPair:
     @property
     def avg_phi(self) -> float:
         return self.torus.cell_volume * float(self.phi_values.sum())
-
-    @property
-    def sup_phi(self) -> float:
-        return float(self.phi_values.max())
 
 
 def kernel_pair_from_spec(torus: Torus, a_spec: dict, phi_spec: dict) -> KernelPair:

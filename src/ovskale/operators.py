@@ -231,7 +231,8 @@ class OperatorHandle:
         the columns of each orbit are summed.
         """
         if self._matrix is None:
-            # loads scipy: kinetic runs import this module and load no scipy
+            # loads scipy's sparse kernels: kinetic runs import this module
+            # but need none
             from .csr import CsrMatrix
 
             held = ids = None

@@ -8,7 +8,6 @@ immutable after construction; operators and solvers return fresh instances.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +107,6 @@ class CorrelationVector:
         if set(doc.keys()) != {"N_max", "layers"}:
             raise ValueError('correlation JSON must have exactly keys "N_max" and "layers"')
         return cls(torus, int(doc["N_max"]), tuple(np.asarray(l, dtype=float) for l in doc["layers"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, torus: Torus, text: str) -> "CorrelationVector":
-        return cls.from_json_dict(torus, json.loads(text))
 
 
 def flat_orders(torus: Torus, n_max: int) -> np.ndarray:

@@ -317,10 +317,6 @@ class ChaosReport:
     def gap(self) -> float:
         return float(self.layer_gaps[1:].max(initial=0.0))
 
-    @property
-    def refined_gap(self) -> float:
-        return float(self.refined_layer_gaps[1:].max(initial=0.0))
-
 
 def _product_layer_gaps(k: CorrelationVector, rho: np.ndarray, n_probe: int) -> np.ndarray:
     """Max absolute entry gap per layer against the product of the field."""

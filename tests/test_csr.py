@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovskale import csr
+from ovskale import compiled
 from ovskale.csr import CsrMatrix
 
 from conftest import to_dense
@@ -123,9 +123,15 @@ def test_product_shape_is_checked():
 
 
 def test_kernel_load_names_the_paths_it_tried(tmp_path, monkeypatch):
-    monkeypatch.setattr(csr.scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(compiled, "_scipy_folder", lambda: str(tmp_path))
     with pytest.raises(ImportError, match=str(tmp_path / "sparse" / "_sparsetools")):
-        csr._load_kernels()
+        compiled.load("sparse", "_sparsetools")
+
+
+def test_kernel_load_without_scipy_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(compiled.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        compiled.load("sparse", "_sparsetools")
 
 
 # products of one matrix before and after scipy.sparse is imported, and

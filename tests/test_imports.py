@@ -1,5 +1,5 @@
-"""Import boundaries: a run loads only the scipy subpackages it uses, and
-jsonschema (the config check's test reference) nowhere.
+"""Import boundaries: a run loads no scipy module, only scipy's compiled
+kernels, and jsonschema (the config check's test reference) nowhere.
 
 Each probe starts a fresh interpreter, because this process has long since
 loaded every module.  The checks read sys.modules, so they need no timing.
@@ -17,11 +17,11 @@ import scipy
 import ovskale
 
 ROOT = Path(__file__).resolve().parents[1]
-# loaded only where used: ovskale.csr (scipy's top level and its compiled
-# sparse kernels) by the hierarchy runs, ovskale.kinetic by the kinetic runs,
-# and scipy.sparse and scipy.integrate by the oracle, which no run calls; the
-# package loads scipy.optimize, scipy.fft, scipy.special and jsonschema
-# nowhere
+# loaded only where used: ovskale.csr (scipy's compiled sparse kernels) by
+# the hierarchy runs, ovskale.kinetic (scipy's compiled FFT kernels) by the
+# kinetic runs, and scipy.sparse and scipy.integrate by the oracle, which no
+# run calls; the package loads scipy.optimize, scipy.fft, scipy.special,
+# numpy.fft and jsonschema nowhere
 LAZY = (
     "ovskale.csr",
     "jsonschema",
@@ -30,12 +30,18 @@ LAZY = (
     "scipy.integrate",
     "scipy.fft",
     "scipy.special",
+    "numpy.fft",
     "ovskale.kinetic",
 )
 
 # the scipy.sparse package and what its import pulls in: the array-API
 # layer's numpy clone imports numpy's lazy f2py and testing submodules
 HEAVY = ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+
+
+def _scipy_modules(modules) -> list:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
 
 # prints which LAZY modules are loaded after `import ovskale.cli`, and, given
 # a config and an output directory, when its runner is entered and after the
@@ -110,13 +116,15 @@ def _config(tmp_path, name: str) -> str:
 @pytest.mark.parametrize("name", ["evolve", "vlasov", "bounds", "random"])
 def test_hierarchy_runs_load_no_optional_subpackage(tmp_path, name):
     # ovskale.csr is set-up: loaded before the runner is entered; it loads
-    # scipy, whose version the manifest records, and not scipy.sparse.  The
-    # runner loads only the orbit module, on the product runs.
+    # scipy's sparse kernels and no scipy module, and the manifest records
+    # the version of the scipy they came from.  The runner loads only the
+    # orbit module, on the product runs.
     seen = _probe(_config(tmp_path, name), str(tmp_path / "out"))
     assert seen["exit"] == 0
     assert seen["runner"] == ["ovskale.csr"]
     assert seen["run"] == ["ovskale.csr"]
     assert seen["runner_loads"] == ([] if name in ("bounds", "random") else ["ovskale.orbits"])
+    assert _scipy_modules(seen["modules"]) == []
     assert [m for m in seen["modules"] if m.startswith(HEAVY)] == []
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
@@ -151,9 +159,11 @@ print(json.dumps(seen + ["scipy.sparse.linalg" in sys.modules]))
 def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
     seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
     assert seen["exit"] == 0
-    assert [m for m in seen["run"] if m.startswith("scipy.")] == []
+    assert _scipy_modules(seen["modules"]) == []
     assert [m for m in seen["modules"] if m.startswith(HEAVY)] == []
     assert "jsonschema" not in seen["run"]
+    # the kinetic equation runs on scipy's FFT kernels, not on numpy.fft
+    assert "numpy.fft" not in seen["modules"]
     if name != "horizon":
         # the kinetic module is set-up too
         assert "ovskale.kinetic" in seen["runner"]
@@ -161,18 +171,22 @@ def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])
 def test_runs_without_an_operator_load_no_scipy(tmp_path, name):
-    # not even scipy itself: the manifest reads its version from the loaded
-    # modules, and records null
+    # not even scipy itself; the manifest records the version of the scipy
+    # whose compiled FFT kernels the kinetic module loaded, and null for a
+    # run that loaded none
     seen = _python(PROBE, "scipy", str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
     assert seen["exit"] == 0
     assert seen["run"] == []
+    assert _scipy_modules(seen["modules"]) == []
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["versions"]["scipy"] is None
+    assert manifest["versions"]["scipy"] == (None if name == "horizon" else scipy.__version__)
 
 
 def test_kinetic_module_loads_no_scipy_subpackage():
     code = "import json, sys, ovskale.kinetic; print(json.dumps(sorted(sys.modules)))"
-    assert [m for m in _python(code) if m.startswith("scipy")] == []
+    modules = _python(code)
+    assert _scipy_modules(modules) == []
+    assert "numpy.fft" not in modules
 
 
 def test_every_exported_name_resolves():

@@ -65,7 +65,7 @@ def test_flat_orders_match_entry_orders():
 def test_json_roundtrip(rng):
     tor = Torus(1, 4, 0.5)
     k = random_correlation(tor, 2, 1.7, rng)
-    back = CorrelationVector.from_json(tor, k.to_json())
+    back = CorrelationVector.from_json_dict(tor, json.loads(json.dumps(k.to_json_dict())))
     assert np.array_equal(back.flat(), k.flat())
     doc = k.to_json_dict()
     assert json.dumps(doc)  # plain JSON types only
