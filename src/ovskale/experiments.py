@@ -74,6 +74,10 @@ _KINETIC_WORK_ARRAYS = 16
 # peak of tabulating the kernel pair per site: measured 40, 56 and 80 on 1-,
 # 2- and 3-D tori
 _BYTES_PER_SITE = 96
+# peak of the (S, S) site-pair tables of a hierarchy run (the difference
+# table, built through (dim, S, S) temporaries, and the kernel gathers over
+# it) per site pair: measured 25, 41 and 57 on 1-, 2- and 3-D tori
+_BYTES_PER_SITE_PAIR = 64
 # experiments that assemble a hierarchy operator
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
 # modules each experiment loads before build_runtime, so that imports count
@@ -238,15 +242,18 @@ def _product_run(exp: dict) -> bool:
 def _preflight(doc: dict) -> None:
     """Raise DimensionCapError from the validated config alone, before build_runtime.
 
-    Tabulating the kernels holds a few arrays over the S = sites^dim sites; a
-    hierarchy run also needs at least one perturbation over d entries or, on
-    the orbit route, the orbit map over d entries (its orbit count needs the
-    kernels, and the runner's check counts it).
+    Tabulating the kernels holds a few arrays over the S = sites^dim sites,
+    and a hierarchy run's site-pair tables S^2 entries.  A hierarchy run
+    also needs at least one perturbation over d entries or, on the orbit
+    route, the orbit map over d entries (its orbit count needs the kernels,
+    and the runner's check counts it).
     """
     torus = doc["model"]["torus"]
     sites = torus["sites"] ** torus["dim"]
-    _check_budget(_BYTES_PER_SITE * sites, f"sites={sites}")
-    if doc["experiment"]["name"] in _HIERARCHY_RUNS:
+    pairs = sites * sites if doc["experiment"]["name"] in _HIERARCHY_RUNS else 0
+    need = _BYTES_PER_SITE * sites + _BYTES_PER_SITE_PAIR * pairs
+    _check_budget(need, f"sites={sites}, site pairs={pairs}")
+    if pairs:
         order = doc["model"]["truncation"]
         if _product_run(doc["experiment"]):
             dim = sum(math.comb(sites, k) for k in range(order + 1))

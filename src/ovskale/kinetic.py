@@ -7,7 +7,11 @@ The limiting density field rho on the torus obeys
 with * the periodic lattice convolution (a * rho)(x) = h^d sum_y a(x-y)
 rho(y).  Spatially constant data reduces to the scalar rate
 
-    r' = lambda - avg_a r^2 - m r e^{-avg_phi r}.
+    r' = lambda - avg_a r^2 - m r e^{-avg_phi r},
+
+which `homogeneous_scalar_ode` solves by scipy's compiled DOP853
+(`compiled.dop853`), the reference a constant field's march is checked
+against.
 
 Stationary constant states are the roots of x e^{-x} + b x^2 = c after the
 substitution x = avg_phi rho, with the dimensionless pair
@@ -48,12 +52,10 @@ from .operators import ModelParams
 # keyword calls left the process about 0.5 MB larger after some 10,000 calls
 _pocketfft = compiled.load("fft", "_pocketfft", "pypocketfft")
 
-# tolerances of the scalar reference solve, and its trial-step budget
-_SCALAR_RTOL = 1e-12
-_SCALAR_ATOL = 1e-14
-_SCALAR_MAX_TRIALS = 1_000_000
-# largest h |d rate / d r| of a step after the first: RK4 is stable below 2.78
-_SCALAR_STABLE_REACH = 2.5
+# tolerances of the scalar reference solve, and its step budget
+_SCALAR_RTOL = 1e-13
+_SCALAR_ATOL = 1e-16
+_SCALAR_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,25 +200,6 @@ def integrate_kinetic(
     return KineticTrajectory(np.array(times), np.vstack(fields), halvings)
 
 
-def _scalar_first_step(rate, r0: float, t_end: float) -> float:
-    """First trial step of the scalar solve, chosen as in Hairer, Norsett and Wanner.
-
-    A probe step that moves r by a hundredth of itself (or lasts 1e-6 when r
-    or its rate is nearly zero) measures how fast the rate changes, and the
-    step keeps the fifth-order error term about 1e-2 of the tolerance scale.
-    A first step spanning the whole interval can jump over the death term's
-    bump near r = 1 / avg_phi with its full and half steps agreeing, and be
-    accepted 1e-3 off.
-    """
-    f0 = rate(r0)
-    scale = _SCALAR_ATOL + _SCALAR_RTOL * r0
-    d0, d1 = r0 / scale, abs(f0) / scale
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    d2 = abs(rate(r0 + h0 * f0) - f0) / scale / h0
-    h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_end)
-
-
 def homogeneous_scalar_ode(
     r0: float,
     t_end: float,
@@ -227,15 +210,13 @@ def homogeneous_scalar_ode(
 ) -> float:
     """High-accuracy adaptive solve of the spatially constant reduction.
 
-    Classical RK4 with step doubling, on Python floats: each trial takes one
-    full step and two half steps, and |half - full| / 15 estimates the
-    error of the half-step value against _SCALAR_RTOL and _SCALAR_ATOL.  An
-    accepted step keeps the Richardson value half + (half - full) / 15.  The
-    first step comes from _scalar_first_step; each later one grows at most
-    fivefold and keeps h |d rate / d r| within RK4's stability interval.  A
-    trial that overflows or goes non-finite is rejected and its step
-    quartered.  A rate that is not finite at r0, or more than
-    _SCALAR_MAX_TRIALS trials, raise ConvergenceError.
+    DOP853 (`compiled.dop853`) at _SCALAR_RTOL and _SCALAR_ATOL, in the
+    time tau = t / t_end with the rate times t_end, so that a t_end near the
+    underflow threshold still leaves DOP853 a step it can take.  The rate
+    runs on Python floats and reads +inf where it overflows or is not
+    finite, so that DOP853 rejects that stage.  A rate that is not finite at
+    r0, more than _SCALAR_MAX_STEPS steps or any other DOP853 failure raise
+    ConvergenceError.
     """
     if r0 < 0:
         raise ValueError("r0 must be >= 0")
@@ -247,50 +228,20 @@ def homogeneous_scalar_ode(
     def rate(r):
         return birth_intensity - avg_a * r * r - death_amplitude * r * math.exp(-avg_phi * r)
 
-    def slope(r):
-        return -2.0 * avg_a * r - death_amplitude * (1.0 - avg_phi * r) * math.exp(-avg_phi * r)
-
-    def rk4(r, h):
-        k1 = rate(r)
-        k2 = rate(r + 0.5 * h * k1)
-        k3 = rate(r + 0.5 * h * k2)
-        k4 = rate(r + h * k3)
-        return r + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def scaled(_tau, y):
+        try:
+            value = t_end * rate(float(y[0]))
+        except OverflowError:
+            return math.inf
+        return value if math.isfinite(value) else math.inf
 
     r = float(r0)
     if not math.isfinite(rate(r)):
         raise ConvergenceError(f"scalar kinetic rate is not finite at r0={r:.6g}")
-    t, h = 0.0, _scalar_first_step(rate, r, float(t_end))
-    for _ in range(_SCALAR_MAX_TRIALS):
-        last = h >= t_end - t
-        if last:
-            h = t_end - t
-        try:
-            full = rk4(r, h)
-            half = rk4(rk4(r, 0.5 * h), 0.5 * h)
-            err = abs(half - full) / 15.0
-        except OverflowError:
-            err = math.nan
-        if not math.isfinite(err):
-            h *= 0.25
-            continue
-        tol = _SCALAR_ATOL + _SCALAR_RTOL * max(abs(r), abs(half))
-        if err <= tol:
-            r = half + (half - full) / 15.0
-            if last:
-                return r
-            t += h
-        # the local error of RK4 scales as h^5
-        h *= min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2)) if err > 0.0 else 5.0
-        # past the stability interval a step amplifies a departure from a
-        # stationary point that is still below the error estimate's notice
-        stiff = abs(slope(r))
-        if h * stiff > _SCALAR_STABLE_REACH:
-            h = _SCALAR_STABLE_REACH / stiff
-    raise ConvergenceError(
-        f"scalar kinetic solve took more than {_SCALAR_MAX_TRIALS} trial steps"
-        f" and stopped at t={t:.6g} of {t_end:.6g}"
+    end = compiled.dop853(
+        scaled, [r], 1.0, _SCALAR_RTOL, _SCALAR_ATOL, _SCALAR_MAX_STEPS, "scalar kinetic solve"
     )
+    return float(end[0])
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import compiled
 from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantViolation
 from .operators import OperatorHandle
 from .scale import (
@@ -269,8 +270,10 @@ _COMPRESSION_TOL = 1e-14
 # tau <= dt, within _INTERP_TOL; past _MAX_NODES the full-product route
 _INTERP_TOL = 1e-15
 _MAX_NODES = 16
-# tolerance (relative and absolute) of the oracle's adaptive DOP853 route
+# tolerance (relative and absolute) of the oracle's adaptive DOP853 route,
+# and its step budget
 _ORACLE_RK_TOL = 1e-12
+_ORACLE_RK_MAX_STEPS = 100_000
 # intervals of the index grid over which the a-priori constant takes its suprema
 _APRIORI_GRID_POINTS = 512
 
@@ -775,11 +778,11 @@ def oracle_evolve(
 
     Two routes on the operator's sparse matrix, the action of the matrix
     exponential (Al-Mohy and Higham's truncated Taylor series) and an adaptive
-    DOP853 integration at relative tolerance _ORACLE_RK_TOL, must agree to
-    agreement_tol in relative sup norm; the exponential route is returned.
-    A non-finite matrix or result raises ConvergenceError.
+    DOP853 integration (`compiled.dop853`) at tolerance _ORACLE_RK_TOL, must
+    agree to agreement_tol in relative sup norm; the exponential route is
+    returned.  A non-finite matrix or result, or a failed DOP853 route,
+    raises ConvergenceError.
     """
-    from scipy.integrate import solve_ivp
     from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 
@@ -795,13 +798,10 @@ def oracle_evolve(
     mat = csr_array((csr.data, csr.indices, csr.indptr), shape=csr.shape)
     u0 = u_s.flat()
     via_expm = expm_multiply(mat * dt, u0)
-    sol = solve_ivp(
-        lambda _t, y: mat @ y, (0.0, dt), u0, method="DOP853",
-        rtol=_ORACLE_RK_TOL, atol=_ORACLE_RK_TOL,
+    via_rk = compiled.dop853(
+        lambda _t, y: mat @ y, u0, dt, _ORACLE_RK_TOL, _ORACLE_RK_TOL, _ORACLE_RK_MAX_STEPS,
+        "adaptive oracle route",
     )
-    if not sol.success:
-        raise ConvergenceError(f"adaptive oracle route failed: {sol.message}")
-    via_rk = sol.y[:, -1]
     denom = max(float(np.abs(via_expm).max()), 1e-30)
     rel = float(np.abs(via_expm - via_rk).max()) / denom
     # written so that a non-finite result fails the gate

@@ -102,12 +102,6 @@ class CorrelationVector:
     def to_json_dict(self) -> dict:
         return {"N_max": self.n_max, "layers": [layer.tolist() for layer in self.layers]}
 
-    @classmethod
-    def from_json_dict(cls, torus: Torus, doc: dict) -> "CorrelationVector":
-        if set(doc.keys()) != {"N_max", "layers"}:
-            raise ValueError('correlation JSON must have exactly keys "N_max" and "layers"')
-        return cls(torus, int(doc["N_max"]), tuple(np.asarray(l, dtype=float) for l in doc["layers"]))
-
 
 def flat_orders(torus: Torus, n_max: int) -> np.ndarray:
     """Layer order of each flat entry (shared with the solvers)."""

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -23,6 +25,7 @@ from ovskale.experiments import run_experiment
 
 from conftest import make_instance
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL = make_instance(sites=4, n_max=2)
 T_SMALL = time_horizon(1.5, 2.5, SMALL.bound)
 
@@ -375,7 +378,7 @@ def test_kinetic_run_times_its_stages(tmp_path):
 
 
 def test_exit_3_when_the_scalar_reference_exceeds_its_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(kinetic, "_SCALAR_MAX_TRIALS", 2)
+    monkeypatch.setattr(kinetic, "_SCALAR_MAX_STEPS", 2)
     doc = base_doc()
     doc["experiment"] = {"name": "kinetic", "t_end": 0.05, "dt": 0.001, "rho0": 0.5}
     path = write_doc(tmp_path, doc)
@@ -435,6 +438,73 @@ def test_exit_3_before_tabulating_a_huge_torus(tmp_path, capsys, name):
     assert manifest["exit_code"] == 3
     assert manifest["error"].startswith("DimensionCapError: estimated ")
     assert "sites=8000000000" in manifest["error"]
+
+
+# runs a config in a fresh interpreter and prints the manifest's estimate
+# and how far the run lifted the peak resident set above its set-up's; the
+# peak is the kernel's VmHWM, since a child's ru_maxrss starts from the
+# resident set of the process that forked it
+PAIR_PROBE = """
+import json, sys
+from ovskale import experiments
+import ovskale.csr, numpy.ma
+
+
+def peak():
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        line = next(line for line in fh if line.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    doc = json.load(fh)
+before = peak()
+manifest = experiments.run_experiment(doc, sys.argv[2])
+print(json.dumps([manifest["exit_code"], manifest["memory_estimate_bytes"], peak() - before]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the kernel's VmHWM")
+def test_size_check_covers_the_site_pair_tables(tmp_path):
+    # the stock evolve on a 2-D 40x40 torus at n = 1 from a random state:
+    # d = 1,601, but 2.56e6 site pairs, whose tables lift the peak by 75-105 MB
+    doc = json.loads((SRC.parent / "configs" / "evolve.json").read_text())
+    doc["model"]["torus"] = {"dim": 2, "sites": 40, "spacing": 0.5}
+    doc["model"]["truncation"] = 1
+    doc["experiment"]["initial"] = {"kind": "random"}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", PAIR_PROBE, write_doc(tmp_path, doc), str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    exit_code, estimate, grown = json.loads(out.stdout.splitlines()[-1])
+    assert exit_code == 0
+    assert grown > 50e6
+    assert estimate >= grown
+
+
+def test_exit_3_when_the_site_pair_tables_exceed_memory(tmp_path, capsys, monkeypatch):
+    # a budget of 100 MB: the 1,600 sites' kernel tables fit, so a kinetic
+    # run on the torus starts, but the hierarchy's 2.56e6 site pairs do not
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(experiments, "_MEMORY_SHARE", 100e6 / physical)
+    doc = base_doc()
+    doc["model"]["torus"] = {"dim": 2, "sites": 40, "spacing": 0.5}
+    doc["model"]["truncation"] = 1
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "pairs"
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("DimensionCapError: estimated ")
+    assert "site pairs=2560000" in manifest["error"]
+    # refused in the preflight: no stage ran
+    assert manifest["timings"] == {"imports_s": None, "build_runtime_s": None, "runner_s": None}
+    doc["experiment"] = {"name": "kinetic", "t_end": 0.002, "dt": 0.001, "rho0": 0.5}
+    path = write_doc(tmp_path, doc, "kinetic.json")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "k")]) == 0
 
 
 def test_exit_2_when_kinetic_rho0_has_the_wrong_length(tmp_path, capsys):

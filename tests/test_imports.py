@@ -19,9 +19,10 @@ import ovskale
 ROOT = Path(__file__).resolve().parents[1]
 # loaded only where used: ovskale.csr (scipy's compiled sparse kernels) by
 # the hierarchy runs, ovskale.kinetic (scipy's compiled FFT kernels) by the
-# kinetic runs, and scipy.sparse and scipy.integrate by the oracle, which no
-# run calls; the package loads scipy.optimize, scipy.fft, scipy.special,
-# numpy.fft and jsonschema nowhere
+# kinetic runs, and scipy.sparse by the oracle, which no run calls; the
+# package loads scipy.integrate (its DOP853 is scipy's compiled one, loaded
+# as ovskale._dop), scipy.optimize, scipy.fft, scipy.special, numpy.fft and
+# jsonschema nowhere
 LAZY = (
     "ovskale.csr",
     "jsonschema",
@@ -126,6 +127,8 @@ def test_hierarchy_runs_load_no_optional_subpackage(tmp_path, name):
     assert seen["runner_loads"] == ([] if name in ("bounds", "random") else ["ovskale.orbits"])
     assert _scipy_modules(seen["modules"]) == []
     assert [m for m in seen["modules"] if m.startswith(HEAVY)] == []
+    # no ODE is solved
+    assert "ovskale._dop" not in seen["modules"]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
 
@@ -139,20 +142,22 @@ def test_product_runs_load_the_orbit_module_in_the_runner(tmp_path, name):
 
 
 def test_the_oracle_loads_scipy_sparse_when_called():
+    # and not scipy.integrate: its Runge-Kutta route is the compiled DOP853
     code = """
 import json, sys
 from ovskale import CorrelationVector, ModelParams, OperatorHandle, Torus, kernel_pair_from_spec
 from ovskale.series import oracle_evolve
 
+names = ("scipy.sparse.linalg", "scipy.integrate", "ovskale._dop")
 gauss = {"kind": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.7}}
 torus = Torus(1, 4, 0.5)
 full = OperatorHandle("full", kernel_pair_from_spec(torus, gauss, gauss), ModelParams(1.0, 1.0), 2)
 full.matrix()
-seen = ["scipy.sparse.linalg" in sys.modules]
+seen = [[name in sys.modules for name in names]]
 oracle_evolve(CorrelationVector.product_form(torus, 2, 0.5), 0.01, full)
-print(json.dumps(seen + ["scipy.sparse.linalg" in sys.modules]))
+print(json.dumps(seen + [[name in sys.modules for name in names]]))
 """
-    assert _python(code) == [False, True]
+    assert _python(code) == [[False, False, False], [True, False, True]]
 
 
 @pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])
@@ -167,6 +172,9 @@ def test_runs_without_an_operator_load_no_scipy_subpackage(tmp_path, name):
     if name != "horizon":
         # the kinetic module is set-up too
         assert "ovskale.kinetic" in seen["runner"]
+    # the kinetic run checks its constant field against the scalar solve,
+    # on scipy's compiled DOP853
+    assert ("ovskale._dop" in seen["modules"]) == (name == "kinetic")
 
 
 @pytest.mark.parametrize("name", ["kinetic", "bifurcation", "horizon"])

