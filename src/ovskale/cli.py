@@ -16,7 +16,7 @@ import sys
 
 from ._version import __version__
 from .config import read_config, schema_json, validate_config
-from .errors import ConfigError, OvskaleError
+from .errors import ConfigError
 from .experiments import run_experiment
 
 
@@ -56,9 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OvskaleError as err:
-        print(f"numerical failure: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
     if args.verbose or manifest["exit_code"] != 0:
         for item in manifest["assertions"]:
             status = "PASS" if item["passed"] else "FAIL"

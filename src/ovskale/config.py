@@ -363,6 +363,17 @@ def build_runtime(doc: dict, *, validated: bool = False) -> RuntimeBundle:
         sc = doc["scale"]
         scale = ScaleSpec(**_arguments(sc, "alpha_s", "alpha_star", "nu"))
         bound = model_bound(kernels, params, **_arguments(sc, "n_hat"))
+        if not math.isfinite(bound.singular(scale.alpha_star)):
+            raise ValueError(f"the singular coefficient overflows at alpha_star {scale.alpha_star}")
+        # the pairing weights h^{d n} and the scale weights alpha^n up to the truncation
+        truncation = model["truncation"]
+        try:
+            torus.cell_volume**truncation, scale.alpha_star**truncation
+        except OverflowError:
+            raise ValueError(
+                f"cell volume {torus.cell_volume} or alpha_star {scale.alpha_star}"
+                f" to the power {truncation} overflows"
+            ) from None
         # the schema admits only SeriesConfig's fields in the solver section
         solver = SeriesConfig(**_arguments(doc["solver"], *doc["solver"]))
     except (ValueError, TypeError) as err:
@@ -371,7 +382,7 @@ def build_runtime(doc: dict, *, validated: bool = False) -> RuntimeBundle:
         torus=torus,
         kernels=kernels,
         params=params,
-        truncation=model["truncation"],
+        truncation=truncation,
         scale=scale,
         bound=bound,
         solver=solver,

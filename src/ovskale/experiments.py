@@ -25,15 +25,8 @@ import numpy as np
 
 from . import compiled
 from ._version import __version__
-from .config import RuntimeBundle, build_runtime, config_hash, validate_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DimensionCapError,
-    HorizonError,
-    MajorantViolation,
-    StepSizeCollapse,
-)
+from .config import RuntimeBundle, _arguments, build_runtime, config_hash, validate_config
+from .errors import ConfigError, DimensionCapError, HorizonError, OvskaleError
 from .operators import OperatorHandle, split_handles
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
 from .series import (
@@ -91,13 +84,6 @@ _SETUP_IMPORTS = {
     "kinetic": ("ovskale.kinetic",),
     "bifurcation": ("ovskale.kinetic",),
 }
-NUMERICAL_ERRORS = (
-    HorizonError,
-    ConvergenceError,
-    MajorantViolation,
-    StepSizeCollapse,
-    DimensionCapError,
-)
 
 
 @dataclass
@@ -222,7 +208,15 @@ def _check_footprint(
 
 
 def _peak_rss_bytes() -> int | None:
-    """The process's peak resident set so far; None where `resource` is missing."""
+    """The process's peak resident set so far: VmHWM where /proc has it (Linux carries
+    ru_maxrss across fork and exec), else ru_maxrss; None with neither."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:
@@ -286,24 +280,10 @@ def _ledger_entry(result: EvolutionResult, pert: OperatorHandle, gate: float) ->
     }
 
 
-def _orbit_counts(bundle: RuntimeBundle) -> tuple[int, ...]:
-    """Orbit count of each layer under the lattice symmetries that fix both kernels."""
-    from .orbits import orbit_counts, point_group
-
-    return orbit_counts(bundle.torus, bundle.truncation, point_group(bundle.kernels))
-
-
-def _orbit_map(bundle: RuntimeBundle):
-    """The orbit route's map: translations times the point group that fixes both kernels."""
-    from .orbits import orbit_map, point_group
-
-    return orbit_map(bundle.torus, bundle.truncation, point_group(bundle.kernels))
-
-
-def _config_checked(what: str, fn, *args):
-    """fn(*args), with a ValueError it raises reported as a ConfigError about what."""
+def _config_checked(what: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError it raises reported as a ConfigError about what."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as err:
         raise ConfigError(f"{what}: {err}") from err
 
@@ -320,12 +300,15 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     # a product of a scalar density runs on the orbit route, a random state on the full one
     product = _product_run(exp)
+    if product:
+        from .orbits import orbit_counts, orbit_map, point_group
+        group = point_group(bundle.kernels)
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, bundle.params.epsilon * bundle.kernels.sup_a),
         # the flow check's direct leg is the main solve; its two composed legs store their end rows
         legs=2 if "flow_tau" in exp else 0,
-        orbits=_orbit_counts(bundle) if product else None,
+        orbits=orbit_counts(bundle.torus, bundle.truncation, group) if product else None,
     )
     s = exp.get("s", 0.0)
     t_abs = s + exp["t"]
@@ -334,7 +317,8 @@ def run_evolve(bundle: RuntimeBundle, out: Path):
     else:
         u0 = random_correlation(bundle.torus, bundle.truncation, bundle.scale.alpha_s, bundle.rng)
     diag, pert = split_handles(
-        bundle.kernels, bundle.params, bundle.truncation, _orbit_map(bundle) if product else None
+        bundle.kernels, bundle.params, bundle.truncation,
+        orbit_map(bundle.torus, bundle.truncation, group) if product else None,
     )
     args = (diag, pert, bundle.scale, bundle.bound, bundle.solver)
     flow = None
@@ -434,11 +418,14 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         return [], ["sweep.csv", "plot_eps_gap.csv", "summary.json"]
     if eps_list[-1] != 0.0:
         eps_list.append(0.0)
+    from .orbits import orbit_counts, orbit_map, point_group
+    group = point_group(bundle.kernels)
     # the sweep keeps every epsilon's operator and trajectory, on the orbit route
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, max(eps_list) * bundle.kernels.sup_a),
-        operators=len(eps_list), trajectories=len(eps_list), orbits=_orbit_counts(bundle),
+        operators=len(eps_list), trajectories=len(eps_list),
+        orbits=orbit_counts(bundle.torus, bundle.truncation, group),
     )
     # the gap indices depend on the config alone: reject them before the sweep
     samples = exp.get("samples", 20)
@@ -450,7 +437,8 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     )
     _config_checked("perturbation gap", split_ceiling, bundle.scale.alpha_star)
     u0 = _product_state(bundle, exp.get("rho0", 0.5))
-    sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver, _orbit_map(bundle))
+    orbits = orbit_map(bundle.torus, bundle.truncation, group)
+    sweep = EpsilonSweep(tuple(eps_list), u0, bundle.scale, bundle.solver, orbits)
     report = vlasov_limit(sweep, bundle.kernels, bundle.params, bundle.bound)
     for eps in sweep.epsilons:
         bundle.solves.append(_ledger_entry(
@@ -521,18 +509,13 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         )
     )
 
-    rows = []
-    for i, eps in enumerate(sweep.positive):
-        rows.append((eps, report.sup_gaps[i], sg_gaps[eps], z_reports[eps].fitted_pole))
+    sups = list(zip(sweep.positive, report.sup_gaps))
+    rows = [(eps, sup, sg_gaps[eps], z_reports[eps].fitted_pole) for eps, sup in sups]
     rows.append((0.0, 0.0, 0.0, 0.0))
     write_csv(out / "sweep.csv", ["epsilon", "sup_gap", "semigroup_gap", "Z_gap_fitted_P"], rows)
-    plot_rows = []
-    for i, eps in enumerate(sweep.positive):
-        plot_rows.append(("sup_gap", eps, report.sup_gaps[i]))
-    for eps in sweep.positive:
-        plot_rows.append(("semigroup_gap", eps, sg_gaps[eps]))
-    for eps in sweep.positive:
-        plot_rows.append(("z_pole", eps, z_reports[eps].fitted_pole))
+    plot_rows = [("sup_gap", eps, sup) for eps, sup in sups]
+    plot_rows += [("semigroup_gap", eps, sg_gaps[eps]) for eps in sweep.positive]
+    plot_rows += [("z_pole", eps, z_reports[eps].fitted_pole) for eps in sweep.positive]
     write_csv(out / "plot_eps_gap.csv", ["series", "x", "y"], plot_rows)
     write_json(
         out / "summary.json",
@@ -619,19 +602,19 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
     from . import kinetic
 
     exp = bundle.experiment
-    x_hi = exp.get("x_hi", 50.0)
-    resolution = exp.get("resolution", 100_000)
     b_star = kinetic.threshold_b()
+    grid = _arguments(exp, "x_hi", "resolution")
     try:
         inputs = {
-            (b, c): kinetic.BifurcationInput(b, c, x_hi=x_hi, resolution=resolution)
+            (b, c): kinetic.BifurcationInput(b, c, **grid)
             for b in exp["b_values"]
             for c in exp["c_values"]
         }
     except ValueError as err:
         raise ConfigError(f"bifurcation grid invalid: {err}") from err
     fold_points = exp.get("fold_points", 9)
-    # the scans run one at a time
+    # the scans run one at a time, all at one resolution
+    resolution = next(iter(inputs.values())).resolution
     _check_budget(
         _BYTES_PER_SCAN_CELL * (resolution + 1.0) + _BYTES_PER_FOLD_POINT * fold_points,
         f"resolution={resolution}, fold_points={fold_points}",
@@ -668,11 +651,7 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
         rows,
     )
     b_grid = np.linspace(b_star / 10.0, b_star * 0.99, fold_points)
-    c_los, c_his = [], []
-    for b in b_grid:
-        lo, hi = kinetic.critical_c_range(float(b))
-        c_los.append(lo)
-        c_his.append(hi)
+    c_los, c_his = map(list, zip(*(kinetic.critical_c_range(float(b)) for b in b_grid)))
     widths = np.array(c_his) - np.array(c_los)
     checks.append(
         Assertion(
@@ -733,10 +712,10 @@ def run_bounds(bundle: RuntimeBundle, out: Path):
 def run_horizon(bundle: RuntimeBundle, out: Path):
     exp = bundle.experiment
     search_hi = exp.get("search_hi", bundle.scale.alpha_star)
-    scan_points = exp.get("scan_points", 1000)
     opt = _config_checked(
         "horizon search", optimal_terminal,
-        bundle.scale.alpha_s, bundle.bound, search_hi, bundle.scale.nu, scan_points,
+        bundle.scale.alpha_s, bundle.bound, search_hi, bundle.scale.nu,
+        **_arguments(exp, "scan_points"),
     )
     checks = [
         Assertion(
@@ -745,8 +724,9 @@ def run_horizon(bundle: RuntimeBundle, out: Path):
             f"{opt.local_max_count} strict local maxima on the scan",
         ),
         Assertion(
+            # a horizon of 0 (a singular coefficient past the float range) has no maximum
             "interior_maximum",
-            not opt.at_boundary,
+            not opt.at_boundary and opt.horizon > 0.0,
             f"beta_opt={opt.beta:.6f} horizon={opt.horizon:.6f}",
         ),
     ]
@@ -804,9 +784,10 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
 
     Returns the manifest; its exit_code is 0 on success, 1 when assertions
     failed, 2 when the configuration does not build or a runner rejects it
-    (ConfigError) and 3 on numerical failure or a size preflight refusal
-    (DimensionCapError).  A config that fails the schema raises ConfigError
-    before any manifest is written and is the caller's exit 2.  The manifest
+    (ConfigError) and 3 on any other package error (OvskaleError): a
+    numerical failure or a size preflight refusal (DimensionCapError).  A
+    config that fails the schema raises ConfigError before any manifest is
+    written and is the caller's exit 2.  The manifest
     also records the largest memory estimate of the run's size checks, the
     process's peak resident set so far, the seconds spent loading modules,
     in build_runtime and in the runner (null for a stage that did not
@@ -841,7 +822,7 @@ def run_experiment(doc: dict, out_dir: str | None = None) -> dict:
     except ConfigError as err:
         error = f"{type(err).__name__}: {err}"
         exit_code = 2
-    except NUMERICAL_ERRORS as err:
+    except OvskaleError as err:
         error = f"{type(err).__name__}: {err}"
         exit_code = 3
     manifest = {

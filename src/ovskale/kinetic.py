@@ -56,6 +56,8 @@ _pocketfft = compiled.load("fft", "_pocketfft", "pypocketfft")
 _SCALAR_RTOL = 1e-13
 _SCALAR_ATOL = 1e-16
 _SCALAR_MAX_STEPS = 1_000_000
+# rejected steps, each halving the step, after which a march gives up
+_MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +148,13 @@ def integrate_kinetic(
     kernels: KernelPair,
     params: ModelParams,
     *,
-    max_halvings: int = 20,
     store_every: int = 1,
 ) -> KineticTrajectory:
     """Fixed-step fourth-order Runge-Kutta march of the kinetic equation.
 
     Steps whose stability indicator dt (avg_a max rho + m) reaches 1, and
     steps producing negative entries, are rejected and retried at half the
-    step; more than max_halvings rejections abort the run.  The kernel
+    step; more than _MAX_HALVINGS rejections abort the run.  The kernel
     transforms are taken once, so each right-hand side costs one forward and
     one batched inverse real FFT.
     """
@@ -174,22 +175,20 @@ def integrate_kinetic(
     accepted = 0
     while t < t_end * (1.0 - 1e-15):
         step = min(step, t_end - t)
-        if step * (avg_a * float(rho.max()) + m_rate) >= 1.0:
+        rejected = "stability bound" if step * (avg_a * float(rho.max()) + m_rate) >= 1.0 else None
+        if not rejected:
+            k1 = _rhs(rho, torus, spectra, params)
+            k2 = _rhs(rho + 0.5 * step * k1, torus, spectra, params)
+            k3 = _rhs(rho + 0.5 * step * k2, torus, spectra, params)
+            k4 = _rhs(rho + step * k3, torus, spectra, params)
+            rho_new = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if np.any(rho_new < 0.0):
+                rejected = "negativity rejection"
+        if rejected:
             step *= 0.5
             halvings += 1
-            if halvings > max_halvings:
-                raise StepSizeCollapse("stability bound forced too many step halvings")
-            continue
-        k1 = _rhs(rho, torus, spectra, params)
-        k2 = _rhs(rho + 0.5 * step * k1, torus, spectra, params)
-        k3 = _rhs(rho + 0.5 * step * k2, torus, spectra, params)
-        k4 = _rhs(rho + step * k3, torus, spectra, params)
-        rho_new = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(rho_new < 0.0):
-            step *= 0.5
-            halvings += 1
-            if halvings > max_halvings:
-                raise StepSizeCollapse("negativity rejection forced too many step halvings")
+            if halvings > _MAX_HALVINGS:
+                raise StepSizeCollapse(f"{rejected} forced too many step halvings")
             continue
         t += step
         rho = rho_new

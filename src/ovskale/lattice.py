@@ -66,6 +66,10 @@ class Torus:
             raise ValueError("sites_per_axis must be >= 1")
         if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
             raise ValueError("spacing must be positive and finite")
+        try:
+            self.spacing**self.dim
+        except OverflowError:
+            raise ValueError(f"the cell volume {self.spacing}^{self.dim} overflows") from None
 
     @property
     def site_count(self) -> int:
@@ -201,6 +205,8 @@ _PROFILES: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
     "gaussian": _profile_gaussian,
     "tophat": _profile_tophat,
 }
+_REQUIRED_PARAMS = {"gaussian": ("amplitude", "sigma"), "tophat": ("amplitude", "radius"),
+                    "table": ("values",)}
 
 
 def kernel_values(torus: Torus, spec: dict) -> np.ndarray:
@@ -213,6 +219,9 @@ def kernel_values(torus: Torus, spec: dict) -> np.ndarray:
     """
     kind = spec.get("kind")
     params = dict(spec.get("params", {}))
+    missing = [key for key in _REQUIRED_PARAMS.get(kind, ()) if key not in params]
+    if missing:
+        raise ValueError(f"{kind} kernel needs params {', '.join(missing)}")
     s = torus.site_count
     if kind == "table":
         vals = np.asarray(params["values"], dtype=float)

@@ -23,6 +23,7 @@ input of the method, not pinned by the model).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +40,10 @@ _VALIDATE_SAMPLES = 64
 _MIN_INDEX_GAP = 1e-3
 # points of (alpha_s, alpha_hi] that localization_index scans for its bracket
 _LOCALIZATION_SCAN_POINTS = 4096
+# halvings after which _bisect stops (optimal_terminal's brackets need at most about 91)
+_MAX_HALVINGS = 200
+# the largest exponent whose math.exp is a float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,10 @@ def model_bound(
     lam = params.birth_intensity
 
     def singular(beta: float) -> float:
-        return (avg_a * beta * beta + beta * m_rate * math.exp(avg_phi * beta) + beta * lam) / math.e
+        beta = float(beta)  # a numpy scalar would warn where a product overflows
+        # +inf past the float range: the horizon there is 0
+        growth = math.exp(avg_phi * beta) if avg_phi * beta <= _LOG_FLOAT_MAX else math.inf
+        return (avg_a * beta * beta + beta * m_rate * growth + beta * lam) / math.e
 
     def regular(beta: float) -> float:
         return regular_constant
@@ -163,6 +171,17 @@ def time_horizon(alpha: float, beta: float, bound: BoundModel, nu: float = 1.0) 
     return (beta - alpha) / (math.e * nu * sing)
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, width: float = 0.0):
+    """Halve [lo, hi] onto the midpoint, lo where below(mid), else hi, until the
+    width is reached, the ends are adjacent floats or _MAX_HALVINGS have run."""
+    for _ in range(_MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= width or not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi
+
+
 @dataclass
 class HorizonOptimum:
     """Result of maximizing the horizon over the terminal index."""
@@ -205,43 +224,26 @@ def optimal_terminal(
         raise ValueError("scan_points must be >= 3")
     betas = np.linspace(alpha_s, search_hi, scan_points + 1)[1:]
     values = np.array([time_horizon(alpha_s, b, bound, nu) for b in betas])
-    peaks = [
-        i
-        for i in range(1, len(betas) - 1)
-        if values[i] > values[i - 1] and values[i] > values[i + 1]
-    ]
+    inner = values[1:-1]
+    peaks = np.flatnonzero((inner > values[:-2]) & (inner > values[2:]))
     best = int(np.argmax(values))
     at_boundary = best == len(betas) - 1
-    if at_boundary:
-        return HorizonOptimum(
-            beta=float(betas[-1]),
-            horizon=float(values[-1]),
-            unimodal=len(peaks) <= 1,
-            at_boundary=True,
-            local_max_count=len(peaks),
-            scan_betas=betas,
-            scan_values=values,
+    beta, horizon = float(betas[-1]), float(values[-1])
+    if not at_boundary:
+        lo = float(betas[best - 1]) if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
+        # the maximum is flat (a relative shift of 1e-8 in beta moves the
+        # horizon by a rounding error), so beta is pinned where the slope
+        # changes sign, by bisection of the scan's bracket down to adjacent floats
+        beta, _ = _bisect(
+            lambda mid: _horizon_slope(alpha_s, mid, bound) > 0.0, lo, float(betas[best + 1])
         )
-    lo = float(betas[best - 1]) if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
-    hi = float(betas[best + 1])
-    # the maximum is flat (a relative shift of 1e-8 in beta moves the horizon
-    # by a rounding error), so beta is pinned where the slope changes sign,
-    # by bisection of the scan's bracket down to adjacent floats
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _horizon_slope(alpha_s, mid, bound) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    beta_opt = lo
-    horizon = time_horizon(alpha_s, beta_opt, bound, nu)
+        horizon = time_horizon(alpha_s, beta, bound, nu)
     return HorizonOptimum(
-        beta=beta_opt,
+        beta=beta,
         horizon=horizon,
-        unimodal=len(peaks) == 1,
-        at_boundary=False,
+        # a scan that peaks on its boundary may have seen no interior peak
+        unimodal=len(peaks) <= 1 if at_boundary else len(peaks) == 1,
+        at_boundary=at_boundary,
         local_max_count=len(peaks),
         scan_betas=betas,
         scan_values=values,
@@ -275,15 +277,10 @@ def localization_index(
         )
     first = int(hit[0])
     lo = alpha_s if first == 0 else float(grid[first - 1])
-    hi = float(grid[first])
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if time_horizon(alpha_s, mid, bound, nu) >= dt:
-            hi = mid
-        else:
-            lo = mid
+    # a NaN horizon counts as short of dt
+    _, hi = _bisect(
+        lambda mid: not time_horizon(alpha_s, mid, bound, nu) >= dt, lo, float(grid[first]), 1e-12
+    )
     return hi
 
 

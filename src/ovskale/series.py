@@ -51,6 +51,7 @@ from . import compiled
 from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantViolation
 from .operators import OperatorHandle
 from .scale import (
+    _LOG_FLOAT_MAX,
     BoundModel,
     ScaleSpec,
     layer_starts,
@@ -195,19 +196,12 @@ def default_intermediate_alpha(scale: ScaleSpec, bound: BoundModel, upsilon: flo
     )
     if not good.any():
         raise HorizonError("no intermediate index clears the requested upsilon")
-    best_len, best_lo, best_hi = 0, 0, 0
-    i = 0
-    while i < len(grid):
-        if good[i]:
-            j = i
-            while j + 1 < len(grid) and good[j + 1]:
-                j += 1
-            if j - i + 1 > best_len:
-                best_len, best_lo, best_hi = j - i + 1, i, j
-            i = j + 1
-        else:
-            i += 1
-    return float(0.5 * (grid[best_lo] + grid[best_hi]))
+    # the edges alternate: each run of good indices starts at one and stops
+    # before the next; argmax takes the first of the widest runs
+    edges = np.flatnonzero(np.diff(good, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    best = int(np.argmax(stops - starts))
+    return float(0.5 * (grid[starts[best]] + grid[stops[best] - 1]))
 
 
 def _resolve_run(scale: ScaleSpec, bound: BoundModel, cfg: SeriesConfig, dt: float):
@@ -274,6 +268,8 @@ _MAX_NODES = 16
 # and its step budget
 _ORACLE_RK_TOL = 1e-12
 _ORACLE_RK_MAX_STEPS = 100_000
+# relative sup-norm gap within which the oracle's two routes must agree
+_ORACLE_AGREEMENT_TOL = 1e-9
 # intervals of the index grid over which the a-priori constant takes its suprema
 _APRIORI_GRID_POINTS = 512
 
@@ -719,6 +715,8 @@ def ovsyannikov_evolve(
     log_slack = math.log1p(cfg.majorant_slack)
     for n in range(n_used + 1):
         log_maj = _log_majorant(n, dt, q, horizon_prime, scale.nu, regular, initial_norm)
+        if not log_maj <= _LOG_FLOAT_MAX:
+            raise HorizonError(f"the majorant of term {n}, e^{log_maj:.6g}, overflows a float")
         majorants[n] = math.exp(log_maj) if log_maj > -math.inf else 0.0
         term = final_norms[n]
         # written so that a NaN or infinite term fails the audit
@@ -767,19 +765,13 @@ def ovsyannikov_evolve(
     )
 
 
-def oracle_evolve(
-    u_s: CorrelationVector,
-    dt: float,
-    full_op: OperatorHandle,
-    *,
-    agreement_tol: float = 1e-9,
-) -> CorrelationVector:
+def oracle_evolve(u_s: CorrelationVector, dt: float, full_op: OperatorHandle) -> CorrelationVector:
     """Sparse reference propagator for u' = (A + Z) u over duration dt.
 
     Two routes on the operator's sparse matrix, the action of the matrix
     exponential (Al-Mohy and Higham's truncated Taylor series) and an adaptive
     DOP853 integration (`compiled.dop853`) at tolerance _ORACLE_RK_TOL, must
-    agree to agreement_tol in relative sup norm; the exponential route is
+    agree to _ORACLE_AGREEMENT_TOL in relative sup norm; the exponential route is
     returned.  A non-finite matrix or result, or a failed DOP853 route,
     raises ConvergenceError.
     """
@@ -805,7 +797,7 @@ def oracle_evolve(
     denom = max(float(np.abs(via_expm).max()), 1e-30)
     rel = float(np.abs(via_expm - via_rk).max()) / denom
     # written so that a non-finite result fails the gate
-    if not (rel <= agreement_tol):
+    if not (rel <= _ORACLE_AGREEMENT_TOL):
         raise ConvergenceError(f"oracle routes disagree at relative level {rel}")
     return CorrelationVector.from_flat(u_s.torus, u_s.n_max, via_expm)
 
@@ -909,11 +901,16 @@ def apriori_estimate_check(
     horizon_sup = max(
         time_horizon(scale.alpha_s, b, bound, scale.nu) for b in grid[1:]
     )
-    constant = scale.nu * math.exp(math.e * scale.nu * horizon_sup * regular_sup - 1.0) * horizon_sup
+    exponent = math.e * scale.nu * horizon_sup * regular_sup - 1.0
+    if not exponent <= _LOG_FLOAT_MAX:
+        raise HorizonError(f"the a-priori constant, of e^{exponent:.6g}, overflows a float")
+    constant = scale.nu * math.exp(exponent) * horizon_sup
     denom = result.horizon_prime - result.q * result.upsilon
     if denom <= 0:
         raise HorizonError("a-priori bound needs horizon_prime - q upsilon > 0")
     prefactor = constant / denom
+    if not math.isfinite(prefactor):
+        raise HorizonError(f"the a-priori prefactor {constant} / {denom} overflows a float")
     rhs = prefactor * result.initial_norm
     lhs = result.norms_at(result.alpha)
     ratios = lhs / rhs if rhs != 0.0 else np.where(lhs == 0.0, 0.0, math.inf)

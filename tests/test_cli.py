@@ -20,7 +20,7 @@ from ovskale import OperatorHandle, config_hash, load_config, time_horizon
 from ovskale.cli import main
 from ovskale.config import build_runtime, validate_config
 from ovskale.errors import ConfigError
-from ovskale import experiments, kinetic
+from ovskale import experiments, kinetic, orbits
 from ovskale.experiments import run_experiment
 
 from conftest import make_instance
@@ -203,11 +203,11 @@ def test_large_product_evolve_passes_the_size_check_on_orbits(tmp_path, monkeypa
     class Stop(Exception):
         pass
 
-    def stop(bundle):
+    def stop(*args):
         raise Stop
 
     # stop once the runner's size check has passed, before the orbit map
-    monkeypatch.setattr(experiments, "_orbit_map", stop)
+    monkeypatch.setattr(orbits, "orbit_map", stop)
     with pytest.raises(Stop):
         run_experiment(doc, str(tmp_path))
     # the site tables, the preflight (the orbit map over d) and the runner's check
@@ -219,9 +219,17 @@ def test_large_product_evolve_passes_the_size_check_on_orbits(tmp_path, monkeypa
     assert max(needs) < 0.2 * full
 
 
-def test_manifest_records_the_peak_resident_set(tmp_path):
-    # a stock evolve records the process's peak so far, in bytes; a platform
-    # without the resource module records null
+def _no_proc(path, *args, **kwargs):
+    """open, as on a system without /proc."""
+    if str(path).startswith("/proc/"):
+        raise FileNotFoundError(path)
+    return open(path, *args, **kwargs)
+
+
+def test_manifest_records_the_peak_resident_set(tmp_path, monkeypatch):
+    # a stock evolve records the process's peak so far, in bytes, from
+    # /proc's VmHWM or else from the resource module; a platform with neither
+    # records null
     doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "evolve.json"))
     manifest = run_experiment(doc, str(tmp_path / "stock"))
     assert manifest["exit_code"] == 0
@@ -229,8 +237,34 @@ def test_manifest_records_the_peak_resident_set(tmp_path):
     assert manifest["peak_rss_bytes"] > 0
     written = json.loads((tmp_path / "stock" / "manifest.json").read_text())
     assert written["peak_rss_bytes"] == manifest["peak_rss_bytes"]
+    monkeypatch.setattr(experiments, "open", _no_proc, raising=False)
+    assert isinstance(run_experiment(doc, str(tmp_path / "rusage"))["peak_rss_bytes"], int)
     with mock.patch.dict(sys.modules, {"resource": None}):
         assert run_experiment(doc, str(tmp_path / "bare"))["peak_rss_bytes"] is None
+
+
+# holds about 220 MB, then runs the stock evolve in a child interpreter
+LARGE_PARENT = """
+import subprocess, sys
+held = b"x" * (220 << 20)
+sys.exit(subprocess.run(
+    [sys.executable, "-m", "ovskale.cli", "run", "--config", sys.argv[1], "--out", sys.argv[2]]
+).returncode)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the kernel's VmHWM")
+def test_a_child_of_a_large_process_reports_its_own_peak(tmp_path):
+    # Linux carries ru_maxrss across fork and exec: read there, the child
+    # would report the parent's 220 MB
+    config = Path(__file__).resolve().parents[1] / "configs" / "evolve.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE_PARENT, str(config), str(tmp_path)], env=env, timeout=120
+    )
+    assert done.returncode == 0
+    peak = read_strict_json(tmp_path / "manifest.json")["peak_rss_bytes"]
+    assert 0 < peak < 150e6
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -594,6 +628,88 @@ def test_exit_3_when_a_kinetic_run_exceeds_memory(tmp_path, capsys, experiment):
     assert "physical memory" in manifest["error"]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _run_edited_stock(tmp_path, capsys, name: str, edit) -> dict:
+    """Run a stock config after edit(doc); checks the manifest and that every JSON file is strict."""
+    doc = load_config(str(CONFIGS / f"{name}.json"))
+    edit(doc)
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    for path in out.glob("*.json"):
+        read_strict_json(path)
+    manifest = read_strict_json(out / "manifest.json")
+    assert manifest["exit_code"] == code
+    return manifest
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        section = doc
+        for step in path:
+            section = section[step]
+        section[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, code",
+    [
+        ("evolve", _set("scale", "alpha_star", 900), 2),
+        ("evolve", _set("model", "kernels", "phi", "params", "amplitude", 1e300), 2),
+        ("evolve", _set("model", "torus", "spacing", 1e300), 2),
+        ("bounds", _set("scale", "alpha_star", 1e300), 2),
+        # the singular coefficient reads +inf past alpha_star, so the horizon
+        # there is 0 and no index reaches the elapsed time
+        ("horizon", _set("experiment", "search_hi", 1e300), 3),
+    ],
+    ids=["evolve-alpha-star", "evolve-phi", "evolve-spacing", "bounds", "horizon"],
+)
+def test_an_overflowing_singular_coefficient_is_a_typed_error(tmp_path, capsys, name, edit, code):
+    manifest = _run_edited_stock(tmp_path, capsys, name, edit)
+    assert manifest["exit_code"] == code
+    if code == 2:
+        assert manifest["error"].startswith("ConfigError: the singular coefficient overflows")
+    else:
+        assert manifest["error"].startswith("HorizonError: no index")
+
+
+def test_an_overflowing_apriori_constant_is_a_typed_error(tmp_path, capsys):
+    manifest = _run_edited_stock(tmp_path, capsys, "evolve", _set("scale", "n_hat", 1e5))
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith("HorizonError: the a-priori constant")
+
+
+@pytest.mark.parametrize("name", ["evolve", "vlasov"])
+def test_an_overflowing_majorant_is_a_typed_error(tmp_path, capsys, name):
+    manifest = _run_edited_stock(tmp_path, capsys, name, _set("scale", "n_hat", 1e300))
+    assert manifest["exit_code"] == 3
+    prefix = "HorizonError: " + ("epsilon=0.4: " if name == "vlasov" else "")
+    assert manifest["error"].startswith(prefix + "the majorant of term")
+
+
+@pytest.mark.parametrize("name", ["evolve", "vlasov", "kinetic", "bifurcation", "bounds", "horizon"])
+@pytest.mark.parametrize(
+    "spec, missing",
+    [
+        ({"kind": "tophat"}, "amplitude, radius"),
+        ({"kind": "table"}, "values"),
+        ({"kind": "gaussian", "params": {"sigma": 0.5}}, "amplitude"),
+    ],
+    ids=["tophat", "table", "gaussian"],
+)
+def test_a_kernel_without_its_params_is_a_config_error(tmp_path, capsys, name, spec, missing):
+    manifest = _run_edited_stock(tmp_path, capsys, name, _set("model", "kernels", "a", spec))
+    assert manifest["exit_code"] == 2
+    kind = spec["kind"]
+    assert manifest["error"] == f"ConfigError: {kind} kernel needs params {missing}"
+
+
 _SMALL_KERNEL = st.one_of(
     st.builds(
         lambda amp, sigma: {"kind": "gaussian", "params": {"amplitude": amp, "sigma": sigma}},
@@ -743,26 +859,58 @@ _VLASOV = st.fixed_dictionaries(
 _BOUNDS = st.fixed_dictionaries(
     {"name": st.just("bounds")}, optional={"samples": st.integers(1, 20)}
 )
+# past the float range of the bound's exponentials
+_OVERFLOWING = st.floats(10.0, 1e300)
 _HORIZON = st.fixed_dictionaries(
     {"name": st.just("horizon")},
     optional={
-        "search_hi": st.floats(1.0, 6.0, exclude_min=True),
+        "search_hi": st.one_of(st.floats(1.0, 6.0, exclude_min=True), _OVERFLOWING),
         "scan_points": st.integers(10, 200),
         "elapsed": st.floats(0.0, 0.1),
     },
 )
 
 
-@settings(max_examples=40, deadline=None)
+# at most one edit per example: a value set past the float range, or a
+# kernel param dropped (the kernel's first or second param, by name)
+_EXTREME = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from([
+            ("scale", "alpha_star"),
+            ("scale", "n_hat"),
+            ("model", "torus", "spacing"),
+            ("model", "kernels", "phi", "params", "amplitude"),
+        ]),
+        _OVERFLOWING,
+    ),
+    st.tuples(st.sampled_from(["a", "phi"]), st.integers(0, 1)),
+)
+
+
+def _apply_extreme(doc: dict, extreme) -> None:
+    if extreme is None:
+        return
+    path, value = extreme
+    if isinstance(path, str):
+        params = doc["model"]["kernels"][path]["params"]
+        del params[sorted(params)[value]]
+    else:
+        _set(*path, value)(doc)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     model=_hierarchy_model(),
     scale=_index_pair(),
     solver=_SOLVER,
     experiment=st.one_of(_EVOLVE, _VLASOV, _BOUNDS, _HORIZON),
     seed=st.integers(0, 2**31),
+    extreme=_EXTREME,
 )
-def test_run_experiment_fuzz_hierarchy_runs(model, scale, solver, experiment, seed):
+def test_run_experiment_fuzz_hierarchy_runs(model, scale, solver, experiment, seed, extreme):
     doc = {"model": model, "scale": scale, "solver": solver, "experiment": experiment, "seed": seed}
+    _apply_extreme(doc, extreme)
     validate_config(doc)
     with tempfile.TemporaryDirectory() as out:
         # a traceback fails here, and so does a RuntimeWarning (pytest config)

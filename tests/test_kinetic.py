@@ -316,10 +316,11 @@ def test_integrator_rejects_then_recovers():
     assert abs(traj.final[0] - expected) <= 1e-2
 
 
-def test_integrator_step_collapse():
+def test_integrator_step_collapse(monkeypatch):
+    monkeypatch.setattr(kinetic, "_MAX_HALVINGS", 3)
     ker = _kernels()
-    with pytest.raises(StepSizeCollapse):
-        integrate_kinetic(DensityField(ker.torus, 0.5), 1e6, 1e6, ker, PAR, max_halvings=3)
+    with pytest.raises(StepSizeCollapse, match="stability bound forced too many"):
+        integrate_kinetic(DensityField(ker.torus, 0.5), 1e6, 1e6, ker, PAR)
 
 
 def test_integrator_validation_and_store_every():

@@ -254,6 +254,24 @@ def test_optimal_terminal_matches_reference(stock6):
         assert abs(opt.beta - root) <= 1e-11 * root
 
 
+@settings(max_examples=60, deadline=None)
+@given(levels=st.lists(st.integers(1, 3), min_size=10, max_size=60))
+def test_optimal_terminal_counts_strict_local_maxima(levels):
+    # a horizon that takes the drawn levels on the scan, plateaus included;
+    # the count is checked against an index walk of the scan values
+    n = len(levels)
+
+    def singular(b):
+        i = min(max(round((b - 1.5) / 2.0 * n) - 1, 0), n - 1)
+        return (b - 1.5) / (math.e * levels[i])
+
+    opt = optimal_terminal(1.5, BoundModel(singular, lambda b: 0.05), 3.5, scan_points=n)
+    v = opt.scan_values
+    peaks = [i for i in range(1, n - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
+    assert opt.local_max_count == len(peaks)
+    assert opt.unimodal == (len(peaks) <= 1 if opt.at_boundary else len(peaks) == 1)
+
+
 def test_optimal_terminal_boundary_flag(stock6):
     opt = optimal_terminal(1.5, stock6.bound, 2.0)
     assert opt.at_boundary

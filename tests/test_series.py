@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ovskale import (
+    BoundModel,
     ConvergenceError,
     CorrelationVector,
     DimensionCapError,
@@ -31,6 +32,7 @@ from ovskale import (
     orbit_map,
     ovsyannikov_evolve,
     point_group,
+    ScaleSpec,
     time_horizon,
 )
 from ovskale import experiments, load_config, series
@@ -987,15 +989,17 @@ def test_oracle_validation(small, rng):
         oracle_evolve(u0, 0.1, mismatched)
 
 
-def test_oracle_routes_agree_on_2d_torus():
-    # 2-D 4x4 torus at order 4 (d = 2,517): both sparse routes in well under 0.1 s
+def test_oracle_routes_agree_on_2d_torus(monkeypatch):
+    # 2-D 4x4 torus at order 4 (d = 2,517): both sparse routes in well under
+    # 0.1 s, agreeing to 1e-12
+    monkeypatch.setattr(series, "_ORACLE_AGREEMENT_TOL", 1e-12)
     tor = Torus(2, 4, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     full = OperatorHandle("full", ker, ModelParams(1.0, 1.0), 4)
     full.matrix()
     u0 = CorrelationVector.product_form(tor, 4, 0.5)
     start = time.perf_counter()
-    ref = oracle_evolve(u0, 0.0092, full, agreement_tol=1e-12)
+    ref = oracle_evolve(u0, 0.0092, full)
     assert time.perf_counter() - start < 0.1
     assert full.dimension == 2517
     assert np.abs(ref.flat() - u0.flat()).max() > 0.0
@@ -1068,6 +1072,40 @@ def test_default_intermediate_alpha(small):
     assert time_horizon(small.scale.alpha_s, alpha, small.bound) > ups
     with pytest.raises(HorizonError):
         default_intermediate_alpha(small.scale, small.bound, 10.0 * small.horizon)
+
+
+def _widest_run_midpoint(grid: np.ndarray, good: np.ndarray) -> float:
+    """Reference: the midpoint of the first widest run of good grid points, by index walk."""
+    best_len, best_lo, best_hi = 0, 0, 0
+    i = 0
+    while i < len(grid):
+        if good[i]:
+            j = i
+            while j + 1 < len(grid) and good[j + 1]:
+                j += 1
+            if j - i + 1 > best_len:
+                best_len, best_lo, best_hi = j - i + 1, i, j
+            i = j + 1
+        else:
+            i += 1
+    return float(0.5 * (grid[best_lo] + grid[best_hi]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=st.booleans(), runs=st.lists(st.integers(1, 700), min_size=1, max_size=12))
+def test_default_intermediate_alpha_takes_the_first_widest_run(first, runs):
+    # a horizon of 2 on the good points of the index grid and 1/2 elsewhere,
+    # laid out as alternating runs, against upsilon = 1
+    scale = ScaleSpec(1.5, 2.5)
+    grid = np.linspace(1.5, 2.5, 2002)[1:-1]
+    good = np.resize(np.repeat([first, not first] * len(runs), runs + runs), len(grid))
+    level = dict(zip(grid.tolist(), np.where(good, 2.0, 0.5).tolist()))
+    bound = BoundModel(lambda b: (b - 1.5) / (math.e * level[float(b)]), lambda b: 0.05)
+    if not good.any():
+        with pytest.raises(HorizonError):
+            default_intermediate_alpha(scale, bound, 1.0)
+        return
+    assert default_intermediate_alpha(scale, bound, 1.0) == _widest_run_midpoint(grid, good)
 
 
 def test_series_config_validation():
