@@ -53,11 +53,11 @@ _MEMORY_SHARE = 0.5
 # peak of assembly (int32 COO blocks, their concatenation, the CSR matrix)
 # per nonzero of the bound below: measured 29-33 on 1-, 2- and 3-D tori
 _BYTES_PER_NONZERO = 36
-# on the orbit route: per nonzero of the row bound (COO blocks, the CSR
-# matrix) and per flat entry (orbit map, layer scans of assembly, states):
-# measured up to 100 and 250 on 1-, 2- and 3-D tori
+# on the orbit route: per nonzero of the row bound (the representative
+# rows' candidate entries, COO blocks, the CSR matrix) and per flat entry
+# (orbit map, states): measured up to 108 and 153 on 1-, 2- and 3-D tori
 _BYTES_PER_ORBIT_NONZERO = 120
-_BYTES_PER_ORBIT_ENTRY = 320
+_BYTES_PER_ORBIT_ENTRY = 200
 # peak of one stationary scan per grid cell: measured 27; per point of the
 # fold curve (arrays, lists of floats, JSON and CSV rows): measured 285
 _BYTES_PER_SCAN_CELL = 32
@@ -75,12 +75,10 @@ _BYTES_PER_SITE_PAIR = 64
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
 # modules each experiment loads before build_runtime, so that imports count
 # as set-up and not as the runner's time: the hierarchy runs assemble a
-# CsrMatrix (ovskale.csr loads scipy's compiled sparse kernels) and call
-# np.unique, whose first call in numpy 2.x imports numpy.ma (_unique1d asks
-# np.ma.is_masked); the kinetic runs need ovskale.kinetic (scipy's compiled
-# FFT kernels)
+# CsrMatrix (ovskale.csr loads scipy's compiled sparse kernels); the kinetic
+# runs need ovskale.kinetic (scipy's compiled FFT kernels)
 _SETUP_IMPORTS = {
-    **dict.fromkeys(_HIERARCHY_RUNS, ("ovskale.csr", "numpy.ma")),
+    **dict.fromkeys(_HIERARCHY_RUNS, ("ovskale.csr",)),
     "kinetic": ("ovskale.kinetic",),
     "bifurcation": ("ovskale.kinetic",),
 }
@@ -162,6 +160,7 @@ def _check_footprint(
     trajectories: int = 1,
     legs: int = 0,
     orbits: tuple[int, ...] | None = None,
+    flat_states: int = 0,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
@@ -178,7 +177,9 @@ def _check_footprint(
     states, the level loop and the operators' rows are over the orbits: a
     row of order k >= 1 has at most k birth, S - k crowding and
     sum_{j <= n - k} C(S - k, j) death and diagonal entries (the empty row
-    none), and the orbit map with the layer scans of assembly work over d.
+    none), and assembly enumerates exactly these candidates.  Only the orbit
+    map and flat_states full states (the semigroup gap's test states) are
+    over d.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
     if orbits is None:
@@ -194,7 +195,8 @@ def _check_footprint(
                      + sum(math.comb(sites - k, j) for j in range(order - k + 1)))
             for k, count in enumerate(orbits) if k and count
         )
-        need = _BYTES_PER_ORBIT_ENTRY * dim + operators * _BYTES_PER_ORBIT_NONZERO * nnz
+        need = (_BYTES_PER_ORBIT_ENTRY + 8 * flat_states) * dim
+        need += operators * _BYTES_PER_ORBIT_NONZERO * nnz
         detail = f"d={dim}, orbits={rows}, nnz<={nnz}"
     if solve is not None:
         solver, sup_energy = solve
@@ -420,15 +422,18 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         eps_list.append(0.0)
     from .orbits import orbit_counts, orbit_map, point_group
     group = point_group(bundle.kernels)
-    # the sweep keeps every epsilon's operator and trajectory, on the orbit route
+    samples = exp.get("samples", 20)
+    # the sweep keeps every epsilon's operator and trajectory, on the orbit
+    # route; the semigroup gap holds its draw of samples states and their
+    # stack under the geometric profile
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, max(eps_list) * bundle.kernels.sup_a),
         operators=len(eps_list), trajectories=len(eps_list),
         orbits=orbit_counts(bundle.torus, bundle.truncation, group),
+        flat_states=2 * (samples + 1),
     )
     # the gap indices depend on the config alone: reject them before the sweep
-    samples = exp.get("samples", 20)
     gap_t = exp.get("gap_time", bundle.solver.upsilon)
     alpha_lo = exp.get("gap_alpha_lo", bundle.scale.alpha_s)
     alpha_hi = exp.get("gap_alpha_hi", bundle.scale.alpha_star)

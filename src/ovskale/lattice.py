@@ -159,6 +159,23 @@ def subset_rank(site_count: int, subsets: np.ndarray) -> np.ndarray:
     return rank
 
 
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, increasing, and the position of each value among them.
+
+    `np.unique(values, return_inverse=True)` for a 1-D integer array, by one
+    sort: equal values need no order among them.  np.unique imports numpy.ma
+    on its first call.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def layer_sizes(site_count: int, n_max: int) -> tuple[int, ...]:
     return tuple(math.comb(site_count, n) for n in range(n_max + 1))
 

@@ -20,13 +20,21 @@ n_max is dropped and reads from above n_max are zero (closed truncation).
 `OperatorHandle` freezes one part of the generator L_eps = A_eps + Z_eps
 ("full", "diagonal" A_eps, or "perturbation" Z_eps) and caches its sparse
 matrix for repeated application inside the solvers.  Each term family is
-built as COO index arrays over whole layers (`lattice.layer_array`): crowding
-and birth pair every (n+1)-subset with its n-subsets one position short,
-death splits every (n+j)-subset into the positions of eta and of xi, and
-`lattice.subset_rank` turns the subsets back into flat indices.  Sums and
-products run over sites in increasing order, as the formulas above read.
-On the orbit route a handle keeps only the blocks' entries at the
-representative rows and sums their columns over each orbit.
+built as COO index arrays by one of two enumerators, each the faster for
+its route:
+
+  * the full route enumerates whole layers (`lattice.layer_array`): crowding
+    and birth pair every (n+1)-subset with its n-subsets one position short,
+    death splits every (n+j)-subset into the positions of eta and of xi, and
+    `lattice.subset_rank` turns the subsets back into flat indices;
+  * the orbit route starts from the representative rows alone
+    (`OrbitMap.reps`): birth takes eta - x, crowding eta + x and death
+    eta + xi for xi outside eta, each union ranked from the merge positions
+    of its two parts without a sort, and every column is mapped to its orbit
+    (`OrbitMap.orbit_of`), so the columns of each orbit are summed.
+
+Sums and products run over sites in increasing order, as the formulas above
+read, so both enumerators give every term the same bits.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 
 from .lattice import (
     KernelPair,
+    _binomials,
     diff_table,
     layer_array,
     layer_offsets,
@@ -85,18 +94,35 @@ def _mobius_table(kernels: KernelPair, eps: float) -> np.ndarray:
     return np.expm1(-eps * phi) / eps
 
 
-def _held(held, rows: np.ndarray):
-    """Positions of the entries whose row is held: all (a slice) when held is None."""
-    return slice(None) if held is None else np.flatnonzero(held[rows])
+def _pair_energies(a_pair: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """E^a of each row of an (N, n) subset array: a(x - y) summed over ordered
+    pairs of distinct sites, x outer and y inner, both in increasing site order."""
+    energy = np.zeros(len(eta))
+    for p in range(eta.shape[1]):
+        for q in range(eta.shape[1]):
+            if q != p:
+                energy += a_pair[eta[:, p], eta[:, q]]
+    return energy
 
 
-def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int, held):
-    """COO blocks of the crowding and birth families, at the rows held.
+def _damping(phi_pair: np.ndarray, params: ModelParams, eta: np.ndarray) -> np.ndarray:
+    """m e^{-eps E^phi(x, eta - x)} at each position x of each row of eta, the
+    sum over eta - x in increasing site order."""
+    e_phi = np.zeros(eta.shape)
+    for i in range(eta.shape[1]):
+        for q in range(eta.shape[1]):
+            if q != i:
+                e_phi[:, i] += phi_pair[eta[:, i], eta[:, q]]
+    return params.death_amplitude * np.exp(-float(params.epsilon) * e_phi)
+
+
+def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int):
+    """COO blocks of the crowding and birth families over whole layers.
 
     Both come from each m-subset T with one position p removed: birth maps
     row T to column T - T[p] with rate lambda, crowding maps row T - T[p] to
     column T with -h^d sum_{y in T - T[p]} a(T[p] - y), summed over y in
-    increasing order.  held marks the rows to build (None: every row).
+    increasing order.
     """
     s = kernels.torus.site_count
     h = kernels.torus.cell_volume
@@ -105,47 +131,35 @@ def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int, he
     for m in range(1, n_max + 1):
         upper = layer_array(s, m)
         top = offs[m] + np.arange(len(upper))
-        births = _held(held, top)
         for p in range(m):
             below = offs[m - 1] + subset_rank(s, np.delete(upper, p, axis=1))
-            yield top[births], below[births], np.full(len(top[births]), params.birth_intensity)
-            pick = _held(held, below)
-            kept = upper[pick]
-            coef = np.zeros(len(kept))
+            yield top, below, np.full(len(top), params.birth_intensity)
+            coef = np.zeros(len(upper))
             for q in range(m):
                 if q != p:
-                    coef += a_pair[kept[:, p], kept[:, q]]
+                    coef += a_pair[upper[:, p], upper[:, q]]
             keep = coef != 0.0
-            yield below[pick][keep], top[pick][keep], -h * coef[keep]
+            yield below[keep], top[keep], -h * coef[keep]
 
 
-def _death(kernels: KernelPair, params: ModelParams, n_max: int, held):
-    """COO blocks of the death family, at the rows held.
+def _death(kernels: KernelPair, params: ModelParams, n_max: int):
+    """COO blocks of the death family over whole layers.
 
     Entry (eta, eta + xi) comes from each (n + j)-subset T split into n
     positions for eta and j for xi: -h^{d j} sum_{x in eta} m e^{-eps
     E^phi(x, eta - x)} prod_{y in xi} w(x - y), with the sum over x and the
-    product over y taken in increasing site order.  held marks the rows to
-    build (None: every row).
+    product over y taken in increasing site order.
     """
-    eps = float(params.epsilon)
     torus = kernels.torus
     s = torus.site_count
     h = torus.cell_volume
     diff = diff_table(torus)
     phi_pair = kernels.phi_values[diff]
-    mob_pair = _mobius_table(kernels, eps)[diff]
+    mob_pair = _mobius_table(kernels, float(params.epsilon))[diff]
     offs = layer_offsets(s, n_max)
-    # damping prefactor of each removal position of each eta, layer by layer
-    prefactors = [None]
-    for n in range(1, n_max + 1):
-        eta = layer_array(s, n)
-        e_phi = np.zeros(eta.shape)
-        for i in range(n):
-            for q in range(n):
-                if q != i:
-                    e_phi[:, i] += phi_pair[eta[:, i], eta[:, q]]
-        prefactors.append(params.death_amplitude * np.exp(-eps * e_phi))
+    prefactors = [None] + [
+        _damping(phi_pair, params, layer_array(s, n)) for n in range(1, n_max + 1)
+    ]
     for t in range(1, n_max + 1):
         upper = layer_array(s, t)
         top = offs[t] + np.arange(len(upper))
@@ -155,17 +169,96 @@ def _death(kernels: KernelPair, params: ModelParams, n_max: int, held):
             for xi in itertools.combinations(range(t), j):
                 rest = [q for q in range(t) if q not in xi]
                 rank = subset_rank(s, upper[:, rest])
-                pick = _held(held, offs[n] + rank)
-                rank, kept = rank[pick], upper[pick]
                 pre = prefactors[n][rank]
-                val = np.zeros(len(kept))
+                val = np.zeros(len(upper))
                 for i, q in enumerate(rest):
                     prod = pre[:, i]
                     for r in xi:
-                        prod = prod * mob_pair[kept[:, q], kept[:, r]]
+                        prod = prod * mob_pair[upper[:, q], upper[:, r]]
                     val += prod
                 keep = val != 0.0
-                yield offs[n] + rank[keep], top[pick][keep], -weight * val[keep]
+                yield offs[n] + rank[keep], top[keep], -weight * val[keep]
+
+
+def _rep_layers(orbits: OrbitMap):
+    """(n, flat rows, (R, n) subsets) of the representatives of each nonempty layer."""
+    s = orbits.torus.site_count
+    offs = layer_offsets(s, orbits.n_max)
+    bounds = np.searchsorted(orbits.reps, offs)
+    for n in range(min(orbits.n_max, s) + 1):
+        rows = orbits.reps[bounds[n]:bounds[n + 1]]
+        yield n, rows, layer_array(s, n)[rows - offs[n]]
+
+
+def _union_rank(s: int, eta: np.ndarray, xi: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Rank in its layer of each union eta[r] + xi[r, k], without a sort.
+
+    eta is (R, n), xi (R, K, j) and picks (K, j): xi[r, k, b] is the
+    picks[k, b]-th site outside eta[r], both increasing in b.  Then
+    xi_b - picks_b sites of eta lie below xi_b, so it sits at position
+    b + xi_b - picks_b of the union; eta_a has eta_a - a free sites below
+    it, and sits at a + #{b : picks_b < eta_a - a}.  The rank is
+    `subset_rank`'s sum over those positions.
+    """
+    n, j = eta.shape[1], picks.shape[1]
+    t = n + j
+    binom = _binomials(s, t)
+    rank = np.full(xi.shape[:2], math.comb(s, t) - 1, dtype=np.int64)
+    for b in range(j):
+        rank -= binom[s - 1 - xi[:, :, b], t - b - xi[:, :, b] + picks[:, b]]
+    for a in range(n):
+        passed = (picks < (eta[:, a, None, None] - a)).sum(axis=2)
+        rank -= binom[s - 1 - eta[:, a, None], t - a - passed]
+    return rank
+
+
+def _rep_blocks(kernels: KernelPair, params: ModelParams, orbits: OrbitMap):
+    """COO blocks of the birth, crowding and death families at the representative rows.
+
+    Row eta of order n gets birth entries at each eta - eta[p], crowding
+    entries at each eta + x with x outside eta, and death entries at each
+    eta + xi with xi outside eta and |xi| <= n_max - n.  The values follow
+    the formulas and the site order of the whole-layer families, so every
+    entry has their bits.
+    """
+    s = kernels.torus.site_count
+    h = kernels.torus.cell_volume
+    n_max = orbits.n_max
+    diff = diff_table(kernels.torus)
+    a_pair = kernels.a_values[diff]
+    phi_pair = kernels.phi_values[diff]
+    mob_pair = _mobius_table(kernels, float(params.epsilon))[diff]
+    offs = layer_offsets(s, n_max)
+    for n, rows, eta in _rep_layers(orbits):
+        if n == 0:
+            continue
+        for p in range(n):
+            below = offs[n - 1] + subset_rank(s, np.delete(eta, p, axis=1))
+            yield rows, below, np.full(len(rows), params.birth_intensity)
+        # the sites outside each row, increasing
+        outside = np.ones((len(eta), s), dtype=bool)
+        outside[np.arange(len(eta))[:, None], eta] = False
+        free = np.nonzero(outside)[1].reshape(len(eta), s - n)
+        if n < n_max:
+            coef = np.zeros(free.shape)
+            for q in range(n):
+                coef += a_pair[free, eta[:, q, None]]
+            cols = offs[n + 1] + _union_rank(s, eta, free[:, :, None], np.arange(s - n)[:, None])
+            keep = coef != 0.0
+            yield np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep], -h * coef[keep]
+        pre = _damping(phi_pair, params, eta)
+        for j in range(n_max - n + 1):
+            picks = layer_array(s - n, j)
+            xi = free[:, picks]
+            val = np.zeros(xi.shape[:2])
+            for i in range(n):
+                prod = pre[:, i, None]
+                for b in range(j):
+                    prod = prod * mob_pair[eta[:, i, None], xi[:, :, b]]
+                val += prod
+            cols = offs[n + j] + _union_rank(s, eta, xi, picks)
+            keep = val != 0.0
+            yield np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep], -h**j * val[keep]
 
 
 class OperatorHandle:
@@ -180,8 +273,8 @@ class OperatorHandle:
     tables) the handle is on the orbit route: it acts on states constant on
     orbits, held by their entries at the representatives.  Its one matrix is
     Z_red[r, o] = sum_{c in o} Z[r, c] over representative rows r, built
-    from those rows alone, and its energies are read at the representatives;
-    no flat column index of the operator is kept.
+    from those rows alone, and its energies are computed at the
+    representatives alone; no flat column index of the operator is kept.
     """
 
     def __init__(
@@ -224,28 +317,27 @@ class OperatorHandle:
         """(n, n) `CsrMatrix` of the operator: n = d flat entries, or n orbits.
 
         Each term family contributes COO blocks and coinciding entries are
-        summed; no entry collects more than two terms, so the sum does not
-        depend on their order and full == diagonal + perturbation exactly.
-        On the orbit route the blocks hold the representative rows only, and
-        their rows and columns are mapped to orbit ids as they are staged, so
-        the columns of each orbit are summed.
+        summed.  The full route enumerates whole layers (`_crowding_and_birth`,
+        `_death`); there no entry collects more than two terms, so the sum
+        does not depend on their order and full == diagonal + perturbation
+        exactly.  The orbit route enumerates the entries of the
+        representative rows alone (`_rep_blocks`) and maps their rows and
+        columns to orbit ids as they are staged, so the columns of each orbit
+        are summed.
         """
         if self._matrix is None:
             # loads scipy's sparse kernels: kinetic runs import this module
             # but need none
             from .csr import CsrMatrix
 
-            held = ids = None
-            n = self.dimension
+            ids, n = None, self.dimension
             if self.orbits is not None:
-                held = np.zeros(n, dtype=bool)
-                held[self.orbits.reps] = True
                 ids, n = self.orbits.orbit_of, self.orbits.count
             # int32 indices, scipy's own choice while n fits, staged one
             # coordinate at a time: each list is dropped once concatenated
             index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
             rows, cols, vals = [np.zeros(0, index)], [np.zeros(0, index)], [np.zeros(0)]
-            for r, c, v in self._blocks(held):
+            for r, c, v in self._blocks():
                 if ids is not None:
                     r, c = ids[r], ids[c]
                 rows.append(r.astype(index))
@@ -257,28 +349,42 @@ class OperatorHandle:
             self._matrix = CsrMatrix.from_coo(vals, rows, cols, (n, n))
         return self._matrix
 
-    def _blocks(self, held):
-        """COO blocks (rows, columns, values) of the term families at the rows held (None: all)."""
+    def _blocks(self):
+        """COO blocks (flat rows, flat columns, values) of the term families: of
+        every row on the full route, of the representatives on the orbit route."""
         eps = float(self.params.epsilon)
-        if self.kind != "perturbation" and eps != 0.0:
-            energies = interaction_energies(self.kernels, self.n_max)
-            offs = layer_offsets(self.torus.site_count, self.n_max)
-            # only entries of order >= 2 carry a pair energy
-            idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
-            idx = idx[_held(held, idx)]
-            yield idx, idx, -eps * energies[idx]
+        diagonal = self.kind != "perturbation" and eps != 0.0
+        if self.orbits is None:
+            if diagonal:
+                energies = interaction_energies(self.kernels, self.n_max)
+                offs = layer_offsets(self.torus.site_count, self.n_max)
+                # only entries of order >= 2 carry a pair energy
+                idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
+                yield idx, idx, -eps * energies[idx]
+            if self.kind != "diagonal":
+                yield from _crowding_and_birth(self.kernels, self.params, self.n_max)
+                yield from _death(self.kernels, self.params, self.n_max)
+            return
+        if diagonal:
+            a_pair = self.kernels.a_values[diff_table(self.torus)]
+            for n, rows, eta in _rep_layers(self.orbits):
+                if n >= 2:
+                    yield rows, rows, -eps * _pair_energies(a_pair, eta)
         if self.kind != "diagonal":
-            yield from _crowding_and_birth(self.kernels, self.params, self.n_max, held)
-            yield from _death(self.kernels, self.params, self.n_max, held)
+            yield from _rep_blocks(self.kernels, self.params, self.orbits)
 
     def semigroup_energies(self) -> np.ndarray:
         """Diagonal energies eps E^a, flat or at the representatives: the diagonal part multiplies by -E."""
         if not self.is_diagonal:
             raise ValueError("semigroup energies only defined for the diagonal kind")
         if self._energies is None:
-            energies = interaction_energies(self.kernels, self.n_max)
-            if self.orbits is not None:
-                energies = energies[self.orbits.reps]
+            if self.orbits is None:
+                energies = interaction_energies(self.kernels, self.n_max)
+            else:
+                a_pair = self.kernels.a_values[diff_table(self.torus)]
+                energies = np.concatenate(
+                    [_pair_energies(a_pair, eta) for _, _, eta in _rep_layers(self.orbits)]
+                )
             self._energies = self.params.epsilon * energies
         return self._energies
 
@@ -308,14 +414,4 @@ def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
     """
     s = kernels.torus.site_count
     a_pair = kernels.a_values[diff_table(kernels.torus)]
-    parts = []
-    for n in range(n_max + 1):
-        eta = layer_array(s, n)
-        energy = np.zeros(len(eta))
-        for p in range(n):
-            for q in range(n):
-                if q != p:
-                    energy += a_pair[eta[:, p], eta[:, q]]
-        parts.append(energy)
-    return np.concatenate(parts)
-
+    return np.concatenate([_pair_energies(a_pair, layer_array(s, n)) for n in range(n_max + 1)])

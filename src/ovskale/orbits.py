@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SymmetryError
-from .lattice import KernelPair, Torus, diff_table, layer_array, layer_offsets, subset_rank
+from .lattice import (
+    KernelPair, Torus, diff_table, layer_array, layer_offsets, subset_rank, unique_inverse,
+)
 
 
 def _fixes(g: np.ndarray, kernels: KernelPair) -> bool:
@@ -119,17 +121,25 @@ class OrbitMap:
     group: tuple
     reps: np.ndarray
     orbit_of: np.ndarray
+    # the kernel pairs whose tables every element has been checked to fix
+    _fixed: set = field(default_factory=set, init=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.reps)
 
     def fits(self, kernels: KernelPair, n_max: int) -> bool:
-        """Whether the map is of the kernels' torus and truncation, by a group that fixes both kernels."""
-        return (
-            self.torus == kernels.torus and self.n_max == n_max
-            and all(_fixes(g, kernels) for g in self.group)
-        )
+        """Whether the map is of the kernels' torus and truncation, by a group that fixes both kernels.
+
+        The group is checked once per kernel pair, which a sweep's handles share.
+        """
+        if self.torus != kernels.torus or self.n_max != n_max:
+            return False
+        if kernels not in self._fixed:
+            if not all(_fixes(g, kernels) for g in self.group):
+                return False
+            self._fixed.add(kernels)
+        return True
 
     def restrict(self, flat: np.ndarray) -> np.ndarray:
         """Entries of a flat state at the representatives; SymmetryError unless constant on orbits."""
@@ -169,10 +179,10 @@ def orbit_map(torus: Torus, n_max: int, group) -> OrbitMap:
     for n in range(1, n_max + 1):
         layer = layer_array(sites, n)
         by_translation = _least_image(torus, layer, [np.arange(sites)])
-        shifted, inverse = np.unique(by_translation, return_inverse=True)
+        shifted, inverse = unique_inverse(by_translation)
         best = _least_image(torus, layer[shifted], images)[inverse]
         canonical[offs[n]:offs[n + 1]] = offs[n] + best
-    reps, orbit_of = np.unique(canonical, return_inverse=True)
+    reps, orbit_of = unique_inverse(canonical)
     for arr in (reps, orbit_of):
         arr.setflags(write=False)
     return OrbitMap(torus, n_max, tuple(group), reps, orbit_of)

@@ -49,6 +49,7 @@ import numpy as np
 
 from . import compiled
 from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantViolation
+from .lattice import unique_inverse
 from .operators import OperatorHandle
 from .scale import (
     _LOG_FLOAT_MAX,
@@ -690,7 +691,7 @@ def ovsyannikov_evolve(
             raise HorizonError("ratio test failed: q (t - s) / horizon_prime must be < 1")
         grid = cfg.time_grid_points
         count = min(cfg.trajectory_points, grid + 1)
-        store_idx = np.unique(np.round(np.linspace(0, grid, count)).astype(int))
+        store_idx = unique_inverse(np.round(np.linspace(0, grid, count)).astype(int))[0]
         energies = diag_op.semigroup_energies()
         zmat = pert_op.matrix()
         (rows, final_norms, n_used), (nodes, interp_bound, residuals, exact) = _run_grid(

@@ -29,11 +29,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import KernelPair
+from .lattice import KernelPair, layer_offsets
 from .operators import ModelParams, OperatorHandle, interaction_energies, split_handles
 from .scale import BoundModel, ScaleSpec, norm_alpha_flat
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
-from .states import CorrelationVector, flat_orders, random_correlation
+from .states import CorrelationVector, flat_orders
 
 if TYPE_CHECKING:
     from .kinetic import DensityField
@@ -78,12 +78,18 @@ class EpsilonSweep:
         return self.epsilons[:-1]
 
 
-def _test_profiles(torus, n_max: int, alpha_lo: float, samples: int, rng):
-    """The extremal geometric profile, then random states in the alpha_lo ball, one at a time."""
+def _test_profiles(torus, n_max: int, alpha_lo: float, samples: int, rng) -> np.ndarray:
+    """The extremal geometric profile, then random states in the alpha_lo ball, one per row.
+
+    The random rows come from one draw, layer n scaled by alpha_lo^n: the
+    numbers `random_correlation` draws for samples states in turn.
+    """
     orders = flat_orders(torus, n_max)
-    yield np.power(alpha_lo, orders.astype(float))
-    for _ in range(samples):
-        yield random_correlation(torus, n_max, alpha_lo, rng).flat()
+    offs = layer_offsets(torus.site_count, n_max)
+    drawn = rng.uniform(-1.0, 1.0, (samples, offs[-1]))
+    for n in range(1, n_max + 1):
+        drawn[:, offs[n]:offs[n + 1]] *= alpha_lo**n
+    return np.vstack([np.power(alpha_lo, orders.astype(float)), drawn])
 
 
 def semigroup_gap(
@@ -110,13 +116,12 @@ def semigroup_gap(
     energies = interaction_energies(kernels, n_max)
     factor = np.exp(-t * epsilon * energies) - 1.0
     orders = flat_orders(kernels.torus, n_max)
-    best = 0.0
-    for u in _test_profiles(kernels.torus, n_max, alpha_lo, samples, rng):
-        denom = norm_alpha_flat(u, orders, alpha_lo)
-        if denom == 0.0:
-            continue
-        best = max(best, norm_alpha_flat(factor * u, orders, alpha_hi) / denom)
-    return best
+    states = _test_profiles(kernels.torus, n_max, alpha_lo, samples, rng)
+    denoms = norm_alpha_flat(states, orders, alpha_lo)
+    states *= factor
+    gaps = norm_alpha_flat(states, orders, alpha_hi)
+    held = denoms != 0.0
+    return float(np.max(gaps[held] / denoms[held], initial=0.0))
 
 
 def semigroup_gap_intermediate(

@@ -481,7 +481,7 @@ def test_exit_3_before_tabulating_a_huge_torus(tmp_path, capsys, name):
 PAIR_PROBE = """
 import json, sys
 from ovskale import experiments
-import ovskale.csr, numpy.ma
+import ovskale.csr
 
 
 def peak():

@@ -21,11 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # the hierarchy runs, ovskale.kinetic (scipy's compiled FFT kernels) by the
 # kinetic runs, and scipy.sparse by the oracle, which no run calls; the
 # package loads scipy.integrate (its DOP853 is scipy's compiled one, loaded
-# as ovskale._dop), scipy.optimize, scipy.fft, scipy.special, numpy.fft and
-# jsonschema nowhere
+# as ovskale._dop), scipy.optimize, scipy.fft, scipy.special, numpy.fft,
+# jsonschema and numpy.ma (which np.unique imports on its first call)
+# nowhere
 LAZY = (
     "ovskale.csr",
     "jsonschema",
+    "numpy.ma",
     "scipy.sparse",
     "scipy.optimize",
     "scipy.integrate",

@@ -28,6 +28,7 @@ from ovskale.lattice import (
     subset_rank,
     subsets_of_order,
     total_dimension,
+    unique_inverse,
 )
 from conftest import (
     GAUSS_A,
@@ -121,6 +122,17 @@ def test_subset_enumeration_counts():
     layer = layer_array(s, 3)
     pick = np.array([19, 0, 7, 7, 12])
     assert np.array_equal(subset_rank(s, layer[pick]), pick)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.integers(-2**62, 2**62) | st.integers(0, 5), max_size=60))
+def test_unique_inverse_is_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    distinct, inverse = unique_inverse(values)
+    ref_distinct, ref_inverse = np.unique(values, return_inverse=True)
+    for ours, ref in ((distinct, ref_distinct), (inverse, ref_inverse)):
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
 
 
 def test_gaussian_kernel_hand_values():

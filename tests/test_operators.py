@@ -179,12 +179,8 @@ def _int64_staged(handle):
     and on the orbit route their rows and columns are mapped to orbit ids
     after the concatenation.
     """
-    held = None
-    if handle.orbits is not None:
-        held = np.zeros(handle.dimension, dtype=bool)
-        held[handle.orbits.reps] = True
     blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    blocks.extend(handle._blocks(held))
+    blocks.extend(handle._blocks())
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
     n = handle.dimension
     if handle.orbits is not None:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +245,44 @@ def test_orbit_perturbation_gap_is_the_full_one(model, epsilon, seed):
     assert np.array_equal(orb.deltas, full.deltas)
     assert np.allclose(orb.gaps, full.gaps, rtol=_ROUTE_TOL, atol=0.0)
     assert orb.fitted_pole == pytest.approx(full.fitted_pole, rel=_ROUTE_TOL, abs=0.0)
+
+
+def _orbit_column_sums(handle, orbits):
+    """Reference: the full route's matrix at the representative rows, its
+    columns summed over each orbit, and the same sums of its terms' magnitudes."""
+    blocks = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    blocks.extend(handle._blocks())
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    held = np.zeros(handle.dimension, dtype=bool)
+    held[orbits.reps] = True
+    rows, cols, vals = rows[held[rows]], cols[held[rows]], vals[held[rows]]
+    shape = (orbits.count,) * 2
+    ids = (orbits.orbit_of[rows], orbits.orbit_of[cols])
+    return [sp.coo_matrix((v, ids), shape=shape).tocsr() for v in (vals, np.abs(vals))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=_model(max_dim=3),
+    epsilon=st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.just(1.0)),
+    kind=st.sampled_from(["full", "diagonal", "perturbation"]),
+)
+def test_representative_rows_assemble_the_orbit_column_sums(model, epsilon, kind):
+    # the orbit route enumerates the representative rows alone; its matrix
+    # is the full matrix's orbit-column sums at those rows, entry for entry
+    # up to the order in which an orbit's columns are summed
+    kernels, n_max, _ = model
+    params = ModelParams(0.7, 1.3, epsilon)
+    orbits = orbit_map(kernels.torus, n_max, point_group(kernels))
+    reduced = OperatorHandle(kind, kernels, params, n_max, orbits).matrix()
+    ref, magnitude = _orbit_column_sums(OperatorHandle(kind, kernels, params, n_max), orbits)
+    assert np.array_equal(reduced.indptr, ref.indptr)
+    assert np.array_equal(reduced.indices, ref.indices)
+    assert np.all(np.abs(reduced.data - ref.data) <= 1e-15 * magnitude.data)
+    if kind == "diagonal":
+        energies = OperatorHandle(kind, kernels, params, n_max).semigroup_energies()
+        on_orbits = OperatorHandle(kind, kernels, params, n_max, orbits).semigroup_energies()
+        assert on_orbits.tobytes() == energies[orbits.reps].tobytes()
 
 
 def test_a_random_state_on_the_orbit_route_is_refused(rng):

@@ -1,7 +1,10 @@
 """Scaling-limit diagnostics: semigroup gaps, operator gaps, chaos."""
 
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from ovskale import (
     semigroup_gap_intermediate,
     vlasov_limit,
 )
-from ovskale import series
+from ovskale import experiments, series
+from ovskale.config import build_runtime, load_config
 
 from conftest import GAUSS_PHI, Instance, make_instance
 
@@ -241,3 +245,24 @@ def test_limit_params_epsilon_is_irrelevant(small):
         rep = vlasov_limit(sweep, small.kernels, par, small.bound)
         gaps.append(rep.sup_gaps[0])
     assert gaps[0] == pytest.approx(gaps[1], rel=1e-13)
+
+
+def test_vlasov_run_stays_within_the_size_check(tmp_path):
+    # the semigroup gap stacks its random states over d; with many samples
+    # they outweigh the orbit route's per-entry share, and the runner's
+    # estimate must count them
+    doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "vlasov.json"))
+    doc["model"]["torus"]["sites"] = 24
+    doc["model"]["truncation"] = 4
+    doc["experiment"].update(epsilons=[0.2, 0.1, 0.0], samples=100)
+    bundle = build_runtime(doc)
+    needs = []
+    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
+        tracemalloc.start()
+        try:
+            checks, _ = experiments.run_vlasov(bundle, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert checks
+    assert peak <= max(needs)
