@@ -51,7 +51,8 @@ from .vlasov import (
 # share of physical memory a run's hierarchy arrays may be planned to take
 _MEMORY_SHARE = 0.5
 # peak of assembly (int32 COO blocks, their concatenation, the CSR matrix)
-# per nonzero of the bound below: measured 29-33 on 1-, 2- and 3-D tori
+# per nonzero of the bound below, with cold layer tables: measured 29-33 on
+# 1-, 2- and 3-D tori from 13 MB up, 32-36 on ones of 0.3-1.4 MB
 _BYTES_PER_NONZERO = 36
 # on the orbit route: per nonzero of the row bound (the representative
 # rows' candidate entries, COO blocks, the CSR matrix) and per flat entry

@@ -19,27 +19,20 @@ n_max is dropped and reads from above n_max are zero (closed truncation).
 
 `OperatorHandle` freezes one part of the generator L_eps = A_eps + Z_eps
 ("full", "diagonal" A_eps, or "perturbation" Z_eps) and caches its sparse
-matrix for repeated application inside the solvers.  Each term family is
-built as COO index arrays by one of two enumerators, each the faster for
-its route:
-
-  * the full route enumerates whole layers (`lattice.layer_array`): crowding
-    and birth pair every (n+1)-subset with its n-subsets one position short,
-    death splits every (n+j)-subset into the positions of eta and of xi, and
-    `lattice.subset_rank` turns the subsets back into flat indices;
-  * the orbit route starts from the representative rows alone
-    (`OrbitMap.reps`): birth takes eta - x, crowding eta + x and death
-    eta + xi for xi outside eta, each union ranked from the merge positions
-    of its two parts without a sort, and every column is mapped to its orbit
-    (`OrbitMap.orbit_of`), so the columns of each orbit are summed.
-
-Sums and products run over sites in increasing order, as the formulas above
-read, so both enumerators give every term the same bits.
+matrix for repeated application inside the solvers.  One enumerator builds
+every term family as COO index arrays, row by row (`_row_blocks`): a row eta
+takes its birth columns eta - x, its crowding columns eta + x and its death
+columns eta + xi for x and xi outside eta, each union ranked from the merge
+positions of its two parts without a sort.  The rows come in blocks of whole
+rows of one layer (`_layers`).  On the full route every row is enumerated;
+on the orbit route only the representative rows (`OrbitMap.reps`), and each
+column is mapped to its orbit (`OrbitMap.orbit_of`), so the columns of each
+orbit are summed.  Sums and products run over sites in increasing order, as
+the formulas above read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -116,85 +109,41 @@ def _damping(phi_pair: np.ndarray, params: ModelParams, eta: np.ndarray) -> np.n
     return params.death_amplitude * np.exp(-float(params.epsilon) * e_phi)
 
 
-def _crowding_and_birth(kernels: KernelPair, params: ModelParams, n_max: int):
-    """COO blocks of the crowding and birth families over whole layers.
+# candidate entries one block of rows may stage: a block takes as many whole
+# rows as this allows, at least one, so the temporaries of enumeration stay
+# a few MB however large the layer
+_BLOCK_ENTRIES = 1 << 17
 
-    Both come from each m-subset T with one position p removed: birth maps
-    row T to column T - T[p] with rate lambda, crowding maps row T - T[p] to
-    column T with -h^d sum_{y in T - T[p]} a(T[p] - y), summed over y in
-    increasing order.
+
+def _layers(torus, n_max: int, orbits: OrbitMap | None = None):
+    """(n, flat rows, (R, n) subsets) of each nonempty layer, in blocks of rows.
+
+    The rows are every row of the layer, or with an orbit map only its
+    representatives (`OrbitMap.reps`), in flat order.
     """
-    s = kernels.torus.site_count
-    h = kernels.torus.cell_volume
-    a_pair = kernels.a_values[diff_table(kernels.torus)]
-    offs = layer_offsets(s, n_max)
-    for m in range(1, n_max + 1):
-        upper = layer_array(s, m)
-        top = offs[m] + np.arange(len(upper))
-        for p in range(m):
-            below = offs[m - 1] + subset_rank(s, np.delete(upper, p, axis=1))
-            yield top, below, np.full(len(top), params.birth_intensity)
-            coef = np.zeros(len(upper))
-            for q in range(m):
-                if q != p:
-                    coef += a_pair[upper[:, p], upper[:, q]]
-            keep = coef != 0.0
-            yield below[keep], top[keep], -h * coef[keep]
-
-
-def _death(kernels: KernelPair, params: ModelParams, n_max: int):
-    """COO blocks of the death family over whole layers.
-
-    Entry (eta, eta + xi) comes from each (n + j)-subset T split into n
-    positions for eta and j for xi: -h^{d j} sum_{x in eta} m e^{-eps
-    E^phi(x, eta - x)} prod_{y in xi} w(x - y), with the sum over x and the
-    product over y taken in increasing site order.
-    """
-    torus = kernels.torus
     s = torus.site_count
-    h = torus.cell_volume
-    diff = diff_table(torus)
-    phi_pair = kernels.phi_values[diff]
-    mob_pair = _mobius_table(kernels, float(params.epsilon))[diff]
     offs = layer_offsets(s, n_max)
-    prefactors = [None] + [
-        _damping(phi_pair, params, layer_array(s, n)) for n in range(1, n_max + 1)
-    ]
-    for t in range(1, n_max + 1):
-        upper = layer_array(s, t)
-        top = offs[t] + np.arange(len(upper))
-        for j in range(t):
-            n = t - j
-            weight = h**j
-            for xi in itertools.combinations(range(t), j):
-                rest = [q for q in range(t) if q not in xi]
-                rank = subset_rank(s, upper[:, rest])
-                pre = prefactors[n][rank]
-                val = np.zeros(len(upper))
-                for i, q in enumerate(rest):
-                    prod = pre[:, i]
-                    for r in xi:
-                        prod = prod * mob_pair[upper[:, q], upper[:, r]]
-                    val += prod
-                keep = val != 0.0
-                yield offs[n] + rank[keep], top[keep], -weight * val[keep]
+    for n in range(min(n_max, s) + 1):
+        if orbits is None:
+            rows = np.arange(offs[n], offs[n + 1])
+        else:
+            rows = orbits.reps[np.searchsorted(orbits.reps, offs[n]):
+                               np.searchsorted(orbits.reps, offs[n + 1])]
+        subsets = layer_array(s, n)
+        # a row's candidates: n birth, S - n crowding (below the top layer)
+        # and sum_{j <= n_max - n} C(S - n, j) death entries
+        entries = n + (s - n) * (n < n_max) + sum(math.comb(s - n, j) for j in range(n_max - n + 1))
+        step = max(1, _BLOCK_ENTRIES // entries)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            yield n, block, subsets[block - offs[n]]
 
 
-def _rep_layers(orbits: OrbitMap):
-    """(n, flat rows, (R, n) subsets) of the representatives of each nonempty layer."""
-    s = orbits.torus.site_count
-    offs = layer_offsets(s, orbits.n_max)
-    bounds = np.searchsorted(orbits.reps, offs)
-    for n in range(min(orbits.n_max, s) + 1):
-        rows = orbits.reps[bounds[n]:bounds[n + 1]]
-        yield n, rows, layer_array(s, n)[rows - offs[n]]
+def _union_rank(s: int, eta: np.ndarray, xi: list, picks: np.ndarray) -> np.ndarray:
+    """Rank in its layer of each union eta[r] + {xi_b[r, k]}, without a sort.
 
-
-def _union_rank(s: int, eta: np.ndarray, xi: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """Rank in its layer of each union eta[r] + xi[r, k], without a sort.
-
-    eta is (R, n), xi (R, K, j) and picks (K, j): xi[r, k, b] is the
-    picks[k, b]-th site outside eta[r], both increasing in b.  Then
+    eta is (R, n), xi a list of j (R, K) arrays and picks (K, j): xi_b[r, k]
+    is the picks[k, b]-th site outside eta[r], both increasing in b.  Then
     xi_b - picks_b sites of eta lie below xi_b, so it sits at position
     b + xi_b - picks_b of the union; eta_a has eta_a - a free sites below
     it, and sits at a + #{b : picks_b < eta_a - a}.  The rank is
@@ -202,63 +151,79 @@ def _union_rank(s: int, eta: np.ndarray, xi: np.ndarray, picks: np.ndarray) -> n
     """
     n, j = eta.shape[1], picks.shape[1]
     t = n + j
-    binom = _binomials(s, t)
-    rank = np.full(xi.shape[:2], math.comb(s, t) - 1, dtype=np.int64)
-    for b in range(j):
-        rank -= binom[s - 1 - xi[:, :, b], t - b - xi[:, :, b] + picks[:, b]]
+    width = t + 1
+    # C(v, r) at v * width + r
+    binom = _binomials(s, t).ravel()
+    rank = np.full((len(eta), len(picks)), math.comb(s, t) - 1, dtype=np.int64)
+    for b, x in enumerate(xi):
+        # (s - 1 - x) * width + t - b - x + picks_b
+        index = x * -(width + 1)
+        index += (s - 1) * width + t - b + picks[:, b]
+        rank -= binom.take(index)
+    index = np.empty_like(rank)
     for a in range(n):
-        passed = (picks < (eta[:, a, None, None] - a)).sum(axis=2)
-        rank -= binom[s - 1 - eta[:, a, None], t - a - passed]
+        index[:] = (s - 1 - eta[:, a, None]) * width + (t - a)
+        for b in range(j):
+            index -= picks[:, b] < eta[:, a, None] - a
+        rank -= binom.take(index)
     return rank
 
 
-def _rep_blocks(kernels: KernelPair, params: ModelParams, orbits: OrbitMap):
-    """COO blocks of the birth, crowding and death families at the representative rows.
+def _row_blocks(kernels: KernelPair, params: ModelParams, n_max: int, orbits: OrbitMap | None):
+    """COO blocks of the birth, crowding and death families, row by row.
 
     Row eta of order n gets birth entries at each eta - eta[p], crowding
     entries at each eta + x with x outside eta, and death entries at each
-    eta + xi with xi outside eta and |xi| <= n_max - n.  The values follow
-    the formulas and the site order of the whole-layer families, so every
-    entry has their bits.
+    eta + xi with xi outside eta and |xi| <= n_max - n, at every row or, with
+    an orbit map, at the representatives alone.  Sums and products run over
+    the sites of eta and of xi in increasing order.
     """
     s = kernels.torus.site_count
     h = kernels.torus.cell_volume
-    n_max = orbits.n_max
     diff = diff_table(kernels.torus)
     a_pair = kernels.a_values[diff]
     phi_pair = kernels.phi_values[diff]
-    mob_pair = _mobius_table(kernels, float(params.epsilon))[diff]
+    mob = _mobius_table(kernels, float(params.epsilon))[diff].ravel()
     offs = layer_offsets(s, n_max)
-    for n, rows, eta in _rep_layers(orbits):
-        if n == 0:
-            continue
+
+    def block(n, rows, eta):
+        # a generator of its own, so that a block's temporaries go with it
         for p in range(n):
             below = offs[n - 1] + subset_rank(s, np.delete(eta, p, axis=1))
             yield rows, below, np.full(len(rows), params.birth_intensity)
-        # the sites outside each row, increasing
-        outside = np.ones((len(eta), s), dtype=bool)
-        outside[np.arange(len(eta))[:, None], eta] = False
-        free = np.nonzero(outside)[1].reshape(len(eta), s - n)
         if n < n_max:
+            # the sites outside each row, increasing
+            outside = np.ones((len(eta), s), dtype=bool)
+            outside[np.arange(len(eta))[:, None], eta] = False
+            free = np.broadcast_to(np.arange(s), outside.shape)[outside].reshape(len(eta), s - n)
             coef = np.zeros(free.shape)
             for q in range(n):
                 coef += a_pair[free, eta[:, q, None]]
-            cols = offs[n + 1] + _union_rank(s, eta, free[:, :, None], np.arange(s - n)[:, None])
+            cols = _union_rank(s, eta, [free], np.arange(s - n)[:, None])
+            cols += offs[n + 1]
             keep = coef != 0.0
             yield np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep], -h * coef[keep]
         pre = _damping(phi_pair, params, eta)
-        for j in range(n_max - n + 1):
+        for j in range(min(n_max, s) - n + 1):
             picks = layer_array(s - n, j)
-            xi = free[:, picks]
-            val = np.zeros(xi.shape[:2])
+            # empty at j = 0, the only death family of the top layer
+            xi = [free[:, pick] for pick in picks.T]
+            val = np.zeros((len(eta), len(picks)))
+            prod = np.empty_like(val)
             for i in range(n):
-                prod = pre[:, i, None]
-                for b in range(j):
-                    prod = prod * mob_pair[eta[:, i, None], xi[:, :, b]]
+                prod[:] = pre[:, i, None]
+                for x in xi:
+                    prod *= mob.take(eta[:, i, None] * s + x)
                 val += prod
-            cols = offs[n + j] + _union_rank(s, eta, xi, picks)
+            del prod  # freed before the ranks are formed
+            cols = _union_rank(s, eta, xi, picks)
+            cols += offs[n + j]
             keep = val != 0.0
             yield np.broadcast_to(rows[:, None], keep.shape)[keep], cols[keep], -h**j * val[keep]
+
+    for n, rows, eta in _layers(kernels.torus, n_max, orbits):
+        if n:
+            yield from block(n, rows, eta)
 
 
 class OperatorHandle:
@@ -316,14 +281,13 @@ class OperatorHandle:
     def matrix(self) -> CsrMatrix:
         """(n, n) `CsrMatrix` of the operator: n = d flat entries, or n orbits.
 
-        Each term family contributes COO blocks and coinciding entries are
-        summed.  The full route enumerates whole layers (`_crowding_and_birth`,
-        `_death`); there no entry collects more than two terms, so the sum
-        does not depend on their order and full == diagonal + perturbation
-        exactly.  The orbit route enumerates the entries of the
-        representative rows alone (`_rep_blocks`) and maps their rows and
-        columns to orbit ids as they are staged, so the columns of each orbit
-        are summed.
+        Each term family contributes COO blocks, enumerated row by row
+        (`_row_blocks`), and coinciding entries are summed.  On the full route
+        every row is enumerated and no entry collects more than two terms, so
+        the sum does not depend on their order and full == diagonal +
+        perturbation exactly.  The orbit route enumerates the representative
+        rows alone and maps their rows and columns to orbit ids as they are
+        staged, so the columns of each orbit are summed.
         """
         if self._matrix is None:
             # loads scipy's sparse kernels: kinetic runs import this module
@@ -353,38 +317,22 @@ class OperatorHandle:
         """COO blocks (flat rows, flat columns, values) of the term families: of
         every row on the full route, of the representatives on the orbit route."""
         eps = float(self.params.epsilon)
-        diagonal = self.kind != "perturbation" and eps != 0.0
-        if self.orbits is None:
-            if diagonal:
-                energies = interaction_energies(self.kernels, self.n_max)
-                offs = layer_offsets(self.torus.site_count, self.n_max)
-                # only entries of order >= 2 carry a pair energy
-                idx = np.arange(offs[min(2, self.n_max + 1)], offs[-1])
-                yield idx, idx, -eps * energies[idx]
-            if self.kind != "diagonal":
-                yield from _crowding_and_birth(self.kernels, self.params, self.n_max)
-                yield from _death(self.kernels, self.params, self.n_max)
-            return
-        if diagonal:
-            a_pair = self.kernels.a_values[diff_table(self.torus)]
-            for n, rows, eta in _rep_layers(self.orbits):
-                if n >= 2:
-                    yield rows, rows, -eps * _pair_energies(a_pair, eta)
+        if self.kind != "perturbation" and eps != 0.0:
+            rows = np.arange(self.dimension) if self.orbits is None else self.orbits.reps
+            energies = interaction_energies(self.kernels, self.n_max, self.orbits)
+            # only entries of order >= 2 carry a pair energy
+            offs = layer_offsets(self.torus.site_count, self.n_max)
+            first = np.searchsorted(rows, offs[min(2, self.n_max + 1)])
+            yield rows[first:], rows[first:], -eps * energies[first:]
         if self.kind != "diagonal":
-            yield from _rep_blocks(self.kernels, self.params, self.orbits)
+            yield from _row_blocks(self.kernels, self.params, self.n_max, self.orbits)
 
     def semigroup_energies(self) -> np.ndarray:
         """Diagonal energies eps E^a, flat or at the representatives: the diagonal part multiplies by -E."""
         if not self.is_diagonal:
             raise ValueError("semigroup energies only defined for the diagonal kind")
         if self._energies is None:
-            if self.orbits is None:
-                energies = interaction_energies(self.kernels, self.n_max)
-            else:
-                a_pair = self.kernels.a_values[diff_table(self.torus)]
-                energies = np.concatenate(
-                    [_pair_energies(a_pair, eta) for _, _, eta in _rep_layers(self.orbits)]
-                )
+            energies = interaction_energies(self.kernels, self.n_max, self.orbits)
             self._energies = self.params.epsilon * energies
         return self._energies
 
@@ -406,12 +354,15 @@ def split_handles(
     return OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
 
 
-def interaction_energies(kernels: KernelPair, n_max: int) -> np.ndarray:
-    """Flat vector of pair energies E^a(eta) per configuration entry.
+def interaction_energies(
+    kernels: KernelPair, n_max: int, orbits: OrbitMap | None = None,
+) -> np.ndarray:
+    """Pair energies E^a(eta) of every flat entry, or of the representatives of orbits.
 
     Each entry sums a(x - y) over ordered pairs of distinct sites of eta,
     x outer and y inner, both in increasing site order.
     """
-    s = kernels.torus.site_count
     a_pair = kernels.a_values[diff_table(kernels.torus)]
-    return np.concatenate([_pair_energies(a_pair, layer_array(s, n)) for n in range(n_max + 1)])
+    return np.concatenate(
+        [_pair_energies(a_pair, eta) for _, _, eta in _layers(kernels.torus, n_max, orbits)]
+    )

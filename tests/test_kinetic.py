@@ -323,6 +323,16 @@ def test_integrator_step_collapse(monkeypatch):
         integrate_kinetic(DensityField(ker.torus, 0.5), 1e6, 1e6, ker, PAR)
 
 
+def test_integrator_negativity_collapse(monkeypatch):
+    # every trial step goes negative while the stability bound still holds
+    monkeypatch.setattr(kinetic, "_MAX_HALVINGS", 3)
+    monkeypatch.setattr(kinetic, "_rhs", lambda rho, *args: np.full_like(rho, -1e9))
+    ker = _kernels()
+    message = "negativity rejection forced too many step halvings"
+    with pytest.raises(StepSizeCollapse, match=message):
+        integrate_kinetic(DensityField(ker.torus, 0.5), 1.0, 1e-3, ker, PAR)
+
+
 def test_integrator_validation_and_store_every():
     ker = _kernels()
     f0 = DensityField(ker.torus, 0.5)

@@ -27,6 +27,7 @@ from ovskale.lattice import (
     subsets_of_order,
     total_dimension,
 )
+from ovskale import operators
 from ovskale.operators import _mobius_table
 from ovskale.states import CorrelationVector, flat_orders, random_correlation
 
@@ -140,15 +141,19 @@ def reference_matrices(kind, kernels, params, n_max):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    dim=st.integers(1, 2),
-    sites=st.integers(2, 4),
+    # a cube of 3^3 sites keeps the Python reference within a second or two
+    shape=st.one_of(
+        st.tuples(st.integers(1, 2), st.integers(2, 4)),
+        st.tuples(st.just(3), st.integers(2, 3)),
+    ),
     n_max=st.integers(0, 4),
     spacing=st.floats(0.25, 1.0),
     epsilon=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
     kind=st.sampled_from(("full", "diagonal", "perturbation")),
     radius=st.one_of(st.none(), st.floats(0.0, 1.5)),
 )
-def test_assembly_matches_reference(dim, sites, n_max, spacing, epsilon, kind, radius):
+def test_assembly_matches_reference(shape, n_max, spacing, epsilon, kind, radius):
+    dim, sites = shape
     tor = Torus(dim, sites, spacing)
     # a tophat competition kernel leaves zero crowding sums, which are skipped
     a_spec = GAUSS_A if radius is None else {
@@ -195,17 +200,28 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("dim, sites, n_max", [(1, 9, 4), (2, 4, 3)])
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("route", ["full", "orbit"])
-def test_int32_staged_assembly_is_the_int64_staged_one(dim, sites, n_max, epsilon, route):
+@pytest.mark.parametrize("route, block_entries", [
+    pytest.param("full", None, id="full"),
+    pytest.param("orbit", None, id="orbit"),
+    pytest.param("full", 5, id="full-blocks5"),
+    pytest.param("orbit", 5, id="orbit-blocks5"),
+])
+def test_int32_staged_assembly_is_the_int64_staged_one(
+    dim, sites, n_max, epsilon, route, block_entries, monkeypatch,
+):
     # staging int32 blocks one coordinate at a time leaves the CSR arrays
-    # bit for bit as the int64 staging of the same blocks made them
+    # bit for bit as the int64 staging of the same blocks made them; and
+    # blocks of a row or two each, as against one block a layer, change no
+    # bit: a block holds whole rows, in their order
     ker = kernel_pair_from_spec(Torus(dim, sites, 0.5), GAUSS_A, GAUSS_PHI)
     par = ModelParams(death_amplitude=1.3, birth_intensity=0.7, epsilon=epsilon)
     orbits = orbit_map(ker.torus, n_max, point_group(ker)) if route == "orbit" else None
     for kind in ("full", "diagonal", "perturbation"):
-        handle = OperatorHandle(kind, ker, par, n_max, orbits)
-        mat = handle.matrix()
         ref = _int64_staged(OperatorHandle(kind, ker, par, n_max, orbits))
+        with monkeypatch.context() as patch:
+            if block_entries is not None:
+                patch.setattr(operators, "_BLOCK_ENTRIES", block_entries)
+            mat = OperatorHandle(kind, ker, par, n_max, orbits).matrix()
         assert mat.shape == ref.shape
         assert mat.indices.dtype == np.int32
         for name in ("indptr", "indices", "data"):

@@ -64,6 +64,9 @@ def test_tracer_finds_every_traced_name():
     # composed legs
     assert evolve["series.evolve_calls"] == 3
     assert evolve["series.levels"] > 0
+    # the orbit route's energies, of the diagonal block and the semigroup,
+    # come from the traced interaction_energies
+    assert evolve["operators.energies_s"] > 0
     vlasov = _probe(_small_doc("vlasov"))
     # every epsilon of the sweep, the limit included, is one traced solve
     assert vlasov["series.evolve_calls"] == 5
