@@ -161,7 +161,6 @@ def _check_footprint(
     trajectories: int = 1,
     legs: int = 0,
     orbits: tuple[int, ...] | None = None,
-    flat_states: int = 0,
 ) -> None:
     """Raise DimensionCapError, before anything is allocated, for too large a run.
 
@@ -179,8 +178,7 @@ def _check_footprint(
     row of order k >= 1 has at most k birth, S - k crowding and
     sum_{j <= n - k} C(S - k, j) death and diagonal entries (the empty row
     none), and assembly enumerates exactly these candidates.  Only the orbit
-    map and flat_states full states (the semigroup gap's test states) are
-    over d.
+    map is over d.
     """
     dim = sum(math.comb(sites, k) for k in range(order + 1))
     if orbits is None:
@@ -196,7 +194,7 @@ def _check_footprint(
                      + sum(math.comb(sites - k, j) for j in range(order - k + 1)))
             for k, count in enumerate(orbits) if k and count
         )
-        need = (_BYTES_PER_ORBIT_ENTRY + 8 * flat_states) * dim
+        need = _BYTES_PER_ORBIT_ENTRY * dim
         need += operators * _BYTES_PER_ORBIT_NONZERO * nnz
         detail = f"d={dim}, orbits={rows}, nnz<={nnz}"
     if solve is not None:
@@ -424,15 +422,12 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
     from .orbits import orbit_counts, orbit_map, point_group
     group = point_group(bundle.kernels)
     samples = exp.get("samples", 20)
-    # the sweep keeps every epsilon's operator and trajectory, on the orbit
-    # route; the semigroup gap holds its draw of samples states and their
-    # stack under the geometric profile
+    # the sweep keeps every epsilon's operator and trajectory, on the orbit route
     _check_footprint(
         bundle.torus.site_count, bundle.truncation,
         (bundle.solver, max(eps_list) * bundle.kernels.sup_a),
         operators=len(eps_list), trajectories=len(eps_list),
         orbits=orbit_counts(bundle.torus, bundle.truncation, group),
-        flat_states=2 * (samples + 1),
     )
     # the gap indices depend on the config alone: reject them before the sweep
     gap_t = exp.get("gap_time", bundle.solver.upsilon)
@@ -452,22 +447,22 @@ def run_vlasov(bundle: RuntimeBundle, out: Path):
         ))
 
     sg_inter = semigroup_gap_intermediate(
-        gap_t, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi
+        gap_t, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, orbits
     )
     sg_gaps = {}
     z_reports = {}
     z_lim = report.operators[0.0][1]
     for eps in sweep.positive:
-        sg_gaps[eps] = semigroup_gap(
-            eps, gap_t, samples, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, bundle.rng
-        )
+        diag, pert = report.operators[eps]
+        sg_gaps[eps] = semigroup_gap(diag, gap_t, alpha_lo, alpha_hi)
+        # the semigroup gap was once sampled from samples states of d uniform
+        # doubles drawn here, one PCG64 output each; skipping those outputs
+        # keeps perturbation_gap's index pairs, and so every z_pole, unmoved
+        bundle.rng.bit_generator.advance(samples * diag.dimension)
         z_reports[eps] = _config_checked(
-            "perturbation gap", perturbation_gap,
-            report.operators[eps][1], z_lim, samples, bundle.scale, bundle.rng,
+            "perturbation gap", perturbation_gap, pert, z_lim, samples, bundle.scale, bundle.rng,
         )
-    sg_zero = semigroup_gap(
-        0.0, gap_t, 1, bundle.kernels, bundle.truncation, alpha_lo, alpha_hi, bundle.rng
-    )
+    sg_zero = semigroup_gap(report.operators[0.0][0], gap_t, alpha_lo, alpha_hi)
     z_zero = perturbation_gap(z_lim, z_lim, 2, bundle.scale, bundle.rng)
 
     checks = [

@@ -210,8 +210,8 @@ def homogeneous_scalar_ode(
     """High-accuracy adaptive solve of the spatially constant reduction.
 
     DOP853 (`compiled.dop853`) at _SCALAR_RTOL and _SCALAR_ATOL, in the
-    time tau = t / t_end with the rate times t_end, so that a t_end near the
-    underflow threshold still leaves DOP853 a step it can take.  The rate
+    time tau = t / t_end with the rate times t_end; an interval too short
+    for r to move by _SCALAR_ATOL is one Euler step.  The rate
     runs on Python floats and reads +inf where it overflows or is not
     finite, so that DOP853 rejects that stage.  A rate that is not finite at
     r0, more than _SCALAR_MAX_STEPS steps or any other DOP853 failure raise
@@ -237,6 +237,12 @@ def homogeneous_scalar_ode(
     r = float(r0)
     if not math.isfinite(rate(r)):
         raise ConvergenceError(f"scalar kinetic rate is not finite at r0={r:.6g}")
+    # with nonnegative averages |rate'| <= 2 avg_a r + death_amplitude, so an
+    # interval on which r moves by at most _SCALAR_ATOL is one Euler step to
+    # rounding; DOP853 stops at once on some of them (its error norm divides
+    # by a subnormal: t_end = 3.3e-155 from r0 = 0 is "step size too small")
+    if t_end * (abs(rate(r)) + 2.0 * avg_a * r + death_amplitude) <= _SCALAR_ATOL:
+        return r + t_end * rate(r)
     end = compiled.dop853(
         scaled, [r], 1.0, _SCALAR_RTOL, _SCALAR_ATOL, _SCALAR_MAX_STEPS, "scalar kinetic solve"
     )

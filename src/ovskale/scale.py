@@ -40,6 +40,8 @@ _VALIDATE_SAMPLES = 64
 _MIN_INDEX_GAP = 1e-3
 # points of (alpha_s, alpha_hi] that localization_index scans for its bracket
 _LOCALIZATION_SCAN_POINTS = 4096
+# least beta - alpha_s, relative to alpha_s, of optimal_terminal's scan in log(beta - alpha_s)
+_LOG_SCAN_FLOOR = 1e-12
 # halvings after which _bisect stops (optimal_terminal's brackets need at most about 91)
 _MAX_HALVINGS = 200
 # the largest exponent whose math.exp is a float
@@ -216,7 +218,10 @@ def optimal_terminal(
     A scan brackets the maximum and bisection of the sign of the slope
     (`_horizon_slope`) pins beta within it; reports whether the scan saw a
     single strict local maximum and whether the optimum sits on the search
-    boundary.
+    boundary.  The scan is uniform in beta; when its best point is its first,
+    it has not bracketed the maximum (a search_hi far past the peak puts it
+    before the first point), and the scan is redone uniformly in
+    log(beta - alpha_s), from _LOG_SCAN_FLOOR alpha_s at most.
     """
     if not (search_hi > alpha_s):
         raise ValueError("search_hi must exceed alpha_s")
@@ -224,13 +229,17 @@ def optimal_terminal(
         raise ValueError("scan_points must be >= 3")
     betas = np.linspace(alpha_s, search_hi, scan_points + 1)[1:]
     values = np.array([time_horizon(alpha_s, b, bound, nu) for b in betas])
+    if np.argmax(values) == 0:
+        floor = min(_LOG_SCAN_FLOOR * alpha_s, float(betas[0]) - alpha_s)
+        betas = alpha_s + np.geomspace(floor, search_hi - alpha_s, scan_points)
+        values = np.array([time_horizon(alpha_s, b, bound, nu) for b in betas])
     inner = values[1:-1]
     peaks = np.flatnonzero((inner > values[:-2]) & (inner > values[2:]))
     best = int(np.argmax(values))
     at_boundary = best == len(betas) - 1
     beta, horizon = float(betas[-1]), float(values[-1])
     if not at_boundary:
-        lo = float(betas[best - 1]) if best > 0 else alpha_s + 1e-12 * (search_hi - alpha_s)
+        lo = float(betas[best - 1]) if best > 0 else alpha_s
         # the maximum is flat (a relative shift of 1e-8 in beta moves the
         # horizon by a rounding error), so beta is pinned where the slope
         # changes sign, by bisection of the scan's bracket down to adjacent floats

@@ -16,8 +16,10 @@ truncation error, with the field evolving under the kinetic equation.
 
 The products of a scalar density are constant on the orbits of the lattice
 symmetries that fix both kernels, so a sweep given an orbit map and
-`chaos_check` on a constant field solve on the orbit representatives; the
-semigroup gap's random profiles stay on the full route.
+`chaos_check` on a constant field solve on the orbit representatives.  The
+semigroup gap is exact: the diagonal part multiplies each entry by its
+energy, so the gap is a weighted max of the diagonal handle's own energies,
+over the representatives on the orbit route.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import KernelPair, layer_offsets
 from .operators import ModelParams, OperatorHandle, interaction_energies, split_handles
-from .scale import BoundModel, ScaleSpec, norm_alpha_flat
+from .scale import BoundModel, ScaleSpec
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
-from .states import CorrelationVector, flat_orders
+from .states import CorrelationVector
 
 if TYPE_CHECKING:
     from .kinetic import DensityField
@@ -78,60 +80,43 @@ class EpsilonSweep:
         return self.epsilons[:-1]
 
 
-def _test_profiles(torus, n_max: int, alpha_lo: float, samples: int, rng) -> np.ndarray:
-    """The extremal geometric profile, then random states in the alpha_lo ball, one per row.
-
-    The random rows come from one draw, layer n scaled by alpha_lo^n: the
-    numbers `random_correlation` draws for samples states in turn.
-    """
-    orders = flat_orders(torus, n_max)
+def _entry_orders(torus, n_max: int, orbits: OrbitMap | None) -> np.ndarray:
+    """Layer order of each entry a handle holds: every flat entry, or the representatives."""
     offs = layer_offsets(torus.site_count, n_max)
-    drawn = rng.uniform(-1.0, 1.0, (samples, offs[-1]))
-    for n in range(1, n_max + 1):
-        drawn[:, offs[n]:offs[n + 1]] *= alpha_lo**n
-    return np.vstack([np.power(alpha_lo, orders.astype(float)), drawn])
+    counts = np.diff(offs if orbits is None else np.searchsorted(orbits.reps, offs))
+    return np.repeat(np.arange(n_max + 1), counts)
 
 
-def semigroup_gap(
-    epsilon: float,
-    t: float,
-    samples: int,
-    kernels: KernelPair,
-    n_max: int,
-    alpha_lo: float,
-    alpha_hi: float,
-    rng,
-) -> float:
-    """Largest relative gap between the scaled semigroup and the identity.
+def semigroup_gap(diag: OperatorHandle, t: float, alpha_lo: float, alpha_hi: float) -> float:
+    """Norm of e^{-t eps E^a} - 1 from the alpha_lo space into the alpha_hi space.
 
-    Measures max over test states of |(e^{-t eps E^a} - 1) u| in the weak
-    norm at alpha_hi against |u| in the strong norm at alpha_lo.  The limit
-    semigroup is the identity, so epsilon = 0 or t = 0 give exactly 0.
+    diag is a diagonal handle at eps.  The diagonal part multiplies each
+    entry eta by -E(eta) (E = eps E^a, the handle's semigroup energies), so
+    the semigroup minus the identity multiplies it by e^{-t E(eta)} - 1 and
+    its induced norm is exactly max_eta |e^{-t E(eta)} - 1| (alpha_lo /
+    alpha_hi)^{|eta|}, attained by the geometric profile alpha_lo^{|eta|}.
+    E and |eta| are constant on orbits, so on the orbit route the max runs
+    over the representatives.  expm1 keeps the factor's relative accuracy
+    where t E is small (e^{-tE} - 1 would lose 1e-16 / (t E) of it).  The
+    limit semigroup is the identity, so eps = 0 or t = 0 give exactly 0.
     """
-    if epsilon < 0 or t < 0:
-        raise ValueError("epsilon and t must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     _check_index_pair(alpha_lo, alpha_hi)
-    if epsilon == 0.0 or t == 0.0:
-        return 0.0
-    energies = interaction_energies(kernels, n_max)
-    factor = np.exp(-t * epsilon * energies) - 1.0
-    orders = flat_orders(kernels.torus, n_max)
-    states = _test_profiles(kernels.torus, n_max, alpha_lo, samples, rng)
-    denoms = norm_alpha_flat(states, orders, alpha_lo)
-    states *= factor
-    gaps = norm_alpha_flat(states, orders, alpha_hi)
-    held = denoms != 0.0
-    return float(np.max(gaps[held] / denoms[held], initial=0.0))
+    factor = np.abs(np.expm1(-t * diag.semigroup_energies()))
+    orders = _entry_orders(diag.torus, diag.n_max, diag.orbits)
+    return float(np.max(factor * (alpha_lo / alpha_hi) ** orders, initial=0.0))
 
 
 def semigroup_gap_intermediate(
-    t: float, kernels: KernelPair, n_max: int, alpha_lo: float, alpha_hi: float
+    t: float, kernels: KernelPair, n_max: int, alpha_lo: float, alpha_hi: float,
+    orbits: OrbitMap | None = None,
 ) -> float:
-    """Per-epsilon slope bound t * sup over entries of E^a(eta) (lo/hi)^|eta|."""
-    energies = interaction_energies(kernels, n_max)
-    orders = flat_orders(kernels.torus, n_max)
-    ratio = alpha_lo / alpha_hi
-    return t * float(np.max(energies * ratio**orders.astype(float)))
+    """Per-epsilon slope bound t * sup over entries of E^a(eta) (lo/hi)^|eta|,
+    over the representatives of orbits when given."""
+    energies = interaction_energies(kernels, n_max, orbits)
+    orders = _entry_orders(kernels.torus, n_max, orbits)
+    return t * float(np.max(energies * (alpha_lo / alpha_hi) ** orders))
 
 
 def _check_index_pair(alpha_lo: float, alpha_hi: float) -> None:
@@ -223,9 +208,7 @@ def perturbation_gap(
     lo_max = split_ceiling(scale.alpha_star)
     ratio_min = math.exp(_LN_SPLIT_FLOOR)
     diff_abs = z_eps.matrix().abs_difference(z_lim.matrix())
-    orders = flat_orders(z_eps.torus, z_eps.n_max).astype(float)
-    if z_eps.orbits is not None:
-        orders = orders[z_eps.orbits.reps]
+    orders = _entry_orders(z_eps.torus, z_eps.n_max, z_eps.orbits).astype(float)
     deltas = np.empty(samples)
     gaps = np.empty(samples)
     for i in range(samples):

@@ -243,7 +243,7 @@ def test_c06_vlasov_limit(stock_runs):
     ratios_ok = bool(np.all((rep.ratios >= 0.3) & (rep.ratios <= 0.7)))
     sweep_ok = rep.strictly_decreasing and ratios_ok and rep.limit_result.converged
 
-    # independent route: sampled semigroup gaps against the closed-form rate
+    # independent route: exact semigroup gaps against the closed-form rate
     tor = Torus(1, 8, 0.5)
     ker = kernel_pair_from_spec(
         tor, {"kind": "table", "params": {"values": [1.0] * 8}}, GAUSS_PHI
@@ -255,7 +255,8 @@ def test_c06_vlasov_limit(stock_runs):
     factors = []
     chain_ok = mid <= closed * (1.0 + 1e-12)
     for eps in (0.4, 0.2, 0.1, 0.05):
-        gap = semigroup_gap(eps, t, 12, ker, 4, a_lo, a_hi, np.random.default_rng(7))
+        params = ModelParams(death_amplitude=1.0, birth_intensity=1.0, epsilon=eps)
+        gap = semigroup_gap(OperatorHandle("diagonal", ker, params, 4), t, a_lo, a_hi)
         chain_ok = chain_ok and gap / eps <= mid * (1.0 + 1e-12)
         factors.append((gap / eps) / closed)
     factors_ok = all(0.5 <= f <= 2.0 for f in factors)
@@ -270,7 +271,7 @@ def test_c06_vlasov_limit(stock_runs):
         + "/".join(f"{g:.3e}" for g in rep.sup_gaps)
         + " strictly decreasing with halving ratios "
         + "/".join(f"{x:.3f}" for x in rep.ratios)
-        + " (want 0.3..0.7); sampled-rate factors "
+        + " (want 0.3..0.7); exact-rate factors "
         + "/".join(f"{f:.3f}" for f in factors)
         + f" of closed bound (want 0.5..2.0); {elapsed:.2f}s (limit 300s)",
     )

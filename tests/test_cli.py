@@ -679,6 +679,22 @@ def test_an_overflowing_singular_coefficient_is_a_typed_error(tmp_path, capsys, 
         assert manifest["error"].startswith("HorizonError: no index")
 
 
+def test_a_far_horizon_search_still_finds_the_interior_maximum(tmp_path, capsys):
+    # a uniform scan of (alpha_s, 1e300] has no point below 1e297, where every
+    # horizon is 0; the log-spaced rescan brackets the peak at beta = 2.32
+    def far(doc):
+        doc["experiment"]["search_hi"] = 1e300
+        del doc["experiment"]["elapsed"]
+
+    optima = []
+    for edit in (_set("experiment", "search_hi", 6.0), far):
+        assert _run_edited_stock(tmp_path, capsys, "horizon", edit)["exit_code"] == 0
+        optima.append(read_strict_json(tmp_path / "out" / "horizon.json"))
+    near, got = optima
+    assert got["beta_opt"] == pytest.approx(near["beta_opt"], rel=1e-9)
+    assert got["horizon_max"] > 0.0 and not got["at_boundary"]
+
+
 def test_an_overflowing_apriori_constant_is_a_typed_error(tmp_path, capsys):
     manifest = _run_edited_stock(tmp_path, capsys, "evolve", _set("scale", "n_hat", 1e5))
     assert manifest["exit_code"] == 3

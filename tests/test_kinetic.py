@@ -473,6 +473,8 @@ def test_homogeneous_scalar_validation():
 # r = 1/3 with its full and half steps agreeing, and lands 1e-3 off
 @example(r0=0.0, t_end=12.0, avg_a=0.0, avg_phi=3.0, m=1.0, lam=3.0)
 @example(r0=0.0, t_end=1e-323, avg_a=0.0, avg_phi=0.0, m=1.0, lam=1.0)
+# DOP853 stopped at once here: its error norm divided by a subnormal
+@example(r0=0.0, t_end=3.2705594865503096e-155, avg_a=0.0, avg_phi=0.0, m=1.0, lam=1.0)
 # a looser reference missed the tolerance here; a 40-digit solve gives
 # 0.36764533100996645
 @example(r0=2.21875, t_end=2.5, avg_a=0.69921875, avg_phi=1.125, m=2.7578125, lam=0.6875)

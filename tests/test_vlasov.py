@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ovskale import (
     ConfigError,
@@ -21,6 +23,7 @@ from ovskale import (
     Torus,
     chaos_check,
     kernel_pair_from_spec,
+    interaction_energies,
     ovsyannikov_evolve,
     perturbation_gap,
     semigroup_gap,
@@ -30,8 +33,12 @@ from ovskale import (
 )
 from ovskale import experiments, series
 from ovskale.config import build_runtime, load_config
+from ovskale.lattice import layer_offsets
+from ovskale.orbits import orbit_map, point_group
+from ovskale.scale import norm_alpha_flat
+from ovskale.states import flat_orders
 
-from conftest import GAUSS_PHI, Instance, make_instance
+from conftest import GAUSS_A, GAUSS_PHI, Instance, make_instance
 
 
 @pytest.fixture(scope="module")
@@ -69,28 +76,101 @@ def test_epsilon_sweep_validation(small):
         EpsilonSweep((0.2, -0.1, 0.0), u0, small.scale, cfg)
 
 
-def test_semigroup_gap_vanishes_at_limit(small, rng):
-    gap0 = semigroup_gap(0.0, 0.02, 5, small.kernels, small.n_max, 1.5, 2.2, rng)
-    assert gap0 == 0.0
-    gap_t0 = semigroup_gap(0.4, 0.0, 5, small.kernels, small.n_max, 1.5, 2.2, rng)
-    assert gap_t0 == 0.0
-    assert semigroup_gap(0.4, 0.02, 5, small.kernels, small.n_max, 1.5, 2.2, rng) > 0.0
+def _diagonal(kernels, n_max: int, eps: float, orbits=None) -> OperatorHandle:
+    params = ModelParams(death_amplitude=1.0, birth_intensity=1.0, epsilon=eps)
+    return OperatorHandle("diagonal", kernels, params, n_max, orbits)
 
 
-def test_semigroup_gap_chain_of_bounds(rng):
+def sampled_semigroup_ratios(
+    energies: np.ndarray, t: float, samples: int, torus, n_max: int,
+    alpha_lo: float, alpha_hi: float, rng,
+) -> np.ndarray:
+    """Reference: |(e^{-t E} - 1) u|_{alpha_hi} / |u|_{alpha_lo} over flat states u.
+
+    E holds the energies of every flat entry.  u runs over the geometric
+    profile alpha_lo^{|eta|} (the first ratio), then samples random states
+    in the alpha_lo ball from one draw, layer n of each uniform in
+    [-alpha_lo^n, alpha_lo^n].
+    """
+    factor = np.expm1(-t * energies)
+    orders = flat_orders(torus, n_max)
+    offs = layer_offsets(torus.site_count, n_max)
+    drawn = rng.uniform(-1.0, 1.0, (samples, offs[-1]))
+    for n in range(1, n_max + 1):
+        drawn[:, offs[n]:offs[n + 1]] *= alpha_lo**n
+    states = np.vstack([np.power(alpha_lo, orders.astype(float)), drawn])
+    denoms = norm_alpha_flat(states, orders, alpha_lo)
+    return norm_alpha_flat(states * factor, orders, alpha_hi) / denoms
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # 3^3 sites at order 3 keep the sampled reference within a second
+    shape=st.one_of(
+        st.tuples(st.just(1), st.integers(2, 9)),
+        st.tuples(st.just(2), st.integers(2, 4)),
+        st.tuples(st.just(3), st.integers(2, 3)),
+    ),
+    n_max=st.integers(1, 4),
+    epsilon=st.floats(0.0, 1.0, exclude_min=True),
+    t=st.floats(0.0, 0.5),
+    alpha_lo=st.floats(1.01, 3.0),
+    log_split=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_semigroup_gap_is_the_sup_of_the_sampled_gaps(
+    shape, n_max, epsilon, t, alpha_lo, log_split, seed
+):
+    dim, sites = shape
+    ker = kernel_pair_from_spec(Torus(dim, sites, 0.5), GAUSS_A, GAUSS_PHI)
+    n_max = min(n_max, ker.torus.site_count, 3 if dim == 3 else 4)
+    alpha_hi = alpha_lo * math.exp(log_split)
+    exact = semigroup_gap(_diagonal(ker, n_max, epsilon), t, alpha_lo, alpha_hi)
+    ratios = sampled_semigroup_ratios(
+        epsilon * interaction_energies(ker, n_max), t, 8, ker.torus, n_max,
+        alpha_lo, alpha_hi, np.random.default_rng(seed),
+    )
+    # no state exceeds the exact norm, and the geometric profile attains it
+    assert np.all(ratios <= exact * (1.0 + 1e-14))
+    assert ratios[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
+    orbits = orbit_map(ker.torus, n_max, point_group(ker))
+    on_orbits = semigroup_gap(_diagonal(ker, n_max, epsilon, orbits), t, alpha_lo, alpha_hi)
+    assert on_orbits == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_semigroup_gap_vanishes_at_limit(small):
+    assert semigroup_gap(_diagonal(small.kernels, small.n_max, 0.0), 0.02, 1.5, 2.2) == 0.0
+    diag = _diagonal(small.kernels, small.n_max, 0.4)
+    assert semigroup_gap(diag, 0.0, 1.5, 2.2) == 0.0
+    assert semigroup_gap(diag, 0.02, 1.5, 2.2) > 0.0
+    with pytest.raises(ValueError):
+        semigroup_gap(diag, -0.02, 1.5, 2.2)
+    with pytest.raises(ValueError):
+        semigroup_gap(diag, 0.02, 2.2, 1.5)
+    with pytest.raises(ValueError):
+        semigroup_gap(_perturbation(small, 0.4), 0.02, 1.5, 2.2)
+
+
+def test_semigroup_gap_chain_of_bounds():
     # constant competition table makes E^a exactly n (n - 1)
     tor = Torus(1, 8, 0.5)
     ker = kernel_pair_from_spec(
         tor, {"kind": "table", "params": {"values": [1.0] * 8}}, GAUSS_PHI
     )
+    orbits = orbit_map(tor, 4, point_group(ker))
     a_lo, a_hi = 1.5, 1.5 * math.exp(0.5)
     t = 0.02
     mid = semigroup_gap_intermediate(t, ker, 4, a_lo, a_hi)
+    assert semigroup_gap_intermediate(t, ker, 4, a_lo, a_hi, orbits) == mid
     closed = semigroup_gap_bound(t, ker, a_lo, a_hi)
     assert closed == pytest.approx(t * 4.0 * ker.sup_a / (math.e * 0.5) ** 2, rel=1e-14)
     assert mid <= closed * (1.0 + 1e-12)
     for eps in (0.4, 0.1):
-        gap = semigroup_gap(eps, t, 10, ker, 4, a_lo, a_hi, rng)
+        gap = semigroup_gap(_diagonal(ker, 4, eps, orbits), t, a_lo, a_hi)
+        assert gap == pytest.approx(
+            max(-math.expm1(-t * eps * n * (n - 1)) * (a_lo / a_hi) ** n for n in range(5)),
+            rel=1e-14,
+        )
         assert gap / eps <= mid * (1.0 + 1e-12)
 
 
@@ -248,21 +328,25 @@ def test_limit_params_epsilon_is_irrelevant(small):
 
 
 def test_vlasov_run_stays_within_the_size_check(tmp_path):
-    # the semigroup gap stacks its random states over d; with many samples
-    # they outweigh the orbit route's per-entry share, and the runner's
-    # estimate must count them
+    # samples sets the perturbation gap's index pairs alone: the semigroup
+    # gap is exact on the diagonal handles' own energies, so a hundredfold
+    # samples holds no more states, and the runner's estimate bounds both
     doc = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "vlasov.json"))
     doc["model"]["torus"]["sites"] = 24
     doc["model"]["truncation"] = 4
-    doc["experiment"].update(epsilons=[0.2, 0.1, 0.0], samples=100)
-    bundle = build_runtime(doc)
-    needs = []
-    with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
-        tracemalloc.start()
-        try:
-            checks, _ = experiments.run_vlasov(bundle, tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert checks
-    assert peak <= max(needs)
+    peaks = []
+    for samples in (2, 100):
+        doc["experiment"].update(epsilons=[0.2, 0.1, 0.0], samples=samples)
+        bundle = build_runtime(doc)
+        needs = []
+        with mock.patch.object(experiments, "_check_budget", lambda need, _: needs.append(need)):
+            tracemalloc.start()
+            try:
+                checks, _ = experiments.run_vlasov(bundle, tmp_path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert checks
+        assert peak <= max(needs)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 1e6
