@@ -28,6 +28,16 @@ Below threshold the window (c_low, c_high) = (f(x_hi), f(x_lo)) brackets the
 three-solution regime, where x_lo in (1, x0) and x_hi in (x0, inf) are the
 two extremum locations.
 
+The equation commutes with the translations of the torus, so a density
+with period p (p divides the S sites per axis) along every axis keeps that
+period for all time.  Its convolutions at the sites of one period cell are
+those of the (S/p)^d quotient torus with each kernel summed over the
+classes of its difference sites mod p, so `integrate_kinetic` marches the
+quotient field and tiles the stored rows back to the full torus.  The
+equation on the quotient is exactly the full one; only the summation order
+of the convolutions changes.  A density with no period shorter than S
+marches on the full torus with its kernels unchanged.
+
 The convolutions are spectral.  They call scipy's compiled pocketfft
 extension, loaded from its file by `ovskale.compiled`, one axis at a time
 in numpy's order, so every transform equals `numpy.fft`'s bit for bit
@@ -125,6 +135,71 @@ def _rhs(rho: np.ndarray, torus: Torus, spectra: np.ndarray, params: ModelParams
     return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
 
 
+def translation_period(torus: Torus, rho: np.ndarray) -> int:
+    """Smallest p dividing S with rho unchanged, bit for bit, by a shift of p along every axis.
+
+    The shifts that leave rho unchanged along every axis are the multiples
+    of that p, so dividing S by each of its prime factors, for as long as
+    the quotient is still such a shift, ends at p.
+    """
+    size = torus.sites_per_axis
+    bits = np.asarray(rho, dtype=float).view(np.uint64).reshape((size,) * torus.dim)
+    period, rest, factor = size, size, 2
+    while rest > 1:
+        if factor * factor > rest:
+            factor = rest
+        while rest % factor == 0:
+            rest //= factor
+            shift = period // factor
+            if all(np.array_equal(np.roll(bits, shift, axis), bits) for axis in range(torus.dim)):
+                period = shift
+        factor += 1
+    return period
+
+
+def _fold(torus: Torus, period: int, values: np.ndarray) -> np.ndarray:
+    """A site table summed over the classes of its sites mod period along each axis."""
+    shape = (torus.sites_per_axis // period, period) * torus.dim
+    classes = tuple(range(0, 2 * torus.dim, 2))
+    return np.asarray(values, dtype=float).reshape(shape).sum(axis=classes).reshape(-1)
+
+
+def _tile(torus: Torus, period: int, rows: np.ndarray) -> np.ndarray:
+    """Rows of a quotient torus with period sites per axis, repeated over the full torus."""
+    if period == torus.sites_per_axis:
+        return rows
+    cells = rows.reshape((len(rows),) + (1, period) * torus.dim)
+    copies = (len(rows),) + (torus.sites_per_axis // period, period) * torus.dim
+    return np.broadcast_to(cells, copies).reshape(len(rows), -1)
+
+
+def _quotient(field: DensityField, kernels: KernelPair):
+    """The translation period p of field, its (S/p)^d quotient torus, the
+    spectra of the kernels folded onto it and the field's first period cell."""
+    torus = field.torus
+    period = translation_period(torus, field.rho)
+    quotient = Torus(torus.dim, period, torus.spacing)
+    folded = (_fold(torus, period, k) for k in (kernels.a_values, kernels.phi_values))
+    cell = (slice(period),) * torus.dim
+    rho = field.rho.reshape((torus.sites_per_axis,) * torus.dim)[cell].reshape(-1)
+    return period, quotient, _kernel_spectra(quotient, *folded), rho
+
+
+def quotient_rhs_gap(field: DensityField, kernels: KernelPair, params: ModelParams) -> float:
+    """Largest gap between the right-hand side at field on the full torus and
+    the tiled one of its quotient, relative at each site to the size of the
+    equation's three terms there (at least lambda, so never 0)."""
+    torus = field.torus
+    spectra = _kernel_spectra(torus, kernels.a_values, kernels.phi_values)
+    comp, attr = _convolve(torus, spectra, field.rho)
+    m_rate, rho = params.death_amplitude, field.rho
+    size = rho * comp + m_rate * rho * np.exp(-attr) + params.birth_intensity
+    full = _rhs(rho, torus, spectra, params)
+    period, quotient, folded, cell = _quotient(field, kernels)
+    tiled = _tile(torus, period, _rhs(cell, quotient, folded, params)[None])[0]
+    return float(np.max(np.abs(full - tiled) / size))
+
+
 def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Periodic lattice convolution h^d sum_y kernel(x - y) rho(y), by real FFT."""
     return _convolve(torus, _kernel_spectra(torus, kernel), rho)[0]
@@ -152,19 +227,28 @@ def integrate_kinetic(
 ) -> KineticTrajectory:
     """Fixed-step fourth-order Runge-Kutta march of the kinetic equation.
 
+    The march runs on the translation quotient of field0: the smallest
+    period p (`translation_period`) of its density along every axis, the
+    (S/p)^d torus of one period cell, and the kernel tables folded onto it
+    (each summed over the classes of its difference sites mod p).  Since
+    the equation commutes with translations, the p-periodic solution is the
+    quotient solution repeated, so the stored rows are tiled back to the
+    full torus; the folded convolutions equal the full ones up to the order
+    of summation.  A density with no shorter period has p = S, and its
+    march is the full one, bit for bit.
+
     Steps whose stability indicator dt (avg_a max rho + m) reaches 1, and
     steps producing negative entries, are rejected and retried at half the
-    step; more than _MAX_HALVINGS rejections abort the run.  The kernel
-    transforms are taken once, so each right-hand side costs one forward and
-    one batched inverse real FFT.
+    step; more than _MAX_HALVINGS rejections abort the run.  A quotient
+    field has the full field's maximum and signs, so it is rejected at the
+    same steps.  The kernel transforms are taken once, so each right-hand
+    side costs one forward and one batched inverse real FFT.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    torus = field0.torus
-    spectra = _kernel_spectra(torus, kernels.a_values, kernels.phi_values)
-    rho = field0.rho.copy()
+    period, torus, spectra, rho = _quotient(field0, kernels)
     avg_a = kernels.avg_a
     m_rate = params.death_amplitude
     times = [0.0]
@@ -196,7 +280,8 @@ def integrate_kinetic(
         if accepted % store_every == 0 or t >= t_end * (1.0 - 1e-15):
             times.append(t)
             fields.append(rho.copy())
-    return KineticTrajectory(np.array(times), np.vstack(fields), halvings)
+    rows = _tile(field0.torus, period, np.vstack(fields))
+    return KineticTrajectory(np.array(times), rows, halvings)
 
 
 def homogeneous_scalar_ode(

@@ -270,7 +270,11 @@ def localization_index(
     """Smallest index alpha with time_horizon(alpha_s, alpha) >= t - s.
 
     Monotone scan over (alpha_s, alpha_hi] to bracket the first crossing, then
-    bisection on the horizon residual down to an index width of 1e-12.
+    bisection on the horizon residual down to an index width of 1e-12.  The
+    scan is uniform in alpha; when it finds no crossing (an alpha_hi far past
+    the crossing leaves no point near alpha_s), it is redone uniformly in
+    log(alpha - alpha_s), from _LOG_SCAN_FLOOR alpha_s at most, as in
+    `optimal_terminal`.
     """
     dt = t - s
     if dt < 0:
@@ -280,6 +284,11 @@ def localization_index(
     grid = np.linspace(alpha_s, alpha_hi, _LOCALIZATION_SCAN_POINTS + 1)[1:]
     values = np.array([time_horizon(alpha_s, b, bound, nu) for b in grid])
     hit = np.nonzero(values >= dt)[0]
+    if hit.size == 0:
+        floor = min(_LOG_SCAN_FLOOR * alpha_s, float(grid[0]) - alpha_s)
+        grid = alpha_s + np.geomspace(floor, alpha_hi - alpha_s, _LOCALIZATION_SCAN_POINTS)
+        values = np.array([time_horizon(alpha_s, b, bound, nu) for b in grid])
+        hit = np.nonzero(values >= dt)[0]
     if hit.size == 0:
         raise HorizonError(
             f"no index in (alpha_s, {alpha_hi}] reaches horizon {dt}; max is {values.max()}"

@@ -671,11 +671,10 @@ def ovsyannikov_evolve(
     bound.validate_on(scale.alpha_s, scale.alpha_star)
     dt = t - s
     horizon, horizon_prime, q, alpha = _resolve_run(scale, bound, cfg, dt)
-    orders = flat_orders(u_s.torus, u_s.n_max)
+    orders = flat_orders(u_s.torus, u_s.n_max, orbits)
     u0 = u_s.flat()
     if orbits is not None:
         u0 = orbits.restrict(u0)
-        orders = orders[orbits.reps]
     u0.setflags(write=False)
     initial_norm = norm_alpha_flat(u0, orders, scale.alpha_s)
     regular = bound.regular(alpha)

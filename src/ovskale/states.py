@@ -9,6 +9,7 @@ immutable after construction; operators and solvers return fresh instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .lattice import (
     subset_position,
     total_dimension,
 )
+
+if TYPE_CHECKING:
+    from .orbits import OrbitMap
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +107,14 @@ class CorrelationVector:
         return {"N_max": self.n_max, "layers": [layer.tolist() for layer in self.layers]}
 
 
-def flat_orders(torus: Torus, n_max: int) -> np.ndarray:
-    """Layer order of each flat entry (shared with the solvers)."""
-    return entry_orders(torus.site_count, n_max)
+def flat_orders(torus: Torus, n_max: int, orbits: OrbitMap | None = None) -> np.ndarray:
+    """Layer order of each entry a state holds: of every flat entry (cached,
+    shared with the solvers), or of each representative of orbits, counted
+    per layer from orbits.reps without the flat orders."""
+    if orbits is None:
+        return entry_orders(torus.site_count, n_max)
+    counts = np.diff(np.searchsorted(orbits.reps, layer_offsets(torus.site_count, n_max)))
+    return np.repeat(np.arange(n_max + 1), counts)
 
 
 def random_correlation(torus: Torus, n_max: int, alpha: float, rng) -> CorrelationVector:

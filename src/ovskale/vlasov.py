@@ -31,11 +31,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import KernelPair, layer_offsets
+from .lattice import KernelPair
 from .operators import ModelParams, OperatorHandle, interaction_energies, split_handles
 from .scale import BoundModel, ScaleSpec
 from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
-from .states import CorrelationVector
+from .states import CorrelationVector, flat_orders
 
 if TYPE_CHECKING:
     from .kinetic import DensityField
@@ -80,13 +80,6 @@ class EpsilonSweep:
         return self.epsilons[:-1]
 
 
-def _entry_orders(torus, n_max: int, orbits: OrbitMap | None) -> np.ndarray:
-    """Layer order of each entry a handle holds: every flat entry, or the representatives."""
-    offs = layer_offsets(torus.site_count, n_max)
-    counts = np.diff(offs if orbits is None else np.searchsorted(orbits.reps, offs))
-    return np.repeat(np.arange(n_max + 1), counts)
-
-
 def semigroup_gap(diag: OperatorHandle, t: float, alpha_lo: float, alpha_hi: float) -> float:
     """Norm of e^{-t eps E^a} - 1 from the alpha_lo space into the alpha_hi space.
 
@@ -104,7 +97,7 @@ def semigroup_gap(diag: OperatorHandle, t: float, alpha_lo: float, alpha_hi: flo
         raise ValueError("t must be >= 0")
     _check_index_pair(alpha_lo, alpha_hi)
     factor = np.abs(np.expm1(-t * diag.semigroup_energies()))
-    orders = _entry_orders(diag.torus, diag.n_max, diag.orbits)
+    orders = flat_orders(diag.torus, diag.n_max, diag.orbits)
     return float(np.max(factor * (alpha_lo / alpha_hi) ** orders, initial=0.0))
 
 
@@ -115,7 +108,7 @@ def semigroup_gap_intermediate(
     """Per-epsilon slope bound t * sup over entries of E^a(eta) (lo/hi)^|eta|,
     over the representatives of orbits when given."""
     energies = interaction_energies(kernels, n_max, orbits)
-    orders = _entry_orders(kernels.torus, n_max, orbits)
+    orders = flat_orders(kernels.torus, n_max, orbits)
     return t * float(np.max(energies * (alpha_lo / alpha_hi) ** orders))
 
 
@@ -208,7 +201,7 @@ def perturbation_gap(
     lo_max = split_ceiling(scale.alpha_star)
     ratio_min = math.exp(_LN_SPLIT_FLOOR)
     diff_abs = z_eps.matrix().abs_difference(z_lim.matrix())
-    orders = _entry_orders(z_eps.torus, z_eps.n_max, z_eps.orbits).astype(float)
+    orders = flat_orders(z_eps.torus, z_eps.n_max, z_eps.orbits).astype(float)
     deltas = np.empty(samples)
     gaps = np.empty(samples)
     for i in range(samples):

@@ -658,41 +658,37 @@ def _set(*path_and_value):
 
 
 @pytest.mark.parametrize(
-    "name, edit, code",
+    "name, edit",
     [
-        ("evolve", _set("scale", "alpha_star", 900), 2),
-        ("evolve", _set("model", "kernels", "phi", "params", "amplitude", 1e300), 2),
-        ("evolve", _set("model", "torus", "spacing", 1e300), 2),
-        ("bounds", _set("scale", "alpha_star", 1e300), 2),
-        # the singular coefficient reads +inf past alpha_star, so the horizon
-        # there is 0 and no index reaches the elapsed time
-        ("horizon", _set("experiment", "search_hi", 1e300), 3),
+        ("evolve", _set("scale", "alpha_star", 900)),
+        ("evolve", _set("model", "kernels", "phi", "params", "amplitude", 1e300)),
+        ("evolve", _set("model", "torus", "spacing", 1e300)),
+        ("bounds", _set("scale", "alpha_star", 1e300)),
     ],
-    ids=["evolve-alpha-star", "evolve-phi", "evolve-spacing", "bounds", "horizon"],
+    ids=["evolve-alpha-star", "evolve-phi", "evolve-spacing", "bounds"],
 )
-def test_an_overflowing_singular_coefficient_is_a_typed_error(tmp_path, capsys, name, edit, code):
+def test_an_overflowing_singular_coefficient_is_a_typed_error(tmp_path, capsys, name, edit):
     manifest = _run_edited_stock(tmp_path, capsys, name, edit)
-    assert manifest["exit_code"] == code
-    if code == 2:
-        assert manifest["error"].startswith("ConfigError: the singular coefficient overflows")
-    else:
-        assert manifest["error"].startswith("HorizonError: no index")
+    assert manifest["exit_code"] == 2
+    assert manifest["error"].startswith("ConfigError: the singular coefficient overflows")
 
 
 def test_a_far_horizon_search_still_finds_the_interior_maximum(tmp_path, capsys):
-    # a uniform scan of (alpha_s, 1e300] has no point below 1e297, where every
-    # horizon is 0; the log-spaced rescan brackets the peak at beta = 2.32
-    def far(doc):
-        doc["experiment"]["search_hi"] = 1e300
-        del doc["experiment"]["elapsed"]
-
-    optima = []
-    for edit in (_set("experiment", "search_hi", 6.0), far):
+    # a uniform scan of (alpha_s, 1e300] has no point below 1e297, where the
+    # singular coefficient reads +inf and every horizon is 0; the log-spaced
+    # rescans bracket the peak at beta = 2.32 and the index alpha = 1.6475
+    # that reaches the elapsed time
+    runs = []
+    for search_hi in (2.5, 6.0, 1e300):
+        edit = _set("experiment", "search_hi", search_hi)
         assert _run_edited_stock(tmp_path, capsys, "horizon", edit)["exit_code"] == 0
-        optima.append(read_strict_json(tmp_path / "out" / "horizon.json"))
-    near, got = optima
+        runs.append(read_strict_json(tmp_path / "out" / "horizon.json"))
+    stock, near, got = runs
     assert got["beta_opt"] == pytest.approx(near["beta_opt"], rel=1e-9)
     assert got["horizon_max"] > 0.0 and not got["at_boundary"]
+    alpha = stock["localization"]["alpha"]
+    assert got["localization"]["alpha"] == pytest.approx(alpha, rel=1e-9)
+    assert got["localization"]["residual"] <= 1e-9
 
 
 def test_an_overflowing_apriori_constant_is_a_typed_error(tmp_path, capsys):

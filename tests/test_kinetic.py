@@ -207,6 +207,84 @@ def test_march_is_numpys_bit_for_bit(monkeypatch):
     assert traj.halvings == reference.halvings
 
 
+def full_march(field, t_end, dt, kernels, params, **kwargs):
+    """The march on the full torus: integrate_kinetic with the period forced to S."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kinetic, "translation_period", lambda torus, rho: torus.sites_per_axis)
+        return integrate_kinetic(field, t_end, dt, kernels, params, **kwargs)
+
+
+def reference_period(torus, rho):
+    """The least divisor q of S with rho unchanged by a shift of q along every axis."""
+    size = torus.sites_per_axis
+    grid = np.asarray(rho).reshape((size,) * torus.dim)
+    return min(
+        q
+        for q in range(1, size + 1)
+        if size % q == 0
+        and all(np.array_equal(np.roll(grid, q, axis), grid) for axis in range(torus.dim))
+    )
+
+
+@st.composite
+def periodic_fields(draw):
+    """A torus of 1-3 dimensions, a period p dividing S, a p-periodic field on
+    it and one that is p-periodic along all axes but one, and random there."""
+    dim = draw(st.integers(1, 3))
+    size = draw(st.sampled_from((1, 2, 4, 6, 8, 12)[: 6 - dim]))
+    period = draw(st.sampled_from([q for q in range(1, size + 1) if size % q == 0]))
+    tor = Torus(dim, size, draw(st.floats(0.3, 1.0)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    copies = (size // period,) * dim
+    periodic = np.tile(gen.uniform(0.2, 1.5, (period,) * dim), copies).reshape(-1)
+    axis = draw(st.integers(0, dim - 1))
+    cell = [period] * dim
+    cell[axis] = size
+    reps = list(copies)
+    reps[axis] = 1
+    aperiodic = np.tile(gen.uniform(0.2, 1.5, cell), reps).reshape(-1)
+    return tor, period, periodic, aperiodic
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=periodic_fields())
+def test_translation_period_is_the_smallest_common_period(case):
+    tor, period, periodic, aperiodic = case
+    assert kinetic.translation_period(tor, periodic) == reference_period(tor, periodic) == period
+    assert kinetic.translation_period(tor, aperiodic) == tor.sites_per_axis
+    assert reference_period(tor, aperiodic) == tor.sites_per_axis
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=periodic_fields(),
+    dt=st.sampled_from((1e-3, 0.05, 0.4)),
+    store_every=st.integers(1, 7),
+    death=st.floats(0.1, 2.0),
+    birth=st.floats(0.1, 2.0),
+)
+def test_quotient_march_is_the_full_march(case, dt, store_every, death, birth):
+    tor, _, periodic, aperiodic = case
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    par = ModelParams(death_amplitude=death, birth_intensity=birth)
+    t_end = 30 * dt
+    field = DensityField(tor, periodic)
+    traj = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
+    reference = full_march(field, t_end, dt, ker, par, store_every=store_every)
+    assert np.array_equal(traj.times, reference.times)
+    assert traj.halvings == reference.halvings
+    assert traj.fields.shape == reference.fields.shape
+    assert np.all(np.abs(traj.fields - reference.fields) <= 1e-13 * reference.fields)
+    assert kinetic.quotient_rhs_gap(DensityField(tor, traj.final), ker, par) <= 1e-14
+
+    field = DensityField(tor, aperiodic)
+    traj = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
+    reference = full_march(field, t_end, dt, ker, par, store_every=store_every)
+    assert np.array_equal(traj.times, reference.times)
+    assert traj.halvings == reference.halvings
+    assert np.array_equal(traj.fields, reference.fields)
+
+
 def _even(torus, values):
     """Symmetrise values under the periodic reflection j -> -j, exactly."""
     neg = np.array([neg_site(torus, i) for i in range(torus.site_count)])

@@ -301,6 +301,18 @@ def test_localization_monotone_and_tight(stock6):
 def test_localization_unreachable_raises(stock6):
     with pytest.raises(HorizonError):
         localization_index(10.0 * stock6.horizon, 0.0, 1.5, stock6.bound, 2.5)
+    with pytest.raises(HorizonError):
+        localization_index(10.0 * stock6.horizon, 0.0, 1.5, stock6.bound, 1e300)
+
+
+@pytest.mark.parametrize("alpha_hi", [1e5, 1e300])
+def test_localization_rescans_a_far_window_in_log_scale(stock6, alpha_hi):
+    # the uniform scan's first point lies past alpha_star, where every horizon is 0
+    t = 0.6 * stock6.horizon
+    near = localization_index(t, 0.0, 1.5, stock6.bound, 2.5)
+    far = localization_index(t, 0.0, 1.5, stock6.bound, alpha_hi)
+    assert far == pytest.approx(near, rel=1e-9)
+    assert 0.0 <= time_horizon(1.5, far, stock6.bound) - t <= 1e-9
 
 
 def test_singular_bound_sampling(rng):

@@ -38,7 +38,7 @@ from ovskale import (
 from ovskale import experiments, load_config, series
 from ovskale.config import build_runtime
 from ovskale.experiments import run_evolve
-from ovskale.lattice import layer_array
+from ovskale.lattice import entry_orders, layer_array
 from ovskale.scale import layer_starts, layer_sups, norm_alpha_flat
 from ovskale.series import default_intermediate_alpha
 from ovskale.states import flat_orders, random_correlation
@@ -87,6 +87,26 @@ def test_zero_duration_returns_initial(small, route):
     # term 0's majorant is nu times the initial norm, at every stored time
     assert res.majorant_values[0] >= res.initial_norm
     assert np.array_equal(res.majorant_sum_history, res.majorant_values)
+
+
+def test_an_orbit_route_solve_holds_no_flat_orders(small):
+    # its orders come from the representatives' per-layer counts, so the
+    # cached d-sized table of every flat entry's order is never built
+    orbits = orbit_map(small.torus, small.n_max, point_group(small.kernels))
+    u0 = CorrelationVector.product_form(small.torus, small.n_max, 0.5)
+    args = (small.kernels, small.params, small.n_max, orbits)
+    diag, pert = OperatorHandle("diagonal", *args), OperatorHandle("perturbation", *args)
+    entry_orders.cache_clear()
+    t = 0.5 * small.horizon
+    res = ovsyannikov_evolve(u0, 0.0, t, diag, pert, small.scale, small.bound, _cfg(small))
+    assert entry_orders.cache_info().currsize == 0
+    assert res.n_used >= 2
+    reduced = flat_orders(small.torus, small.n_max, orbits)
+    assert entry_orders.cache_info().currsize == 0
+    expected = flat_orders(small.torus, small.n_max)[orbits.reps]
+    assert reduced.dtype == expected.dtype
+    assert np.array_equal(reduced, expected)
+    assert np.array_equal(res.orders, expected)
 
 
 def test_series_matches_dense_oracle(small):
