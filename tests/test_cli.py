@@ -664,8 +664,9 @@ def _set(*path_and_value):
         ("evolve", _set("model", "kernels", "phi", "params", "amplitude", 1e300)),
         ("evolve", _set("model", "torus", "spacing", 1e300)),
         ("bounds", _set("scale", "alpha_star", 1e300)),
+        ("horizon", _set("model", "kernels", "phi", "params", "amplitude", 1e300)),
     ],
-    ids=["evolve-alpha-star", "evolve-phi", "evolve-spacing", "bounds"],
+    ids=["evolve-alpha-star", "evolve-phi", "evolve-spacing", "bounds", "horizon"],
 )
 def test_an_overflowing_singular_coefficient_is_a_typed_error(tmp_path, capsys, name, edit):
     manifest = _run_edited_stock(tmp_path, capsys, name, edit)
