@@ -36,7 +36,8 @@ classes of its difference sites mod p, so `integrate_kinetic` marches the
 quotient field and tiles the stored rows back to the full torus.  The
 equation on the quotient is exactly the full one; only the summation order
 of the convolutions changes.  A density with no period shorter than S
-marches on the full torus with its kernels unchanged.
+marches on the full torus with its kernels unchanged; a constant one
+marches on one site, as a float64 scalar with no transform (`_convolve`).
 
 The convolutions are spectral.  They call scipy's compiled pocketfft
 extension, loaded from its file by `ovskale.compiled`, one axis at a time
@@ -121,7 +122,13 @@ def _convolve(torus: Torus, spectra: np.ndarray, rho: np.ndarray) -> np.ndarray:
     product of the lengths, which moves the result by up to 6.3e-16
     relative on 3-D tori and non-power-of-two 2-D ones.)  The real one is
     given the site count, so odd site counts per axis round-trip.
+
+    On one site the spectra are a tuple of float64 scalars, and so is rho:
+    a transform of one site is the identity and Re (s + 0j)(v + 0j) = s v - 0,
+    so the products s * rho are the transforms' results bit for bit.
     """
+    if isinstance(spectra, tuple):
+        return [s * rho for s in spectra]
     shape = (torus.sites_per_axis,) * torus.dim
     product = spectra * _forward(np.asarray(rho, dtype=float).reshape(shape), 0)
     for axis in range(1, torus.dim):
@@ -175,14 +182,18 @@ def _tile(torus: Torus, period: int, rows: np.ndarray) -> np.ndarray:
 
 def _quotient(field: DensityField, kernels: KernelPair):
     """The translation period p of field, its (S/p)^d quotient torus, the
-    spectra of the kernels folded onto it and the field's first period cell."""
+    spectra of the kernels folded onto it and the field's first period cell;
+    on one site these are the spectra's real parts and rho[0], as scalars."""
     torus = field.torus
     period = translation_period(torus, field.rho)
     quotient = Torus(torus.dim, period, torus.spacing)
     folded = (_fold(torus, period, k) for k in (kernels.a_values, kernels.phi_values))
+    spectra = _kernel_spectra(quotient, *folded)
+    if period == 1:
+        return period, quotient, tuple(spectra.real.reshape(-1)), field.rho[0]
     cell = (slice(period),) * torus.dim
     rho = field.rho.reshape((torus.sites_per_axis,) * torus.dim)[cell].reshape(-1)
-    return period, quotient, _kernel_spectra(quotient, *folded), rho
+    return period, quotient, spectra, rho
 
 
 def quotient_rhs_gap(field: DensityField, kernels: KernelPair, params: ModelParams) -> float:
@@ -235,7 +246,8 @@ def integrate_kinetic(
     quotient solution repeated, so the stored rows are tiled back to the
     full torus; the folded convolutions equal the full ones up to the order
     of summation.  A density with no shorter period has p = S, and its
-    march is the full one, bit for bit.
+    march is the full one, bit for bit.  A constant field (p = 1) marches
+    as a float64 scalar, bit for bit as on one-element FFTs (`_convolve`).
 
     Steps whose stability indicator dt (avg_a max rho + m) reaches 1, and
     steps producing negative entries, are rejected and retried at half the
@@ -252,7 +264,7 @@ def integrate_kinetic(
     avg_a = kernels.avg_a
     m_rate = params.death_amplitude
     times = [0.0]
-    fields = [rho.copy()]
+    fields = [rho]
     t = 0.0
     step = dt
     halvings = 0
@@ -266,7 +278,7 @@ def integrate_kinetic(
             k3 = _rhs(rho + 0.5 * step * k2, torus, spectra, params)
             k4 = _rhs(rho + step * k3, torus, spectra, params)
             rho_new = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.any(rho_new < 0.0):
+            if (rho_new < 0.0).any():
                 rejected = "negativity rejection"
         if rejected:
             step *= 0.5
@@ -279,7 +291,7 @@ def integrate_kinetic(
         accepted += 1
         if accepted % store_every == 0 or t >= t_end * (1.0 - 1e-15):
             times.append(t)
-            fields.append(rho.copy())
+            fields.append(rho)
     rows = _tile(field0.torus, period, np.vstack(fields))
     return KineticTrajectory(np.array(times), rows, halvings)
 

@@ -285,6 +285,81 @@ def test_quotient_march_is_the_full_march(case, dt, store_every, death, birth):
     assert np.array_equal(traj.fields, reference.fields)
 
 
+def array_quotient(field, kernels):
+    """The quotient as a march of arrays: the first period cell as an array
+    and the folded spectra complex, one-element ones on one site too."""
+    torus = field.torus
+    period = kinetic.translation_period(torus, field.rho)
+    quotient = Torus(torus.dim, period, torus.spacing)
+    folded = (kinetic._fold(torus, period, k) for k in (kernels.a_values, kernels.phi_values))
+    cell = (slice(period),) * torus.dim
+    rho = field.rho.reshape((torus.sites_per_axis,) * torus.dim)[cell].reshape(-1)
+    return period, quotient, kinetic._kernel_spectra(quotient, *folded), rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    sites=st.integers(1, 6),
+    rho0=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    death=st.floats(0.1, 2.0),
+    birth=st.floats(0.1, 2.0),
+    store_every=st.integers(1, 7),
+    t_end=st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
+    # 1.2 takes the stability halvings of test_integrator_rejects_then_recovers
+    dt=st.sampled_from((1e-3, 0.05, 0.4, 1.2)),
+)
+@example(dim=1, sites=6, rho0=0.2, death=1.0, birth=0.6, store_every=1, t_end=2.5, dt=1.2)
+def test_one_site_march_is_the_one_element_fft_march(
+    dim, sites, rho0, death, birth, store_every, t_end, dt
+):
+    tor = Torus(dim, sites, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    par = ModelParams(death_amplitude=death, birth_intensity=birth)
+    field = DensityField(tor, rho0)
+    traj = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kinetic, "_quotient", array_quotient)
+        reference = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
+    assert traj.times.tobytes() == reference.times.tobytes()
+    assert traj.fields.dtype == reference.fields.dtype
+    assert traj.fields.shape == reference.fields.shape
+    assert traj.fields.tobytes() == reference.fields.tobytes()
+    assert traj.halvings == reference.halvings
+    assert kinetic.quotient_rhs_gap(DensityField(tor, traj.final), ker, par) <= 1e-14
+    # the right-hand sides too, whose last bits a short step can round away
+    _, quotient, spectra, _ = kinetic._quotient(field, ker)
+    reference_spectra = array_quotient(field, ker)[2]
+    for value in traj.fields[:, 0]:
+        scalar = kinetic._rhs(value, quotient, spectra, par)
+        array = kinetic._rhs(np.array([value]), quotient, reference_spectra, par)
+        assert scalar.tobytes() == array.tobytes()
+
+
+def test_a_constant_march_takes_only_the_spectra_transforms(monkeypatch):
+    # a count, not a time: the 1 + dim transforms of the one-site spectra,
+    # however many steps the march takes
+    tor = Torus(2, 64, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    field = DensityField(tor, 0.5)
+    calls = []
+
+    def counted(name):
+        call = getattr(kinetic._pocketfft, name)
+        return lambda *args: calls.append(name) or call(*args)
+
+    monkeypatch.setattr(
+        kinetic, "_pocketfft", SimpleNamespace(**{n: counted(n) for n in ("r2c", "c2c", "c2r")})
+    )
+    counts = []
+    for steps in (1, 2000):
+        calls.clear()
+        traj = integrate_kinetic(field, steps * 1e-3, 1e-3, ker, PAR)
+        assert len(traj.times) > steps
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1 + tor.dim
+
+
 def _even(torus, values):
     """Symmetrise values under the periodic reflection j -> -j, exactly."""
     neg = np.array([neg_site(torus, i) for i in range(torus.site_count)])
@@ -394,21 +469,29 @@ def test_integrator_rejects_then_recovers():
     assert abs(traj.final[0] - expected) <= 1e-2
 
 
-def test_integrator_step_collapse(monkeypatch):
+# a constant field marches a scalar state, an aperiodic one an array state
+START = pytest.mark.parametrize(
+    "rho0", [0.5, np.random.default_rng(5).uniform(0.2, 1.5, 8)], ids=["constant", "aperiodic"]
+)
+
+
+@START
+def test_integrator_step_collapse(monkeypatch, rho0):
     monkeypatch.setattr(kinetic, "_MAX_HALVINGS", 3)
     ker = _kernels()
     with pytest.raises(StepSizeCollapse, match="stability bound forced too many"):
-        integrate_kinetic(DensityField(ker.torus, 0.5), 1e6, 1e6, ker, PAR)
+        integrate_kinetic(DensityField(ker.torus, rho0), 1e6, 1e6, ker, PAR)
 
 
-def test_integrator_negativity_collapse(monkeypatch):
+@START
+def test_integrator_negativity_collapse(monkeypatch, rho0):
     # every trial step goes negative while the stability bound still holds
     monkeypatch.setattr(kinetic, "_MAX_HALVINGS", 3)
     monkeypatch.setattr(kinetic, "_rhs", lambda rho, *args: np.full_like(rho, -1e9))
     ker = _kernels()
     message = "negativity rejection forced too many step halvings"
     with pytest.raises(StepSizeCollapse, match=message):
-        integrate_kinetic(DensityField(ker.torus, 0.5), 1.0, 1e-3, ker, PAR)
+        integrate_kinetic(DensityField(ker.torus, rho0), 1.0, 1e-3, ker, PAR)
 
 
 def test_integrator_validation_and_store_every():
