@@ -28,16 +28,11 @@ Below threshold the window (c_low, c_high) = (f(x_hi), f(x_lo)) brackets the
 three-solution regime, where x_lo in (1, x0) and x_hi in (x0, inf) are the
 two extremum locations.
 
-The equation commutes with the translations of the torus, so a density
-with period p (p divides the S sites per axis) along every axis keeps that
-period for all time.  Its convolutions at the sites of one period cell are
-those of the (S/p)^d quotient torus with each kernel summed over the
-classes of its difference sites mod p, so `integrate_kinetic` marches the
-quotient field and tiles the stored rows back to the full torus.  The
-equation on the quotient is exactly the full one; only the summation order
-of the convolutions changes.  A density with no period shorter than S
-marches on the full torus with its kernels unchanged; a constant one
-marches on one site, as a float64 scalar with no transform (`_convolve`).
+The equation commutes with the translations of the torus, so a constant
+density stays constant.  `integrate_kinetic` marches such a field as a
+float64 scalar, whose convolutions are its products with the kernel
+averages (`_convolve`), and repeats the stored values over the sites; any
+other density marches on the full torus with its kernels unchanged.
 
 The convolutions are spectral.  They call scipy's compiled pocketfft
 extension, loaded from its file by `ovskale.compiled`, one axis at a time
@@ -92,6 +87,12 @@ class DensityField:
         arr.setflags(write=False)
         object.__setattr__(self, "rho", arr)
 
+    @property
+    def constant(self) -> bool:
+        """Whether every site holds rho[0] bit for bit (0.0 and -0.0 differ)."""
+        bits = self.rho.view(np.uint64)
+        return bool(np.all(bits == bits[0]))
+
 
 def _forward(x: np.ndarray, first: int) -> np.ndarray:
     """numpy's rfftn of x over its axes from first on, bit for bit.
@@ -123,9 +124,11 @@ def _convolve(torus: Torus, spectra: np.ndarray, rho: np.ndarray) -> np.ndarray:
     relative on 3-D tori and non-power-of-two 2-D ones.)  The real one is
     given the site count, so odd site counts per axis round-trip.
 
-    On one site the spectra are a tuple of float64 scalars, and so is rho:
-    a transform of one site is the identity and Re (s + 0j)(v + 0j) = s v - 0,
-    so the products s * rho are the transforms' results bit for bit.
+    For a constant field the spectra are the kernel averages (avg_a,
+    avg_phi), a tuple of floats, and rho is a float64 scalar: on a one-site
+    torus with the summed kernels a transform is the identity and
+    Re (s + 0j)(v + 0j) = s v - 0, so the products s * rho are the
+    transforms' results bit for bit.
     """
     if isinstance(spectra, tuple):
         return [s * rho for s in spectra]
@@ -142,73 +145,18 @@ def _rhs(rho: np.ndarray, torus: Torus, spectra: np.ndarray, params: ModelParams
     return -rho * comp - params.death_amplitude * rho * np.exp(-attr) + params.birth_intensity
 
 
-def translation_period(torus: Torus, rho: np.ndarray) -> int:
-    """Smallest p dividing S with rho unchanged, bit for bit, by a shift of p along every axis.
-
-    The shifts that leave rho unchanged along every axis are the multiples
-    of that p, so dividing S by each of its prime factors, for as long as
-    the quotient is still such a shift, ends at p.
-    """
-    size = torus.sites_per_axis
-    bits = np.asarray(rho, dtype=float).view(np.uint64).reshape((size,) * torus.dim)
-    period, rest, factor = size, size, 2
-    while rest > 1:
-        if factor * factor > rest:
-            factor = rest
-        while rest % factor == 0:
-            rest //= factor
-            shift = period // factor
-            if all(np.array_equal(np.roll(bits, shift, axis), bits) for axis in range(torus.dim)):
-                period = shift
-        factor += 1
-    return period
-
-
-def _fold(torus: Torus, period: int, values: np.ndarray) -> np.ndarray:
-    """A site table summed over the classes of its sites mod period along each axis."""
-    shape = (torus.sites_per_axis // period, period) * torus.dim
-    classes = tuple(range(0, 2 * torus.dim, 2))
-    return np.asarray(values, dtype=float).reshape(shape).sum(axis=classes).reshape(-1)
-
-
-def _tile(torus: Torus, period: int, rows: np.ndarray) -> np.ndarray:
-    """Rows of a quotient torus with period sites per axis, repeated over the full torus."""
-    if period == torus.sites_per_axis:
-        return rows
-    cells = rows.reshape((len(rows),) + (1, period) * torus.dim)
-    copies = (len(rows),) + (torus.sites_per_axis // period, period) * torus.dim
-    return np.broadcast_to(cells, copies).reshape(len(rows), -1)
-
-
-def _quotient(field: DensityField, kernels: KernelPair):
-    """The translation period p of field, its (S/p)^d quotient torus, the
-    spectra of the kernels folded onto it and the field's first period cell;
-    on one site these are the spectra's real parts and rho[0], as scalars."""
-    torus = field.torus
-    period = translation_period(torus, field.rho)
-    quotient = Torus(torus.dim, period, torus.spacing)
-    folded = (_fold(torus, period, k) for k in (kernels.a_values, kernels.phi_values))
-    spectra = _kernel_spectra(quotient, *folded)
-    if period == 1:
-        return period, quotient, tuple(spectra.real.reshape(-1)), field.rho[0]
-    cell = (slice(period),) * torus.dim
-    rho = field.rho.reshape((torus.sites_per_axis,) * torus.dim)[cell].reshape(-1)
-    return period, quotient, spectra, rho
-
-
-def quotient_rhs_gap(field: DensityField, kernels: KernelPair, params: ModelParams) -> float:
-    """Largest gap between the right-hand side at field on the full torus and
-    the tiled one of its quotient, relative at each site to the size of the
-    equation's three terms there (at least lambda, so never 0)."""
+def scalar_rhs_gap(field: DensityField, kernels: KernelPair, params: ModelParams) -> float:
+    """Largest gap between the right-hand side at a constant field on the full
+    torus and the scalar one of its march, relative at each site to the size
+    of the equation's three terms there (at least lambda, so never 0)."""
     torus = field.torus
     spectra = _kernel_spectra(torus, kernels.a_values, kernels.phi_values)
     comp, attr = _convolve(torus, spectra, field.rho)
     m_rate, rho = params.death_amplitude, field.rho
     size = rho * comp + m_rate * rho * np.exp(-attr) + params.birth_intensity
     full = _rhs(rho, torus, spectra, params)
-    period, quotient, folded, cell = _quotient(field, kernels)
-    tiled = _tile(torus, period, _rhs(cell, quotient, folded, params)[None])[0]
-    return float(np.max(np.abs(full - tiled) / size))
+    scalar = _rhs(rho[0], torus, (kernels.avg_a, kernels.avg_phi), params)
+    return float(np.max(np.abs(full - scalar) / size))
 
 
 def circular_convolution(torus: Torus, kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -238,29 +186,27 @@ def integrate_kinetic(
 ) -> KineticTrajectory:
     """Fixed-step fourth-order Runge-Kutta march of the kinetic equation.
 
-    The march runs on the translation quotient of field0: the smallest
-    period p (`translation_period`) of its density along every axis, the
-    (S/p)^d torus of one period cell, and the kernel tables folded onto it
-    (each summed over the classes of its difference sites mod p).  Since
-    the equation commutes with translations, the p-periodic solution is the
-    quotient solution repeated, so the stored rows are tiled back to the
-    full torus; the folded convolutions equal the full ones up to the order
-    of summation.  A density with no shorter period has p = S, and its
-    march is the full one, bit for bit.  A constant field (p = 1) marches
-    as a float64 scalar, bit for bit as on one-element FFTs (`_convolve`).
+    A constant field (`DensityField.constant`) stays constant, so it
+    marches as a float64 scalar with the kernel averages as its spectra,
+    bit for bit as on the one-site torus of the summed kernels
+    (`_convolve`), and its stored values are repeated over the sites.  Any
+    other field marches on the full torus; the kernel transforms are taken
+    once, so each right-hand side costs one forward and one batched inverse
+    real FFT.
 
     Steps whose stability indicator dt (avg_a max rho + m) reaches 1, and
     steps producing negative entries, are rejected and retried at half the
-    step; more than _MAX_HALVINGS rejections abort the run.  A quotient
-    field has the full field's maximum and signs, so it is rejected at the
-    same steps.  The kernel transforms are taken once, so each right-hand
-    side costs one forward and one batched inverse real FFT.
+    step; more than _MAX_HALVINGS rejections abort the run.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    period, torus, spectra, rho = _quotient(field0, kernels)
+    torus = field0.torus
+    if field0.constant:
+        spectra, rho = (kernels.avg_a, kernels.avg_phi), field0.rho[0]
+    else:
+        spectra, rho = _kernel_spectra(torus, kernels.a_values, kernels.phi_values), field0.rho
     avg_a = kernels.avg_a
     m_rate = params.death_amplitude
     times = [0.0]
@@ -292,7 +238,9 @@ def integrate_kinetic(
         if accepted % store_every == 0 or t >= t_end * (1.0 - 1e-15):
             times.append(t)
             fields.append(rho)
-    rows = _tile(field0.torus, period, np.vstack(fields))
+    rows = np.vstack(fields)
+    if field0.constant:
+        rows = np.repeat(rows, torus.site_count, axis=1)
     return KineticTrajectory(np.array(times), rows, halvings)
 
 

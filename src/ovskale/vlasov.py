@@ -342,14 +342,12 @@ def chaos_check(
 
         rho_t = integrate_kinetic(rho0, t, _CHAOS_KINETIC_DT, kernels, params).final
 
-    # a constant field's products are constant on orbits
-    constant = bool(np.all(rho0.rho == rho0.rho[0]))
-
     def run(order: int):
         from .orbits import orbit_map, point_group
 
         u0 = CorrelationVector.product_form(rho0.torus, order, rho0.rho)
-        orbits = orbit_map(rho0.torus, order, point_group(kernels)) if constant else None
+        # a constant field's products are constant on orbits
+        orbits = orbit_map(rho0.torus, order, point_group(kernels)) if rho0.constant else None
         diag, pert = split_handles(kernels, replace(params, epsilon=0.0), order, orbits)
         return ovsyannikov_evolve(u0, 0.0, t, diag, pert, scale, bound, cfg)
 

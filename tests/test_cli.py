@@ -411,6 +411,20 @@ def test_kinetic_run_times_its_stages(tmp_path):
     assert sum(timings.values()) <= manifest["wall_time_s"]
 
 
+def test_a_kinetic_field_of_mixed_zero_signs_skips_the_homogeneous_check(tmp_path):
+    # 0.0 == -0.0, but the field is not constant bit for bit, so it marches
+    # on the full torus, and the check of the scalar march does not run
+    doc = base_doc()
+    doc["experiment"] = {
+        "name": "kinetic", "t_end": 0.01, "dt": 0.001, "rho0": [0.0, -0.0, 0.0, 0.0]
+    }
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {item["name"] for item in manifest["assertions"]} == {"density_nonnegative"}
+
+
 def test_exit_3_when_the_scalar_reference_exceeds_its_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(kinetic, "_SCALAR_MAX_STEPS", 2)
     doc = base_doc()

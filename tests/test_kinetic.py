@@ -196,105 +196,62 @@ def test_transforms_are_numpys_bit_for_bit(dim, sites, seed):
 def test_march_is_numpys_bit_for_bit(monkeypatch):
     tor = Torus(2, 6, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
-    field = DensityField(tor, np.random.default_rng(3).uniform(0.2, 1.5, tor.site_count))
-    traj = integrate_kinetic(field, 0.05, 1e-3, ker, PAR)
+    gen = np.random.default_rng(3)
+    aperiodic = gen.uniform(0.2, 1.5, tor.site_count)
+    # 2-periodic along both axes, which marches on the full torus all the same
+    periodic = np.tile(gen.uniform(0.2, 1.5, (2, 2)), (3, 3)).reshape(-1)
+    fields = [DensityField(tor, rho) for rho in (aperiodic, periodic)]
+    trajs = [integrate_kinetic(field, 0.05, 1e-3, ker, PAR) for field in fields]
     monkeypatch.setattr(kinetic, "_kernel_spectra", numpy_kernel_spectra)
     monkeypatch.setattr(kinetic, "_convolve", numpy_convolve)
-    reference = integrate_kinetic(field, 0.05, 1e-3, ker, PAR)
-    assert np.ptp(traj.final) > 0.1
-    assert np.array_equal(traj.times, reference.times)
-    assert np.array_equal(traj.fields, reference.fields)
-    assert traj.halvings == reference.halvings
+    for field, traj in zip(fields, trajs):
+        reference = integrate_kinetic(field, 0.05, 1e-3, ker, PAR)
+        assert np.ptp(traj.final) > 0.1
+        assert np.array_equal(traj.times, reference.times)
+        assert np.array_equal(traj.fields, reference.fields)
+        assert traj.halvings == reference.halvings
 
 
 def full_march(field, t_end, dt, kernels, params, **kwargs):
-    """The march on the full torus: integrate_kinetic with the period forced to S."""
+    """The march on the full torus: integrate_kinetic with no field taken as constant."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kinetic, "translation_period", lambda torus, rho: torus.sites_per_axis)
+        patch.setattr(DensityField, "constant", property(lambda self: False))
         return integrate_kinetic(field, t_end, dt, kernels, params, **kwargs)
-
-
-def reference_period(torus, rho):
-    """The least divisor q of S with rho unchanged by a shift of q along every axis."""
-    size = torus.sites_per_axis
-    grid = np.asarray(rho).reshape((size,) * torus.dim)
-    return min(
-        q
-        for q in range(1, size + 1)
-        if size % q == 0
-        and all(np.array_equal(np.roll(grid, q, axis), grid) for axis in range(torus.dim))
-    )
-
-
-@st.composite
-def periodic_fields(draw):
-    """A torus of 1-3 dimensions, a period p dividing S, a p-periodic field on
-    it and one that is p-periodic along all axes but one, and random there."""
-    dim = draw(st.integers(1, 3))
-    size = draw(st.sampled_from((1, 2, 4, 6, 8, 12)[: 6 - dim]))
-    period = draw(st.sampled_from([q for q in range(1, size + 1) if size % q == 0]))
-    tor = Torus(dim, size, draw(st.floats(0.3, 1.0)))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    copies = (size // period,) * dim
-    periodic = np.tile(gen.uniform(0.2, 1.5, (period,) * dim), copies).reshape(-1)
-    axis = draw(st.integers(0, dim - 1))
-    cell = [period] * dim
-    cell[axis] = size
-    reps = list(copies)
-    reps[axis] = 1
-    aperiodic = np.tile(gen.uniform(0.2, 1.5, cell), reps).reshape(-1)
-    return tor, period, periodic, aperiodic
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=periodic_fields())
-def test_translation_period_is_the_smallest_common_period(case):
-    tor, period, periodic, aperiodic = case
-    assert kinetic.translation_period(tor, periodic) == reference_period(tor, periodic) == period
-    assert kinetic.translation_period(tor, aperiodic) == tor.sites_per_axis
-    assert reference_period(tor, aperiodic) == tor.sites_per_axis
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    case=periodic_fields(),
+    dim=st.integers(1, 3),
+    sites=st.sampled_from((1, 2, 3, 4, 6, 8)),
+    spacing=st.floats(0.3, 1.0),
+    rho0=st.floats(0.2, 1.5),
     dt=st.sampled_from((1e-3, 0.05, 0.4)),
     store_every=st.integers(1, 7),
     death=st.floats(0.1, 2.0),
     birth=st.floats(0.1, 2.0),
 )
-def test_quotient_march_is_the_full_march(case, dt, store_every, death, birth):
-    tor, _, periodic, aperiodic = case
+def test_constant_march_is_the_full_march(
+    dim, sites, spacing, rho0, dt, store_every, death, birth
+):
+    tor = Torus(dim, sites, spacing)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     par = ModelParams(death_amplitude=death, birth_intensity=birth)
     t_end = 30 * dt
-    field = DensityField(tor, periodic)
+    field = DensityField(tor, rho0)
     traj = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
     reference = full_march(field, t_end, dt, ker, par, store_every=store_every)
     assert np.array_equal(traj.times, reference.times)
     assert traj.halvings == reference.halvings
     assert traj.fields.shape == reference.fields.shape
     assert np.all(np.abs(traj.fields - reference.fields) <= 1e-13 * reference.fields)
-    assert kinetic.quotient_rhs_gap(DensityField(tor, traj.final), ker, par) <= 1e-14
-
-    field = DensityField(tor, aperiodic)
-    traj = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
-    reference = full_march(field, t_end, dt, ker, par, store_every=store_every)
-    assert np.array_equal(traj.times, reference.times)
-    assert traj.halvings == reference.halvings
-    assert np.array_equal(traj.fields, reference.fields)
+    assert kinetic.scalar_rhs_gap(DensityField(tor, traj.final), ker, par) <= 1e-14
 
 
-def array_quotient(field, kernels):
-    """The quotient as a march of arrays: the first period cell as an array
-    and the folded spectra complex, one-element ones on one site too."""
-    torus = field.torus
-    period = kinetic.translation_period(torus, field.rho)
-    quotient = Torus(torus.dim, period, torus.spacing)
-    folded = (kinetic._fold(torus, period, k) for k in (kernels.a_values, kernels.phi_values))
-    cell = (slice(period),) * torus.dim
-    rho = field.rho.reshape((torus.sites_per_axis,) * torus.dim)[cell].reshape(-1)
-    return period, quotient, kinetic._kernel_spectra(quotient, *folded), rho
+def one_site_reduction(kernels):
+    """The one-site torus of the same spacing, with each kernel summed onto its site."""
+    torus = kernels.torus
+    one_site = Torus(torus.dim, 1, torus.spacing)
+    return KernelPair(one_site, [kernels.a_values.sum()], [kernels.phi_values.sum()])
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,27 +275,48 @@ def test_one_site_march_is_the_one_element_fft_march(
     par = ModelParams(death_amplitude=death, birth_intensity=birth)
     field = DensityField(tor, rho0)
     traj = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kinetic, "_quotient", array_quotient)
-        reference = integrate_kinetic(field, t_end, dt, ker, par, store_every=store_every)
+    # the reference marches one-element arrays through the transforms
+    one_site = one_site_reduction(ker)
+    reference = full_march(
+        DensityField(one_site.torus, rho0), t_end, dt, one_site, par, store_every=store_every
+    )
+    rows = np.repeat(reference.fields, tor.site_count, axis=1)
     assert traj.times.tobytes() == reference.times.tobytes()
-    assert traj.fields.dtype == reference.fields.dtype
-    assert traj.fields.shape == reference.fields.shape
-    assert traj.fields.tobytes() == reference.fields.tobytes()
+    assert traj.fields.dtype == rows.dtype
+    assert traj.fields.shape == rows.shape
+    assert traj.fields.tobytes() == rows.tobytes()
     assert traj.halvings == reference.halvings
-    assert kinetic.quotient_rhs_gap(DensityField(tor, traj.final), ker, par) <= 1e-14
-    # the right-hand sides too, whose last bits a short step can round away
-    _, quotient, spectra, _ = kinetic._quotient(field, ker)
-    reference_spectra = array_quotient(field, ker)[2]
+    assert kinetic.scalar_rhs_gap(DensityField(tor, traj.final), ker, par) <= 1e-14
+    # the scalar spectra are the one-element ones' real parts, and the
+    # right-hand sides agree too, whose last bits a short step can round away
+    spectra = (ker.avg_a, ker.avg_phi)
+    reference_spectra = kinetic._kernel_spectra(
+        one_site.torus, one_site.a_values, one_site.phi_values
+    )
+    assert reference_spectra.real.reshape(-1).tolist() == list(spectra)
     for value in traj.fields[:, 0]:
-        scalar = kinetic._rhs(value, quotient, spectra, par)
-        array = kinetic._rhs(np.array([value]), quotient, reference_spectra, par)
+        scalar = kinetic._rhs(value, tor, spectra, par)
+        array = kinetic._rhs(np.array([value]), one_site.torus, reference_spectra, par)
         assert scalar.tobytes() == array.tobytes()
 
 
+def test_a_field_of_mixed_zero_signs_is_not_constant():
+    # 0.0 == -0.0, but a scalar march would store +0.0 at every site
+    tor = Torus(1, 6, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    rho = np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0])
+    field = DensityField(tor, rho)
+    assert np.all(field.rho == 0.0)
+    assert not field.constant
+    assert DensityField(tor, 0.0).constant and DensityField(tor, -0.0).constant
+    traj = integrate_kinetic(field, 0.05, 1e-3, ker, PAR)
+    assert traj.fields[0].tobytes() == rho.tobytes()
+    assert np.array_equal(traj.fields, full_march(field, 0.05, 1e-3, ker, PAR).fields)
+
+
 def test_a_constant_march_takes_only_the_spectra_transforms(monkeypatch):
-    # a count, not a time: the 1 + dim transforms of the one-site spectra,
-    # however many steps the march takes
+    # a count, not a time: a constant march takes its spectra from the
+    # kernel averages, so it makes no transform however many steps it takes
     tor = Torus(2, 64, 0.5)
     ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
     field = DensityField(tor, 0.5)
@@ -357,7 +335,7 @@ def test_a_constant_march_takes_only_the_spectra_transforms(monkeypatch):
         traj = integrate_kinetic(field, steps * 1e-3, 1e-3, ker, PAR)
         assert len(traj.times) > steps
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 1 + tor.dim
+    assert counts == [0, 0]
 
 
 def _even(torus, values):
