@@ -59,8 +59,10 @@ _BYTES_PER_NONZERO = 36
 # (orbit map, states): measured up to 108 and 153 on 1-, 2- and 3-D tori
 _BYTES_PER_ORBIT_NONZERO = 120
 _BYTES_PER_ORBIT_ENTRY = 200
-# peak of one stationary scan per grid cell: measured 27; per point of the
-# fold curve (arrays, lists of floats, JSON and CSV rows): measured 285
+# peak of one stationary scan per grid cell: measured 27 for the first scan
+# on a grid, which builds the grid and x e^{-x} (16 of it, kept for the run's
+# later scans), 11 for each later one; per point of the fold curve (arrays,
+# lists of floats, JSON and CSV rows): measured 285
 _BYTES_PER_SCAN_CELL = 32
 _BYTES_PER_FOLD_POINT = 320
 # site-count arrays a kinetic march holds besides its stored rows: measured 4-9
@@ -623,6 +625,8 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
         _BYTES_PER_SCAN_CELL * (resolution + 1.0) + _BYTES_PER_FOLD_POINT * fold_points,
         f"resolution={resolution}, fold_points={fold_points}",
     )
+    # the fold window of each b below threshold, one solve per distinct b
+    windows = {b: kinetic.critical_c_range(b) for b in set(exp["b_values"]) if b < b_star}
     rows = []
     consistent = True
     detail = []
@@ -632,7 +636,7 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
         rows.append([b, c, scan.count, *roots[:3]])
         if b != b_star:
             if b < b_star:
-                c_lo, c_hi = kinetic.critical_c_range(b)
+                c_lo, c_hi = windows[b]
                 margin = 1e-9 * max(1.0, c)
                 if abs(c - c_lo) <= margin or abs(c - c_hi) <= margin:
                     continue
@@ -642,6 +646,9 @@ def run_bifurcation(bundle: RuntimeBundle, out: Path):
             if scan.count != expected:
                 consistent = False
                 detail.append(f"(b={b}, c={c}) count={scan.count} expected={expected}")
+    # the shared grid serves this run's scans only: held on, it would lift
+    # the base of all the process does after them
+    kinetic.scan_grid.cache_clear()
     checks = [
         Assertion(
             "fold_consistency",

@@ -42,6 +42,7 @@ without numpy's per-axis Python wrappers, and no `scipy.fft` import is paid.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -350,20 +351,48 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=1)
+def scan_grid(x_hi: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid on [0, x_hi] and x e^{-x} over it, both read-only.
+
+    Neither depends on (b, c), so a bifurcation run's scans, which all share
+    one grid, build them once; the run frees them when its scans end.
+    x e^{-x} is formed in one buffer: e^{-x} x has the bits of
+    `stationary_curve`'s x e^{-x}.
+    """
+    grid = np.linspace(0.0, x_hi, resolution + 1)
+    decay = np.negative(grid)
+    np.exp(decay, out=decay)
+    decay *= grid
+    grid.flags.writeable = False
+    decay.flags.writeable = False
+    return grid, decay
+
+
 def stationary_scan(inp: BifurcationInput) -> ScanResult:
     """Find all roots of x e^{-x} + b x^2 = c on [0, x_hi].
 
     Dense grid scan for sign changes, bisection to 1e-12 on each bracket.
-    Exact tangencies are reported with the lower root count and a flag;
-    roots within one grid cell of the window edge raise a warning.
+    The grid and x e^{-x} over it are built once per (x_hi, resolution) and
+    shared by a run's scans; each scan forms only its b- and c-dependent
+    values.  Exact tangencies are reported with the lower root count and a
+    flag; roots within one grid cell of the window edge raise a warning.
     """
-    grid = np.linspace(0.0, inp.x_hi, inp.resolution + 1)
-    vals = stationary_curve(grid, inp.b) - inp.c
+    grid, decay = scan_grid(inp.x_hi, inp.resolution)
+    # the operations of stationary_curve(grid, b) - c, in its order, in one buffer
+    vals = np.multiply(inp.b, grid)
+    vals *= grid
+    np.add(decay, vals, out=vals)
+    vals -= inp.c
     fn = lambda x: float(x * math.exp(-x) + inp.b * x * x - inp.c)
-    lo, hi = vals[:-1], vals[1:]
-    # products as the scalar test forms them: an overflow is inf, an underflow 0
+    # a bracket's ends differ in sign or start at zero; the exact test, on
+    # products as the scalar test forms them (an overflow is inf, an
+    # underflow 0), runs on those candidates only
+    neg = vals < 0.0
+    cells = np.flatnonzero((neg[:-1] != neg[1:]) | (vals[:-1] == 0.0))
+    lo, hi = vals[cells], vals[cells + 1]
     with np.errstate(over="ignore", under="ignore"):
-        brackets = np.flatnonzero((lo == 0.0) | (lo * hi < 0.0))
+        brackets = cells[(lo == 0.0) | (lo * hi < 0.0)]
     roots = []
     for i in brackets:
         if vals[i] == 0.0:
@@ -374,11 +403,15 @@ def stationary_scan(inp: BifurcationInput) -> ScanResult:
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     cell = inp.x_hi / inp.resolution
-    left, mid, right = vals[:-2], vals[1:-1], vals[2:]
+    # |mid| < tol as two comparisons, with no float temporary; the extremum
+    # masks run on the near cells only
+    tol = 1e-9 * max(inp.c, 1.0)
+    inner = vals[1:-1]
+    near = np.flatnonzero((inner < tol) & (inner > -tol)) + 1
+    left, mid, right = vals[near - 1], vals[near], vals[near + 1]
     minimum_above = (left > mid) & (mid < right) & (mid > 0.0)
     maximum_below = (left < mid) & (mid > right) & (mid < 0.0)
-    near = np.abs(mid) < 1e-9 * max(inp.c, 1.0)
-    tangency = bool(np.any(near & (minimum_above | maximum_below)))
+    tangency = bool(np.any(minimum_above | maximum_below))
     edge = any(r <= cell or r >= inp.x_hi - cell for r in roots)
     if edge:
         warnings.warn("stationary root within one grid cell of the window edge", stacklevel=2)

@@ -997,6 +997,33 @@ def test_bifurcation_monostable_grid(tmp_path):
     assert all(row[count_col] == "1" for row in body)
 
 
+def test_bifurcation_solves_each_fold_window_once_and_frees_its_grid(tmp_path):
+    doc = base_doc()
+    doc["experiment"] = {
+        "name": "bifurcation",
+        "b_values": [0.01, 0.02, 0.01, 0.05],
+        "c_values": [0.1, 0.3, 0.36],
+        "x_hi": 40.0,
+        "resolution": 4000,
+        "fold_points": 2,
+    }
+    calls = []
+    solve = kinetic.critical_c_range
+
+    def counted(b):
+        calls.append(b)
+        return solve(b)
+
+    out = tmp_path / "b"
+    with mock.patch.object(kinetic, "critical_c_range", counted):
+        assert main(["run", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    # one window per distinct b below threshold, then one per fold point
+    assert sorted(calls[:2]) == [0.01, 0.02]
+    assert len(calls) == 2 + 2
+    assert len(read_rows(out / "bifurcation.csv")) == 1 + 9
+    assert kinetic.scan_grid.cache_info().currsize == 0
+
+
 def test_config_round_trip_and_hash(tmp_path):
     doc = base_doc()
     path = write_doc(tmp_path, doc)

@@ -1,6 +1,7 @@
 """Kinetic field integrator and the stationary fold analysis."""
 
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from ovskale import (
     tangency_point,
     threshold_b,
 )
-from ovskale import compiled, kinetic
+from ovskale import compiled, experiments, kinetic
 from ovskale.kinetic import ScanResult, _bisect, stationary_curve
 
 from conftest import GAUSS_A, GAUSS_PHI, diff_site, homogeneous_ode, neg_site
@@ -762,9 +763,42 @@ def test_vectorised_scan_fixed_cases():
     cases.append(BifurcationInput(b, float(curve[700]), x_hi, res))
     # neighbouring values near 1e300, whose products overflow
     cases.append(BifurcationInput(1e300, 0.5, 1.0, 100))
+    # scans that alternate between two grids, so each one evicts the other's
+    # shared grid, at several b
+    cases += [
+        BifurcationInput(b, c, *grid)
+        for b in (0.005, 0.02, 0.05)
+        for c in (0.1, 0.3)
+        for grid in ((40.0, 4000), (5.0, 1000))
+        if b * grid[0] ** 2 > c
+    ]
     flags = set()
     for inp in cases:
         fast, ref = _scan_both(inp)
         _assert_same_scan(fast, ref)
         flags.add((fast.edge_warning, fast.tangency_flag))
     assert (False, True) in flags and (True, False) in flags
+    # the shared grid and x e^{-x} refuse writes
+    for shared in kinetic.scan_grid(5.0, 1000):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+
+
+def test_scan_peak_per_cell_is_within_the_budget():
+    # the first scan on a grid builds the shared grid and x e^{-x}; a later
+    # one holds only its own values and masks
+    res = 10**6
+    kinetic.scan_grid.cache_clear()
+    peaks = []
+    for b, c in ((0.02, 0.36), (0.05, 0.3)):
+        tracemalloc.start()
+        try:
+            stationary_scan(BifurcationInput(b, c, 50.0, res))
+            peaks.append(tracemalloc.get_traced_memory()[1] / (res + 1))
+        finally:
+            tracemalloc.stop()
+    kinetic.scan_grid.cache_clear()
+    cold, warm = peaks
+    assert cold <= experiments._BYTES_PER_SCAN_CELL
+    assert warm <= experiments._BYTES_PER_SCAN_CELL
+    assert warm < cold
