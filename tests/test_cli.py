@@ -397,6 +397,26 @@ def test_exit_3_on_numerical_failure(tmp_path, capsys):
     assert "StepSizeCollapse" in manifest["error"]
 
 
+def test_exit_3_when_a_constant_march_overflows(tmp_path, capsys):
+    # 2 k2 overflows to -inf in every trial step, so each one is rejected as
+    # negative; a Python-float march overflows with no RuntimeWarning, which
+    # the suite's filter would turn into an error
+    doc = base_doc()
+    for kernel in doc["model"]["kernels"].values():
+        kernel["params"]["amplitude"] = 0.0
+    doc["experiment"] = {"name": "kinetic", "t_end": 0.01, "dt": 1e-3, "rho0": 1e308}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["error"].startswith(
+        "StepSizeCollapse: negativity rejection forced too many step halvings"
+    )
+
+
 def test_kinetic_run_times_its_stages(tmp_path):
     doc = base_doc()
     doc["experiment"] = {"name": "kinetic", "t_end": 0.05, "dt": 0.001, "rho0": 0.5}

@@ -315,6 +315,25 @@ def test_a_field_of_mixed_zero_signs_is_not_constant():
     assert np.array_equal(traj.fields, full_march(field, 0.05, 1e-3, ker, PAR).fields)
 
 
+def test_a_constant_march_passes_python_floats_to_the_rhs(monkeypatch):
+    # a constant field's state is a Python float, so numpy is called only for
+    # the exponential; any other field's state is an array
+    tor = Torus(2, 64, 0.5)
+    ker = kernel_pair_from_spec(tor, GAUSS_A, GAUSS_PHI)
+    aperiodic = np.random.default_rng(5).uniform(0.2, 1.5, tor.site_count)
+    cases = [(DensityField(tor, 0.5), 2.0, float), (DensityField(tor, aperiodic), 0.05, np.ndarray)]
+    plain = [integrate_kinetic(field, t_end, 1e-3, ker, PAR) for field, t_end, _ in cases]
+    rhs, seen = kinetic._rhs, []
+    monkeypatch.setattr(kinetic, "_rhs", lambda rho, *args: seen.append(type(rho)) or rhs(rho, *args))
+    for (field, t_end, kind), reference in zip(cases, plain):
+        seen.clear()
+        traj = integrate_kinetic(field, t_end, 1e-3, ker, PAR)
+        assert len(seen) >= 4 * round(t_end / 1e-3) and set(seen) == {kind}
+        assert traj.times.tobytes() == reference.times.tobytes()
+        assert traj.fields.tobytes() == reference.fields.tobytes()
+        assert traj.halvings == reference.halvings
+
+
 def test_a_constant_march_takes_only_the_spectra_transforms(monkeypatch):
     # a count, not a time: a constant march takes its spectra from the
     # kernel averages, so it makes no transform however many steps it takes
