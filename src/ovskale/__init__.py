@@ -46,7 +46,6 @@ _EXPORTS = {
         "verify_singular_bound",
     ),
     "series": (
-        "SeriesConfig",
         "EvolutionResult",
         "ovsyannikov_evolve",
         "oracle_evolve",
@@ -76,7 +75,14 @@ _EXPORTS = {
         "tangency_point",
         "critical_c_range",
     ),
-    "config": ("CONFIG_SCHEMA", "load_config", "validate_config", "build_runtime", "config_hash"),
+    "config": (
+        "CONFIG_SCHEMA",
+        "SeriesConfig",
+        "load_config",
+        "validate_config",
+        "build_runtime",
+        "config_hash",
+    ),
     "experiments": ("run_experiment",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

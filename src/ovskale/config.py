@@ -6,11 +6,11 @@ or misspelled options fail fast instead of silently using defaults.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +18,15 @@ from .errors import ConfigError
 from .lattice import KernelPair, Torus, kernel_pair_from_spec
 from .operators import ModelParams
 from .scale import BoundModel, ScaleSpec, model_bound
-from .series import SeriesConfig
+
+# CPython's builtin SHA-256 gives hashlib's digest without loading OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _KERNEL_SCHEMA = {
     "type": "object",
@@ -308,7 +316,54 @@ def load_config(path: str) -> dict:
 def config_hash(doc: dict) -> str:
     """Hash of the canonical serialization, for run manifests."""
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class SeriesConfig:
+    """Run parameters of the series solver, from the config's solver section.
+
+    upsilon is the guaranteed sub-horizon the run is certified for (t - s
+    must not exceed it); q and alpha are the majorant shape parameters,
+    defaulted from the horizon geometry when omitted.  quad_tol is the
+    Richardson disagreement gate and defaults to 10 * term_tol.
+    """
+
+    upsilon: float
+    q: float | None = None
+    alpha: float | None = None
+    time_grid_points: int = 256
+    n_max: int = 40
+    term_tol: float = 1e-10
+    quad_tol: float | None = None
+    majorant_slack: float = 1e-6
+    trajectory_points: int = 129
+
+    def __post_init__(self):
+        if not (self.upsilon > 0 and math.isfinite(self.upsilon)):
+            raise ValueError("upsilon must be positive and finite")
+        if self.q is not None and not (self.q > 1.0):
+            raise ValueError("q must exceed 1")
+        if self.time_grid_points < 2 or self.time_grid_points % 2:
+            raise ValueError("time_grid_points must be even and >= 2")
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
+        if not (self.term_tol > 0):
+            raise ValueError("term_tol must be positive")
+        if self.quad_tol is not None and not (self.quad_tol > 0):
+            raise ValueError("quad_tol must be positive")
+        if not (self.majorant_slack >= 0):
+            raise ValueError("majorant_slack must be >= 0")
+        if self.trajectory_points < 2:
+            raise ValueError("trajectory_points must be >= 2")
+
+    @property
+    def richardson_gate(self) -> float:
+        return self.quad_tol if self.quad_tol is not None else 10.0 * self.term_tol
+
+    def for_horizon(self, dt: float) -> "SeriesConfig":
+        """Clone for a sub-run over duration dt, re-deriving q and alpha."""
+        return replace(self, upsilon=dt, q=None, alpha=None)
 
 
 @dataclass
@@ -316,7 +371,9 @@ class RuntimeBundle:
     """Everything a run needs, assembled from one validated document.
 
     solves is the run's solve ledger: the runner appends one entry per series
-    solve and the manifest records them.
+    solve and the manifest records them.  rng, the generator seeded from the
+    config, is built on first use, so a run that draws nothing never loads
+    numpy.random.
     """
 
     torus: Torus
@@ -327,8 +384,12 @@ class RuntimeBundle:
     bound: BoundModel
     solver: SeriesConfig
     experiment: dict
-    rng: np.random.Generator
+    seed: int
     solves: list = field(default_factory=list)
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
 
 
 # config keys whose keyword argument has another name
@@ -387,5 +448,5 @@ def build_runtime(doc: dict, *, validated: bool = False) -> RuntimeBundle:
         bound=bound,
         solver=solver,
         experiment=dict(doc["experiment"]),
-        rng=np.random.default_rng(doc["seed"]),
+        seed=doc["seed"],
     )

@@ -20,23 +20,23 @@ import platform
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import compiled
 from ._version import __version__
-from .config import RuntimeBundle, _arguments, build_runtime, config_hash, validate_config
+from .config import (
+    RuntimeBundle,
+    SeriesConfig,
+    _arguments,
+    build_runtime,
+    config_hash,
+    validate_config,
+)
 from .errors import ConfigError, DimensionCapError, HorizonError, OvskaleError
 from .operators import OperatorHandle, split_handles
 from .scale import localization_index, optimal_terminal, time_horizon, verify_singular_bound
-from .series import (
-    EvolutionResult,
-    SeriesConfig,
-    apriori_estimate_check,
-    flow_compose_check,
-    level_loop_bytes,
-    ovsyannikov_evolve,
-)
 from .states import CorrelationVector, random_correlation
 from .vlasov import (
     EpsilonSweep,
@@ -47,6 +47,9 @@ from .vlasov import (
     split_ceiling,
     vlasov_limit,
 )
+
+if TYPE_CHECKING:
+    from .series import EvolutionResult
 
 # share of physical memory a run's hierarchy arrays may be planned to take
 _MEMORY_SHARE = 0.5
@@ -77,11 +80,16 @@ _BYTES_PER_SITE_PAIR = 64
 # experiments that assemble a hierarchy operator
 _HIERARCHY_RUNS = ("evolve", "vlasov", "bounds")
 # modules each experiment loads before build_runtime, so that imports count
-# as set-up and not as the runner's time: the hierarchy runs assemble a
-# CsrMatrix (ovskale.csr loads scipy's compiled sparse kernels); the kinetic
-# runs need ovskale.kinetic (scipy's compiled FFT kernels)
+# as set-up and not as the runner's time, and no run loads a module it never
+# calls: the hierarchy runs assemble a CsrMatrix (ovskale.csr loads scipy's
+# compiled sparse kernels) and draw from the config's generator (numpy.random),
+# and evolve and vlasov solve (ovskale.series); the kinetic runs need only
+# ovskale.kinetic (scipy's compiled FFT kernels).  The order is measured:
+# numpy.random first raised eps-sweep's peak resident set by 0.6 MB
 _SETUP_IMPORTS = {
-    **dict.fromkeys(_HIERARCHY_RUNS, ("ovskale.csr",)),
+    "evolve": ("ovskale.series", "ovskale.csr", "numpy.random"),
+    "vlasov": ("ovskale.series", "ovskale.csr", "numpy.random"),
+    "bounds": ("ovskale.csr", "numpy.random"),
     "kinetic": ("ovskale.kinetic",),
     "bifurcation": ("ovskale.kinetic",),
 }
@@ -200,6 +208,8 @@ def _check_footprint(
         need += operators * _BYTES_PER_ORBIT_NONZERO * nnz
         detail = f"d={dim}, orbits={rows}, nnz<={nnz}"
     if solve is not None:
+        from .series import level_loop_bytes
+
         solver, sup_energy = solve
         grid = solver.time_grid_points
         stored = min(solver.trajectory_points, grid + 1)
@@ -300,6 +310,8 @@ def _product_state(bundle: RuntimeBundle, rho: float) -> CorrelationVector:
 
 
 def run_evolve(bundle: RuntimeBundle, out: Path):
+    from .series import apriori_estimate_check, flow_compose_check, ovsyannikov_evolve
+
     exp = bundle.experiment
     # a product of a scalar density runs on the orbit route, a random state on the full one
     product = _product_run(exp)
@@ -580,6 +592,9 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
             bundle.params.birth_intensity,
         )
         gap = abs(float(traj.fields[-1].mean()) - scalar)
+        # relative past |scalar| = 1: a density of 1e154 agrees to 8e-13
+        # relative, yet its absolute gap is 8e141
+        tol = 1e-8 * max(1.0, abs(scalar))
         # a scalar march keeps a constant field constant by construction, so
         # the check compares the scalar equation with the full one
         rhs_gap = kinetic.scalar_rhs_gap(
@@ -588,7 +603,7 @@ def run_kinetic(bundle: RuntimeBundle, out: Path):
         checks.append(
             Assertion(
                 "homogeneous_consistency",
-                gap <= 1e-8 and rhs_gap <= 1e-14,
+                gap <= tol and rhs_gap <= 1e-14,
                 f"|field-scalar|={gap:.3e} |full rhs-scalar rhs|/terms={rhs_gap:.3e}",
             )
         )

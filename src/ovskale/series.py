@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import compiled
+from .config import SeriesConfig
 from .errors import ConvergenceError, DimensionCapError, HorizonError, MajorantViolation
 from .lattice import unique_inverse
 from .operators import OperatorHandle
@@ -66,53 +67,6 @@ from .states import CorrelationVector, flat_orders
 
 if TYPE_CHECKING:
     from .orbits import OrbitMap
-
-
-@dataclass
-class SeriesConfig:
-    """Run parameters of the series solver.
-
-    upsilon is the guaranteed sub-horizon the run is certified for (t - s
-    must not exceed it); q and alpha are the majorant shape parameters,
-    defaulted from the horizon geometry when omitted.  quad_tol is the
-    Richardson disagreement gate and defaults to 10 * term_tol.
-    """
-
-    upsilon: float
-    q: float | None = None
-    alpha: float | None = None
-    time_grid_points: int = 256
-    n_max: int = 40
-    term_tol: float = 1e-10
-    quad_tol: float | None = None
-    majorant_slack: float = 1e-6
-    trajectory_points: int = 129
-
-    def __post_init__(self):
-        if not (self.upsilon > 0 and math.isfinite(self.upsilon)):
-            raise ValueError("upsilon must be positive and finite")
-        if self.q is not None and not (self.q > 1.0):
-            raise ValueError("q must exceed 1")
-        if self.time_grid_points < 2 or self.time_grid_points % 2:
-            raise ValueError("time_grid_points must be even and >= 2")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if not (self.term_tol > 0):
-            raise ValueError("term_tol must be positive")
-        if self.quad_tol is not None and not (self.quad_tol > 0):
-            raise ValueError("quad_tol must be positive")
-        if not (self.majorant_slack >= 0):
-            raise ValueError("majorant_slack must be >= 0")
-        if self.trajectory_points < 2:
-            raise ValueError("trajectory_points must be >= 2")
-
-    @property
-    def richardson_gate(self) -> float:
-        return self.quad_tol if self.quad_tol is not None else 10.0 * self.term_tol
-
-    def for_horizon(self, dt: float) -> "SeriesConfig":
-        """Clone for a sub-run over duration dt, re-deriving q and alpha."""
-        return replace(self, upsilon=dt, q=None, alpha=None)
 
 
 @dataclass

@@ -30,16 +30,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import SeriesConfig
 from .errors import ConfigError
 from .lattice import KernelPair
 from .operators import ModelParams, OperatorHandle, interaction_energies, split_handles
 from .scale import BoundModel, ScaleSpec
-from .series import EvolutionResult, SeriesConfig, ovsyannikov_evolve
 from .states import CorrelationVector, flat_orders
 
 if TYPE_CHECKING:
     from .kinetic import DensityField
     from .orbits import OrbitMap
+    from .series import EvolutionResult
 
 # least ln(alpha_hi / alpha_lo) of a pair sampled by perturbation_gap
 _LN_SPLIT_FLOOR = 0.8
@@ -253,6 +254,8 @@ def vlasov_limit(
     resolves it and the others take it from there.  Solver failures carry
     the offending epsilon in the message.
     """
+    from .series import ovsyannikov_evolve
+
     u0 = sweep.initial
     n_max = u0.n_max
     config = sweep.config
@@ -329,6 +332,8 @@ def chaos_check(
     of the gap is truncation.  At t = 0 the gap vanishes by construction.  A
     constant field's hierarchy runs on the orbit route.
     """
+    from .series import ovsyannikov_evolve
+
     if not (0 <= n_probe <= n_max):
         raise ValueError("need 0 <= n_probe <= n_max")
     if refined_n_max is None:

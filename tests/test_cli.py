@@ -445,6 +445,40 @@ def test_a_kinetic_field_of_mixed_zero_signs_skips_the_homogeneous_check(tmp_pat
     assert {item["name"] for item in manifest["assertions"]} == {"density_nonnegative"}
 
 
+def _large_constant_kinetic_doc(rho0: float) -> dict:
+    # zero kernels: the density decays as 1 - r, so a large one stays large
+    doc = base_doc()
+    for kernel in doc["model"]["kernels"].values():
+        kernel["params"]["amplitude"] = 0.0
+    doc["experiment"] = {"name": "kinetic", "t_end": 0.01, "dt": 0.5, "rho0": rho0}
+    return doc
+
+
+def test_a_large_constant_density_passes_the_homogeneous_check(tmp_path):
+    # the march and the scalar solve agree to about 8e-13 relative, which
+    # at a density of 1e154 is an absolute gap of about 8e141
+    path = write_doc(tmp_path, _large_constant_kinetic_doc(1e154))
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    [check] = [a for a in manifest["assertions"] if a["name"] == "homogeneous_consistency"]
+    assert check["passed"]
+
+
+@pytest.mark.parametrize("rho0", [0.5, 1e154])
+def test_a_scalar_reference_off_by_1e_6_relative_fails_the_check(tmp_path, monkeypatch, rho0):
+    solve = kinetic.homogeneous_scalar_ode
+    monkeypatch.setattr(
+        kinetic, "homogeneous_scalar_ode", lambda *args: solve(*args) * (1.0 + 1e-6)
+    )
+    path = write_doc(tmp_path, _large_constant_kinetic_doc(rho0))
+    out = tmp_path / "k"
+    assert main(["run", "--config", path, "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
+    assert failed == ["homogeneous_consistency"]
+
+
 def test_exit_3_when_the_scalar_reference_exceeds_its_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(kinetic, "_SCALAR_MAX_STEPS", 2)
     doc = base_doc()
@@ -1053,6 +1087,19 @@ def test_config_round_trip_and_hash(tmp_path):
     tweaked = json.loads(json.dumps(doc))
     tweaked["seed"] = 12
     assert config_hash(tweaked) != config_hash(doc)
+
+
+def test_config_hash_is_hashlibs_sha256_of_the_canonical_json():
+    # config_hash takes CPython's builtin SHA-256; manifests keep their hashes
+    import hashlib
+
+    docs = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+    assert len(docs) == 6
+    unicode_doc = base_doc()
+    unicode_doc["output"] = "runs/ρ₀ é 密度 \U0001f600"
+    for doc in docs + [unicode_doc]:
+        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert config_hash(doc) == hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def test_run_uses_config_output_directory(tmp_path, monkeypatch):

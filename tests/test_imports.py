@@ -1,5 +1,6 @@
 """Import boundaries: a run loads no scipy module, only scipy's compiled
-kernels, and jsonschema (the config check's test reference) nowhere.
+kernels, and jsonschema (the config check's test reference) nowhere; a
+kinetic run loads none of the hierarchy's solver, generator or OpenSSL.
 
 Each probe starts a fresh interpreter, because this process has long since
 loaded every module.  The checks read sys.modules, so they need no timing.
@@ -216,3 +217,61 @@ def test_unknown_name_is_an_attribute_error():
         exec("from ovskale import no_such_name", {})
     # the duality reference lives with the tests
     assert not hasattr(ovskale, "apply_observable_generator")
+
+
+# what only the hierarchy runs call: the series solver, the config's
+# generator, and the OpenSSL extension that numpy.random's secrets loads
+HIERARCHY_ONLY = ("ovskale.series", "numpy.random", "_hashlib")
+
+VALIDATE = """
+import json, sys
+import ovskale.cli
+code = ovskale.cli.main(["validate", "--config", sys.argv[1]])
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("name", ["kinetic", "bifurcation", "validate"])
+def test_kinetic_runs_and_validation_load_no_hierarchy_only_module(tmp_path, name):
+    if name == "validate":
+        seen = _python(VALIDATE, str(ROOT / "configs" / "evolve.json"))
+    else:
+        seen = _probe(str(ROOT / "configs" / f"{name}.json"), str(tmp_path))
+    assert seen["exit"] == 0
+    assert [m for m in HIERARCHY_ONLY if m in seen["modules"]] == []
+    # config_hash hashes with CPython's builtin SHA-256
+    assert "hashlib" not in seen["modules"]
+
+
+# prints which of the given modules are loaded when build_runtime is entered
+AT_BUILD = """
+import json, sys
+import ovskale.cli
+from ovskale import experiments
+
+names = sys.argv[1].split(",")
+build = experiments.build_runtime
+seen = {}
+
+
+def entered(*args, **kwargs):
+    seen["build"] = [m for m in names if m in sys.modules]
+    return build(*args, **kwargs)
+
+
+experiments.build_runtime = entered
+seen["exit"] = ovskale.cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("name", ["evolve", "vlasov", "bounds"])
+def test_hierarchy_runs_load_their_modules_as_set_up(tmp_path, name):
+    # loaded before build_runtime, so that their import counts in
+    # timings.imports_s and not in the runner's time
+    names = ("ovskale.series", "ovskale.csr", "numpy.random")
+    config = str(ROOT / "configs" / f"{name}.json")
+    seen = _python(AT_BUILD, ",".join(names), config, str(tmp_path))
+    assert seen["exit"] == 0
+    # bounds never solves
+    assert seen["build"] == list(names[1:] if name == "bounds" else names)
